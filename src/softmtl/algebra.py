@@ -10,6 +10,7 @@ exhaustive over all pairs/triples -- carriers are expected to be tiny
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class AlgebraError(ValueError):
@@ -21,7 +22,8 @@ class FiniteMtlAlgebra:
     """Carrier plus operation tables; immutable after load.
 
     Elements are indices into ``labels``; labels are presentation-only.
-    ``eq=False`` keeps identity semantics so instances can key caches.
+    ``eq=False`` keeps identity semantics.  ``tables`` holds what is
+    derived from the operations, built on first use.
     """
 
     labels: tuple[str, ...]
@@ -32,6 +34,12 @@ class FiniteMtlAlgebra:
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
+    tables: DerivedTables = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Set here, with the other attributes: an attribute added to an
+        # instance later would slow every attribute read on it.
+        object.__setattr__(self, "tables", DerivedTables(self))
 
     @property
     def n(self) -> int:
@@ -45,6 +53,68 @@ class FiniteMtlAlgebra:
 
     def __repr__(self):
         return f"FiniteMtlAlgebra({'/'.join(self.labels)})"
+
+
+class DerivedTables:
+    """Tables derived from one algebra's operations, each built on first use.
+
+    Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
+    in lexicographic order of its variables, so the crisp and the fuzzy
+    scans over it report the same first violation.  ``classifications``
+    is the memo of :func:`softmtl.filters.classify_filter` by mask.
+    """
+
+    def __init__(self, alg: FiniteMtlAlgebra):
+        # the operation tables, not the algebra: no reference cycle
+        self.prod, self.res, self.leq, self.join = alg.prod, alg.res, alg.leq, alg.join
+        self.bottom, self.elems = alg.bottom, range(alg.n)
+        self.classifications = {}
+
+    @cached_property
+    def neg(self) -> tuple[int, ...]:
+        """x' = x -> bottom for every x."""
+        return tuple(row[self.bottom] for row in self.res)
+
+    @cached_property
+    def complement_joins(self) -> tuple[int, ...]:
+        """x v x' for every x."""
+        return tuple(self.join[x][nx] for x, nx in enumerate(self.neg))
+
+    @cached_property
+    def mp_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, y, x -> y)."""
+        return tuple((x, y, rxy) for x, row in enumerate(self.res) for y, rxy in enumerate(row))
+
+    @cached_property
+    def product_pairs(self) -> tuple[tuple[int, int, int, bool], ...]:
+        """(x, y, x . y, x <= y)."""
+        e, prod, leq = self.elems, self.prod, self.leq
+        return tuple((x, y, prod[x][y], leq[x][y]) for x in e for y in e)
+
+    @cached_property
+    def contraction_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, y, (x -> y) -> x)."""
+        e, res = self.elems, self.res
+        return tuple((x, y, res[res[x][y]][x]) for x in e for y in e)
+
+    @cached_property
+    def mv_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(x, y, ((y -> x) -> x) -> y, x -> y)."""
+        e, res = self.elems, self.res
+        return tuple((x, y, res[res[res[y][x]][x]][y], res[x][y]) for x in e for y in e)
+
+    @cached_property
+    def g_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(x, y, x -> y, x . x -> y)."""
+        e, res, prod = self.elems, self.res, self.prod
+        return tuple((x, y, res[x][y], res[prod[x][x]][y]) for x in e for y in e)
+
+    @cached_property
+    def chain_triples(self) -> tuple[tuple[int, ...], ...]:
+        """(x, y, z, x -> z, x -> (z' -> y), y -> z)."""
+        e, res, neg = self.elems, self.res, self.neg
+        return tuple((x, y, z, res[x][z], res[x][res[neg[z]][y]], res[y][z])
+                     for x in e for y in e for z in e)
 
 
 @dataclass
@@ -210,7 +280,7 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
     n, prod, res = alg.n, alg.prod, alg.res
     leq, meet, join = alg.leq, alg.meet, alg.join
     bot, top = alg.bottom, alg.top
-    neg = [negation(alg, x) for x in range(n)]
+    neg = alg.tables.neg
     rep = AxiomReport()
 
     for x in range(n):

@@ -180,7 +180,10 @@ def cmd_verify(args):
     den = _default_den(alg, args)
     spec = _theorem_spec(args.theorem)
     iv = _parse_interval(args.interval) if args.interval else None
-    rep = verifier.verify(alg, spec, den, budget=args.budget, seed=args.seed, interval=iv)
+    try:
+        rep = verifier.verify(alg, spec, den, budget=args.budget, seed=args.seed, interval=iv)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     doc = rep.to_doc()
     status = "confirmed" if rep.confirmed else f"{len(rep.counterexamples)} counterexample(s)"
     lines = [f"{rep.theorem} on {rep.algebra} at D={den} ({rep.mode}, "
@@ -194,7 +197,10 @@ def cmd_verify(args):
 def cmd_verify_all(args):
     alg = _load(args.target)
     den = _default_den(alg, args)
-    reports = verifier.verify_all(alg, den, budget=args.budget, seed=args.seed)
+    try:
+        reports = verifier.verify_all(alg, den, budget=args.budget, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     lines, bad = [], 0
     for rep in reports:
         status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"

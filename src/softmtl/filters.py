@@ -8,10 +8,11 @@ as a filter of every kind" convention.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from types import MappingProxyType
 
-from .algebra import FiniteMtlAlgebra, negation
+from .algebra import FiniteMtlAlgebra
 
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
@@ -33,14 +34,19 @@ def elements(mask: int):
         i += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterClassification:
+    """Verdicts for one subset; shared by every caller, so read-only."""
+
     is_filter: bool
     boolean: bool = False
     g: bool = False
     mv: bool = False
     # first (lexicographic) violating tuple per failed property
-    witnesses: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    witnesses: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def has(self, kind: str) -> bool:
         if kind == "filter":
@@ -88,46 +94,43 @@ def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
     return a
 
 
-@lru_cache(maxsize=None)
 def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
-    """Flag a subset as (Boolean/G/MV-)filter by exhaustive scans."""
-    cls = FilterClassification(is_filter=bool(mask) and is_filter(alg, mask))
-    if not cls.is_filter:
+    """Flag a subset as (Boolean/G/MV-)filter by exhaustive scans.
+
+    Each mask is classified once per algebra; later calls return the same
+    frozen classification from the algebra's memo.
+    """
+    memo = alg.tables.classifications
+    cls = memo.get(mask)
+    if cls is None:
+        cls = memo[mask] = _classify(alg, mask)
+    return cls
+
+
+def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
+    labels = alg.labels
+    witnesses = {}
+    if not (mask and is_filter(alg, mask)):
         if mask:
             w = _filter_by_closure(alg, mask)
-            cls.witnesses["filter"] = (w[0], *(alg.labels[e] for e in w[1:]))
-        return cls
+            witnesses["filter"] = (w[0], *(labels[e] for e in w[1:]))
+        return FilterClassification(False, witnesses=witnesses)
 
-    cls.boolean = True
-    for x in range(alg.n):
-        if not mask >> alg.join[x][negation(alg, x)] & 1:
-            cls.boolean = False
-            cls.witnesses["boolean"] = (alg.labels[x],)
+    for x, joined in enumerate(alg.tables.complement_joins):
+        if not mask >> joined & 1:
+            witnesses["boolean"] = (labels[x],)
             break
-
-    cls.g = True
-    for x in range(alg.n):
-        xx = alg.prod[x][x]
-        for y in range(alg.n):
-            if mask >> alg.res[xx][y] & 1 and not mask >> alg.res[x][y] & 1:
-                cls.g = False
-                cls.witnesses["g"] = (alg.labels[x], alg.labels[y])
-                break
-        if not cls.g:
+    for x, y, rxy, rxxy in alg.tables.g_pairs:
+        if mask >> rxxy & 1 and not mask >> rxy & 1:
+            witnesses["g"] = (labels[x], labels[y])
             break
-
-    cls.mv = True
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if mask >> alg.res[x][y] & 1:
-                lhs = alg.res[alg.res[alg.res[y][x]][x]][y]
-                if not mask >> lhs & 1:
-                    cls.mv = False
-                    cls.witnesses["mv"] = (alg.labels[x], alg.labels[y])
-                    break
-        if not cls.mv:
+    for x, y, lhs, rxy in alg.tables.mv_pairs:
+        if mask >> rxy & 1 and not mask >> lhs & 1:
+            witnesses["mv"] = (labels[x], labels[y])
             break
-    return cls
+    return FilterClassification(True, boolean="boolean" not in witnesses,
+                                g="g" not in witnesses, mv="mv" not in witnesses,
+                                witnesses=witnesses)
 
 
 def enumerate_filters(alg: FiniteMtlAlgebra, cap: int = 20) -> list[int]:

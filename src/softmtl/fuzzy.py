@@ -1,8 +1,11 @@
 """Grid-valued fuzzy sets and every fuzzy-filter variant.
 
-Membership values are exact rationals on a fixed grid 0, 1/D, ..., 1
-with D even, so 1/2 is always representable and every strict/non-strict
-comparison in the quasi-coincidence relation is exact.
+Membership values lie on a fixed grid 0, 1/D, ..., 1 with D even, so
+1/2 is always representable.  A value k/D is held as its integer
+numerator k, and every filter condition is an exact integer comparison
+(1/2 is D//2).  ``Fraction`` appears only at the edges: values given to
+``FuzzySet`` and thresholds are parsed from it, and ``FuzzySet.values``
+and ``to_doc`` print with it.
 
 All four families share one inequality engine: the plain family is the
 threshold pair (0, 1), the (min .., 1/2)-capped family is (0, 1/2), the
@@ -13,21 +16,18 @@ caller-chosen (alpha, beta).
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FiniteMtlAlgebra, negation
+from .algebra import FiniteMtlAlgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 FAMILIES = ("plain", "eiq", "bar", "thresholds")
 KINDS = ("filter", "boolean", "mv", "g")
-
-# threshold pair (lo, hi) realizing each fixed family
-_FAMILY_BOUNDS = {"plain": (ZERO, ONE), "eiq": (ZERO, HALF), "bar": (HALF, ONE)}
 
 MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
 
@@ -46,11 +46,16 @@ def on_grid(value: Fraction, den: int) -> bool:
 
 @dataclass(frozen=True)
 class FuzzySet:
-    """Total map from the carrier to the 1/D grid."""
+    """Total map from the carrier to the 1/D grid.
+
+    ``values`` are the memberships as given; ``nums`` their numerators
+    k = value * D, on which every check runs.
+    """
 
     alg: FiniteMtlAlgebra
     den: int
     values: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.den <= 0 or self.den % 2:
@@ -60,6 +65,7 @@ class FuzzySet:
         for v in self.values:
             if not on_grid(v, self.den):
                 raise ValueError(f"membership value {v} is not on the 1/{self.den} grid")
+        object.__setattr__(self, "nums", tuple(int(v * self.den) for v in self.values))
 
     def __call__(self, x: int) -> Fraction:
         return self.values[x]
@@ -82,6 +88,10 @@ class FuzzySet:
                 raise ValueError(f"no membership value for element {lab!r}")
             vals.append(Fraction(mapping[lab]))
         return cls(alg, den, tuple(vals))
+
+    @classmethod
+    def from_nums(cls, alg, den, nums) -> "FuzzySet":
+        return cls(alg, den, tuple(Fraction(k, den) for k in nums))
 
     @classmethod
     def characteristic(cls, alg, den, mask: int) -> "FuzzySet":
@@ -115,83 +125,106 @@ def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
     }[query.mode]
 
 
-# --- inequality scans; each returns the first violating tuple or None ---
+# --- inequality scans on numerators; each returns the first violating tuple or None ---
+#
+# With numerator bounds lo < hi, max(a, lo) < min(b, hi) holds exactly when
+# c[a] < c[b] for the clamped numerators c = min(max(k, lo), hi), so every
+# scan takes c.  The product, complement and contraction forms exist only
+# for the plain family, whose bounds (0, D) leave c = k.
 
-def _w_filter(alg, v, lo, hi):
-    top = alg.top
-    for x in range(alg.n):
-        if max(v[top], lo) < min(v[x], hi):
-            return ("unit", alg.labels[x])
-    for x in range(alg.n):
-        rx = alg.res[x]
-        for y in range(alg.n):
-            if max(v[y], lo) < min(v[rx[y]], v[x], hi):
-                return ("mp", alg.labels[x], alg.labels[y])
+def _clamp(k, lo, hi):
+    return tuple([lo if v < lo else hi if v > hi else v for v in k])
+
+
+def _w_filter(alg, c):
+    labels = alg.labels
+    ctop = c[alg.top]
+    for x, cx in enumerate(c):
+        if ctop < cx:
+            return ("unit", labels[x])
+    for x, y, rxy in alg.tables.mp_pairs:
+        cy = c[y]
+        if cy < c[rxy] and cy < c[x]:
+            return ("mp", labels[x], labels[y])
     return None
 
 
-def _w_filter_product(alg, v):
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if v[alg.prod[x][y]] < min(v[x], v[y]):
-                return ("product", alg.labels[x], alg.labels[y])
-            if alg.leq[x][y] and v[x] > v[y]:
-                return ("order", alg.labels[x], alg.labels[y])
+def _w_filter_product(alg, c):
+    labels = alg.labels
+    for x, y, pxy, x_le_y in alg.tables.product_pairs:
+        cx, cy, cp = c[x], c[y], c[pxy]
+        if cp < cx and cp < cy:
+            return ("product", labels[x], labels[y])
+        if x_le_y and cx > cy:
+            return ("order", labels[x], labels[y])
     return None
 
 
-def _w_boolean_complement(alg, v):
-    vt = v[alg.top]
-    for x in range(alg.n):
-        if v[alg.join[x][negation(alg, x)]] != vt:
+def _w_boolean_complement(alg, c):
+    ctop = c[alg.top]
+    for x, joined in enumerate(alg.tables.complement_joins):
+        if c[joined] != ctop:
             return ("complement", alg.labels[x])
     return None
 
 
-def _w_boolean_chain(alg, v, lo, hi):
-    res = alg.res
-    neg = [negation(alg, z) for z in range(alg.n)]
-    for x in range(alg.n):
-        for y in range(alg.n):
-            for z in range(alg.n):
-                lhs = max(v[res[x][z]], lo)
-                if lhs < min(v[res[x][res[neg[z]][y]]], v[res[y][z]], hi):
-                    return ("chain", alg.labels[x], alg.labels[y], alg.labels[z])
+def _w_boolean_chain(alg, c):
+    labels = alg.labels
+    for x, y, z, rxz, lhs, ryz in alg.tables.chain_triples:
+        cl = c[rxz]
+        if cl < c[lhs] and cl < c[ryz]:
+            return ("chain", labels[x], labels[y], labels[z])
     return None
 
 
-def _w_boolean_contraction(alg, v):
-    res = alg.res
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if v[x] < v[res[res[x][y]][x]]:
-                return ("contraction", alg.labels[x], alg.labels[y])
+def _w_boolean_contraction(alg, c):
+    for x, y, r in alg.tables.contraction_pairs:
+        if c[x] < c[r]:
+            return ("contraction", alg.labels[x], alg.labels[y])
     return None
 
 
-def _w_mv(alg, v, lo, hi):
-    res = alg.res
-    for x in range(alg.n):
-        for y in range(alg.n):
-            lhs = res[res[res[y][x]][x]][y]
-            if max(v[lhs], lo) < min(v[res[x][y]], hi):
-                return ("mv", alg.labels[x], alg.labels[y])
+def _w_mv(alg, c):
+    for x, y, lhs, rxy in alg.tables.mv_pairs:
+        if c[lhs] < c[rxy]:
+            return ("mv", alg.labels[x], alg.labels[y])
     return None
 
 
-def _w_g(alg, v, lo, hi):
-    res, prod = alg.res, alg.prod
-    for x in range(alg.n):
-        xx = prod[x][x]
-        for y in range(alg.n):
-            if max(v[res[x][y]], lo) < min(v[res[xx][y]], hi):
-                return ("g", alg.labels[x], alg.labels[y])
+def _w_g(alg, c):
+    for x, y, rxy, rxxy in alg.tables.g_pairs:
+        if c[rxy] < c[rxxy]:
+            return ("g", alg.labels[x], alg.labels[y])
     return None
 
 
-def _bounds(family, alpha, beta):
-    if family in _FAMILY_BOUNDS:
-        return _FAMILY_BOUNDS[family]
+_SCANS = {
+    ("filter", "mp"): _w_filter,
+    ("filter", "product"): _w_filter_product,
+    ("boolean", "complement"): _w_boolean_complement,
+    ("boolean", "chain"): _w_boolean_chain,
+    ("boolean", "contraction"): _w_boolean_contraction,
+    ("mv", "default"): _w_mv,
+    ("g", "default"): _w_g,
+}
+
+# the equivalent formulations of the plain family; the first is the default
+PLAIN_ROUTES = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction")}
+
+
+def family_bounds(family: str, den: int, alpha=None, beta=None) -> tuple[int, int]:
+    """Numerator bounds (lo, hi) of a family's threshold pair on the 1/den grid.
+
+    alpha and beta matter only for the thresholds family.  An off-grid
+    threshold compares with grid values as the grid point below alpha or
+    above beta does, so lo = floor(alpha * den) and hi = ceil(beta * den).
+    """
+    if family == "plain":
+        return 0, den
+    if family == "eiq":
+        return 0, den // 2
+    if family == "bar":
+        return den // 2, den
     if family != "thresholds":
         raise ValueError(f"unknown fuzzy family {family!r}")
     if alpha is None or beta is None:
@@ -199,7 +232,65 @@ def _bounds(family, alpha, beta):
     alpha, beta = Fraction(alpha), Fraction(beta)
     if not ZERO < alpha < beta <= ONE:
         raise ValueError(f"thresholds must satisfy 0 < alpha < beta <= 1, got ({alpha}, {beta})")
-    return alpha, beta
+    return math.floor(alpha * den), math.ceil(beta * den)
+
+
+def resolve_route(family: str, kind: str, route: str = "default") -> str:
+    """The formulation a route names: a key of the scans, or "all"."""
+    if family == "plain" and kind in PLAIN_ROUTES:
+        routes = PLAIN_ROUTES[kind]
+        if route == "default":
+            return routes[0]
+        if route in routes or route == "all":
+            return route
+        raise ValueError(f"unknown plain {kind} route {route!r}")
+    if route not in ("default", "all"):
+        raise ValueError(f"route {route!r} is only meaningful for the plain family")
+    return {"filter": "mp", "boolean": "chain"}.get(kind, "default")
+
+
+_UNSET = object()
+
+
+class FuzzyWitnesses:
+    """First violating tuple of each fuzzy-filter variant on one grid map.
+
+    ``nums`` are the membership numerators.  A variant is keyed by
+    (kind, lo, hi, route): the family's bounds from :func:`family_bounds`
+    and a route from :func:`resolve_route`.  Every kind other than
+    "filter" includes the same-family filter condition as a conjunct.
+    Each variant, conjuncts included, is scanned on first request only.
+    """
+
+    __slots__ = ("alg", "den", "nums", "_memo")
+
+    def __init__(self, alg: FiniteMtlAlgebra, den: int, nums: tuple[int, ...]):
+        self.alg, self.den, self.nums = alg, den, nums
+        self._memo = {}
+
+    def witness(self, key):
+        w = self._memo.get(key, _UNSET)
+        if w is _UNSET:
+            w = self._memo[key] = self._scan(*key)
+        return w
+
+    def _scan(self, kind, lo, hi, route):
+        if kind != "filter":
+            w = self.witness(("filter", lo, hi, "mp"))
+            if w is not None:
+                return w
+        if route == "all":
+            return self._agreed(kind, lo, hi)
+        return _SCANS[kind, route](self.alg, _clamp(self.nums, lo, hi))
+
+    def _agreed(self, kind, lo, hi):
+        """Every formulation, which must agree; the first violation found."""
+        results = {r: self.witness((kind, lo, hi, r)) for r in PLAIN_ROUTES[kind]}
+        verdicts = {r: w is None for r, w in results.items()}
+        if len(set(verdicts.values())) != 1:
+            mu = FuzzySet.from_nums(self.alg, self.den, self.nums)
+            raise RuntimeError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
+        return next((w for w in results.values() if w is not None), None)
 
 
 def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "default",
@@ -214,57 +305,9 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
     """
     if kind not in KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
-    lo, hi = _bounds(family, alpha, beta)
-    alg, v = mu.alg, mu.values
-
-    if family == "plain" and kind == "filter":
-        if route in ("default", "product"):
-            return _w_filter_product(alg, v)
-        if route == "mp":
-            return _w_filter(alg, v, lo, hi)
-        if route == "all":
-            w_prod = _w_filter_product(alg, v)
-            w_mp = _w_filter(alg, v, lo, hi)
-            if (w_prod is None) != (w_mp is None):
-                raise RuntimeError(f"fuzzy filter formulations disagree on {mu.to_doc()}")
-            return w_prod or w_mp
-        raise ValueError(f"unknown plain filter route {route!r}")
-
-    if route not in ("default", "all") and not (family == "plain" and kind == "boolean"):
-        raise ValueError(f"route {route!r} is only meaningful for the plain family")
-
-    # threshold pair (0,1) makes this exactly the unit+modus-ponens filter form
-    w = _w_filter(alg, v, lo, hi)
-    if kind == "filter" or w is not None:
-        return w
-
-    if kind == "mv":
-        return _w_mv(alg, v, lo, hi)
-    if kind == "g":
-        return _w_g(alg, v, lo, hi)
-
-    # Boolean
-    if family != "plain":
-        return _w_boolean_chain(alg, v, lo, hi)
-    routes = {
-        "complement": lambda: _w_boolean_complement(alg, v),
-        "chain": lambda: _w_boolean_chain(alg, v, lo, hi),
-        "contraction": lambda: _w_boolean_contraction(alg, v),
-    }
-    if route in routes:
-        return routes[route]()
-    if route == "default":
-        return routes["complement"]()
-    if route != "all":
-        raise ValueError(f"unknown plain boolean route {route!r}")
-    results = {name: fn() for name, fn in routes.items()}
-    verdicts = {name: w is None for name, w in results.items()}
-    if len(set(verdicts.values())) != 1:
-        raise RuntimeError(
-            f"boolean formulations disagree on {mu.to_doc()}: {verdicts}")
-    if all(verdicts.values()):
-        return None
-    return next(w for w in results.values() if w is not None)
+    lo, hi = family_bounds(family, mu.den, alpha, beta)
+    key = (kind, lo, hi, resolve_route(family, kind, route))
+    return FuzzyWitnesses(mu.alg, mu.den, mu.nums).witness(key)
 
 
 def check_fuzzy(mu: FuzzySet, family: str, kind: str, route: str = "default",
@@ -276,19 +319,23 @@ def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:
     return (den + 1) ** alg.n
 
 
+def grid_maps(n: int, den: int):
+    """Every numerator tuple of length n over 0..den, lexicographically."""
+    return itertools.product(range(den + 1), repeat=n)
+
+
+def sample_grid_maps(n: int, den: int, count: int, seed: int):
+    """Seeded uniform sample of numerator tuples, drawn with replacement."""
+    rng = random.Random(seed)
+    ks = range(den + 1)
+    for _ in range(count):
+        yield tuple([rng.choice(ks) for _ in range(n)])
+
+
 def enumerate_fuzzy_sets(alg: FiniteMtlAlgebra, den: int, budget: int | None = None):
     """Lexicographic stream of every total grid map (constant-0 first)."""
     total = count_fuzzy_sets(alg, den)
     if budget is not None and total > budget:
         raise BudgetError(f"{total} fuzzy sets exceed the budget of {budget}")
-    pts = grid(den)
-    for combo in itertools.product(pts, repeat=alg.n):
-        yield FuzzySet(alg, den, combo)
-
-
-def sample_fuzzy_sets(alg: FiniteMtlAlgebra, den: int, count: int, seed: int):
-    """Seeded uniform sample of grid maps, for over-budget searches."""
-    rng = random.Random(seed)
-    pts = grid(den)
-    for _ in range(count):
-        yield FuzzySet(alg, den, tuple(rng.choice(pts) for _ in range(alg.n)))
+    for nums in grid_maps(alg.n, den):
+        yield FuzzySet.from_nums(alg, den, nums)

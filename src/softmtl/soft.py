@@ -6,6 +6,10 @@ consecutive grid points because mu takes values on the 1/D grid, so the
 finitely many grid thresholds in (lo, hi] represent the whole real
 interval without loss.  ``level_at`` maps any real threshold to its grid
 representative ceil(t*D)/D.
+
+Both families are read off one array of cuts of the numerators k:
+cut[j] = {x : k[x] >= j}.  The membership cut at j/D is cut[j]; the
+quasi-coincidence cut at j/D is {x : k[x] + j > D} = cut[D - j + 1].
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FiniteMtlAlgebra
-from .fuzzy import ONE, ZERO, FuzzySet, on_grid
+from .fuzzy import ONE, ZERO, FuzzySet
 from .filters import classify_filter, labels_of, mask_of
 
 SOFT_KINDS = ("in", "q")
@@ -38,6 +42,13 @@ class ParameterInterval:
     def __str__(self):
         return f"({self.lo},{self.hi}]"
 
+    def numerators(self, den: int) -> tuple[int, int]:
+        """(lo * den, hi * den); raises if an endpoint is off the 1/den grid."""
+        lo, hi = Fraction(self.lo) * den, Fraction(self.hi) * den
+        if lo.denominator != 1 or hi.denominator != 1:
+            raise ValueError(f"interval {self} is not aligned to the 1/{den} grid")
+        return int(lo), int(hi)
+
     @classmethod
     def parse(cls, text: str) -> "ParameterInterval":
         try:
@@ -54,6 +65,21 @@ UPPER = ParameterInterval(Fraction(1, 2), ONE)
 
 def grid_thresholds(interval: ParameterInterval, den: int) -> list[Fraction]:
     return [Fraction(k, den) for k in range(1, den + 1) if Fraction(k, den) in interval]
+
+
+def level_cuts(nums: tuple[int, ...], den: int) -> list[int]:
+    """cut[j] = {x : nums[x] >= j} as a bitmask, for j = 0..den."""
+    cut = [0] * (den + 1)
+    for x, k in enumerate(nums):
+        cut[k] |= 1 << x
+    for j in range(den - 1, -1, -1):
+        cut[j] |= cut[j + 1]
+    return cut
+
+
+def cut_index(kind: str, j: int, den: int) -> int:
+    """Index into :func:`level_cuts` of the kind's level at threshold j/den."""
+    return j if kind == "in" else den - j + 1
 
 
 @dataclass(frozen=True)
@@ -86,27 +112,22 @@ class SoftSet:
         }
 
 
-def _build(mu: FuzzySet, interval: ParameterInterval, kind: str, member) -> SoftSet:
-    if not (on_grid(interval.lo, mu.den) and on_grid(interval.hi, mu.den)):
-        raise ValueError(f"interval {interval} is not aligned to the 1/{mu.den} grid")
-    levels = []
-    for t in grid_thresholds(interval, mu.den):
-        mask = 0
-        for x in range(mu.alg.n):
-            if member(mu.values[x], t):
-                mask |= 1 << x
-        levels.append((t, mask))
-    return SoftSet(mu.alg, interval, kind, mu.den, tuple(levels))
+def _build(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
+    lo, hi = interval.numerators(mu.den)
+    cut = level_cuts(mu.nums, mu.den)
+    levels = tuple((Fraction(j, mu.den), cut[cut_index(kind, j, mu.den)])
+                   for j in range(lo + 1, hi + 1))
+    return SoftSet(mu.alg, interval, kind, mu.den, levels)
 
 
 def epsilon_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
     """t -> {x : mu(x) >= t}; levels shrink as t grows."""
-    return _build(mu, interval, "in", lambda v, t: v >= t)
+    return _build(mu, interval, "in")
 
 
 def q_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
     """t -> {x : mu(x) + t > 1}; levels grow as t grows."""
-    return _build(mu, interval, "q", lambda v, t: v + t > ONE)
+    return _build(mu, interval, "q")
 
 
 def build_soft(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:

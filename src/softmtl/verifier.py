@@ -2,10 +2,21 @@
 
 Each catalog entry ties a fuzzy-side predicate (family + kind) to a
 soft-side predicate (level cuts over an interval, classified per kind),
-or relates two soft-side predicates.  Verification enumerates every grid
-fuzzy set on the algebra (or a seeded sample when over budget) and
-records every input for which the claimed biconditional or implication
-fails.  A confirmation is always "at this algebra and grid", never a
+or relates two soft-side predicates.  Verification is one pass over the
+grid fuzzy sets on the algebra (every one, or a seeded sample when over
+budget), each produced once as its integer numerators k in 0..D and
+checked against every requested theorem:
+
+- its level cuts cut[j] = {x : k[x] >= j} are computed once, and every
+  theorem's soft levels are a set of indices into them;
+- each non-empty cut is classified once per algebra
+  (:func:`softmtl.filters.classify_filter` keeps the memo);
+- its fuzzy predicates are integer scans, each run on first request and
+  shared by the theorems and kinds that need it.
+
+``Fraction`` appears only when a counterexample is formatted.  Every
+input for which the claimed biconditional or implication fails is
+recorded.  A confirmation is always "at this algebra and grid", never a
 proof.
 """
 
@@ -14,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import filters
 from .algebra import FiniteMtlAlgebra
-from .fuzzy import (ONE, FuzzySet, check_fuzzy_witness, count_fuzzy_sets,
-                    enumerate_fuzzy_sets, sample_fuzzy_sets)
-from .soft import (FULL, LOWER, UPPER, ParameterInterval, build_soft,
-                   classify_soft)
+from .fuzzy import (KINDS, ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets,
+                    family_bounds, grid_maps, resolve_route, sample_grid_maps)
+from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
+                   build_soft, classify_soft, cut_index, level_cuts)
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
 
@@ -115,61 +127,128 @@ class VerificationReport:
 
 
 def _stream(alg, den, budget, seed):
-    total = count_fuzzy_sets(alg, den)
-    if budget is not None and total > budget:
-        return sample_fuzzy_sets(alg, den, budget, seed), budget, "sampled"
-    return enumerate_fuzzy_sets(alg, den), total, "exhaustive"
+    """Numerator tuples to check, and the mode: exhaustive, or sampled when over budget."""
+    if den <= 0 or den % 2:
+        raise ValueError(f"grid denominator must be positive and even, got {den}")
+    if budget is not None and budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    if budget is not None and count_fuzzy_sets(alg, den) > budget:
+        return sample_grid_maps(alg.n, den, budget, seed), "sampled"
+    return grid_maps(alg.n, den), "exhaustive"
 
 
-def _fmt_witness(w):
-    if w is None:
-        return None
-    return [str(part) for part in w]
+def _failing_levels(alg, cut) -> dict[str, int]:
+    """Per kind, a bitmask of the indices i >= 1 whose cut is non-empty and not that kind of filter."""
+    bad = dict.fromkeys(KINDS, 0)
+    prev = 0
+    for i in range(1, len(cut)):
+        mask = cut[i]
+        if not mask:
+            break  # cuts shrink as i grows
+        if mask != prev:
+            prev = mask
+            cls = filters.classify_filter(alg, mask)
+            failed = [kind for kind in KINDS if not cls.has(kind)]
+        for kind in failed:
+            bad[kind] |= 1 << i
+    return bad
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One theorem resolved against the grid before the pass starts."""
+
+    report: VerificationReport
+    soft_kind: str
+    interval: ParameterInterval
+    levels: int                   # bitmask of the cut indices of the soft levels
+    kind: str                     # soft-side kind; the left-hand side of a relation
+    fuzzy: tuple | None           # FuzzyWitnesses key; None for a relation
+    rhs: tuple[str, ...] = ()     # right-hand kinds of a relation
+    iff: bool = True
+
+
+def _plan(alg, spec, den, mode, interval) -> _Check:
+    if interval is not None and spec.interval is not None:
+        generic = ", ".join(s.id for s in catalog() if s.interval is None)
+        raise ValueError(f"{spec.id} is stated over {spec.interval}; "
+                         f"only generic-interval theorems ({generic}) take an interval")
+    if spec.soft_kind not in SOFT_KINDS:
+        raise ValueError(f"unknown soft-set kind {spec.soft_kind!r}")
+    iv = interval or spec.interval or default_thresholds(den)
+    lo, hi = iv.numerators(den)
+    levels = sum(1 << cut_index(spec.soft_kind, j, den) for j in range(lo + 1, hi + 1))
+    report = VerificationReport(spec.id, "/".join(alg.labels), den, mode=mode)
+    if spec.relation:
+        lhs, rhs = spec.relation
+        return _Check(report, spec.soft_kind, iv, levels, lhs, None, tuple(rhs),
+                      spec.direction == "iff")
+    if spec.filter_kind not in KINDS:
+        raise ValueError(f"unknown filter kind {spec.filter_kind!r}")
+    flo, fhi = family_bounds(spec.family, den, iv.lo, iv.hi)
+    key = (spec.filter_kind, flo, fhi, resolve_route(spec.family, spec.filter_kind, spec.route))
+    return _Check(report, spec.soft_kind, iv, levels, spec.filter_kind, key,
+                  iff=spec.direction == "iff")
+
+
+def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
+    stream, mode = _stream(alg, den, budget, seed)
+    checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
+    checked = 0
+    for nums in stream:
+        checked += 1
+        cut = level_cuts(nums, den)
+        bad = _failing_levels(alg, cut)
+        fuzzy = FuzzyWitnesses(alg, den, nums)
+        mu = None
+        for check in checks:
+            soft_fail = bad[check.kind] & check.levels
+            witness = None  # None: the first failing soft level of `kind`
+            if check.fuzzy is not None:
+                fw = fuzzy.witness(check.fuzzy)
+                if fw is None and soft_fail:
+                    direction, kind = "fuzzy=>soft", check.kind
+                elif fw is not None and not soft_fail and check.iff:
+                    direction, witness = "soft=>fuzzy", fw
+                else:
+                    continue
+            else:
+                rhs_fail = [k for k in check.rhs if bad[k] & check.levels]
+                if not soft_fail and rhs_fail:
+                    direction, kind = "forward", rhs_fail[0]
+                elif soft_fail and not rhs_fail and check.iff:
+                    direction, kind = "converse", check.kind
+                else:
+                    continue
+            if mu is None:
+                mu = FuzzySet.from_nums(alg, den, nums)
+                doc = mu.to_doc()
+            if witness is None:
+                soft = build_soft(mu, check.interval, check.soft_kind)
+                witness = classify_soft(soft, kind)[1]
+            check.report.counterexamples.append(
+                {"mu": doc, "direction": direction,
+                 "witness": [str(part) for part in witness]})
+    for check in checks:
+        check.report.checked = checked
+    return [check.report for check in checks]
 
 
 def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int,
            budget: int | None = None, seed: int = 0,
            interval: ParameterInterval | None = None) -> VerificationReport:
-    """Check one catalog entry against every (or a sampled set of) grid fuzzy set."""
-    iv = interval or spec.interval or default_thresholds(den)
-    stream, _, mode = _stream(alg, den, budget, seed)
-    rep = VerificationReport(spec.id, "/".join(alg.labels), den, mode=mode)
+    """Check one catalog entry against every (or a sampled set of) grid fuzzy set.
 
-    alpha = beta = None
-    if spec.family == "thresholds":
-        alpha, beta = iv.lo, iv.hi
-
-    for mu in stream:
-        rep.checked += 1
-        if spec.relation:
-            lhs_kind, rhs_kinds = spec.relation
-            soft = build_soft(mu, iv, spec.soft_kind)
-            lhs, lw = classify_soft(soft, lhs_kind)
-            rhs_results = [classify_soft(soft, k) for k in rhs_kinds]
-            rhs = all(ok for ok, _ in rhs_results)
-            if lhs and not rhs:
-                bad = next(w for ok, w in rhs_results if not ok)
-                rep.counterexamples.append(
-                    {"mu": mu.to_doc(), "direction": "forward", "witness": _fmt_witness(bad)})
-            elif spec.direction == "iff" and rhs and not lhs:
-                rep.counterexamples.append(
-                    {"mu": mu.to_doc(), "direction": "converse", "witness": _fmt_witness(lw)})
-            continue
-
-        fw = check_fuzzy_witness(mu, spec.family, spec.filter_kind, spec.route, alpha, beta)
-        soft_ok, sw = classify_soft(build_soft(mu, iv, spec.soft_kind), spec.filter_kind)
-        if fw is None and not soft_ok:
-            rep.counterexamples.append(
-                {"mu": mu.to_doc(), "direction": "fuzzy=>soft", "witness": _fmt_witness(sw)})
-        elif fw is not None and soft_ok and spec.direction == "iff":
-            rep.counterexamples.append(
-                {"mu": mu.to_doc(), "direction": "soft=>fuzzy", "witness": _fmt_witness(fw)})
-    return rep
+    ``interval`` overrides the default (alpha, beta] of a generic-interval
+    entry (``spec.interval is None``) and is rejected for any other.
+    """
+    return _verify(alg, [spec], den, budget, seed, interval)[0]
 
 
 def verify_all(alg: FiniteMtlAlgebra, den: int, budget: int | None = None,
                seed: int = 0) -> list[VerificationReport]:
-    return [verify(alg, spec, den, budget=budget, seed=seed) for spec in catalog()]
+    """Check the whole catalog in one pass over the grid fuzzy sets."""
+    return _verify(alg, catalog(), den, budget, seed)
 
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
@@ -183,9 +262,10 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
     rhs = {"T4.2.13": "mv", "T4.3.12": "g"}.get(theorem_id)
     if rhs is None:
         raise ValueError(f"{theorem_id!r} has no strictness claim; use T4.2.13 or T4.3.12")
-    stream, _, _ = _stream(alg, den, budget, seed)
-    for mu in stream:
-        soft = build_soft(mu, FULL, "in")
-        if classify_soft(soft, rhs)[0] and not classify_soft(soft, "boolean")[0]:
-            return mu
+    stream, _ = _stream(alg, den, budget, seed)
+    for nums in stream:
+        # the in-cuts over (0, 1] are exactly the cuts at indices 1..den
+        bad = _failing_levels(alg, level_cuts(nums, den))
+        if not bad[rhs] and bad["boolean"]:
+            return FuzzySet.from_nums(alg, den, nums)
     return None

@@ -109,3 +109,30 @@ def test_witness_command(capsys):
 def test_odd_grid_rejected(capsys):
     code, _, _ = run(capsys, "verify", "a1", "T3.3", "--grid", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "a1", "T3.3", "--budget", "0"),
+    ("verify-all", "a1", "--budget", "-1"),
+    ("witness", "a3", "T4.3.12", "--budget", "0"),
+])
+def test_vacuous_budget_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_interval_only_on_generic_theorems(capsys):
+    code, out, err = run(capsys, "verify", "a1", "T3.3", "--interval", "1/4,3/4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "T3.12" in err
+    code, out, _ = run(capsys, "verify", "a1", "T3.12", "--interval", "1/4,1/2")
+    assert code == 0 and "confirmed" in out
+
+
+@pytest.mark.parametrize("interval", ["1/3,2/3", "0,1"])
+def test_bad_generic_interval_is_usage_error(capsys, interval):
+    code, out, err = run(capsys, "verify", "a1", "T3.12", "--interval", interval)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1

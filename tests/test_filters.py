@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -122,3 +123,15 @@ def test_generated_filter_is_a_closure_operator(name):
 def test_enumeration_cap(a3):
     with pytest.raises(ValueError, match="cap"):
         enumerate_filters(a3, cap=4)
+
+
+def test_cached_classification_is_read_only(a1):
+    # every caller gets the same memoized object, so no caller may change it
+    mask = mask_of(a1, ["a", "b", "1"])
+    cls = classify_filter(a1, mask)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.boolean = False
+    with pytest.raises(TypeError):
+        cls.witnesses["boolean"] = ("a",)
+    again = classify_filter(a1, mask)
+    assert again is cls and again.boolean and dict(again.witnesses) == {}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (BudgetError, FuzzySet, MembershipQuery, check_fuzzy,
-                           enumerate_fuzzy_sets, evaluate)
+                           check_fuzzy_witness, enumerate_fuzzy_sets, evaluate)
 
 F = Fraction
 
@@ -174,3 +174,35 @@ def test_grid_closure_of_checks(nums):
     plain = check_fuzzy(mu, "plain", "filter")
     if plain:
         assert check_fuzzy(mu, "eiq", "filter") and check_fuzzy(mu, "bar", "filter")
+
+
+def _reference_witness(alg, v, kind, lo, hi):
+    """The filter, MV and G conditions written with Fraction max/min, as stated."""
+    res, prod, top, lab = alg.res, alg.prod, alg.top, alg.labels
+    for x in range(alg.n):
+        if max(v[top], lo) < min(v[x], hi):
+            return ("unit", lab[x])
+    for x in range(alg.n):
+        for y in range(alg.n):
+            if max(v[y], lo) < min(v[res[x][y]], v[x], hi):
+                return ("mp", lab[x], lab[y])
+    for x in range(alg.n):
+        for y in range(alg.n):
+            if kind == "mv" and max(v[res[res[res[y][x]][x]][y]], lo) < min(v[res[x][y]], hi):
+                return ("mv", lab[x], lab[y])
+            if kind == "g" and max(v[res[x][y]], lo) < min(v[res[prod[x][x]][y]], hi):
+                return ("g", lab[x], lab[y])
+    return None
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["a2", "a3"]), st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       st.sampled_from(["filter", "mv", "g"]),
+       st.integers(1, 11), st.integers(1, 11))
+def test_threshold_kernels_match_fraction_reference(name, nums, kind, a, width):
+    # thresholds on the finer 1/12 grid are mostly off the 1/4 grid of mu
+    alg = load_fixture(name)
+    alpha, beta = F(a, 12), F(min(a + width, 12), 12)
+    mu = FuzzySet(alg, 4, tuple(F(k, 4) for k in nums[:alg.n]))
+    assert check_fuzzy_witness(mu, "thresholds", kind, alpha=alpha, beta=beta) == \
+        _reference_witness(alg, mu.values, kind, alpha, beta)

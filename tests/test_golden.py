@@ -1,0 +1,89 @@
+"""Golden reports, compared byte for byte.
+
+They pin every verdict, the order of counterexamples and the formatting
+of ``mu`` and of witnesses.  The false specs are the only inputs that
+produce counterexamples, so they pin the counterexample paths: both
+directions of a fuzzy/soft theorem, both directions of a soft relation,
+in- and q-cuts, a generic interval, the plain ``all`` route and a
+sampled run.
+
+Regenerate (only when a report format changes on purpose) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from softmtl.cli import main
+from softmtl.fixtures import load_fixture
+from softmtl.soft import FULL, LOWER, UPPER, ParameterInterval
+from softmtl.verifier import TheoremSpec, verify
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Explicit budget, so SOFTMTL_BUDGET in the environment cannot change a run.
+CLI_RUNS = {
+    "verify-all-a1-D4": ["verify-all", "a1", "--grid", "4", "--budget", "1000000", "--json"],
+    "verify-all-a2-D4": ["verify-all", "a2", "--grid", "4", "--budget", "1000000", "--json"],
+    "verify-all-a3-D2": ["verify-all", "a3", "--grid", "2", "--budget", "1000000", "--json"],
+    "verify-all-b2-D4": ["verify-all", "b2", "--grid", "4", "--budget", "1000000", "--json"],
+    "verify-all-a3-D4-sampled": ["verify-all", "a3", "--grid", "4", "--budget", "3000",
+                                 "--seed", "5", "--json"],
+}
+
+# (fixture, grid, spec, verify keyword arguments)
+FALSE_SPECS = (
+    ("a1", 4, TheoremSpec("false-eiq-over-full", "in", FULL, "filter", "eiq"), {}),
+    ("a3", 2, TheoremSpec("false-q-lower-eiq-boolean", "q", LOWER, "boolean", "eiq"), {}),
+    ("a1", 4, TheoremSpec("false-q-full-eiq-filter", "q", FULL, "filter", "eiq"), {}),
+    ("a2", 4, TheoremSpec("false-thresholds-q-mv", "q", None, "mv", "thresholds"),
+     {"interval": ParameterInterval(Fraction(1, 4), Fraction(1, 2))}),
+    ("a2", 4, TheoremSpec("false-boolean-iff-mv", "in", FULL, "boolean", None,
+                          relation=("boolean", ("mv",))), {}),
+    ("a3", 2, TheoremSpec("false-g-iff-boolean-and-mv", "q", UPPER, "g", None,
+                          relation=("g", ("boolean", "mv"))), {}),
+    ("a1", 4, TheoremSpec("false-plain-boolean-all-routes", "in", LOWER, "boolean", "plain",
+                          route="all"), {}),
+    ("a3", 4, TheoremSpec("false-eiq-mv-sampled", "in", UPPER, "mv", "eiq"),
+     {"budget": 400, "seed": 3}),
+)
+
+
+def render_cli(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def render_false_specs() -> str:
+    docs = [verify(load_fixture(name), spec, den, **kw).to_doc()
+            for name, den, spec, kw in FALSE_SPECS]
+    assert all(doc["counterexamples"] for doc in docs)
+    return json.dumps(docs, indent=2, sort_keys=True) + "\n"
+
+
+def render(name) -> str:
+    if name == "false-specs":
+        return render_false_specs()
+    return render_cli(CLI_RUNS[name])
+
+
+NAMES = (*CLI_RUNS, "false-specs")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_report(name):
+    assert render(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in NAMES:
+        (GOLDEN / f"{name}.json").write_bytes(render(name).encode())

@@ -117,3 +117,11 @@ def test_no_witness_on_boolean_algebra(b2):
 def test_witness_rejects_other_theorems(a1):
     with pytest.raises(ValueError):
         find_strictness_witness(a1, "T3.3", 4)
+
+
+@pytest.mark.parametrize("den", [3, 0, -2])
+def test_odd_or_nonpositive_grid_rejected(a1, den):
+    with pytest.raises(ValueError, match="positive and even"):
+        verify(a1, catalog_by_id()["T3.3"], den)
+    with pytest.raises(ValueError, match="positive and even"):
+        find_strictness_witness(a1, "T4.2.13", den)
