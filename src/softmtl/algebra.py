@@ -150,41 +150,45 @@ def negation(alg: FiniteMtlAlgebra, x: int) -> int:
     return alg.res[x][alg.bottom]
 
 
-def _parse_table(doc: dict, key: str, labels: list[str]) -> list[list[int]]:
-    n = len(labels)
-    table = doc[key]
-    if len(table) != n or any(len(row) != n for row in table):
-        raise AlgebraError(f"table {key!r} is not {n}x{n}")
-    idx = {lab: i for i, lab in enumerate(labels)}
-    out = []
-    for row in table:
-        try:
-            out.append([idx[cell] for cell in row])
-        except KeyError as exc:
-            raise AlgebraError(f"table {key!r} uses unknown label {exc.args[0]!r}") from None
-    return out
+def _index(idx: dict[str, int], label, where: str) -> int:
+    try:
+        return idx[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable cell, such as a list
+        raise AlgebraError(f"unknown label {label!r} in {where}") from None
+
+
+def _parse_table(doc: dict, key: str, idx: dict[str, int]) -> list[list[int]]:
+    n, table, where = len(idx), doc.get(key), f"table {key!r}"
+    if not (isinstance(table, list) and len(table) == n
+            and all(isinstance(row, list) and len(row) == n for row in table)):
+        raise AlgebraError(f"{where} is missing or not a {n}x{n} list of lists")
+    return [[_index(idx, cell, where) for cell in row] for row in table]
 
 
 def load_algebra(doc: dict) -> FiniteMtlAlgebra:
     """Build a FiniteMtlAlgebra from a document (see fixtures for the shape).
 
-    Derives the order from the residuum, checks it is a lattice order with
-    global bottom/top, computes meet/join as inf/sup, and cross-checks any
-    supplied meet/join tables against the derived ones.
+    Raises AlgebraError for a malformed document.  Derives the order from
+    the residuum, checks it is a lattice order with global bottom/top,
+    computes meet/join as inf/sup, and cross-checks any supplied meet/join
+    tables against the derived ones.
     """
-    labels = list(doc["labels"])
+    if not isinstance(doc, dict):
+        raise AlgebraError(f"algebra document must be an object, got {type(doc).__name__}")
+    labels = doc.get("labels")
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise AlgebraError("labels must be a list of strings")
     n = len(labels)
     if n < 2:
         raise AlgebraError("carrier must contain at least bottom and top")
-    if len(set(labels)) != n:
+    idx = {lab: i for i, lab in enumerate(labels)}
+    if len(idx) != n:
         raise AlgebraError("duplicate element labels")
 
-    prod = _parse_table(doc, "prod", labels)
-    res = _parse_table(doc, "res", labels)
-
-    idx = {lab: i for i, lab in enumerate(labels)}
-    bottom = idx[doc["bottom"]] if "bottom" in doc else 0
-    top = idx[doc["top"]] if "top" in doc else n - 1
+    prod = _parse_table(doc, "prod", idx)
+    res = _parse_table(doc, "res", idx)
+    bottom = _index(idx, doc.get("bottom", labels[0]), "'bottom'")
+    top = _index(idx, doc.get("top", labels[-1]), "'top'")
     if bottom == top:
         raise AlgebraError("bottom and top must differ")
 
@@ -225,7 +229,7 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
 
     for key, derived in (("meet", meet), ("join", join)):
         if key in doc:
-            supplied = _parse_table(doc, key, labels)
+            supplied = _parse_table(doc, key, idx)
             if supplied != derived:
                 raise AlgebraError(f"supplied {key} table disagrees with derived order")
 

@@ -1,7 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
-axioms, 2 = usage errors.
+axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
+read, and a bad one raises ValueError (OSError for files); ``main`` alone
+turns that into a one-line ``error:`` message and exit 2, and any other
+exception into a traceback and exit 3.
 """
 
 from __future__ import annotations
@@ -10,64 +13,46 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import algebra, filters, fixtures, fuzzy, soft, verifier
 
-DEFAULT_BUDGET = int(os.environ.get("SOFTMTL_BUDGET", "1000000"))
-
-
-class UsageError(Exception):
-    pass
-
-
-def _load(target):
-    try:
-        return fixtures.resolve_algebra(target)
-    except (FileNotFoundError, algebra.AlgebraError, json.JSONDecodeError, KeyError) as exc:
-        raise UsageError(str(exc)) from exc
+DEFAULT_BUDGET = 1_000_000
 
 
 def _default_den(alg, args):
-    den = args.grid if args.grid else (2 if alg.n >= 6 else 4)
-    if den <= 0 or den % 2:
-        raise UsageError(f"grid denominator must be positive and even, got {den}")
-    return den
+    return args.grid or (2 if alg.n >= 6 else 4)
 
 
 def _parse_mu(alg, den, text):
     mapping = {}
     for item in text.split(","):
         if "=" not in item:
-            raise UsageError(f"bad membership entry {item!r}; expected label=value")
+            raise ValueError(f"bad membership entry {item!r}; expected label=value")
         lab, val = item.split("=", 1)
         try:
             mapping[lab.strip()] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad membership value {val!r}")
-    try:
-        return fuzzy.FuzzySet.from_mapping(alg, den, mapping)
-    except (ValueError, algebra.AlgebraError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_interval(text):
-    try:
-        return soft.ParameterInterval.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            raise ValueError(f"bad membership value {val!r}") from None
+    return fuzzy.FuzzySet.from_mapping(alg, den, mapping)
 
 
 def _emit(args, doc, text_lines):
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(text_lines)
+    try:
+        print(text, flush=True)  # so a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader has gone (say, `| head`); the exit code still carries the
+        # verdict.  The unwritten text stays buffered, so point stdout at
+        # devnull for the flush at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_check_algebra(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     axioms = algebra.validate_mtl(alg)
     laws = algebra.check_derived_laws(alg)
     doc = {"algebra": "/".join(alg.labels), "axioms": axioms.to_doc(), "laws": laws.to_doc()}
@@ -84,7 +69,7 @@ def cmd_check_algebra(args):
 
 
 def cmd_filters(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     masks = filters.enumerate_filters(alg)
     rows = []
     for m in masks:
@@ -104,13 +89,8 @@ def cmd_filters(args):
 
 
 def cmd_classify(args):
-    alg = _load(args.target)
-    try:
-        mask = filters.mask_of(alg, args.elements)
-    except algebra.AlgebraError as exc:
-        raise UsageError(str(exc)) from exc
-    if mask == 0:
-        raise UsageError("subset must be non-empty")
+    alg = fixtures.resolve_algebra(args.target)
+    mask = filters.mask_of(alg, args.elements)
     cls = filters.classify_filter(alg, mask)
     doc = {"elements": filters.labels_of(alg, mask), "filter": cls.is_filter,
            "boolean": cls.boolean, "g": cls.g, "mv": cls.mv,
@@ -124,18 +104,14 @@ def cmd_classify(args):
 
 
 def cmd_fuzzy_check(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
     mu = _parse_mu(alg, den, args.mu)
     alpha = beta = None
     if args.family == "thresholds":
-        iv = _parse_interval(args.interval or "")
+        iv = soft.ParameterInterval.parse(args.interval or "")
         alpha, beta = iv.lo, iv.hi
-    try:
-        witness = fuzzy.check_fuzzy_witness(mu, args.family, args.kind, args.route,
-                                            alpha, beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    witness = fuzzy.check_fuzzy_witness(mu, args.family, args.kind, args.route, alpha, beta)
     ok = witness is None
     doc = {"mu": mu.to_doc(), "family": args.family, "kind": args.kind,
            "route": args.route, "holds": ok,
@@ -148,14 +124,11 @@ def cmd_fuzzy_check(args):
 
 
 def cmd_soft_build(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
     mu = _parse_mu(alg, den, args.mu)
-    iv = _parse_interval(args.interval) if args.interval else soft.FULL
-    try:
-        st = soft.build_soft(mu, iv, args.soft)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    iv = soft.ParameterInterval.parse(args.interval) if args.interval else soft.FULL
+    st = soft.build_soft(mu, iv, args.soft)
     ok, witness = soft.classify_soft(st, args.kind)
     doc = st.to_doc()
     doc.update(kind_checked=args.kind, holds=ok)
@@ -168,22 +141,15 @@ def cmd_soft_build(args):
     return 0 if ok else 1
 
 
-def _theorem_spec(theorem):
-    specs = verifier.catalog_by_id()
-    if theorem not in specs:
-        raise UsageError(f"unknown theorem id {theorem!r}; known: {', '.join(specs)}")
-    return specs[theorem]
-
-
 def cmd_verify(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
-    spec = _theorem_spec(args.theorem)
-    iv = _parse_interval(args.interval) if args.interval else None
-    try:
-        rep = verifier.verify(alg, spec, den, budget=args.budget, seed=args.seed, interval=iv)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    specs = verifier.catalog_by_id()
+    if args.theorem not in specs:
+        raise ValueError(f"unknown theorem id {args.theorem!r}; known: {', '.join(specs)}")
+    iv = soft.ParameterInterval.parse(args.interval) if args.interval else None
+    rep = verifier.verify(alg, specs[args.theorem], den, budget=args.budget, seed=args.seed,
+                          interval=iv)
     doc = rep.to_doc()
     status = "confirmed" if rep.confirmed else f"{len(rep.counterexamples)} counterexample(s)"
     lines = [f"{rep.theorem} on {rep.algebra} at D={den} ({rep.mode}, "
@@ -195,12 +161,9 @@ def cmd_verify(args):
 
 
 def cmd_verify_all(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
-    try:
-        reports = verifier.verify_all(alg, den, budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    reports = verifier.verify_all(alg, den, budget=args.budget, seed=args.seed)
     lines, bad = [], 0
     for rep in reports:
         status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"
@@ -212,13 +175,10 @@ def cmd_verify_all(args):
 
 
 def cmd_witness(args):
-    alg = _load(args.target)
+    alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
-    try:
-        mu = verifier.find_strictness_witness(alg, args.theorem, den,
-                                              budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    mu = verifier.find_strictness_witness(alg, args.theorem, den,
+                                          budget=args.budget, seed=args.seed)
     if mu is None:
         _emit(args, {"theorem": args.theorem, "witness": None},
               [f"{args.theorem}: no strictness witness at this scale"])
@@ -294,16 +254,15 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except fuzzy.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

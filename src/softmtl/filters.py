@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .algebra import FiniteMtlAlgebra
+from .algebra import AlgebraError, FiniteMtlAlgebra
 
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
@@ -81,14 +81,14 @@ def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
     """Evaluate both definitional routes and return the shared verdict.
 
     Disagreement between the two routes on a residuated lattice is
-    impossible, so it is raised as a defect rather than reported.
+    impossible, so it marks tables that are not an MTL-algebra.
     """
     if mask == 0:
         raise ValueError("empty subset: the crisp layer requires non-empty sets")
     a = _filter_by_closure(alg, mask) is None
     b = _filter_by_modus_ponens(alg, mask) is None
     if a != b:
-        raise RuntimeError(
+        raise AlgebraError(
             f"filter definitions disagree on {labels_of(alg, mask)}: "
             "operation tables are inconsistent")
     return a

@@ -117,4 +117,4 @@ def resolve_algebra(target: str) -> FiniteMtlAlgebra:
     path = Path(target)
     if not path.is_file():
         raise FileNotFoundError(f"{target!r} is neither a fixture name nor a readable file")
-    return load_algebra(json.loads(path.read_text()))
+    return load_algebra(json.loads(path.read_bytes()))

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FiniteMtlAlgebra
+from .algebra import AlgebraError, FiniteMtlAlgebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,7 +32,7 @@ KINDS = ("filter", "boolean", "mv", "g")
 MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
 
 
-class BudgetError(RuntimeError):
+class BudgetError(ValueError):
     """Search space larger than the configured enumeration budget."""
 
 
@@ -289,7 +289,7 @@ class FuzzyWitnesses:
         verdicts = {r: w is None for r, w in results.items()}
         if len(set(verdicts.values())) != 1:
             mu = FuzzySet.from_nums(self.alg, self.den, self.nums)
-            raise RuntimeError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
+            raise AlgebraError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
         return next((w for w in results.values() if w is not None), None)
 
 

@@ -112,7 +112,10 @@ class SoftSet:
         }
 
 
-def _build(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
+def build_soft(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
+    """The level-cut soft set of mu over the interval, of kind "in" or "q"."""
+    if kind not in SOFT_KINDS:
+        raise ValueError(f"unknown soft-set kind {kind!r}")
     lo, hi = interval.numerators(mu.den)
     cut = level_cuts(mu.nums, mu.den)
     levels = tuple((Fraction(j, mu.den), cut[cut_index(kind, j, mu.den)])
@@ -122,18 +125,12 @@ def _build(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
 
 def epsilon_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
     """t -> {x : mu(x) >= t}; levels shrink as t grows."""
-    return _build(mu, interval, "in")
+    return build_soft(mu, interval, "in")
 
 
 def q_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
     """t -> {x : mu(x) + t > 1}; levels grow as t grows."""
-    return _build(mu, interval, "q")
-
-
-def build_soft(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
-    if kind not in SOFT_KINDS:
-        raise ValueError(f"unknown soft-set kind {kind!r}")
-    return (epsilon_soft if kind == "in" else q_soft)(mu, interval)
+    return build_soft(mu, interval, "q")
 
 
 def classify_soft(soft: SoftSet, kind: str = "filter"):

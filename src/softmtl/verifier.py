@@ -79,8 +79,7 @@ def catalog() -> list[TheoremSpec]:
     specs = []
     for kind, ids in _IDS.items():
         for tid, (soft_kind, interval, family) in zip(ids, _PATTERN):
-            route = "complement" if (family == "plain" and kind == "boolean") else "default"
-            specs.append(TheoremSpec(tid, soft_kind, interval, kind, family, route))
+            specs.append(TheoremSpec(tid, soft_kind, interval, kind, family))
     specs.append(TheoremSpec("T4.2.13", "in", FULL, "boolean", None,
                              direction="forward", relation=("boolean", ("mv",))))
     specs.append(TheoremSpec("T4.3.12", "in", FULL, "boolean", None,

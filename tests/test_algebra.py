@@ -65,6 +65,12 @@ def test_definitional_invariants(name):
                 assert alg.leq[alg.prod[x][y]][z] == alg.leq[x][alg.res[y][z]]
 
 
+def _mutated(name, edit):
+    doc = copy.deepcopy(FIXTURE_DOCS[name])
+    edit(doc)
+    return doc
+
+
 def test_mutated_product_is_flagged():
     doc = copy.deepcopy(FIXTURE_DOCS["a1"])
     doc["prod"][1][2] = "0"  # a (.) b
@@ -75,17 +81,21 @@ def test_mutated_product_is_flagged():
 
 
 def test_non_square_table_rejected():
-    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
-    doc["prod"] = doc["prod"][:3]
-    with pytest.raises(AlgebraError, match="4x4"):
-        load_algebra(doc)
+    for doc in (_mutated("a1", lambda d: d.update(prod=d["prod"][:3])),
+                _mutated("a1", lambda d: d.pop("res")),
+                _mutated("a1", lambda d: d["prod"].__setitem__(0, "0000"))):
+        with pytest.raises(AlgebraError, match="4x4"):
+            load_algebra(doc)
 
 
 def test_unknown_label_rejected():
-    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
-    doc["res"][0][0] = "zz"
-    with pytest.raises(AlgebraError, match="unknown label"):
-        load_algebra(doc)
+    for doc in (_mutated("a1", lambda d: d["res"][0].__setitem__(0, "zz")),
+                _mutated("a1", lambda d: d["res"][0].__setitem__(0, ["1"])),
+                _mutated("a1", lambda d: d["res"][0].__setitem__(0, 1)),
+                _mutated("a1", lambda d: d.update(bottom="z")),
+                _mutated("a1", lambda d: d.update(top=["1"]))):
+        with pytest.raises(AlgebraError, match="unknown label"):
+            load_algebra(doc)
 
 
 def test_broken_order_rejected():
@@ -104,7 +114,11 @@ def test_inconsistent_meet_rejected():
 
 
 def test_duplicate_labels_rejected():
-    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
-    doc["labels"] = ["0", "a", "a", "1"]
-    with pytest.raises(AlgebraError):
-        load_algebra(doc)
+    # and documents whose labels are not a list of strings, or that have none
+    for doc in (_mutated("a1", lambda d: d.update(labels=["0", "a", "a", "1"])),
+                _mutated("b2", lambda d: d.update(labels="01")),
+                _mutated("b2", lambda d: d.update(labels=5)),
+                _mutated("b2", lambda d: d.update(labels=["0", 1])),
+                [1, 2]):
+        with pytest.raises(AlgebraError):
+            load_algebra(doc)

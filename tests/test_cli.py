@@ -1,10 +1,17 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from softmtl import verifier
 from softmtl.cli import main
 from softmtl.fixtures import FIXTURE_DOCS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -136,3 +143,75 @@ def test_bad_generic_interval_is_usage_error(capsys, interval):
     code, out, err = run(capsys, "verify", "a1", "T3.12", "--interval", interval)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
+
+
+def _mutated(name, edit):
+    doc = copy.deepcopy(FIXTURE_DOCS[name])
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _non_mtl(doc):
+    doc["prod"][1][2] = "0"
+
+
+@pytest.mark.parametrize("content, argv, fragment", [
+    (b"[1,2]", ("check-algebra",), "object"),
+    (_mutated("b2", lambda d: d.update(labels=5)), ("check-algebra",), "labels"),
+    (_mutated("b2", lambda d: d.update(labels="01")), ("check-algebra",), "labels"),
+    (_mutated("a1", lambda d: d["prod"][1].__setitem__(2, ["a"])), ("check-algebra",),
+     "unknown label ['a']"),
+    (_mutated("a1", lambda d: d.pop("res")), ("check-algebra",), "'res' is missing"),
+    (_mutated("a1", lambda d: d.update(bottom="z")), ("check-algebra",), "'z' in 'bottom'"),
+    ('{"labels": ["0", "\u00e9"]}'.encode("latin-1"), ("check-algebra",), "decode"),
+    (_mutated("a1", _non_mtl), ("filters",), "inconsistent"),
+    (_mutated("a1", _non_mtl), ("verify-all",), "inconsistent"),
+    (_mutated("a1", _non_mtl), ("witness", "T4.3.12"), "inconsistent"),
+], ids=["not-object", "labels-int", "labels-string", "list-cell", "missing-res",
+        "unknown-bottom", "undecodable", "non-mtl-filters", "non-mtl-verify-all",
+        "non-mtl-witness"])
+def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, content, argv, fragment):
+    path = tmp_path / "algebra.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("internal")
+
+    monkeypatch.setattr(verifier, "verify_all", broken)
+    code, out, err = run(capsys, "verify-all", "a1")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "ZeroDivisionError: internal" in err
+
+
+def _subprocess(args, env=None, **kwargs):
+    # buffered stdout, as in a terminal session: unwritten output outlives a failed write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | (env or {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("verify-all", "a1", "--json"), 0),
+    (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=1,1=1"), 1),
+])
+def test_broken_pipe_keeps_exit_code(argv, expected):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = _subprocess(["-m", "softmtl.cli", *argv], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert proc.stderr == b""
+
+
+def test_budget_environment_variable_is_ignored():
+    proc = _subprocess(["-c", "import softmtl.cli"], env={"SOFTMTL_BUDGET": "abc"},
+                       stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr

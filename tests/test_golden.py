@@ -26,7 +26,7 @@ from softmtl.verifier import TheoremSpec, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Explicit budget, so SOFTMTL_BUDGET in the environment cannot change a run.
+# Explicit budget, so a change of the CLI's default budget cannot change a run.
 CLI_RUNS = {
     "verify-all-a1-D4": ["verify-all", "a1", "--grid", "4", "--budget", "1000000", "--json"],
     "verify-all-a2-D4": ["verify-all", "a2", "--grid", "4", "--budget", "1000000", "--json"],

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
-from softmtl import unit_interval as ui
+import unit_interval as ui
 
 F = Fraction
 
