@@ -1,7 +1,8 @@
 """Finite-model verification workbench for MTL-algebras."""
 
 from .algebra import (AlgebraError, AxiomReport, FiniteMtlAlgebra,
-                      check_derived_laws, load_algebra, negation, validate_mtl)
+                      check_derived_laws, load_algebra, negation, require_mtl,
+                      validate_mtl)
 from .filters import (FilterClassification, classify_filter,
                       crisp_decomposition_check, enumerate_filters,
                       generated_filter, is_filter, labels_of, mask_of)
@@ -9,7 +10,7 @@ from .fixtures import FIXTURE_NAMES, load_fixture, resolve_algebra
 from .fuzzy import (BudgetError, FuzzySet, MembershipQuery, check_fuzzy,
                     enumerate_fuzzy_sets, evaluate)
 from .soft import (ParameterInterval, SoftSet, build_soft, classify_soft,
-                   epsilon_soft, q_soft, soft_from_doc)
+                   epsilon_soft, q_soft)
 from .verifier import (TheoremSpec, VerificationReport, catalog, catalog_by_id,
                        find_strictness_witness, verify, verify_all)
 

@@ -62,6 +62,8 @@ class DerivedTables:
     in lexicographic order of its variables, so the crisp and the fuzzy
     scans over it report the same first violation.  ``classifications``
     is the memo of :func:`softmtl.filters.classify_filter` by mask.
+    ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
+    runs, then "" for an MTL-algebra or the reason the tables are not one.
     """
 
     def __init__(self, alg: FiniteMtlAlgebra):
@@ -69,6 +71,7 @@ class DerivedTables:
         self.prod, self.res, self.leq, self.join = alg.prod, alg.res, alg.leq, alg.join
         self.bottom, self.elems = alg.bottom, range(alg.n)
         self.classifications = {}
+        self.mtl_failure = None
 
     @cached_property
     def neg(self) -> tuple[int, ...]:
@@ -273,6 +276,27 @@ def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
             if join[res[x][y]][res[y][x]] != top:
                 rep.record("prelinearity", alg, x, y)
     return rep
+
+
+def require_mtl(alg: FiniteMtlAlgebra) -> None:
+    """Raise AlgebraError unless the tables form an MTL-algebra.
+
+    Every theorem is stated for MTL-algebras, so each caller that reads
+    the tables as one calls this first.  :func:`validate_mtl` runs once
+    per algebra, and its verdict is kept on ``alg.tables``.
+    """
+    tables = alg.tables
+    if tables.mtl_failure is None:
+        rep = validate_mtl(alg)
+        if rep.ok:
+            tables.mtl_failure = ""
+        else:
+            axiom = rep.failed_axioms[0]
+            tables.mtl_failure = (
+                "operation tables are inconsistent: not an MTL-algebra "
+                f"({axiom} fails at ({', '.join(rep.violations[axiom][0])}))")
+    if tables.mtl_failure:
+        raise AlgebraError(tables.mtl_failure)
 
 
 def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:

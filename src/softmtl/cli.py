@@ -38,17 +38,24 @@ def _parse_mu(alg, den, text):
     return fuzzy.FuzzySet.from_mapping(alg, den, mapping)
 
 
-def _emit(args, doc, text_lines):
-    text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(text_lines)
+def _write(text):
+    """Print text and flush stdout, so that a closed pipe fails here, not at exit.
+
+    The reader may have gone (say, `| head`); the exit code still carries
+    the verdict.  The unwritten text stays buffered, so point stdout at
+    devnull for the flush at exit.
+    """
     try:
-        print(text, flush=True)  # so a closed pipe fails here, not at exit
+        print(text, end="", flush=True)
     except BrokenPipeError:
-        # The reader has gone (say, `| head`); the exit code still carries the
-        # verdict.  The unwritten text stays buffered, so point stdout at
-        # devnull for the flush at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _emit(args, doc, text_lines):
+    text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(text_lines)
+    _write(text + "\n")
 
 
 def cmd_check_algebra(args):
@@ -254,7 +261,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    finally:
+        _write("")  # argparse prints --help itself, then exits
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -1,6 +1,8 @@
 """Crisp filters: decision, classification, enumeration, generation.
 
-Subsets of a carrier are plain int bitmasks (bit i = element i).  The
+Subsets of a carrier are plain int bitmasks (bit i = element i).  A
+filter is a non-empty subset closed under the product and upward-closed;
+the tables are read only after :func:`softmtl.algebra.require_mtl`.  The
 empty set is never produced by :func:`enumerate_filters` and is rejected
 by :func:`is_filter`; the soft layer applies its own "empty set counts
 as a filter of every kind" convention.
@@ -12,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .algebra import AlgebraError, FiniteMtlAlgebra
+from .algebra import FiniteMtlAlgebra, require_mtl
 
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
@@ -55,7 +57,7 @@ class FilterClassification:
 
 
 def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
-    """Closed under the product and upward-closed."""
+    """The first violation of product closure or upward closure, or None."""
     for x in elements(mask):
         for y in elements(mask):
             if not mask >> alg.prod[x][y] & 1:
@@ -66,32 +68,15 @@ def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
     return None
 
 
-def _filter_by_modus_ponens(alg: FiniteMtlAlgebra, mask: int):
-    """Contains top and is closed under modus ponens."""
-    if not mask >> alg.top & 1:
-        return ("top",)
-    for x in elements(mask):
-        for y in range(alg.n):
-            if mask >> alg.res[x][y] & 1 and not mask >> y & 1:
-                return ("mp", x, y)
-    return None
-
-
 def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
-    """Evaluate both definitional routes and return the shared verdict.
+    """Closed under the product and upward-closed.
 
-    Disagreement between the two routes on a residuated lattice is
-    impossible, so it marks tables that are not an MTL-algebra.
+    Raises AlgebraError if the tables are not an MTL-algebra.
     """
     if mask == 0:
         raise ValueError("empty subset: the crisp layer requires non-empty sets")
-    a = _filter_by_closure(alg, mask) is None
-    b = _filter_by_modus_ponens(alg, mask) is None
-    if a != b:
-        raise AlgebraError(
-            f"filter definitions disagree on {labels_of(alg, mask)}: "
-            "operation tables are inconsistent")
-    return a
+    require_mtl(alg)
+    return _filter_by_closure(alg, mask) is None
 
 
 def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
@@ -103,19 +88,21 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     memo = alg.tables.classifications
     cls = memo.get(mask)
     if cls is None:
+        require_mtl(alg)
         cls = memo[mask] = _classify(alg, mask)
     return cls
 
 
 def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
+    if not mask:
+        return FilterClassification(False)
     labels = alg.labels
-    witnesses = {}
-    if not (mask and is_filter(alg, mask)):
-        if mask:
-            w = _filter_by_closure(alg, mask)
-            witnesses["filter"] = (w[0], *(labels[e] for e in w[1:]))
-        return FilterClassification(False, witnesses=witnesses)
+    w = _filter_by_closure(alg, mask)
+    if w is not None:
+        return FilterClassification(
+            False, witnesses={"filter": (w[0], *(labels[e] for e in w[1:]))})
 
+    witnesses = {}
     for x, joined in enumerate(alg.tables.complement_joins):
         if not mask >> joined & 1:
             witnesses["boolean"] = (labels[x],)
@@ -137,7 +124,8 @@ def enumerate_filters(alg: FiniteMtlAlgebra, cap: int = 20) -> list[int]:
     """All non-empty filters, ordered by (size, bitmask value)."""
     if alg.n > cap:
         raise ValueError(f"carrier size {alg.n} exceeds the 2^n enumeration cap {cap}")
-    found = [m for m in range(1, 1 << alg.n) if is_filter(alg, m)]
+    require_mtl(alg)
+    found = [m for m in range(1, 1 << alg.n) if _filter_by_closure(alg, m) is None]
     found.sort(key=lambda m: (m.bit_count(), m))
     return found
 
@@ -163,8 +151,8 @@ def generated_filter(alg: FiniteMtlAlgebra, mask: int) -> int:
 def crisp_decomposition_check(alg: FiniteMtlAlgebra) -> list[tuple[int, FilterClassification]]:
     """Counterexamples to Boolean <=> (G and MV) over all filters.
 
-    Expected empty on every valid algebra; a hit means the operation
-    tables do not form an MTL-algebra (or the classifiers are broken).
+    Expected empty: the tables pass :func:`softmtl.algebra.require_mtl`
+    before any filter is read, so a hit means the classifiers are broken.
     """
     bad = []
     for m in enumerate_filters(alg):

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteMtlAlgebra
+from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,12 +66,6 @@ class FuzzySet:
             if not on_grid(v, self.den):
                 raise ValueError(f"membership value {v} is not on the 1/{self.den} grid")
         object.__setattr__(self, "nums", tuple(int(v * self.den) for v in self.values))
-
-    def __call__(self, x: int) -> Fraction:
-        return self.values[x]
-
-    def of(self, label: str) -> Fraction:
-        return self.values[self.alg.index(label)]
 
     def to_doc(self) -> dict:
         return {lab: str(v) for lab, v in zip(self.alg.labels, self.values)}
@@ -301,10 +295,12 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
     condition as a conjunct.  ``route`` selects among the provably
     equivalent formulations where several exist (plain filter and plain
     Boolean); ``route="all"`` evaluates every formulation and raises if
-    they disagree.
+    they disagree.  Raises AlgebraError if the tables are not an
+    MTL-algebra.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
+    require_mtl(mu.alg)
     lo, hi = family_bounds(family, mu.den, alpha, beta)
     key = (kind, lo, hi, resolve_route(family, kind, route))
     return FuzzyWitnesses(mu.alg, mu.den, mu.nums).witness(key)

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FiniteMtlAlgebra
+from .algebra import FiniteMtlAlgebra, require_mtl
 from .fuzzy import ONE, ZERO, FuzzySet
-from .filters import classify_filter, labels_of, mask_of
+from .filters import classify_filter, labels_of
 
 SOFT_KINDS = ("in", "q")
 
@@ -61,10 +61,6 @@ class ParameterInterval:
 FULL = ParameterInterval(ZERO, ONE)
 LOWER = ParameterInterval(ZERO, Fraction(1, 2))
 UPPER = ParameterInterval(Fraction(1, 2), ONE)
-
-
-def grid_thresholds(interval: ParameterInterval, den: int) -> list[Fraction]:
-    return [Fraction(k, den) for k in range(1, den + 1) if Fraction(k, den) in interval]
 
 
 def level_cuts(nums: tuple[int, ...], den: int) -> list[int]:
@@ -139,7 +135,9 @@ def classify_soft(soft: SoftSet, kind: str = "filter"):
     The empty level passes for every kind (the conventional reading of
     the empty set as a filter).  Returns (verdict, witness) where the
     witness is the first failing threshold with the offending tuple.
+    Raises AlgebraError if the tables are not an MTL-algebra.
     """
+    require_mtl(soft.alg)
     for t, mask in soft.levels:
         if mask == 0:
             continue
@@ -148,23 +146,3 @@ def classify_soft(soft: SoftSet, kind: str = "filter"):
             key = "filter" if not cls.is_filter else kind
             return False, (t, key, cls.witnesses.get(key))
     return True, None
-
-
-def soft_from_doc(alg: FiniteMtlAlgebra, doc: dict) -> SoftSet:
-    """Load an explicitly tabulated soft set; gaps in the interval are rejected."""
-    interval = ParameterInterval.parse(doc["interval"].strip("(]"))
-    den = int(doc["den"])
-    kind = doc["kind"]
-    if kind not in SOFT_KINDS:
-        raise ValueError(f"unknown soft-set kind {kind!r}")
-    supplied = {Fraction(t): mask_of(alg, labs) for t, labs in doc["levels"]}
-    required = grid_thresholds(interval, den)
-    missing = [t for t in required if t not in supplied]
-    if missing:
-        raise ValueError(
-            f"soft set leaves parameter values undefined: {', '.join(map(str, missing))}")
-    extra = [t for t in supplied if t not in required]
-    if extra:
-        raise ValueError(f"thresholds outside {interval}: {', '.join(map(str, extra))}")
-    levels = tuple((t, supplied[t]) for t in required)
-    return SoftSet(alg, interval, kind, den, levels)

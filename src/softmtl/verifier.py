@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import filters
-from .algebra import FiniteMtlAlgebra
+from .algebra import FiniteMtlAlgebra, require_mtl
 from .fuzzy import (KINDS, ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets,
                     family_bounds, grid_maps, resolve_route, sample_grid_maps)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
@@ -45,14 +45,6 @@ class TheoremSpec:
     route: str = "default"
     direction: str = "iff"               # "iff" or "forward"
     relation: tuple[str, tuple[str, ...]] | None = None
-
-    def describe(self) -> str:
-        if self.relation:
-            lhs, rhs = self.relation
-            arrow = "<=>" if self.direction == "iff" else "=>"
-            return f"soft {lhs} {arrow} soft {' & '.join(rhs)} over {self.interval}"
-        iv = self.interval or "(alpha,beta]"
-        return f"{self.soft_kind}-soft over {iv} {self.filter_kind} <=> {self.family} fuzzy"
 
 
 # (soft kind, interval, fuzzy family) pattern shared by all four filter kinds
@@ -127,6 +119,7 @@ class VerificationReport:
 
 def _stream(alg, den, budget, seed):
     """Numerator tuples to check, and the mode: exhaustive, or sampled when over budget."""
+    require_mtl(alg)
     if den <= 0 or den % 2:
         raise ValueError(f"grid denominator must be positive and even, got {den}")
     if budget is not None and budget <= 0:

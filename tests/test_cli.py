@@ -33,11 +33,20 @@ def test_check_algebra_json(capsys):
     assert doc["axioms"]["ok"] and doc["laws"]["ok"]
 
 
-def test_check_algebra_mutated_file(tmp_path, capsys):
-    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
+def _mutated(name, edit):
+    doc = copy.deepcopy(FIXTURE_DOCS[name])
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _non_mtl(doc):
     doc["prod"][1][2] = "0"
+
+
+def test_check_algebra_mutated_file(tmp_path, capsys):
+    # check-algebra reports tables that every other command rejects with exit 2
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_mutated("a1", _non_mtl))
     code, out, _ = run(capsys, "check-algebra", str(path))
     assert code == 1
     assert "FAIL" in out
@@ -145,16 +154,6 @@ def test_bad_generic_interval_is_usage_error(capsys, interval):
     assert err.count("\n") == 1
 
 
-def _mutated(name, edit):
-    doc = copy.deepcopy(FIXTURE_DOCS[name])
-    edit(doc)
-    return json.dumps(doc).encode()
-
-
-def _non_mtl(doc):
-    doc["prod"][1][2] = "0"
-
-
 @pytest.mark.parametrize("content, argv, fragment", [
     (b"[1,2]", ("check-algebra",), "object"),
     (_mutated("b2", lambda d: d.update(labels=5)), ("check-algebra",), "labels"),
@@ -167,9 +166,13 @@ def _non_mtl(doc):
     (_mutated("a1", _non_mtl), ("filters",), "inconsistent"),
     (_mutated("a1", _non_mtl), ("verify-all",), "inconsistent"),
     (_mutated("a1", _non_mtl), ("witness", "T4.3.12"), "inconsistent"),
+    (_mutated("a1", _non_mtl), ("classify", "1"), "inconsistent"),
+    (_mutated("a1", _non_mtl), ("fuzzy-check", "--mu", "0=0,a=0,b=0,1=1"), "inconsistent"),
+    # every level empty: no filter is read, and the tables are still checked
+    (_mutated("a1", _non_mtl), ("soft-build", "--mu", "0=0,a=0,b=0,1=0"), "inconsistent"),
 ], ids=["not-object", "labels-int", "labels-string", "list-cell", "missing-res",
         "unknown-bottom", "undecodable", "non-mtl-filters", "non-mtl-verify-all",
-        "non-mtl-witness"])
+        "non-mtl-witness", "non-mtl-classify", "non-mtl-fuzzy-check", "non-mtl-soft-build"])
 def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, content, argv, fragment):
     path = tmp_path / "algebra.json"
     path.write_bytes(content)
@@ -199,6 +202,7 @@ def _subprocess(args, env=None, **kwargs):
 @pytest.mark.parametrize("argv, expected", [
     (("verify-all", "a1", "--json"), 0),
     (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=1,1=1"), 1),
+    (("--help",), 0),
 ])
 def test_broken_pipe_keeps_exit_code(argv, expected):
     read_end, write_end = os.pipe()

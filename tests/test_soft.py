@@ -6,8 +6,7 @@ import pytest
 from softmtl.filters import labels_of, mask_of
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import FuzzySet, grid
-from softmtl.soft import (FULL, ParameterInterval, classify_soft, epsilon_soft,
-                          q_soft, soft_from_doc)
+from softmtl.soft import FULL, ParameterInterval, classify_soft, epsilon_soft, q_soft
 
 F = Fraction
 
@@ -123,17 +122,6 @@ def test_classify_accepts_empty_levels(a1):
     assert all(mask == 0 for _, mask in soft.levels)
     for kind in ("filter", "boolean", "mv", "g"):
         assert classify_soft(soft, kind) == (True, None)
-
-
-def test_soft_roundtrip_and_gap_rejection(a3):
-    mu = FuzzySet.from_mapping(
-        a3, 2, {"0": 0, "a": F(1, 2), "b": 0, "c": 0, "d": 0, "1": 1})
-    soft = epsilon_soft(mu, FULL)
-    doc = soft.to_doc()
-    assert soft_from_doc(a3, doc) == soft
-    doc["levels"] = doc["levels"][:-1]  # drop t=1: undefined parameter region
-    with pytest.raises(ValueError, match="undefined"):
-        soft_from_doc(a3, doc)
 
 
 def test_soft_doc_mirrors_paper_shape(a3):

@@ -1,12 +1,17 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
+from softmtl import algebra
+from softmtl.algebra import AlgebraError, load_algebra, validate_mtl
+from softmtl.filters import classify_filter, enumerate_filters
+from softmtl.fixtures import FIXTURE_DOCS
 from softmtl.soft import FULL, LOWER, ParameterInterval, classify_soft, epsilon_soft
-from softmtl.fuzzy import FuzzySet, check_fuzzy
+from softmtl.fuzzy import FuzzySet, check_fuzzy, check_fuzzy_witness
 from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
-                              verify)
+                              verify, verify_all)
 
 F = Fraction
 
@@ -125,3 +130,43 @@ def test_odd_or_nonpositive_grid_rejected(a1, den):
         verify(a1, catalog_by_id()["T3.3"], den)
     with pytest.raises(ValueError, match="positive and even"):
         find_strictness_witness(a1, "T4.2.13", den)
+
+
+def single_cell_prod_mutations(name):
+    base = FIXTURE_DOCS[name]
+    for x, row in enumerate(base["prod"]):
+        for y, cell in enumerate(row):
+            for label in base["labels"]:
+                if label != cell:
+                    doc = copy.deepcopy(base)
+                    doc["prod"][x][y] = label
+                    yield doc
+
+
+@pytest.mark.parametrize("name", ["a1", "a2"])
+def test_non_mtl_tables_rejected(name, monkeypatch):
+    # each of the 48 mutations loads, but its tables are not an MTL-algebra
+    validated = []
+
+    def counted(alg):
+        validated.append(alg)
+        return validate_mtl(alg)
+
+    monkeypatch.setattr(algebra, "validate_mtl", counted)
+    docs = list(single_cell_prod_mutations(name))
+    assert len(docs) == 48
+    for doc in docs:
+        alg = load_algebra(doc)
+        mu = FuzzySet.constant(alg, 2, 1)
+        for call in (lambda: verify_all(alg, 2),
+                     # seed 117 samples only the constant-0 set, whose cuts read no filter
+                     lambda: verify_all(alg, 2, budget=1, seed=117),
+                     lambda: find_strictness_witness(alg, "T4.2.13", 2),
+                     lambda: enumerate_filters(alg),
+                     lambda: classify_filter(alg, 1 << alg.top),
+                     lambda: check_fuzzy_witness(mu, "plain", "filter")):
+            with pytest.raises(AlgebraError, match="inconsistent"):
+                call()
+        assert validated == [alg]  # validated once, the verdict kept
+        validated.clear()
+        assert not validate_mtl(alg).ok
