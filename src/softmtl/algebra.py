@@ -64,6 +64,8 @@ class DerivedTables:
     is the memo of :func:`softmtl.filters.classify_filter` by mask.
     ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
+    ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
+    None until it runs.
     """
 
     def __init__(self, alg: FiniteMtlAlgebra):
@@ -72,6 +74,7 @@ class DerivedTables:
         self.bottom, self.elems = alg.bottom, range(alg.n)
         self.classifications = {}
         self.mtl_failure = None
+        self.filters = None
 
     @cached_property
     def neg(self) -> tuple[int, ...]:

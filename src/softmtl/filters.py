@@ -1,11 +1,17 @@
 """Crisp filters: decision, classification, enumeration, generation.
 
-Subsets of a carrier are plain int bitmasks (bit i = element i).  A
-filter is a non-empty subset closed under the product and upward-closed;
-the tables are read only after :func:`softmtl.algebra.require_mtl`.  The
+Subsets of a carrier are plain int bitmasks (bit i = element i); a mask
+with a bit outside the carrier is rejected with ValueError.  A filter is
+a non-empty subset closed under the product and upward-closed; the
+tables are read only after :func:`softmtl.algebra.require_mtl`.  The
 empty set is never produced by :func:`enumerate_filters` and is rejected
 by :func:`is_filter`; the soft layer applies its own "empty set counts
 as a filter of every kind" convention.
+
+In a finite MTL-algebra every filter F is ``up(m) = {y : m <= y}`` for
+the product m of all of F, and m . m = m.  So a carrier of n elements
+has at most n filters, and :func:`enumerate_filters` tests only the
+up-sets of the idempotents (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -68,6 +74,11 @@ def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
     return None
 
 
+def _check_mask(alg: FiniteMtlAlgebra, mask: int) -> None:
+    if not 0 <= mask < 1 << alg.n:
+        raise ValueError(f"mask {mask} is not a subset of the {alg.n}-element carrier")
+
+
 def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
     """Closed under the product and upward-closed.
 
@@ -75,6 +86,7 @@ def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
     """
     if mask == 0:
         raise ValueError("empty subset: the crisp layer requires non-empty sets")
+    _check_mask(alg, mask)
     require_mtl(alg)
     return _filter_by_closure(alg, mask) is None
 
@@ -88,6 +100,7 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     memo = alg.tables.classifications
     cls = memo.get(mask)
     if cls is None:
+        _check_mask(alg, mask)
         require_mtl(alg)
         cls = memo[mask] = _classify(alg, mask)
     return cls
@@ -97,7 +110,9 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     if not mask:
         return FilterClassification(False)
     labels = alg.labels
-    w = _filter_by_closure(alg, mask)
+    # a mask from enumerate_filters has passed the closure check already
+    known = alg.tables.filters
+    w = None if known is not None and mask in known else _filter_by_closure(alg, mask)
     if w is not None:
         return FilterClassification(
             False, witnesses={"filter": (w[0], *(labels[e] for e in w[1:]))})
@@ -121,19 +136,38 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
 
 
 def enumerate_filters(alg: FiniteMtlAlgebra, cap: int = 20) -> list[int]:
-    """All non-empty filters, ordered by (size, bitmask value)."""
+    """All non-empty filters, ordered by (size, bitmask value).
+
+    Every filter F is ``up(m)`` for an idempotent m, so only the up-sets
+    of the idempotents are tested.  Let m be the product of all of F
+    (well defined by commutativity and associativity):
+      - m is in F by product closure, and m <= x for every x in F by
+        integrality (m = x . rest <= x), so F = up(m) by upward closure;
+      - m . m is in F by product closure, so m <= m . m, and
+        m . m <= m by integrality: m is idempotent.
+    The result is kept on ``alg.tables``; each call returns a new list.
+    """
     if alg.n > cap:
         raise ValueError(f"carrier size {alg.n} exceeds the 2^n enumeration cap {cap}")
     require_mtl(alg)
-    found = [m for m in range(1, 1 << alg.n) if _filter_by_closure(alg, m) is None]
-    found.sort(key=lambda m: (m.bit_count(), m))
-    return found
+    tables = alg.tables
+    if tables.filters is None:
+        n, prod, leq = alg.n, alg.prod, alg.leq
+        ups = (sum(1 << y for y in range(n) if leq[e][y]) for e in range(n) if prod[e][e] == e)
+        tables.filters = tuple(sorted((m for m in ups if _filter_by_closure(alg, m) is None),
+                                      key=lambda m: (m.bit_count(), m)))
+    return list(tables.filters)
 
 
 def generated_filter(alg: FiniteMtlAlgebra, mask: int) -> int:
-    """Least filter containing the set: close under product and upward."""
+    """Least filter containing the set: close under product and upward.
+
+    Raises AlgebraError if the tables are not an MTL-algebra.
+    """
     if mask == 0:
         raise ValueError("cannot generate a filter from the empty set")
+    _check_mask(alg, mask)
+    require_mtl(alg)
     cur = mask | 1 << alg.top
     while True:
         nxt = cur

@@ -3,10 +3,32 @@ import itertools
 
 import pytest
 
+from softmtl import filters
+from softmtl.algebra import load_algebra
 from softmtl.filters import (classify_filter, crisp_decomposition_check, elements,
                              enumerate_filters, generated_filter, is_filter,
                              labels_of, mask_of)
-from softmtl.fixtures import load_fixture
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
+
+
+def product_doc(left, right):
+    """The direct product of two fixture algebras, operations componentwise."""
+    dl, dr = FIXTURE_DOCS[left], FIXTURE_DOCS[right]
+    pairs = list(itertools.product(range(len(dl["labels"])), range(len(dr["labels"]))))
+    name = lambda x, y: f"({x},{y})"
+
+    def table(key):
+        return [[name(dl[key][i][k], dr[key][j][l]) for k, l in pairs] for i, j in pairs]
+
+    return {"labels": [name(dl["labels"][i], dr["labels"][j]) for i, j in pairs],
+            "prod": table("prod"), "res": table("res")}
+
+
+def load_named(name):
+    """A fixture, or the product "axb" of two fixtures."""
+    if "x" in name:
+        return load_algebra(product_doc(*name.split("x")))
+    return load_fixture(name)
 
 
 def test_singleton_top_is_filter(a1):
@@ -124,6 +146,42 @@ def test_generated_filter_is_a_closure_operator(name):
             assert gs & gt == gs                # monotone
     for f in enumerate_filters(alg):
         assert generated_filter(alg, f) == f    # filters are fixpoints
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2", "a3xb2"])
+def test_enumeration_matches_every_subset_scan(name):
+    alg = load_named(name)
+    scanned = [m for m in range(1, 1 << alg.n) if is_filter(alg, m)]
+    assert enumerate_filters(alg) == sorted(scanned, key=lambda m: (m.bit_count(), m))
+
+
+def test_enumeration_is_cached_and_scans_no_subsets(monkeypatch):
+    alg = load_named("a3xb2")
+    assert alg.n == 12
+    closure_calls = []
+    closure = filters._filter_by_closure
+
+    def counted(alg, mask):
+        closure_calls.append(mask)
+        return closure(alg, mask)
+
+    monkeypatch.setattr(filters, "_filter_by_closure", counted)
+    found = enumerate_filters(alg)
+    assert crisp_decomposition_check(alg) == []
+    assert 0 < len(closure_calls) <= alg.n  # one per idempotent, not one per subset
+    # callers get a copy: changing it does not change the cached enumeration
+    original = list(found)
+    found.clear()
+    assert enumerate_filters(alg) == original
+    assert len(original) == 10  # 5 filters of a3 times 2 of b2
+
+
+@pytest.mark.parametrize("mask", [-1, -16, 1 << 4, 1 << 10 | 1])
+def test_mask_outside_carrier_rejected(a1, mask):
+    for call in (is_filter, classify_filter, generated_filter):
+        with pytest.raises(ValueError, match="not a subset of the 4-element carrier"):
+            call(a1, mask)
+    assert mask not in a1.tables.classifications
 
 
 def test_enumeration_cap(a3):

@@ -5,7 +5,7 @@ import pytest
 
 from softmtl import algebra
 from softmtl.algebra import AlgebraError, load_algebra, validate_mtl
-from softmtl.filters import classify_filter, enumerate_filters
+from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS
 from softmtl.soft import FULL, LOWER, ParameterInterval, classify_soft, epsilon_soft
 from softmtl.fuzzy import FuzzySet, check_fuzzy, check_fuzzy_witness
@@ -164,6 +164,7 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
                      lambda: find_strictness_witness(alg, "T4.2.13", 2),
                      lambda: enumerate_filters(alg),
                      lambda: classify_filter(alg, 1 << alg.top),
+                     lambda: generated_filter(alg, 1 << alg.top),
                      lambda: check_fuzzy_witness(mu, "plain", "filter")):
             with pytest.raises(AlgebraError, match="inconsistent"):
                 call()
