@@ -61,7 +61,8 @@ class DerivedTables:
     Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
     in lexicographic order of its variables, so the crisp and the fuzzy
     scans over it report the same first violation.  ``classifications``
-    is the memo of :func:`softmtl.filters.classify_filter` by mask.
+    is the memo of :func:`softmtl.filters.classify_filter` by mask, and
+    ``failing_kinds`` that of :func:`softmtl.filters.failing_kinds`.
     ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
@@ -73,6 +74,7 @@ class DerivedTables:
         self.prod, self.res, self.leq, self.join = alg.prod, alg.res, alg.leq, alg.join
         self.bottom, self.elems = alg.bottom, range(alg.n)
         self.classifications = {}
+        self.failing_kinds = {}
         self.mtl_failure = None
         self.filters = None
 
@@ -200,6 +202,9 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
 
     # Order from the residuum: x <= y iff x -> y = top.
     leq = [[res[x][y] == top for y in range(n)] for x in range(n)]
+    # up[x] = {y : x <= y} and down[x] = {y : y <= x}, as bitmasks
+    up = [sum(1 << y for y in range(n) if row[y]) for row in leq]
+    down = [sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)]
 
     for x in range(n):
         if not leq[x][x]:
@@ -208,24 +213,26 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
             raise AlgebraError(f"{labels[x]} not between declared bottom and top")
     for x in range(n):
         for y in range(n):
-            if x != y and leq[x][y] and leq[y][x]:
+            if x != y and up[x] >> y & 1 and up[y] >> x & 1:
                 raise AlgebraError(
                     f"derived order not antisymmetric on {labels[x]},{labels[y]}")
-            for z in range(n):
-                if leq[x][y] and leq[y][z] and not leq[x][z]:
-                    raise AlgebraError(
-                        "derived order not transitive on "
-                        f"{labels[x]},{labels[y]},{labels[z]}")
+            # x <= y <= z without x <= z, for the least such z
+            escaped = up[y] & ~up[x] if up[x] >> y & 1 else 0
+            if escaped:
+                z = (escaped & -escaped).bit_length() - 1
+                raise AlgebraError(
+                    "derived order not transitive on "
+                    f"{labels[x]},{labels[y]},{labels[z]}")
 
     def _bound(x: int, y: int, lower: bool) -> int:
-        if lower:
-            cands = [z for z in range(n) if leq[z][x] and leq[z][y]]
-        else:
-            cands = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        for z in cands:
-            if lower and all(leq[w][z] for w in cands):
-                return z
-            if not lower and all(leq[z][w] for w in cands):
+        """The least-index bound of x, y above (below) every other common bound."""
+        sets = down if lower else up
+        common = sets[x] & sets[y]
+        rest = common
+        while rest:
+            z = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not common & ~sets[z]:
                 return z
         kind = "meet" if lower else "join"
         raise AlgebraError(f"no {kind} for {labels[x]},{labels[y]}: order is not a lattice")

@@ -22,6 +22,8 @@ from types import MappingProxyType
 
 from .algebra import FiniteMtlAlgebra, require_mtl
 
+KINDS = ("filter", "boolean", "mv", "g")
+
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
     m = 0
@@ -106,6 +108,20 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     return cls
 
 
+def failing_kinds(alg: FiniteMtlAlgebra, mask: int) -> int:
+    """Bit i set iff the mask is not a filter of kind ``KINDS[i]``.
+
+    Read off :func:`classify_filter` once per mask and kept beside its
+    memo, in ``alg.tables.failing_kinds``.
+    """
+    memo = alg.tables.failing_kinds
+    bits = memo.get(mask)
+    if bits is None:
+        cls = classify_filter(alg, mask)
+        bits = memo[mask] = sum(1 << i for i, kind in enumerate(KINDS) if not cls.has(kind))
+    return bits
+
+
 def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     if not mask:
         return FilterClassification(False)
@@ -135,7 +151,7 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
                                 witnesses=witnesses)
 
 
-def enumerate_filters(alg: FiniteMtlAlgebra, cap: int = 20) -> list[int]:
+def enumerate_filters(alg: FiniteMtlAlgebra) -> list[int]:
     """All non-empty filters, ordered by (size, bitmask value).
 
     Every filter F is ``up(m)`` for an idempotent m, so only the up-sets
@@ -147,8 +163,6 @@ def enumerate_filters(alg: FiniteMtlAlgebra, cap: int = 20) -> list[int]:
         m . m <= m by integrality: m is idempotent.
     The result is kept on ``alg.tables``; each call returns a new list.
     """
-    if alg.n > cap:
-        raise ValueError(f"carrier size {alg.n} exceeds the 2^n enumeration cap {cap}")
     require_mtl(alg)
     tables = alg.tables
     if tables.filters is None:

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
+from .filters import KINDS
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 FAMILIES = ("plain", "eiq", "bar", "thresholds")
-KINDS = ("filter", "boolean", "mv", "g")
 
 MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
 

@@ -5,14 +5,35 @@ soft-side predicate (level cuts over an interval, classified per kind),
 or relates two soft-side predicates.  Verification is one pass over the
 grid fuzzy sets on the algebra (every one, or a seeded sample when over
 budget), each produced once as its integer numerators k in 0..D and
-checked against every requested theorem:
+checked against every requested theorem.
 
-- its level cuts cut[j] = {x : k[x] >= j} are computed once, and every
-  theorem's soft levels are a set of indices into them;
-- each non-empty cut is classified once per algebra
-  (:func:`softmtl.filters.classify_filter` keeps the memo);
-- its fuzzy predicates are integer scans, each run on first request and
-  shared by the theorems and kinds that need it.
+A verdict depends only on how the values k[x] are ordered, not on the
+values themselves:
+
+- Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
+  clamped numerators c = min(max(k, lo), hi) at positions of the
+  algebra (c[a] < c[b], c[a] != c[b]) and its witness names elements,
+  not values.  So its verdict and its witness are the same for any two
+  maps whose clamped values have the same weak order.  Per run, the
+  fuzzy checks are grouped by their bounds (lo, hi), and each group's
+  fail bits are kept by the weak order of c, written as its dense rank
+  tuple: at most Fubini(n) entries per group, whatever D is.
+- Soft side.  The cut at index j is {x : k[x] >= j}, an up-set of the
+  rank order of k: it is the same for every j in (v', v] between two
+  consecutive distinct values v' < v (v' = 0 below the least), and empty
+  above the largest.  So the at most n distinct values give every
+  non-empty cut with the indices it covers.  Each cut is classified once
+  per algebra (:func:`softmtl.filters.failing_kinds` keeps the memo),
+  which gives the failing cut indices of each kind, and per run the soft
+  verdicts of all checks are kept by those indices.
+
+Each map thus yields two bitmasks over the checks: F, the fuzzy checks
+whose predicate fails, and S, those with a failing soft level, plus R,
+the relation checks that fail.  A map is a counterexample to some check
+only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
+biconditionals; only then are its checks run one by one and their
+witnesses recorded, so every report is the same as that of a pass that
+runs each check on each map.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -22,15 +43,17 @@ proof.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
-from .fuzzy import (KINDS, ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets,
+from .filters import KINDS
+from .fuzzy import (ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets,
                     family_bounds, grid_maps, resolve_route, sample_grid_maps)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
-                   build_soft, classify_soft, cut_index, level_cuts)
+                   build_soft, classify_soft, cut_index)
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
 
@@ -129,23 +152,6 @@ def _stream(alg, den, budget, seed):
     return grid_maps(alg.n, den), "exhaustive"
 
 
-def _failing_levels(alg, cut) -> dict[str, int]:
-    """Per kind, a bitmask of the indices i >= 1 whose cut is non-empty and not that kind of filter."""
-    bad = dict.fromkeys(KINDS, 0)
-    prev = 0
-    for i in range(1, len(cut)):
-        mask = cut[i]
-        if not mask:
-            break  # cuts shrink as i grows
-        if mask != prev:
-            prev = mask
-            cls = filters.classify_filter(alg, mask)
-            failed = [kind for kind in KINDS if not cls.has(kind)]
-        for kind in failed:
-            bad[kind] |= 1 << i
-    return bad
-
-
 @dataclass(frozen=True)
 class _Check:
     """One theorem resolved against the grid before the pass starts."""
@@ -183,44 +189,130 @@ def _plan(alg, spec, den, mode, interval) -> _Check:
                   iff=spec.direction == "iff")
 
 
+def _value_masks(nums) -> dict[int, int]:
+    """The elements taking each value of nums, as {value: bitmask}."""
+    at = {}
+    for x, k in enumerate(nums):
+        at[k] = at.get(k, 0) | 1 << x
+    return at
+
+
+def _by_kind(bad: int, lane: int) -> dict[str, int]:
+    """Split the packed failing cut indices into one bitmask per kind."""
+    full = (1 << lane) - 1
+    return {kind: bad >> i * lane & full for i, kind in enumerate(KINDS)}
+
+
+def _soft_masks(checks, bad: int, lane: int) -> tuple[int, int]:
+    """Bits of the fuzzy checks with a failing soft level, and of the failed relations."""
+    fails = _by_kind(bad, lane)
+    soft = rel = 0
+    for b, check in enumerate(checks):
+        fail = fails[check.kind] & check.levels
+        if check.fuzzy is not None:
+            if fail:
+                soft |= 1 << b
+        else:
+            rhs_fail = any(fails[k] & check.levels for k in check.rhs)
+            if (rhs_fail and not fail) or (fail and not rhs_fail and check.iff):
+                rel |= 1 << b
+    return soft, rel
+
+
+def _record(alg, den, nums, checks, bad: dict[str, int]) -> None:
+    """Run every check on one set and append its counterexample, if any."""
+    fuzzy = FuzzyWitnesses(alg, den, nums)
+    mu = None
+    for check in checks:
+        soft_fail = bad[check.kind] & check.levels
+        witness = None  # None: the first failing soft level of `kind`
+        if check.fuzzy is not None:
+            fw = fuzzy.witness(check.fuzzy)
+            if fw is None and soft_fail:
+                direction, kind = "fuzzy=>soft", check.kind
+            elif fw is not None and not soft_fail and check.iff:
+                direction, witness = "soft=>fuzzy", fw
+            else:
+                continue
+        else:
+            rhs_fail = [k for k in check.rhs if bad[k] & check.levels]
+            if not soft_fail and rhs_fail:
+                direction, kind = "forward", rhs_fail[0]
+            elif soft_fail and not rhs_fail and check.iff:
+                direction, kind = "converse", check.kind
+            else:
+                continue
+        if mu is None:
+            mu = FuzzySet.from_nums(alg, den, nums)
+            doc = mu.to_doc()
+        if witness is None:
+            soft = build_soft(mu, check.interval, check.soft_kind)
+            witness = classify_soft(soft, kind)[1]
+        check.report.counterexamples.append(
+            {"mu": doc, "direction": direction,
+             "witness": [str(part) for part in witness]})
+
+
 def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
     stream, mode = _stream(alg, den, budget, seed)
     checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
+    # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
+    lane = den + 1
+    spread = [sum(1 << i * lane for i in range(len(KINDS)) if kinds >> i & 1)
+              for kinds in range(1 << len(KINDS))]
+    iff = sum(1 << b for b, check in enumerate(checks) if check.iff)
+    bounds = {}
+    for b, check in enumerate(checks):
+        if check.fuzzy is not None:
+            bounds.setdefault(check.fuzzy[1:3], []).append((b, check.fuzzy))
+    # per bounds (lo, hi): weak order of the clamped numerators -> fuzzy fail bits
+    groups = [(lo, hi, members, {}) for (lo, hi), members in bounds.items()]
+    soft = {}  # packed failing cut indices -> (soft fail bits, relation fail bits)
+    failing = alg.tables.failing_kinds
     checked = 0
     for nums in stream:
         checked += 1
-        cut = level_cuts(nums, den)
-        bad = _failing_levels(alg, cut)
-        fuzzy = FuzzyWitnesses(alg, den, nums)
-        mu = None
-        for check in checks:
-            soft_fail = bad[check.kind] & check.levels
-            witness = None  # None: the first failing soft level of `kind`
-            if check.fuzzy is not None:
-                fw = fuzzy.witness(check.fuzzy)
-                if fw is None and soft_fail:
-                    direction, kind = "fuzzy=>soft", check.kind
-                elif fw is not None and not soft_fail and check.iff:
-                    direction, witness = "soft=>fuzzy", fw
-                else:
-                    continue
+        at = _value_masks(nums)
+        vals = sorted(at)
+        # cut[j] = {x : k[x] >= j} is the same for every j in (lower, v]
+        bad = cut = 0
+        for i in range(len(vals) - 1, -1, -1):
+            v = vals[i]
+            if not v:
+                break
+            cut |= at[v]
+            kinds = failing.get(cut)
+            if kinds is None:
+                kinds = filters.failing_kinds(alg, cut)
+            if kinds:
+                lower = vals[i - 1] if i else 0
+                bad |= ((2 << v) - (2 << lower)) * spread[kinds]
+        rank = tuple(map(vals.index, nums))
+        top = len(vals) - 1
+        fuzzy = None
+        fail = 0
+        for lo, hi, members, memo in groups:
+            # clamping merges the ranks <= low and the ranks >= high
+            low = max(bisect_right(vals, lo) - 1, 0)
+            high = bisect_left(vals, hi)
+            if low or high < top:
+                key = tuple([0 if r <= low else high - low if r >= high else r - low
+                             for r in rank])
             else:
-                rhs_fail = [k for k in check.rhs if bad[k] & check.levels]
-                if not soft_fail and rhs_fail:
-                    direction, kind = "forward", rhs_fail[0]
-                elif soft_fail and not rhs_fail and check.iff:
-                    direction, kind = "converse", check.kind
-                else:
-                    continue
-            if mu is None:
-                mu = FuzzySet.from_nums(alg, den, nums)
-                doc = mu.to_doc()
-            if witness is None:
-                soft = build_soft(mu, check.interval, check.soft_kind)
-                witness = classify_soft(soft, kind)[1]
-            check.report.counterexamples.append(
-                {"mu": doc, "direction": direction,
-                 "witness": [str(part) for part in witness]})
+                key = rank
+            bits = memo.get(key)
+            if bits is None:
+                if fuzzy is None:
+                    fuzzy = FuzzyWitnesses(alg, den, nums)
+                bits = memo[key] = sum(1 << b for b, k in members
+                                       if fuzzy.witness(k) is not None)
+            fail |= bits
+        masks = soft.get(bad)
+        if masks is None:
+            masks = soft[bad] = _soft_masks(checks, bad, lane)
+        sfail, rel = masks
+        if (sfail & ~fail) | (fail & ~sfail & iff) | rel:
+            _record(alg, den, nums, checks, _by_kind(bad, lane))
     for check in checks:
         check.report.checked = checked
     return [check.report for check in checks]
@@ -255,9 +347,16 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
     if rhs is None:
         raise ValueError(f"{theorem_id!r} has no strictness claim; use T4.2.13 or T4.3.12")
     stream, _ = _stream(alg, den, budget, seed)
+    rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
     for nums in stream:
-        # the in-cuts over (0, 1] are exactly the cuts at indices 1..den
-        bad = _failing_levels(alg, level_cuts(nums, den))
-        if not bad[rhs] and bad["boolean"]:
+        # the in-cuts over (0, 1] are {x : k[x] >= v} for the values v > 0
+        at = _value_masks(nums)
+        cut = kinds = 0
+        for v in sorted(at, reverse=True):
+            if not v or kinds & rhs_bit:
+                break
+            cut |= at[v]
+            kinds |= filters.failing_kinds(alg, cut)
+        if kinds & boolean_bit and not kinds & rhs_bit:
             return FuzzySet.from_nums(alg, den, nums)
     return None

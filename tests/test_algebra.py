@@ -1,10 +1,12 @@
 import copy
+import itertools
 
 import pytest
 
+from products import load_named
 from softmtl.algebra import (AlgebraError, check_derived_laws, load_algebra,
                              negation, validate_mtl)
-from softmtl.fixtures import FIXTURE_DOCS, load_fixture
+from softmtl.fixtures import FIXTURE_DOCS, FIXTURE_NAMES, load_fixture
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2"])
@@ -122,3 +124,56 @@ def test_duplicate_labels_rejected():
                 [1, 2]):
         with pytest.raises(AlgebraError):
             load_algebra(doc)
+
+
+def naive_bound(alg, x, y, lower):
+    """The common lower (upper) bound of x and y that is above (below) all the others."""
+    le = (lambda u, v: alg.leq[u][v]) if lower else (lambda u, v: alg.leq[v][u])
+    bounds = [z for z in range(alg.n) if le(z, x) and le(z, y)]
+    (best,) = [z for z in bounds if all(le(w, z) for w in bounds)]
+    return best
+
+
+PRODUCTS = [f"{a}x{b}" for a, b in itertools.combinations_with_replacement(FIXTURE_NAMES, 2)]
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *PRODUCTS])
+def test_meet_and_join_match_the_definition(name):
+    alg = load_named(name)
+    for x in range(alg.n):
+        for y in range(alg.n):
+            assert alg.meet[x][y] == naive_bound(alg, x, y, True)
+            assert alg.join[x][y] == naive_bound(alg, x, y, False)
+
+
+def order_doc(labels, order, drop=()):
+    """A document whose residuum encodes a relation: x -> y is the top iff x <= y.
+
+    x <= y holds for x = y, for x the first label or y the last, and for
+    each pair listed in ``order``, except the pairs listed in ``drop``.
+    """
+    labels = labels.split()
+    le = {(x, y) for x in labels for y in labels
+          if x == y or x == labels[0] or y == labels[-1]}
+    le = (le | {tuple(p) for p in order.split()}) - {tuple(p) for p in drop}
+    res = [[labels[-1] if (x, y) in le else labels[0] for y in labels] for x in labels]
+    return {"labels": labels, "prod": [[labels[0]] * len(labels) for _ in labels], "res": res}
+
+
+# Each document breaks the order in several places; the message names the first.
+@pytest.mark.parametrize("doc, message", [
+    (order_doc("0 a b c 1", "", drop=["bb", "cc"]), "derived order not reflexive at b"),
+    (order_doc("0 a b c 1", "", drop=["cc", "0a"]), "a not between declared bottom and top"),
+    (order_doc("0 a b c 1", "", drop=["b1"]), "b not between declared bottom and top"),
+    (order_doc("0 a b c d 1", "ab ba cd dc"), "derived order not antisymmetric on a,b"),
+    (order_doc("0 a b c d 1", "ab ba bc"), "derived order not antisymmetric on a,b"),
+    (order_doc("0 a b c d 1", "ab bc bd cd dc"), "derived order not transitive on a,b,c"),
+    (order_doc("0 a b c d e 1", "bc cd ce ab"), "derived order not transitive on a,b,c"),
+    (order_doc("0 a b c 1", "ac cb"), "derived order not transitive on a,c,b"),
+    (order_doc("0 a b c d 1", "ac ad bc bd"), "no meet for c,d: order is not a lattice"),
+    (order_doc("0 a b c d e 1", "bd be cd ce ad ae"), "no meet for d,e: order is not a lattice"),
+])
+def test_order_error_names_the_first_violation(doc, message):
+    with pytest.raises(AlgebraError) as err:
+        load_algebra(doc)
+    assert str(err.value) == message

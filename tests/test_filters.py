@@ -1,34 +1,16 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
+from products import load_named, product_doc
 from softmtl import filters
-from softmtl.algebra import load_algebra
+from softmtl.cli import main
 from softmtl.filters import (classify_filter, crisp_decomposition_check, elements,
                              enumerate_filters, generated_filter, is_filter,
                              labels_of, mask_of)
-from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-
-
-def product_doc(left, right):
-    """The direct product of two fixture algebras, operations componentwise."""
-    dl, dr = FIXTURE_DOCS[left], FIXTURE_DOCS[right]
-    pairs = list(itertools.product(range(len(dl["labels"])), range(len(dr["labels"]))))
-    name = lambda x, y: f"({x},{y})"
-
-    def table(key):
-        return [[name(dl[key][i][k], dr[key][j][l]) for k, l in pairs] for i, j in pairs]
-
-    return {"labels": [name(dl["labels"][i], dr["labels"][j]) for i, j in pairs],
-            "prod": table("prod"), "res": table("res")}
-
-
-def load_named(name):
-    """A fixture, or the product "axb" of two fixtures."""
-    if "x" in name:
-        return load_algebra(product_doc(*name.split("x")))
-    return load_fixture(name)
+from softmtl.fixtures import load_fixture
 
 
 def test_singleton_top_is_filter(a1):
@@ -184,9 +166,23 @@ def test_mask_outside_carrier_rejected(a1, mask):
     assert mask not in a1.tables.classifications
 
 
-def test_enumeration_cap(a3):
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_filters(a3, cap=4)
+def test_filters_command_on_24_element_product(tmp_path, capsys, a1, a3):
+    # enumerate_filters has no size cap
+    path = tmp_path / "a3xa1.json"
+    path.write_text(json.dumps(product_doc("a3", "a1")))
+    assert main(["filters", str(path), "--json"]) == 0
+    got = [row["elements"] for row in json.loads(capsys.readouterr().out)["filters"]]
+    alg = load_named("a3xa1")
+    assert alg.n == 24 and all(is_filter(alg, mask_of(alg, f)) for f in got)
+    # A scan of all 2^24 subsets is out of reach, so scan the factors: a
+    # filter F of a product is F1 x F2, since (a, b) in F puts (a, 1) and
+    # (1, b) in F by upward closure, and (a, 1) . (1, b) = (a, b).
+    def scan(alg):
+        return [labels_of(alg, m) for m in range(1, 1 << alg.n) if is_filter(alg, m)]
+
+    expected = {frozenset(f"({x},{y})" for x in left for y in right)
+                for left in scan(a3) for right in scan(a1)}
+    assert {frozenset(f) for f in got} == expected and len(got) == 15
 
 
 def test_cached_classification_is_read_only(a1):

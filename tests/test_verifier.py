@@ -1,14 +1,18 @@
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from softmtl import algebra
+from softmtl import algebra, fuzzy
 from softmtl.algebra import AlgebraError, load_algebra, validate_mtl
 from softmtl.filters import classify_filter, enumerate_filters, generated_filter
-from softmtl.fixtures import FIXTURE_DOCS
-from softmtl.soft import FULL, LOWER, ParameterInterval, classify_soft, epsilon_soft
-from softmtl.fuzzy import FuzzySet, check_fuzzy, check_fuzzy_witness
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
+from softmtl.soft import (FULL, LOWER, ParameterInterval, build_soft, classify_soft,
+                          epsilon_soft)
+from softmtl.fuzzy import (FuzzySet, check_fuzzy, check_fuzzy_witness,
+                           sample_grid_maps)
+from test_golden import FALSE_SPECS
 from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
                               verify, verify_all)
@@ -171,3 +175,91 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
         assert validated == [alg]  # validated once, the verdict kept
         validated.clear()
         assert not validate_mtl(alg).ok
+
+
+def reference_reports(alg, specs, den, budget=None, seed=0, interval=None):
+    """The reports of ``verify``, one set and one check at a time, with no memo.
+
+    The fuzzy side is ``check_fuzzy_witness`` and the soft side is
+    ``classify_soft(build_soft(...))``, on every grid map (or the same
+    seeded sample).  Only the soft sets of one map are shared between
+    the checks.
+    """
+    if budget is not None and (den + 1) ** alg.n > budget:
+        maps, mode = sample_grid_maps(alg.n, den, budget, seed), "sampled"
+    else:
+        maps, mode = itertools.product(range(den + 1), repeat=alg.n), "exhaustive"
+    found = {spec.id: [] for spec in specs}
+    ivs = [interval or spec.interval or default_thresholds(den) for spec in specs]
+    slots = {}
+    slot_of = [slots.setdefault((iv, spec.soft_kind), len(slots))
+               for iv, spec in zip(ivs, specs)]
+    checked = 0
+    for nums in maps:
+        checked += 1
+        mu = FuzzySet.from_nums(alg, den, nums)
+        softs = [build_soft(mu, iv, kind) for iv, kind in slots]
+        for iv, spec, slot in zip(ivs, specs, slot_of):
+            soft = softs[slot]
+            iff = spec.direction == "iff"
+            if spec.relation:
+                lhs, rhs = spec.relation
+                holds, witness = classify_soft(soft, lhs)
+                rhs_failed = [w for ok, w in (classify_soft(soft, k) for k in rhs) if not ok]
+                if holds and rhs_failed:
+                    direction, witness = "forward", rhs_failed[0]
+                elif not holds and not rhs_failed and iff:
+                    direction = "converse"
+                else:
+                    continue
+            else:
+                holds, witness = classify_soft(soft, spec.filter_kind)
+                fw = check_fuzzy_witness(mu, spec.family, spec.filter_kind, spec.route,
+                                         iv.lo, iv.hi)
+                if fw is None and not holds:
+                    direction = "fuzzy=>soft"
+                elif fw is not None and holds and iff:
+                    direction, witness = "soft=>fuzzy", fw
+                else:
+                    continue
+            found[spec.id].append({"mu": mu.to_doc(), "direction": direction,
+                                   "witness": [str(part) for part in witness]})
+    return [{"theorem": spec.id, "algebra": "/".join(alg.labels), "den": den,
+             "checked": checked, "mode": mode, "confirmed": not found[spec.id],
+             "counterexamples": found[spec.id]} for spec in specs]
+
+
+def test_verify_all_matches_the_reference_loop(a1):
+    # at D = 8 most sets are served from the memos
+    reports = [rep.to_doc() for rep in verify_all(a1, 8)]
+    assert reports == reference_reports(a1, catalog(), 8)
+    assert all(rep["checked"] == 9 ** 4 for rep in reports)
+
+
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+def test_false_specs_match_the_reference_loop(name, den, spec, kw):
+    alg = load_fixture(name)
+    report = verify(alg, spec, den, **kw).to_doc()
+    assert report["counterexamples"]
+    assert [report] == reference_reports(alg, [spec], den, **kw)
+
+
+def test_fuzzy_scans_do_not_grow_with_the_grid(a1, monkeypatch):
+    calls = []
+
+    def counted(scan):
+        def wrapper(alg, c):
+            calls.append(scan)
+            return scan(alg, c)
+        return wrapper
+
+    monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(f) for k, f in fuzzy._SCANS.items()})
+    counts = []
+    for den in (8, 16):
+        calls.clear()
+        verify_all(a1, den)
+        counts.append(len(calls))
+    # one scan per (bounds, weak order, variant); every weak order of 4
+    # values occurs at both grids, against 9^4 and 17^4 sets
+    assert counts[0] == counts[1] > 0
+    assert counts[0] < 9 ** 4
