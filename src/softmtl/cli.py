@@ -10,6 +10,7 @@ exception into a traceback and exit 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,9 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def _default_den(alg, args):
-    return args.grid or (2 if alg.n >= 6 else 4)
+    if args.grid is None:
+        return 2 if alg.n >= 6 else 4
+    return args.grid
 
 
 def _parse_mu(alg, den, text):
@@ -196,7 +199,9 @@ def cmd_witness(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it costs more than a small run."""
     p = argparse.ArgumentParser(prog="softmtl",
                                 description="MTL-algebra finite-model verification workbench")
     sub = p.add_subparsers(dest="command", required=True)
@@ -205,7 +210,7 @@ def build_parser():
         sp.add_argument("target", help="fixture name (a1, a2, a3, b2) or JSON file path")
         sp.add_argument("--json", action="store_true", help="structured output")
         if grid:
-            sp.add_argument("--grid", type=int, default=0, metavar="D",
+            sp.add_argument("--grid", type=int, metavar="D",
                             help="grid denominator (even; default 4, or 2 for n >= 6)")
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -202,6 +202,10 @@ _SCANS = {
     ("g", "default"): _w_g,
 }
 
+# bit i of a mask from :func:`scan_fails` stands for the scan _SCAN_KEYS[i]
+_SCAN_KEYS = tuple(_SCANS)
+_MP_BIT = 1 << _SCAN_KEYS.index(("filter", "mp"))
+
 # the equivalent formulations of the plain family; the first is the default
 PLAIN_ROUTES = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction")}
 
@@ -275,6 +279,10 @@ class FuzzyWitnesses:
                 return w
         if route == "all":
             return self._agreed(kind, lo, hi)
+        return self._violation(kind, lo, hi, route)
+
+    def _violation(self, kind, lo, hi, route):
+        """The first violation found by one scan of the map clamped to [lo, hi]."""
         return _SCANS[kind, route](self.alg, _clamp(self.nums, lo, hi))
 
     def _agreed(self, kind, lo, hi):
@@ -285,6 +293,49 @@ class FuzzyWitnesses:
             mu = FuzzySet.from_nums(self.alg, self.den, self.nums)
             raise AlgebraError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
         return next((w for w in results.values() if w is not None), None)
+
+
+class FuzzyVerdicts(FuzzyWitnesses):
+    """Each variant's verdict on one grid map, read off the map's scan-fail bits.
+
+    ``fails`` is :func:`scan_fails` of the weak order of the map clamped
+    to the bounds that every requested key carries.  A failing variant's
+    witness is True instead of a tuple.  As in :class:`FuzzyWitnesses`,
+    ``route="all"`` raises, naming the map, if the formulations disagree.
+    """
+
+    __slots__ = ("fails",)
+
+    def __init__(self, alg: FiniteMtlAlgebra, den: int, nums: tuple[int, ...], fails: int):
+        super().__init__(alg, den, nums)
+        self.fails = fails
+
+    def _violation(self, kind, lo, hi, route):
+        return True if self.fails >> _SCAN_KEYS.index((kind, route)) & 1 else None
+
+
+def scan_fails(alg: FiniteMtlAlgebra, order: tuple[int, ...]) -> int:
+    """Bit i set iff the scan _SCAN_KEYS[i] finds a violation on the weak order.
+
+    ``order`` is a weak order of the carrier as its chain of up-sets (see
+    :func:`weak_orders`).  A scan compares values at positions of the
+    algebra, so every map of that weak order gets the same verdict; the
+    scans run on its ranks.  Every variant of a kind other than "filter"
+    has the ("filter", "mp") scan as a conjunct, so when that scan fails
+    no scan of another kind is read, and none is run: its bit stays 0.
+    Each order is scanned once per algebra, and the mask is kept in
+    ``alg.tables.scan_fails``.
+    """
+    memo = alg.tables.scan_fails
+    bits = memo.get(order)
+    if bits is None:
+        ranks = grid_map(order, range(len(order) + 1), alg.n)
+        bits = 0
+        for i, key in enumerate(_SCAN_KEYS):  # the filter scans come first
+            if (key[0] == "filter" or not bits & _MP_BIT) and _SCANS[key](alg, ranks) is not None:
+                bits |= 1 << i
+        memo[order] = bits
+    return bits
 
 
 def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "default",
@@ -318,6 +369,41 @@ def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:
 def grid_maps(n: int, den: int):
     """Every numerator tuple of length n over 0..den, lexicographically."""
     return itertools.product(range(den + 1), repeat=n)
+
+
+def weak_orders(n: int, r: int):
+    """Every weak order of n elements with exactly r ranks, once each.
+
+    The weak order w, a map onto the ranks 0..r-1, is given as its chain
+    of up-sets (U_1, ..., U_{r-1}), U_i = {x : w[x] >= i} as a bitmask.
+    Each U_i is a non-empty proper subset of the one before (U_0 holds
+    all n elements), so w[x] is the number of the U_i holding x.  With r
+    increasing values v_0 < ... < v_{r-1}, x -> v_{w[x]} is a grid map,
+    and every grid map arises from exactly one (w, v): w is the weak order
+    of its values and v their sorted distinct values.
+    """
+    def extend(chain, top, left):
+        if not left:
+            yield chain
+            return
+        # the next up-set needs one element for each of the `left` ranks it holds
+        sub = (top - 1) & top
+        while sub:
+            if sub.bit_count() >= left:
+                yield from extend((*chain, sub), sub, left - 1)
+            sub = (sub - 1) & top
+
+    if 1 <= r <= n:
+        yield from extend((), (1 << n) - 1, r - 1)
+
+
+def grid_map(order: tuple[int, ...], values, n: int) -> tuple[int, ...]:
+    """The map sending each element of rank i in the weak order to values[i]."""
+    rank = [0] * n
+    for up in order:
+        for x in range(n):
+            rank[x] += up >> x & 1
+    return tuple([values[r] for r in rank])
 
 
 def sample_grid_maps(n: int, den: int, count: int, seed: int):

@@ -8,32 +8,49 @@ budget), each produced once as its integer numerators k in 0..D and
 checked against every requested theorem.
 
 A verdict depends only on how the values k[x] are ordered, not on the
-values themselves:
+values themselves.  So a map is split into a weak order W of the
+carrier (a map onto the ranks 0..r-1, given as its chain of up-sets
+U_i = {x : W[x] >= i}, see :func:`softmtl.fuzzy.weak_orders`) and a
+strictly increasing value tuple V from combinations(range(D+1), r):
+k[x] = V[W[x]].  Every grid map is exactly one such pair, so the pass
+enumerates the pairs, r = 1..min(n, D+1), and splits the work by what it
+depends on.
 
-- Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
-  clamped numerators c = min(max(k, lo), hi) at positions of the
-  algebra (c[a] < c[b], c[a] != c[b]) and its witness names elements,
-  not values.  So its verdict and its witness are the same for any two
-  maps whose clamped values have the same weak order.  Per run, the
-  fuzzy checks are grouped by their bounds (lo, hi), and each group's
-  fail bits are kept by the weak order of c, written as its dense rank
-  tuple: at most Fubini(n) entries per group, whatever D is.
-- Soft side.  The cut at index j is {x : k[x] >= j}, an up-set of the
-  rank order of k: it is the same for every j in (v', v] between two
-  consecutive distinct values v' < v (v' = 0 below the least), and empty
-  above the largest.  So the at most n distinct values give every
-  non-empty cut with the indices it covers.  Each cut is classified once
-  per algebra (:func:`softmtl.filters.failing_kinds` keeps the memo),
-  which gives the failing cut indices of each kind, and per run the soft
-  verdicts of all checks are kept by those indices.
+- Per W: the soft side.  The cut at index j is {x : k[x] >= j}; for
+  every j in (V[i-1], V[i]] (V[-1] = 0) it is U_i (U_0 is the whole
+  carrier), and above V[r-1] it is empty.  Each U_i is classified once
+  per algebra (:func:`softmtl.filters.failing_kinds` keeps the memo).
+- Per V: the cut indices (V[i-1], V[i]] each rank covers, and for each
+  family's bounds [lo, hi] the ranks ``low`` (the highest with
+  V[low] <= lo, or 0) and ``high`` (the lowest with V[high] >= hi, or
+  r-1) where clamping merges the ranks below and above.
+- Per (W, V): a few ORs and lookups, below.
 
-Each map thus yields two bitmasks over the checks: F, the fuzzy checks
+Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
+clamped numerators c = min(max(k, lo), hi) at positions of the algebra
+(c[a] < c[b], c[a] != c[b]), and its witness names elements, not
+values.  So its verdict is the same for any two maps whose clamped
+values have the same weak order.  As V increases, c[x] = lo for the
+ranks W[x] <= low that lie at or below lo, c[x] = hi for the ranks
+W[x] >= high that lie at or above hi, and c[x] = V[W[x]], strictly
+between them, for the ranks in between.  So the weak order of c is W
+with the ranks <= low merged and the ranks >= high merged, and its
+chain of up-sets is the slice (U_low+1, ..., U_high) of W's chain
+(empty when low >= high: c is constant).  The slice names neither D,
+nor the bounds, nor the values, so :func:`softmtl.fuzzy.scan_fails`
+keeps every scan's verdict on it once per algebra and reuses it in
+every later run, at any grid, with any bounds, sampled or not.  At most
+Fubini(n) weak orders occur.
+
+Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
 the relation checks that fail.  A map is a counterexample to some check
 only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
-biconditionals; only then are its checks run one by one and their
-witnesses recorded, so every report is the same as that of a pass that
-runs each check on each map.
+biconditionals.  Such maps are sorted lexicographically, and only then
+are their checks run one by one and their witnesses recorded, so every
+report is the same as that of a pass that runs each check on each map
+in lexicographic order.  A sample splits each drawn map into (W, V),
+takes the same decision, and records in the order drawn.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -46,12 +63,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets,
-                    family_bounds, grid_maps, resolve_route, sample_grid_maps)
+from .fuzzy import (ONE, FuzzySet, FuzzyVerdicts, FuzzyWitnesses, count_fuzzy_sets,
+                    family_bounds, grid_map, grid_maps, resolve_route, sample_grid_maps,
+                    scan_fails, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
                    build_soft, classify_soft, cut_index)
 
@@ -140,16 +159,14 @@ class VerificationReport:
         }
 
 
-def _stream(alg, den, budget, seed):
-    """Numerator tuples to check, and the mode: exhaustive, or sampled when over budget."""
+def _sampled(alg, den, budget) -> bool:
+    """Check a run's inputs; True when the grid is over budget and a sample is checked."""
     require_mtl(alg)
     if den <= 0 or den % 2:
         raise ValueError(f"grid denominator must be positive and even, got {den}")
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    if budget is not None and count_fuzzy_sets(alg, den) > budget:
-        return sample_grid_maps(alg.n, den, budget, seed), "sampled"
-    return grid_maps(alg.n, den), "exhaustive"
+    return budget is not None and count_fuzzy_sets(alg, den) > budget
 
 
 @dataclass(frozen=True)
@@ -253,66 +270,132 @@ def _record(alg, den, nums, checks, bad: dict[str, int]) -> None:
              "witness": [str(part) for part in witness]})
 
 
-def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
-    stream, mode = _stream(alg, den, budget, seed)
-    checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
-    # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
-    lane = den + 1
-    spread = [sum(1 << i * lane for i in range(len(KINDS)) if kinds >> i & 1)
-              for kinds in range(1 << len(KINDS))]
-    iff = sum(1 << b for b, check in enumerate(checks) if check.iff)
-    bounds = {}
-    for b, check in enumerate(checks):
-        if check.fuzzy is not None:
-            bounds.setdefault(check.fuzzy[1:3], []).append((b, check.fuzzy))
-    # per bounds (lo, hi): weak order of the clamped numerators -> fuzzy fail bits
-    groups = [(lo, hi, members, {}) for (lo, hi), members in bounds.items()]
-    soft = {}  # packed failing cut indices -> (soft fail bits, relation fail bits)
-    failing = alg.tables.failing_kinds
-    checked = 0
-    for nums in stream:
-        checked += 1
-        at = _value_masks(nums)
-        vals = sorted(at)
-        # cut[j] = {x : k[x] >= j} is the same for every j in (lower, v]
-        bad = cut = 0
-        for i in range(len(vals) - 1, -1, -1):
-            v = vals[i]
-            if not v:
-                break
-            cut |= at[v]
+class _Pass:
+    """The state of one verification pass, and its decision on one map.
+
+    A map is a weak order W of the carrier, as its chain of up-sets (see
+    :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
+    tuple V.  :meth:`weak` derives what depends on W alone, :meth:`values`
+    what depends on V alone, and :meth:`decide` combines the two.
+    """
+
+    def __init__(self, alg, den, checks):
+        self.alg, self.den, self.checks = alg, den, checks
+        # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
+        self.lane = den + 1
+        self.spread = [sum(1 << i * self.lane for i in range(len(KINDS)) if kinds >> i & 1)
+                       for kinds in range(1 << len(KINDS))]
+        self.iff = sum(1 << b for b, check in enumerate(checks) if check.iff)
+        bounds = {}
+        for b, check in enumerate(checks):
+            if check.fuzzy is not None:
+                bounds.setdefault(check.fuzzy[1:3], []).append((b, check.fuzzy))
+        self.bounds = list(bounds)
+        # per bounds: its checks, and scan-fail bits -> fail bits of those checks
+        self.groups = [(members, {}) for members in bounds.values()]
+        self.clamps = {}   # the rank clamps of all bounds -> an id
+        self.full = (1 << alg.n) - 1
+        self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
+
+    def weak(self, order):
+        """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
+        failing = self.alg.tables.failing_kinds
+        fails = []
+        for i, cut in enumerate((self.full, *order)):
             kinds = failing.get(cut)
             if kinds is None:
-                kinds = filters.failing_kinds(alg, cut)
+                kinds = filters.failing_kinds(self.alg, cut)
             if kinds:
-                lower = vals[i - 1] if i else 0
-                bad |= ((2 << v) - (2 << lower)) * spread[kinds]
-        rank = tuple(map(vals.index, nums))
-        top = len(vals) - 1
-        fuzzy = None
-        fail = 0
-        for lo, hi, members, memo in groups:
-            # clamping merges the ranks <= low and the ranks >= high
-            low = max(bisect_right(vals, lo) - 1, 0)
-            high = bisect_left(vals, hi)
-            if low or high < top:
-                key = tuple([0 if r <= low else high - low if r >= high else r - low
-                             for r in rank])
-            else:
-                key = rank
-            bits = memo.get(key)
-            if bits is None:
-                if fuzzy is None:
-                    fuzzy = FuzzyWitnesses(alg, den, nums)
-                bits = memo[key] = sum(1 << b for b, k in members
-                                       if fuzzy.witness(k) is not None)
-            fail |= bits
-        masks = soft.get(bad)
+                fails.append((i, self.spread[kinds]))
+        return order, fails, {}  # the last: clamp id -> fuzzy fail bits
+
+    def values(self, vals):
+        """The cut indices covered by each rank, and each bounds' rank clamp with their id."""
+        # the cut {x : k[x] >= j} of rank i is the same for every j in (vals[i-1], vals[i]]
+        spans = [(2 << v) - (2 << u) for u, v in zip((0, *vals), vals)]
+        # Clamping to [lo, hi] merges the ranks <= low and the ranks >= high, so
+        # the clamped map's weak order is the slice [low:high] of the chain.
+        top, clamps = len(vals) - 1, []
+        for lo, hi in self.bounds:
+            low, high = max(bisect_right(vals, lo) - 1, 0), min(bisect_left(vals, hi), top)
+            clamps.append((low, high) if low < high else (0, 0))  # (0, 0): all merged
+        clamps = tuple(clamps)
+        return vals, spans, self.clamps.setdefault(clamps, len(self.clamps)), clamps
+
+    def decide(self, w, v):
+        """The packed failing cut indices if the map is a counterexample to a check, else None."""
+        order, fails, fuzzy = w
+        vals, spans, clamp, clamps = v
+        bad = 0
+        for i, lanes in fails:
+            bad |= spans[i] * lanes
+        fail = fuzzy.get(clamp)
+        if fail is None:
+            fail = fuzzy[clamp] = self._fuzzy(order, vals, clamps)
+        masks = self.soft.get(bad)
         if masks is None:
-            masks = soft[bad] = _soft_masks(checks, bad, lane)
+            masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
         sfail, rel = masks
-        if (sfail & ~fail) | (fail & ~sfail & iff) | rel:
-            _record(alg, den, nums, checks, _by_kind(bad, lane))
+        if (sfail & ~fail) | (fail & ~sfail & self.iff) | rel:
+            return bad
+        return None
+
+    def _fuzzy(self, order, vals, clamps):
+        """Bits of the fuzzy checks whose predicate fails on the map."""
+        alg, memo = self.alg, self.alg.tables.scan_fails
+        fail = 0
+        for (low, high), (members, table) in zip(clamps, self.groups):
+            clamped = order[low:high]
+            scans = memo.get(clamped)
+            if scans is None:
+                scans = scan_fails(alg, clamped)
+            bits = table.get(scans)
+            if bits is None:
+                verdicts = FuzzyVerdicts(alg, self.den, grid_map(order, vals, alg.n), scans)
+                bits = table[scans] = sum(1 << b for b, key in members
+                                          if verdicts.witness(key) is not None)
+            fail |= bits
+        return fail
+
+
+def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
+    sampled = _sampled(alg, den, budget)
+    mode = "sampled" if sampled else "exhaustive"
+    checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
+    run, n = _Pass(alg, den, checks), alg.n
+    found = []  # (map, packed failing cut indices) of each counterexample
+    checked = 0
+    if sampled:
+        weak = {}
+        for nums in sample_grid_maps(n, den, budget, seed):
+            checked += 1
+            at = _value_masks(nums)
+            vals = sorted(at)
+            ups, up = [], 0  # {x : nums[x] >= v} for the values v but the least, high to low
+            for v in vals[:0:-1]:
+                up |= at[v]
+                ups.append(up)
+            order = tuple(ups[::-1])
+            w = weak.get(order)
+            if w is None:
+                w = weak[order] = run.weak(order)
+            bad = run.decide(w, run.values(vals))
+            if bad is not None:
+                found.append((nums, bad))
+    else:
+        decide = run.decide
+        for r in range(1, min(n, den + 1) + 1):
+            vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+            for order in weak_orders(n, r):
+                w = run.weak(order)
+                checked += len(vs)
+                for v in vs:
+                    bad = decide(w, v)
+                    if bad is not None:
+                        found.append((grid_map(order, v[0], n), bad))
+        found.sort()  # the lexicographic order of the maps
+    for nums, bad in found:
+        _record(alg, den, nums, checks, _by_kind(bad, run.lane))
     for check in checks:
         check.report.checked = checked
     return [check.report for check in checks]
@@ -346,7 +429,10 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
     rhs = {"T4.2.13": "mv", "T4.3.12": "g"}.get(theorem_id)
     if rhs is None:
         raise ValueError(f"{theorem_id!r} has no strictness claim; use T4.2.13 or T4.3.12")
-    stream, _ = _stream(alg, den, budget, seed)
+    if _sampled(alg, den, budget):
+        stream = sample_grid_maps(alg.n, den, budget, seed)
+    else:
+        stream = grid_maps(alg.n, den)
     rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
     for nums in stream:
         # the in-cuts over (0, 1] are {x : k[x] >= v} for the values v > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from softmtl import verifier
-from softmtl.cli import main
+from softmtl.cli import build_parser, main
 from softmtl.fixtures import FIXTURE_DOCS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -125,6 +125,46 @@ def test_witness_command(capsys):
 def test_odd_grid_rejected(capsys):
     code, _, _ = run(capsys, "verify", "a1", "T3.3", "--grid", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=0"),
+    ("soft-build", "a1", "--mu", "0=0,a=0,b=0,1=0"),
+    ("verify", "a1", "T3.3"),
+    ("verify-all", "a1"),
+    ("witness", "a3", "T4.3.12"),
+])
+def test_zero_grid_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--grid", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "got 0" in err
+
+
+def test_parser_is_reused_across_calls(capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        code, out, _ = run(capsys, "fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1",
+                           "--family", "thresholds", "--interval", "1/4,3/4", "--json")
+        assert code == 0 and json.loads(out)["family"] == "thresholds"
+        # no option of the call before carries over
+        code, out, _ = run(capsys, "fuzzy-check", "a1", "--mu", "0=0,a=0,b=1,1=1")
+        assert code == 1 and out.startswith("plain filter (default): FAILS")
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        assert "verify-all" in capsys.readouterr().out
+        code, out, _ = run(capsys, "verify-all", "b2", "--grid", "2")
+        assert code == 0 and out.endswith("31 theorems, 0 with counterexamples\n")
+        for bad in (["verify-all"], ["verify-all", "a1", "--grid", "x"], ["nope"]):
+            with pytest.raises(SystemExit) as exited:
+                main(bad)
+            assert exited.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "usage: softmtl" in captured.err
+        code, out, _ = run(capsys, "verify", "a1", "T3.12", "--interval", "1/4,1/2")
+        assert code == 0 and "confirmed" in out
+        code, out, _ = run(capsys, "witness", "b2", "T4.3.12")
+        assert code == 0 and "no strictness witness" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (BudgetError, FuzzySet, MembershipQuery, check_fuzzy,
-                           check_fuzzy_witness, enumerate_fuzzy_sets, evaluate)
+                           check_fuzzy_witness, enumerate_fuzzy_sets, evaluate, grid_map,
+                           weak_orders)
 
 F = Fraction
 
@@ -151,6 +153,18 @@ def test_enumeration_counts(a1, a3, b2):
     assert sum(1 for _ in enumerate_fuzzy_sets(a3, 2)) == 729
     first = next(iter(enumerate_fuzzy_sets(b2, 2)))
     assert first.values == (F(0), F(0))
+
+
+@pytest.mark.parametrize("den", [2, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weak_orders_and_values_give_every_grid_map_once(n, den):
+    orders = [list(weak_orders(n, r)) for r in range(n + 2)]
+    # ordered Bell (Fubini) numbers: 1, 3, 13, 75 weak orders of 1..4 elements
+    assert sum(map(len, orders)) == {1: 1, 2: 3, 3: 13, 4: 75}[n]
+    assert orders[0] == orders[n + 1] == []
+    maps = [grid_map(order, vals, n) for r, of_r in enumerate(orders) for order in of_r
+            for vals in itertools.combinations(range(den + 1), r)]
+    assert sorted(maps) == list(itertools.product(range(den + 1), repeat=n))
 
 
 def test_enumeration_budget(a1):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from softmtl import algebra, fuzzy
+from softmtl import algebra, fixtures, fuzzy
 from softmtl.algebra import AlgebraError, load_algebra, validate_mtl
 from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
@@ -12,7 +12,7 @@ from softmtl.soft import (FULL, LOWER, ParameterInterval, build_soft, classify_s
                           epsilon_soft)
 from softmtl.fuzzy import (FuzzySet, check_fuzzy, check_fuzzy_witness,
                            sample_grid_maps)
-from test_golden import FALSE_SPECS
+from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
                               verify, verify_all)
@@ -244,7 +244,9 @@ def test_false_specs_match_the_reference_loop(name, den, spec, kw):
     assert [report] == reference_reports(alg, [spec], den, **kw)
 
 
-def test_fuzzy_scans_do_not_grow_with_the_grid(a1, monkeypatch):
+def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
+    # a fresh algebra: other tests fill the scan memo of the shared fixture
+    alg = load_algebra(FIXTURE_DOCS["a1"])
     calls = []
 
     def counted(scan):
@@ -255,11 +257,56 @@ def test_fuzzy_scans_do_not_grow_with_the_grid(a1, monkeypatch):
 
     monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(f) for k, f in fuzzy._SCANS.items()})
     counts = []
-    for den in (8, 16):
+    for den, budget in ((8, None), (16, None), (16, 500)):
         calls.clear()
-        verify_all(a1, den)
+        reports = verify_all(alg, den, budget=budget, seed=2)
+        assert reports[0].mode == ("sampled" if budget else "exhaustive")
         counts.append(len(calls))
-    # one scan per (bounds, weak order, variant); every weak order of 4
-    # values occurs at both grids, against 9^4 and 17^4 sets
-    assert counts[0] == counts[1] > 0
-    assert counts[0] < 9 ** 4
+    # each scan runs at most once per clamped weak order, of which 4 elements
+    # have 75; then no grid and no sample scans again
+    orders = len(alg.tables.scan_fails)
+    assert 0 < orders <= counts[0] <= len(fuzzy._SCANS) * orders <= len(fuzzy._SCANS) * 75
+    assert counts[1:] == [0, 0]
+
+
+def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
+    # one algebra object, warmed at other grids and by a sample, then the golden run
+    alg = load_algebra(FIXTURE_DOCS["a1"])
+    verify_all(alg, 4)
+    verify_all(alg, 16)
+    assert verify_all(alg, 16, budget=300, seed=4)[0].mode == "sampled"
+    targets = []
+    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: targets.append(target) or alg)
+    golden = (GOLDEN / "verify-all-a1-D8.json").read_bytes()
+    assert render_cli(CLI_RUNS["verify-all-a1-D8"]).encode() == golden
+    assert targets == ["a1"]
+
+
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+def test_false_specs_do_not_depend_on_the_memo(name, den, spec, kw):
+    cold = verify(load_algebra(FIXTURE_DOCS[name]), spec, den, **kw).counterexamples
+    alg = load_algebra(FIXTURE_DOCS[name])
+    verify_all(alg, den + 2)
+    verify_all(alg, den)
+    warm = [verify(alg, spec, den, **kw).counterexamples for _ in range(2)]
+    assert cold and warm == [cold, cold]
+
+
+def test_disagreeing_routes_name_the_map(monkeypatch):
+    # a fresh algebra: the broken scan below must not reach a shared memo
+    alg = load_algebra(FIXTURE_DOCS["a1"])
+    monkeypatch.setitem(fuzzy._SCANS, ("boolean", "contraction"), lambda alg, c: ("broken",))
+    spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
+    with pytest.raises(AlgebraError, match="boolean formulations disagree on ") as raised:
+        verify(alg, spec, 4, budget=50, seed=0)
+    # the first drawn map on which the check alone raises, with the same message
+    for nums in sample_grid_maps(alg.n, 4, 50, 0):
+        try:
+            check_fuzzy_witness(FuzzySet.from_nums(alg, 4, nums), "plain", "boolean", "all")
+        except AlgebraError as single:
+            assert str(single) == str(raised.value)
+            break
+    else:
+        pytest.fail("no drawn map makes the routes disagree")
+    # its values are not the ranks 0, 1, ... of their weak order
+    assert sorted(set(nums)) != list(range(len(set(nums))))
