@@ -62,8 +62,7 @@ class DerivedTables:
     in lexicographic order of its variables, so the crisp and the fuzzy
     scans over it report the same first violation.  ``classifications``
     is the memo of :func:`softmtl.filters.classify_filter` by mask, and
-    ``failing_kinds`` that of :func:`softmtl.filters.failing_kinds`, and
-    ``scan_fails`` that of :func:`softmtl.fuzzy.scan_fails` by weak order.
+    ``failing_kinds`` that of :func:`softmtl.filters.failing_kinds`.
     ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
@@ -76,7 +75,6 @@ class DerivedTables:
         self.bottom, self.elems = alg.bottom, range(alg.n)
         self.classifications = {}
         self.failing_kinds = {}
-        self.scan_fails = {}
         self.mtl_failure = None
         self.filters = None
 

@@ -204,7 +204,16 @@ _SCANS = {
 
 # bit i of a mask from :func:`scan_fails` stands for the scan _SCAN_KEYS[i]
 _SCAN_KEYS = tuple(_SCANS)
-_MP_BIT = 1 << _SCAN_KEYS.index(("filter", "mp"))
+
+# Every variant of a kind other than "filter" has the same-family filter
+# condition, in this formulation, as a conjunct.
+_CONJUNCT = ("filter", "mp")
+_CONJUNCT_BIT = 1 << _SCAN_KEYS.index(_CONJUNCT)
+
+
+def _conjoined(kind: str) -> bool:
+    """True when the variants of ``kind`` have the :data:`_CONJUNCT` scan as a conjunct."""
+    return kind != _CONJUNCT[0]
 
 # the equivalent formulations of the plain family; the first is the default
 PLAIN_ROUTES = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction")}
@@ -273,8 +282,8 @@ class FuzzyWitnesses:
         return w
 
     def _scan(self, kind, lo, hi, route):
-        if kind != "filter":
-            w = self.witness(("filter", lo, hi, "mp"))
+        if _conjoined(kind):
+            w = self.witness((_CONJUNCT[0], lo, hi, _CONJUNCT[1]))
             if w is not None:
                 return w
         if route == "all":
@@ -311,6 +320,8 @@ class FuzzyVerdicts(FuzzyWitnesses):
         self.fails = fails
 
     def _violation(self, kind, lo, hi, route):
+        # scan_fails leaves a conjoined scan unrun, its bit 0, when the conjunct fails
+        assert not (_conjoined(kind) and self.fails & _CONJUNCT_BIT), "scan not run"
         return True if self.fails >> _SCAN_KEYS.index((kind, route)) & 1 else None
 
 
@@ -320,21 +331,17 @@ def scan_fails(alg: FiniteMtlAlgebra, order: tuple[int, ...]) -> int:
     ``order`` is a weak order of the carrier as its chain of up-sets (see
     :func:`weak_orders`).  A scan compares values at positions of the
     algebra, so every map of that weak order gets the same verdict; the
-    scans run on its ranks.  Every variant of a kind other than "filter"
-    has the ("filter", "mp") scan as a conjunct, so when that scan fails
-    no scan of another kind is read, and none is run: its bit stays 0.
-    Each order is scanned once per algebra, and the mask is kept in
-    ``alg.tables.scan_fails``.
+    scans run on its ranks.  When the :data:`_CONJUNCT` scan fails, no
+    conjoined variant reads its own scan, so those scans are not run and
+    their bits stay 0; :class:`FuzzyVerdicts` never reads them.
     """
-    memo = alg.tables.scan_fails
-    bits = memo.get(order)
-    if bits is None:
-        ranks = grid_map(order, range(len(order) + 1), alg.n)
-        bits = 0
-        for i, key in enumerate(_SCAN_KEYS):  # the filter scans come first
-            if (key[0] == "filter" or not bits & _MP_BIT) and _SCANS[key](alg, ranks) is not None:
-                bits |= 1 << i
-        memo[order] = bits
+    ranks = grid_map(order, range(len(order) + 1), alg.n)
+    bits = 0
+    for i, key in enumerate(_SCAN_KEYS):  # the filter scans come first
+        if bits & _CONJUNCT_BIT and _conjoined(key[0]):
+            continue
+        if _SCANS[key](alg, ranks) is not None:
+            bits |= 1 << i
     return bits
 
 
@@ -404,6 +411,28 @@ def grid_map(order: tuple[int, ...], values, n: int) -> tuple[int, ...]:
         for x in range(n):
             rank[x] += up >> x & 1
     return tuple([values[r] for r in rank])
+
+
+def value_masks(nums) -> dict[int, int]:
+    """The elements taking each value of nums, as {value: bitmask}."""
+    at = {}
+    for x, k in enumerate(nums):
+        at[k] = at.get(k, 0) | 1 << x
+    return at
+
+
+def split_map(nums) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The weak order of a grid map, as its chain of up-sets, and its sorted distinct values.
+
+    The inverse of :func:`grid_map`: ``grid_map(*split_map(nums), len(nums)) == nums``.
+    """
+    at = value_masks(nums)
+    vals = sorted(at)
+    ups, up = [], 0  # {x : nums[x] >= v} for the values v but the least, high to low
+    for v in vals[:0:-1]:
+        up |= at[v]
+        ups.append(up)
+    return tuple(ups[::-1]), tuple(vals)
 
 
 def sample_grid_maps(n: int, den: int, count: int, seed: int):

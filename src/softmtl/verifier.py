@@ -37,10 +37,12 @@ between them, for the ranks in between.  So the weak order of c is W
 with the ranks <= low merged and the ranks >= high merged, and its
 chain of up-sets is the slice (U_low+1, ..., U_high) of W's chain
 (empty when low >= high: c is constant).  The slice names neither D,
-nor the bounds, nor the values, so :func:`softmtl.fuzzy.scan_fails`
-keeps every scan's verdict on it once per algebra and reuses it in
-every later run, at any grid, with any bounds, sampled or not.  At most
-Fubini(n) weak orders occur.
+nor the bounds, nor the values, so a run keeps the verdicts of
+:func:`softmtl.fuzzy.scan_fails` by the slice alone and scans each
+weak order at most once, whatever bounds its checks carry.  At most
+Fubini(n) weak orders occur.  The memo lives as long as the run: an
+exhaustive run meets nearly every weak order anyway, and a sample on a
+large carrier meets a new one almost every draw.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
@@ -50,7 +52,9 @@ biconditionals.  Such maps are sorted lexicographically, and only then
 are their checks run one by one and their witnesses recorded, so every
 report is the same as that of a pass that runs each check on each map
 in lexicographic order.  A sample splits each drawn map into (W, V),
-takes the same decision, and records in the order drawn.
+takes the same decision, and records in the order drawn.  If the
+formulations of a ``route="all"`` check disagree, an exhaustive run
+raises for the lexicographically first map on which they do.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -66,11 +70,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import filters
-from .algebra import FiniteMtlAlgebra, require_mtl
+from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
 from .fuzzy import (ONE, FuzzySet, FuzzyVerdicts, FuzzyWitnesses, count_fuzzy_sets,
                     family_bounds, grid_map, grid_maps, resolve_route, sample_grid_maps,
-                    scan_fails, weak_orders)
+                    scan_fails, split_map, value_masks, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
                    build_soft, classify_soft, cut_index)
 
@@ -206,14 +210,6 @@ def _plan(alg, spec, den, mode, interval) -> _Check:
                   iff=spec.direction == "iff")
 
 
-def _value_masks(nums) -> dict[int, int]:
-    """The elements taking each value of nums, as {value: bitmask}."""
-    at = {}
-    for x, k in enumerate(nums):
-        at[k] = at.get(k, 0) | 1 << x
-    return at
-
-
 def _by_kind(bad: int, lane: int) -> dict[str, int]:
     """Split the packed failing cut indices into one bitmask per kind."""
     full = (1 << lane) - 1
@@ -296,6 +292,7 @@ class _Pass:
         self.clamps = {}   # the rank clamps of all bounds -> an id
         self.full = (1 << alg.n) - 1
         self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
+        self.scans = {}    # clamped weak order -> scan_fails of it
 
     def weak(self, order):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
@@ -342,13 +339,13 @@ class _Pass:
 
     def _fuzzy(self, order, vals, clamps):
         """Bits of the fuzzy checks whose predicate fails on the map."""
-        alg, memo = self.alg, self.alg.tables.scan_fails
+        alg, memo = self.alg, self.scans
         fail = 0
         for (low, high), (members, table) in zip(clamps, self.groups):
             clamped = order[low:high]
             scans = memo.get(clamped)
             if scans is None:
-                scans = scan_fails(alg, clamped)
+                scans = memo[clamped] = scan_fails(alg, clamped)
             bits = table.get(scans)
             if bits is None:
                 verdicts = FuzzyVerdicts(alg, self.den, grid_map(order, vals, alg.n), scans)
@@ -356,6 +353,15 @@ class _Pass:
                                           if verdicts.witness(key) is not None)
             fail |= bits
         return fail
+
+
+def _raise_first_disagreement(alg, den, checks) -> None:
+    """Raise the AlgebraError of the lexicographically first map whose formulations disagree."""
+    keys = [check.fuzzy for check in checks if check.fuzzy is not None]
+    for nums in grid_maps(alg.n, den):
+        fuzzy = FuzzyWitnesses(alg, den, nums)
+        for key in keys:
+            fuzzy.witness(key)
 
 
 def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
@@ -369,13 +375,7 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
         weak = {}
         for nums in sample_grid_maps(n, den, budget, seed):
             checked += 1
-            at = _value_masks(nums)
-            vals = sorted(at)
-            ups, up = [], 0  # {x : nums[x] >= v} for the values v but the least, high to low
-            for v in vals[:0:-1]:
-                up |= at[v]
-                ups.append(up)
-            order = tuple(ups[::-1])
+            order, vals = split_map(nums)
             w = weak.get(order)
             if w is None:
                 w = weak[order] = run.weak(order)
@@ -384,15 +384,20 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
                 found.append((nums, bad))
     else:
         decide = run.decide
-        for r in range(1, min(n, den + 1) + 1):
-            vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-            for order in weak_orders(n, r):
-                w = run.weak(order)
-                checked += len(vs)
-                for v in vs:
-                    bad = decide(w, v)
-                    if bad is not None:
-                        found.append((grid_map(order, v[0], n), bad))
+        try:
+            for r in range(1, min(n, den + 1) + 1):
+                vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+                for order in weak_orders(n, r):
+                    w = run.weak(order)
+                    checked += len(vs)
+                    for v in vs:
+                        bad = decide(w, v)
+                        if bad is not None:
+                            found.append((grid_map(order, v[0], n), bad))
+        except AlgebraError:
+            # formulations disagree on some map; name the first one, as a lexicographic pass does
+            _raise_first_disagreement(alg, den, checks)
+            raise
         found.sort()  # the lexicographic order of the maps
     for nums, bad in found:
         _record(alg, den, nums, checks, _by_kind(bad, run.lane))
@@ -436,7 +441,7 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
     rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
     for nums in stream:
         # the in-cuts over (0, 1] are {x : k[x] >= v} for the values v > 0
-        at = _value_masks(nums)
+        at = value_masks(nums)
         cut = kinds = 0
         for v in sorted(at, reverse=True):
             if not v or kinds & rhs_bit:

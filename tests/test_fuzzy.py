@@ -9,7 +9,7 @@ from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (BudgetError, FuzzySet, MembershipQuery, check_fuzzy,
                            check_fuzzy_witness, enumerate_fuzzy_sets, evaluate, grid_map,
-                           weak_orders)
+                           split_map, weak_orders)
 
 F = Fraction
 
@@ -162,9 +162,12 @@ def test_weak_orders_and_values_give_every_grid_map_once(n, den):
     # ordered Bell (Fubini) numbers: 1, 3, 13, 75 weak orders of 1..4 elements
     assert sum(map(len, orders)) == {1: 1, 2: 3, 3: 13, 4: 75}[n]
     assert orders[0] == orders[n + 1] == []
-    maps = [grid_map(order, vals, n) for r, of_r in enumerate(orders) for order in of_r
-            for vals in itertools.combinations(range(den + 1), r)]
+    pairs = [(order, vals) for r, of_r in enumerate(orders) for order in of_r
+             for vals in itertools.combinations(range(den + 1), r)]
+    maps = [grid_map(order, vals, n) for order, vals in pairs]
     assert sorted(maps) == list(itertools.product(range(den + 1), repeat=n))
+    # split_map is the inverse: each map gives back its own (weak order, values)
+    assert [split_map(nums) for nums in maps] == pairs
 
 
 def test_enumeration_budget(a1):

@@ -10,8 +10,8 @@ from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import (FULL, LOWER, ParameterInterval, build_soft, classify_soft,
                           epsilon_soft)
-from softmtl.fuzzy import (FuzzySet, check_fuzzy, check_fuzzy_witness,
-                           sample_grid_maps)
+from softmtl.fuzzy import (FuzzySet, check_fuzzy, check_fuzzy_witness, grid_map, grid_maps,
+                           sample_grid_maps, weak_orders)
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
@@ -245,28 +245,29 @@ def test_false_specs_match_the_reference_loop(name, den, spec, kw):
 
 
 def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
-    # a fresh algebra: other tests fill the scan memo of the shared fixture
     alg = load_algebra(FIXTURE_DOCS["a1"])
     calls = []
 
-    def counted(scan):
+    def counted(key, scan):
         def wrapper(alg, c):
-            calls.append(scan)
+            calls.append((key, c))
             return scan(alg, c)
         return wrapper
 
-    monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(f) for k, f in fuzzy._SCANS.items()})
-    counts = []
+    monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(k, f) for k, f in fuzzy._SCANS.items()})
+    runs = []
     for den, budget in ((8, None), (16, None), (16, 500)):
         calls.clear()
         reports = verify_all(alg, den, budget=budget, seed=2)
         assert reports[0].mode == ("sampled" if budget else "exhaustive")
-        counts.append(len(calls))
-    # each scan runs at most once per clamped weak order, of which 4 elements
-    # have 75; then no grid and no sample scans again
-    orders = len(alg.tables.scan_fails)
-    assert 0 < orders <= counts[0] <= len(fuzzy._SCANS) * orders <= len(fuzzy._SCANS) * 75
-    assert counts[1:] == [0, 0]
+        runs.append(list(calls))
+    for scans in runs:
+        # a run scans each weak order (given by its ranks) at most once per
+        # scan, whatever the bounds, and 4 elements have 75 weak orders
+        assert 0 < len(scans) == len(set(scans))
+        assert len({c for _, c in scans}) <= 75
+    # the weak orders met, and so the scans run, are the same on a finer grid
+    assert set(runs[0]) == set(runs[1])
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
@@ -310,3 +311,28 @@ def test_disagreeing_routes_name_the_map(monkeypatch):
         pytest.fail("no drawn map makes the routes disagree")
     # its values are not the ranks 0, 1, ... of their weak order
     assert sorted(set(nums)) != list(range(len(set(nums))))
+
+
+def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch):
+    alg = load_algebra(FIXTURE_DOCS["a3"])
+    mp = fuzzy._SCANS["filter", "mp"]
+    # broken: also fails every non-constant map, so "product" and "mp" disagree
+    monkeypatch.setitem(fuzzy._SCANS, ("filter", "mp"),
+                        lambda alg, c: mp(alg, c) or (("broken",) if len(set(c)) > 1 else None))
+    spec = TheoremSpec("all-routes", "in", FULL, "filter", "plain", route="all")
+    with pytest.raises(AlgebraError, match="filter formulations disagree on ") as raised:
+        verify(alg, spec, 2)
+    def message(nums):
+        try:
+            check_fuzzy_witness(FuzzySet.from_nums(alg, 2, nums), "plain", "filter", "all")
+        except AlgebraError as single:
+            return str(single)
+        return None
+
+    # the lexicographically first map on which the check alone raises
+    first = next(nums for nums in grid_maps(alg.n, 2) if message(nums))
+    assert message(first) == str(raised.value)
+    # the pass's own order, (rank count, weak order, values), meets another one first
+    maps = (grid_map(order, vals, alg.n) for r in range(1, alg.n + 1)
+            for order in weak_orders(alg.n, r) for vals in itertools.combinations(range(3), r))
+    assert next(nums for nums in maps if message(nums)) != first
