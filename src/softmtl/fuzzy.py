@@ -124,7 +124,9 @@ def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
 # With numerator bounds lo < hi, max(a, lo) < min(b, hi) holds exactly when
 # c[a] < c[b] for the clamped numerators c = min(max(k, lo), hi), so every
 # scan takes c.  The product, complement and contraction forms exist only
-# for the plain family, whose bounds (0, D) leave c = k.
+# for the plain family, whose bounds (0, D) leave c = k.  Every violation
+# is a conjunction of comparisons c[p] < c[q] with one smaller side p
+# (!= counts as two of them); :func:`scan_fails` relies on that shape.
 
 def _clamp(k, lo, hi):
     return tuple([lo if v < lo else hi if v > hi else v for v in k])
@@ -214,6 +216,9 @@ _CONJUNCT_BIT = 1 << _SCAN_KEYS.index(_CONJUNCT)
 def _conjoined(kind: str) -> bool:
     """True when the variants of ``kind`` have the :data:`_CONJUNCT` scan as a conjunct."""
     return kind != _CONJUNCT[0]
+
+
+_UNCONJOINED_BITS = sum(1 << i for i, key in enumerate(_SCAN_KEYS) if not _conjoined(key[0]))
 
 # the equivalent formulations of the plain family; the first is the default
 PLAIN_ROUTES = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction")}
@@ -307,10 +312,11 @@ class FuzzyWitnesses:
 class FuzzyVerdicts(FuzzyWitnesses):
     """Each variant's verdict on one grid map, read off the map's scan-fail bits.
 
-    ``fails`` is :func:`scan_fails` of the weak order of the map clamped
-    to the bounds that every requested key carries.  A failing variant's
-    witness is True instead of a tuple.  As in :class:`FuzzyWitnesses`,
-    ``route="all"`` raises, naming the map, if the formulations disagree.
+    ``fails`` is the OR of :func:`scan_fails` over the chain of up-sets
+    of the map clamped to the bounds that every requested key carries,
+    through :func:`conjunct_masked`.  A failing variant's witness is True
+    instead of a tuple.  As in :class:`FuzzyWitnesses`, ``route="all"``
+    raises, naming the map, if the formulations disagree.
     """
 
     __slots__ = ("fails",)
@@ -325,24 +331,27 @@ class FuzzyVerdicts(FuzzyWitnesses):
         return True if self.fails >> _SCAN_KEYS.index((kind, route)) & 1 else None
 
 
-def scan_fails(alg: FiniteMtlAlgebra, order: tuple[int, ...]) -> int:
-    """Bit i set iff the scan _SCAN_KEYS[i] finds a violation on the weak order.
+def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
+    """Bit i set iff the scan _SCAN_KEYS[i] fails on the 0/1 indicator of the up-set.
 
-    ``order`` is a weak order of the carrier as its chain of up-sets (see
-    :func:`weak_orders`).  A scan compares values at positions of the
-    algebra, so every map of that weak order gets the same verdict; the
-    scans run on its ranks.  When the :data:`_CONJUNCT` scan fails, no
-    conjoined variant reads its own scan, so those scans are not run and
-    their bits stay 0; :class:`FuzzyVerdicts` never reads them.
+    A weak order's verdicts are the OR of these bits over its chain of
+    up-sets (see :func:`weak_orders`; proof in :mod:`softmtl.verifier`).
+    When the :data:`_CONJUNCT` scan fails, no conjoined variant reads its
+    own scan, so those scans are not run and their bits stay 0.
     """
-    ranks = grid_map(order, range(len(order) + 1), alg.n)
+    indicator = tuple([up >> x & 1 for x in range(alg.n)])
     bits = 0
     for i, key in enumerate(_SCAN_KEYS):  # the filter scans come first
         if bits & _CONJUNCT_BIT and _conjoined(key[0]):
             continue
-        if _SCANS[key](alg, ranks) is not None:
+        if _SCANS[key](alg, indicator) is not None:
             bits |= 1 << i
     return bits
+
+
+def conjunct_masked(bits: int) -> int:
+    """The scan-fail bits, the conjoined ones cleared if the conjunct fails (none read them)."""
+    return bits & _UNCONJOINED_BITS if bits & _CONJUNCT_BIT else bits
 
 
 def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "default",

@@ -33,6 +33,8 @@ class ParameterInterval:
     hi: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
         if not (ZERO <= self.lo < self.hi <= ONE):
             raise ValueError(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi}]")
 
@@ -44,10 +46,11 @@ class ParameterInterval:
 
     def numerators(self, den: int) -> tuple[int, int]:
         """(lo * den, hi * den); raises if an endpoint is off the 1/den grid."""
-        lo, hi = Fraction(self.lo) * den, Fraction(self.hi) * den
-        if lo.denominator != 1 or hi.denominator != 1:
+        lo, lo_off = divmod(self.lo.numerator * den, self.lo.denominator)
+        hi, hi_off = divmod(self.hi.numerator * den, self.hi.denominator)
+        if lo_off or hi_off:
             raise ValueError(f"interval {self} is not aligned to the 1/{den} grid")
-        return int(lo), int(hi)
+        return lo, hi
 
     @classmethod
     def parse(cls, text: str) -> "ParameterInterval":

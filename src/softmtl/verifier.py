@@ -27,22 +27,30 @@ depends on.
 - Per (W, V): a few ORs and lookups, below.
 
 Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
-clamped numerators c = min(max(k, lo), hi) at positions of the algebra
-(c[a] < c[b], c[a] != c[b]), and its witness names elements, not
-values.  So its verdict is the same for any two maps whose clamped
-values have the same weak order.  As V increases, c[x] = lo for the
-ranks W[x] <= low that lie at or below lo, c[x] = hi for the ranks
-W[x] >= high that lie at or above hi, and c[x] = V[W[x]], strictly
+clamped numerators c = min(max(k, lo), hi) at positions of the algebra,
+and its witness names elements, not values.  Each fails exactly when
+some tuple it reads has c[p] < c[q] for every q in a set Q: Q = {b} for
+c[p] < c[b], Q = {x, y} for a common smaller side c[p] < c[x], c[y],
+and c[a] != c[b] is two such cases, c[a] < c[b] or c[b] < c[a].  Lemma:
+on a map whose weak order has the up-set chain (U_1, ..., U_m), such a
+scan fails iff it fails on the 0/1 indicator of some U_i.  Proof: c[p] <
+c[q] for all q in Q iff some U_i holds Q but not p (i = the least rank
+in Q; conversely rank q >= i > rank p), and on the indicator of U, iff
+U holds Q but not p.  A scan added later must keep that shape (one that
+fails on a constant map, or asks c[a] < c[b] < c[d], does not).
+
+So a run keeps :func:`softmtl.fuzzy.scan_fails` per up-set, at most 2^n
+of them, and a map's scan verdicts are the OR over its chain, read
+through :func:`softmtl.fuzzy.conjunct_masked`.  As V increases, c[x] =
+lo for the ranks W[x] <= low that lie at or below lo, c[x] = hi for the
+ranks W[x] >= high that lie at or above hi, and c[x] = V[W[x]], strictly
 between them, for the ranks in between.  So the weak order of c is W
 with the ranks <= low merged and the ranks >= high merged, and its
 chain of up-sets is the slice (U_low+1, ..., U_high) of W's chain
 (empty when low >= high: c is constant).  The slice names neither D,
-nor the bounds, nor the values, so a run keeps the verdicts of
-:func:`softmtl.fuzzy.scan_fails` by the slice alone and scans each
-weak order at most once, whatever bounds its checks carry.  At most
-Fubini(n) weak orders occur.  The memo lives as long as the run: an
-exhaustive run meets nearly every weak order anyway, and a sample on a
-large carrier meets a new one almost every draw.
+nor the bounds, nor the values, so each W ORs a slice once, whatever
+bounds its checks carry.  Nothing is kept on the algebra: the memos
+live as long as the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
@@ -72,9 +80,9 @@ from itertools import combinations
 from . import filters
 from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (ONE, FuzzySet, FuzzyVerdicts, FuzzyWitnesses, count_fuzzy_sets,
-                    family_bounds, grid_map, grid_maps, resolve_route, sample_grid_maps,
-                    scan_fails, split_map, value_masks, weak_orders)
+from .fuzzy import (ONE, FuzzySet, FuzzyVerdicts, FuzzyWitnesses, conjunct_masked,
+                    count_fuzzy_sets, family_bounds, grid_map, grid_maps, resolve_route,
+                    sample_grid_maps, scan_fails, split_map, value_masks, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
                    build_soft, classify_soft, cut_index)
 
@@ -112,19 +120,21 @@ _IDS = {
 }
 
 
+_CATALOG = (
+    *(TheoremSpec(tid, soft_kind, interval, kind, family) for kind, ids in _IDS.items()
+      for tid, (soft_kind, interval, family) in zip(ids, _PATTERN)),
+    TheoremSpec("T4.2.13", "in", FULL, "boolean", None,
+                direction="forward", relation=("boolean", ("mv",))),
+    TheoremSpec("T4.3.12", "in", FULL, "boolean", None,
+                direction="forward", relation=("boolean", ("g",))),
+    TheoremSpec("T4.3.13", "in", FULL, "boolean", None,
+                direction="iff", relation=("boolean", ("mv", "g"))),
+)
+
+
 def catalog() -> list[TheoremSpec]:
     """The full fixed catalog: 28 grid entries plus 3 relation entries."""
-    specs = []
-    for kind, ids in _IDS.items():
-        for tid, (soft_kind, interval, family) in zip(ids, _PATTERN):
-            specs.append(TheoremSpec(tid, soft_kind, interval, kind, family))
-    specs.append(TheoremSpec("T4.2.13", "in", FULL, "boolean", None,
-                             direction="forward", relation=("boolean", ("mv",))))
-    specs.append(TheoremSpec("T4.3.12", "in", FULL, "boolean", None,
-                             direction="forward", relation=("boolean", ("g",))))
-    specs.append(TheoremSpec("T4.3.13", "in", FULL, "boolean", None,
-                             direction="iff", relation=("boolean", ("mv", "g"))))
-    return specs
+    return list(_CATALOG)
 
 
 def catalog_by_id() -> dict[str, TheoremSpec]:
@@ -292,7 +302,7 @@ class _Pass:
         self.clamps = {}   # the rank clamps of all bounds -> an id
         self.full = (1 << alg.n) - 1
         self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
-        self.scans = {}    # clamped weak order -> scan_fails of it
+        self.cuts = {}     # up-set -> scan_fails of its indicator
 
     def weak(self, order):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
@@ -304,7 +314,7 @@ class _Pass:
                 kinds = filters.failing_kinds(self.alg, cut)
             if kinds:
                 fails.append((i, self.spread[kinds]))
-        return order, fails, {}  # the last: clamp id -> fuzzy fail bits
+        return order, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
 
     def values(self, vals):
         """The cut indices covered by each rank, and each bounds' rank clamp with their id."""
@@ -321,14 +331,14 @@ class _Pass:
 
     def decide(self, w, v):
         """The packed failing cut indices if the map is a counterexample to a check, else None."""
-        order, fails, fuzzy = w
+        order, fails, fuzzy, windows = w
         vals, spans, clamp, clamps = v
         bad = 0
         for i, lanes in fails:
             bad |= spans[i] * lanes
         fail = fuzzy.get(clamp)
         if fail is None:
-            fail = fuzzy[clamp] = self._fuzzy(order, vals, clamps)
+            fail = fuzzy[clamp] = self._fuzzy(order, vals, clamps, windows)
         masks = self.soft.get(bad)
         if masks is None:
             masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
@@ -337,15 +347,20 @@ class _Pass:
             return bad
         return None
 
-    def _fuzzy(self, order, vals, clamps):
+    def _fuzzy(self, order, vals, clamps, windows):
         """Bits of the fuzzy checks whose predicate fails on the map."""
-        alg, memo = self.alg, self.scans
+        alg, cuts = self.alg, self.cuts
         fail = 0
-        for (low, high), (members, table) in zip(clamps, self.groups):
-            clamped = order[low:high]
-            scans = memo.get(clamped)
+        for window, (members, table) in zip(clamps, self.groups):
+            scans = windows.get(window)
             if scans is None:
-                scans = memo[clamped] = scan_fails(alg, clamped)
+                scans = 0
+                for up in order[window[0]:window[1]]:
+                    bits = cuts.get(up)
+                    if bits is None:
+                        bits = cuts[up] = scan_fails(alg, up)
+                    scans |= bits
+                scans = windows[window] = conjunct_masked(scans)
             bits = table.get(scans)
             if bits is None:
                 verdicts = FuzzyVerdicts(alg, self.den, grid_map(order, vals, alg.n), scans)

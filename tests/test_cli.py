@@ -187,7 +187,7 @@ def test_interval_only_on_generic_theorems(capsys):
     assert code == 0 and "confirmed" in out
 
 
-@pytest.mark.parametrize("interval", ["1/3,2/3", "0,1"])
+@pytest.mark.parametrize("interval", ["1/3,2/3", "1/3,1/2", "0,1"])
 def test_bad_generic_interval_is_usage_error(capsys, interval):
     code, out, err = run(capsys, "verify", "a1", "T3.12", "--interval", interval)
     assert code == 2 and out == ""

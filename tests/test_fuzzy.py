@@ -1,15 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from products import load_named
+from softmtl import fuzzy
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
-from softmtl.fuzzy import (BudgetError, FuzzySet, MembershipQuery, check_fuzzy,
-                           check_fuzzy_witness, enumerate_fuzzy_sets, evaluate, grid_map,
-                           split_map, weak_orders)
+from softmtl.fuzzy import (BudgetError, FuzzySet, FuzzyWitnesses, MembershipQuery, check_fuzzy,
+                           check_fuzzy_witness, conjunct_masked, enumerate_fuzzy_sets, evaluate,
+                           grid_map, scan_fails, split_map, weak_orders)
 
 F = Fraction
 
@@ -168,6 +171,49 @@ def test_weak_orders_and_values_give_every_grid_map_once(n, den):
     assert sorted(maps) == list(itertools.product(range(den + 1), repeat=n))
     # split_map is the inverse: each map gives back its own (weak order, values)
     assert [split_map(nums) for nums in maps] == pairs
+
+
+def _all_weak_orders(n, max_ranks):
+    return [order for r in range(1, max_ranks + 1) for order in weak_orders(n, r)]
+
+
+def _sampled_weak_orders(n, count, seed):
+    rng = random.Random(seed)
+    return [split_map(tuple(rng.randrange(n) for _ in range(n)))[0] for _ in range(count)]
+
+
+@pytest.mark.parametrize("name, orders", [
+    *((name, lambda n: _all_weak_orders(n, n)) for name in ("a1", "a2", "a3", "b2")),
+    # 8 elements have 545835 weak orders: every one with at most two ranks
+    # (each up-set alone), and a seeded sample of the others
+    ("a1xb2", lambda n: _all_weak_orders(n, 2) + _sampled_weak_orders(n, 1000, 8)),
+], ids=["a1", "a2", "a3", "b2", "a1xb2"])
+def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
+    # For a weak order W with ranks 0..r-1 and every clamp [low, high] of
+    # them, the OR of scan_fails over the up-sets in W[low:high] gives the
+    # verdicts of the literal scans on W's ranks clamped to [low, high].
+    alg = load_named(name)
+    keys = fuzzy._SCAN_KEYS
+    mp = keys.index(("filter", "mp"))
+    filter_bits = sum(1 << i for i, (kind, _) in enumerate(keys) if kind == "filter")
+    per_cut, slices = {}, 0
+    for order in orders(alg.n):
+        r = len(order) + 1
+        literal = FuzzyWitnesses(alg, r, grid_map(order, range(r), alg.n))
+        for low in range(r):
+            for high in range(low, r):
+                bits = 0
+                for up in order[low:high]:
+                    if up not in per_cut:
+                        per_cut[up] = scan_fails(alg, up)
+                    bits |= per_cut[up]
+                want = sum(1 << i for i, (kind, route) in enumerate(keys)
+                           if literal.witness((kind, low, high, route)) is not None)
+                if want >> mp & 1:  # every other kind then fails with its conjunct
+                    want &= filter_bits
+                assert conjunct_masked(bits) == want, (order, low, high)
+                slices += 1
+    assert slices > len(per_cut) > 0
 
 
 def test_enumeration_budget(a1):

@@ -107,6 +107,15 @@ def test_off_grid_interval_rejected(a1):
         epsilon_soft(mu, ParameterInterval(F(0), F(1, 3)))
 
 
+def test_interval_endpoints_are_fractions():
+    # float endpoints are read exactly, as FuzzySet reads its values
+    iv = ParameterInterval(0.25, 0.5)
+    assert (iv.lo, iv.hi) == (F(1, 4), F(1, 2)) and type(iv.lo) is type(iv.hi) is F
+    assert iv.numerators(4) == (1, 2)
+    with pytest.raises(ValueError, match=r"^interval \(1/3,1\] is not aligned to the 1/4 grid$"):
+        ParameterInterval(F(1, 3), F(1)).numerators(4)
+
+
 def test_classify_soft_boolean_example(a1):
     mu = FuzzySet.from_mapping(a1, 4, {"1": 1, "b": F(3, 4), "a": F(3, 4), "0": F(1, 4)})
     soft = epsilon_soft(mu, FULL)

@@ -1,11 +1,13 @@
 import copy
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from softmtl import algebra, fixtures, fuzzy
-from softmtl.algebra import AlgebraError, load_algebra, validate_mtl
+from products import load_named
+from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import (FULL, LOWER, ParameterInterval, build_soft, classify_soft,
@@ -40,6 +42,18 @@ def test_catalog_key_entries():
     # each filter kind gets the same seven-slot grid
     for kind in ("filter", "boolean", "mv", "g"):
         assert sum(1 for s in specs_of_kind(kind)) == 7
+
+
+def test_catalog_is_not_shared_with_callers():
+    specs = catalog()
+    first = list(specs)
+    specs.reverse()
+    specs.append(TheoremSpec("bogus", "in", FULL, "filter", "eiq"))
+    del specs[0]
+    assert catalog() == first and len(first) == 31
+    with pytest.raises(AttributeError):
+        first[0].id = "bogus"  # the specs themselves are frozen
+    assert first[0].id == "T3.3"
 
 
 def specs_of_kind(kind):
@@ -262,12 +276,34 @@ def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
         assert reports[0].mode == ("sampled" if budget else "exhaustive")
         runs.append(list(calls))
     for scans in runs:
-        # a run scans each weak order (given by its ranks) at most once per
-        # scan, whatever the bounds, and 4 elements have 75 weak orders
+        # a run scans each up-set (given by its 0/1 indicator) at most once
+        # per scan, whatever the bounds, and 4 elements have 14 up-sets that
+        # are neither empty nor the whole carrier
         assert 0 < len(scans) == len(set(scans))
-        assert len({c for _, c in scans}) <= 75
-    # the weak orders met, and so the scans run, are the same on a finer grid
+        indicators = {c for _, c in scans}
+        assert len(indicators) <= 14 and all(set(c) == {0, 1} for c in indicators)
+    # the up-sets met, and so the scans run, are the same on a finer grid
     assert set(runs[0]) == set(runs[1])
+
+
+def test_a_run_keeps_only_cut_classifications_on_the_algebra():
+    # a sample on a large carrier meets new up-sets and weak orders almost every draw
+    alg = load_named("a3xa1")
+    for name, attr in vars(type(alg.tables)).items():
+        if isinstance(attr, functools.cached_property):
+            getattr(alg.tables, name)  # the law tables, built once per algebra
+    require_mtl(alg)
+    before = dict(vars(alg.tables))
+    sizes = {name: len(value) for name, value in before.items() if isinstance(value, dict)}
+    assert verify_all(alg, 4, budget=2000, seed=0)[0].mode == "sampled"
+    after = vars(alg.tables)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    grown = {name for name, size in sizes.items() if len(after[name]) != size}
+    # the memos of failing_kinds and of the classify_filter it calls, by cut
+    assert grown == {"failing_kinds", "classifications"}
+    assert after["failing_kinds"].keys() == after["classifications"].keys()
+    assert all(0 < cut < 1 << alg.n for cut in after["failing_kinds"])
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
