@@ -153,11 +153,6 @@ class AxiomReport:
         }
 
 
-def negation(alg: FiniteMtlAlgebra, x: int) -> int:
-    """x' = x -> bottom."""
-    return alg.res[x][alg.bottom]
-
-
 def _index(idx: dict[str, int], label, where: str) -> int:
     try:
         return idx[label]

@@ -33,9 +33,11 @@ def _parse_mu(alg, den, text):
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"bad membership entry {item!r}; expected label=value")
-        lab, val = item.split("=", 1)
+        lab, val = (part.strip() for part in item.split("=", 1))
+        if lab in mapping:
+            raise ValueError(f"repeated membership entry for element {lab!r}")
         try:
-            mapping[lab.strip()] = Fraction(val.strip())
+            mapping[lab] = Fraction(val)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad membership value {val!r}") from None
     return fuzzy.FuzzySet.from_mapping(alg, den, mapping)
@@ -121,6 +123,9 @@ def cmd_fuzzy_check(args):
     if args.family == "thresholds":
         iv = soft.ParameterInterval.parse(args.interval or "")
         alpha, beta = iv.lo, iv.hi
+    elif args.interval is not None:
+        raise ValueError(f"--interval is only meaningful for --family thresholds, "
+                         f"not {args.family}")
     witness = fuzzy.check_fuzzy_witness(mu, args.family, args.kind, args.route, alpha, beta)
     ok = witness is None
     doc = {"mu": mu.to_doc(), "family": args.family, "kind": args.kind,

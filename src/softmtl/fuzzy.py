@@ -29,17 +29,6 @@ ONE = Fraction(1)
 
 FAMILIES = ("plain", "eiq", "bar", "thresholds")
 
-MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
-
-
-class BudgetError(ValueError):
-    """Search space larger than the configured enumeration budget."""
-
-
-def grid(den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(k, den) for k in range(den + 1))
-
-
 def on_grid(value: Fraction, den: int) -> bool:
     return ZERO <= value <= ONE and (value * den).denominator == 1
 
@@ -76,6 +65,9 @@ class FuzzySet:
 
     @classmethod
     def from_mapping(cls, alg, den, mapping) -> "FuzzySet":
+        for lab in mapping:
+            if lab not in alg.labels:
+                raise ValueError(f"membership value for unknown element {lab!r}")
         vals = []
         for lab in alg.labels:
             if lab not in mapping:
@@ -90,33 +82,6 @@ class FuzzySet:
     @classmethod
     def characteristic(cls, alg, den, mask: int) -> "FuzzySet":
         return cls(alg, den, tuple(ONE if mask >> i & 1 else ZERO for i in range(alg.n)))
-
-
-@dataclass(frozen=True)
-class MembershipQuery:
-    x: int
-    level: Fraction
-    mode: str = "in"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown membership mode {self.mode!r}")
-        if not ZERO < self.level <= ONE:
-            raise ValueError("membership level must lie in (0, 1]")
-
-
-def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
-    """Exact fuzzy-point membership: x_t in mu, x_t q mu, and negations."""
-    belongs = mu.values[query.x] >= query.level
-    coincides = mu.values[query.x] + query.level > ONE
-    return {
-        "in": belongs,
-        "q": coincides,
-        "in-or-q": belongs or coincides,
-        "not-in": not belongs,
-        "not-q": not coincides,
-        "not-in-or-not-q": not belongs or not coincides,
-    }[query.mode]
 
 
 # --- inequality scans on numerators; each returns the first violating tuple or None ---
@@ -217,9 +182,6 @@ def _conjoined(kind: str) -> bool:
     """True when the variants of ``kind`` have the :data:`_CONJUNCT` scan as a conjunct."""
     return kind != _CONJUNCT[0]
 
-
-_UNCONJOINED_BITS = sum(1 << i for i, key in enumerate(_SCAN_KEYS) if not _conjoined(key[0]))
-
 # the equivalent formulations of the plain family; the first is the default
 PLAIN_ROUTES = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction")}
 
@@ -293,10 +255,6 @@ class FuzzyWitnesses:
                 return w
         if route == "all":
             return self._agreed(kind, lo, hi)
-        return self._violation(kind, lo, hi, route)
-
-    def _violation(self, kind, lo, hi, route):
-        """The first violation found by one scan of the map clamped to [lo, hi]."""
         return _SCANS[kind, route](self.alg, _clamp(self.nums, lo, hi))
 
     def _agreed(self, kind, lo, hi):
@@ -307,28 +265,6 @@ class FuzzyWitnesses:
             mu = FuzzySet.from_nums(self.alg, self.den, self.nums)
             raise AlgebraError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
         return next((w for w in results.values() if w is not None), None)
-
-
-class FuzzyVerdicts(FuzzyWitnesses):
-    """Each variant's verdict on one grid map, read off the map's scan-fail bits.
-
-    ``fails`` is the OR of :func:`scan_fails` over the chain of up-sets
-    of the map clamped to the bounds that every requested key carries,
-    through :func:`conjunct_masked`.  A failing variant's witness is True
-    instead of a tuple.  As in :class:`FuzzyWitnesses`, ``route="all"``
-    raises, naming the map, if the formulations disagree.
-    """
-
-    __slots__ = ("fails",)
-
-    def __init__(self, alg: FiniteMtlAlgebra, den: int, nums: tuple[int, ...], fails: int):
-        super().__init__(alg, den, nums)
-        self.fails = fails
-
-    def _violation(self, kind, lo, hi, route):
-        # scan_fails leaves a conjoined scan unrun, its bit 0, when the conjunct fails
-        assert not (_conjoined(kind) and self.fails & _CONJUNCT_BIT), "scan not run"
-        return True if self.fails >> _SCAN_KEYS.index((kind, route)) & 1 else None
 
 
 def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
@@ -349,9 +285,27 @@ def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
     return bits
 
 
-def conjunct_masked(bits: int) -> int:
-    """The scan-fail bits, the conjoined ones cleared if the conjunct fails (none read them)."""
-    return bits & _UNCONJOINED_BITS if bits & _CONJUNCT_BIT else bits
+def scan_masks(kind: str, route: str) -> tuple[int, int]:
+    """The (fail, agree) masks of a variant over the bits of :func:`scan_fails`.
+
+    ``route`` is resolved (:func:`resolve_route`).  ``agree`` holds the
+    bits of its scans, every formulation's for "all", and ``fail`` holds
+    them plus the :data:`_CONJUNCT` bit when the kind is conjoined.  On
+    the bits OR'd over a map's chain of up-sets, the variant fails iff
+    ``bits & fail``, unless its formulations :func:`disagree`.
+    """
+    routes = PLAIN_ROUTES[kind] if route == "all" else (route,)
+    agree = sum(1 << _SCAN_KEYS.index((kind, r)) for r in routes)
+    return agree | (_CONJUNCT_BIT if _conjoined(kind) else 0), agree
+
+
+def disagree(bits: int, fail: int, agree: int) -> bool:
+    """True iff the formulations of a ``route="all"`` variant disagree on the OR'd bits.
+
+    They are compared only when the conjunct, if any, passes, as
+    :class:`FuzzyWitnesses` does; otherwise their scans were not run.
+    """
+    return not bits & fail & ~agree and bits & agree not in (0, agree)
 
 
 def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "default",
@@ -371,11 +325,6 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
     lo, hi = family_bounds(family, mu.den, alpha, beta)
     key = (kind, lo, hi, resolve_route(family, kind, route))
     return FuzzyWitnesses(mu.alg, mu.den, mu.nums).witness(key)
-
-
-def check_fuzzy(mu: FuzzySet, family: str, kind: str, route: str = "default",
-                alpha=None, beta=None) -> bool:
-    return check_fuzzy_witness(mu, family, kind, route, alpha, beta) is None
 
 
 def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:
@@ -450,12 +399,3 @@ def sample_grid_maps(n: int, den: int, count: int, seed: int):
     ks = range(den + 1)
     for _ in range(count):
         yield tuple([rng.choice(ks) for _ in range(n)])
-
-
-def enumerate_fuzzy_sets(alg: FiniteMtlAlgebra, den: int, budget: int | None = None):
-    """Lexicographic stream of every total grid map (constant-0 first)."""
-    total = count_fuzzy_sets(alg, den)
-    if budget is not None and total > budget:
-        raise BudgetError(f"{total} fuzzy sets exceed the budget of {budget}")
-    for nums in grid_maps(alg.n, den):
-        yield FuzzySet.from_nums(alg, den, nums)

@@ -122,16 +122,6 @@ def build_soft(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
     return SoftSet(mu.alg, interval, kind, mu.den, levels)
 
 
-def epsilon_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
-    """t -> {x : mu(x) >= t}; levels shrink as t grows."""
-    return build_soft(mu, interval, "in")
-
-
-def q_soft(mu: FuzzySet, interval: ParameterInterval = FULL) -> SoftSet:
-    """t -> {x : mu(x) + t > 1}; levels grow as t grows."""
-    return build_soft(mu, interval, "q")
-
-
 def classify_soft(soft: SoftSet, kind: str = "filter"):
     """True iff every level set is a filter of the requested kind.
 

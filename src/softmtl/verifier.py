@@ -40,29 +40,36 @@ U holds Q but not p.  A scan added later must keep that shape (one that
 fails on a constant map, or asks c[a] < c[b] < c[d], does not).
 
 So a run keeps :func:`softmtl.fuzzy.scan_fails` per up-set, at most 2^n
-of them, and a map's scan verdicts are the OR over its chain, read
-through :func:`softmtl.fuzzy.conjunct_masked`.  As V increases, c[x] =
-lo for the ranks W[x] <= low that lie at or below lo, c[x] = hi for the
-ranks W[x] >= high that lie at or above hi, and c[x] = V[W[x]], strictly
-between them, for the ranks in between.  So the weak order of c is W
-with the ranks <= low merged and the ranks >= high merged, and its
-chain of up-sets is the slice (U_low+1, ..., U_high) of W's chain
-(empty when low >= high: c is constant).  The slice names neither D,
+of them, and a map's scan verdicts are the OR over its chain.  Each
+fuzzy check reads its verdict straight off those bits through two masks
+(:func:`softmtl.fuzzy.scan_masks`): it fails iff the bits meet its fail
+mask.  As V increases, c[x] = lo for the ranks W[x] <= low that lie at
+or below lo, c[x] = hi for the ranks W[x] >= high that lie at or above
+hi, and c[x] = V[W[x]], strictly between them, for the ranks in
+between.  So the weak order of c is W with the ranks <= low merged and
+the ranks >= high merged, and its chain of up-sets is the slice
+(U_low+1, ..., U_high) of W's chain (empty when low >= high: c is
+constant).  The slice names neither D,
 nor the bounds, nor the values, so each W ORs a slice once, whatever
 bounds its checks carry.  Nothing is kept on the algebra: the memos
 live as long as the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
-the relation checks that fail.  A map is a counterexample to some check
-only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
+the relation checks that fail.  F has one extra bit, counted as a
+biconditional and never in S: it is set when the formulations of a
+``route="all"`` check disagree by its agree mask
+(:func:`softmtl.fuzzy.disagree`).  A map is a counterexample to some
+check only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
 biconditionals.  Such maps are sorted lexicographically, and only then
 are their checks run one by one and their witnesses recorded, so every
 report is the same as that of a pass that runs each check on each map
 in lexicographic order.  A sample splits each drawn map into (W, V),
-takes the same decision, and records in the order drawn.  If the
-formulations of a ``route="all"`` check disagree, an exhaustive run
-raises for the lexicographically first map on which they do.
+takes the same decision, and records in the order drawn.  A map whose
+formulations disagree is thus recorded like a counterexample, and
+recording it runs the literal check, which raises and names the map: in
+an exhaustive run the lexicographically first such map, in a sample the
+first drawn, with no second pass.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -78,11 +85,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import filters
-from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
+from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (ONE, FuzzySet, FuzzyVerdicts, FuzzyWitnesses, conjunct_masked,
-                    count_fuzzy_sets, family_bounds, grid_map, grid_maps, resolve_route,
-                    sample_grid_maps, scan_fails, split_map, value_masks, weak_orders)
+from .fuzzy import (ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, family_bounds,
+                    grid_map, grid_maps, resolve_route, sample_grid_maps, scan_fails,
+                    scan_masks, split_map, value_masks, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
                    build_soft, classify_soft, cut_index)
 
@@ -286,16 +293,19 @@ class _Pass:
     """
 
     def __init__(self, alg, den, checks):
-        self.alg, self.den, self.checks = alg, den, checks
+        self.alg, self.checks = alg, checks
         # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
         self.lane = den + 1
         self.spread = [sum(1 << i * self.lane for i in range(len(KINDS)) if kinds >> i & 1)
                        for kinds in range(1 << len(KINDS))]
-        self.iff = sum(1 << b for b, check in enumerate(checks) if check.iff)
+        # an extra fail bit, counted as an iff check, flags formulations that disagree
+        self.disagree_bit = 1 << len(checks)
+        self.iff = self.disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff)
         bounds = {}
         for b, check in enumerate(checks):
             if check.fuzzy is not None:
-                bounds.setdefault(check.fuzzy[1:3], []).append((b, check.fuzzy))
+                kind, lo, hi, route = check.fuzzy
+                bounds.setdefault((lo, hi), []).append((1 << b, *scan_masks(kind, route)))
         self.bounds = list(bounds)
         # per bounds: its checks, and scan-fail bits -> fail bits of those checks
         self.groups = [(members, {}) for members in bounds.values()]
@@ -332,13 +342,13 @@ class _Pass:
     def decide(self, w, v):
         """The packed failing cut indices if the map is a counterexample to a check, else None."""
         order, fails, fuzzy, windows = w
-        vals, spans, clamp, clamps = v
+        _, spans, clamp, clamps = v
         bad = 0
         for i, lanes in fails:
             bad |= spans[i] * lanes
         fail = fuzzy.get(clamp)
         if fail is None:
-            fail = fuzzy[clamp] = self._fuzzy(order, vals, clamps, windows)
+            fail = fuzzy[clamp] = self._fuzzy(order, clamps, windows)
         masks = self.soft.get(bad)
         if masks is None:
             masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
@@ -347,8 +357,8 @@ class _Pass:
             return bad
         return None
 
-    def _fuzzy(self, order, vals, clamps, windows):
-        """Bits of the fuzzy checks whose predicate fails on the map."""
+    def _fuzzy(self, order, clamps, windows):
+        """Bits of the fuzzy checks whose predicate fails on the map, and the disagree bit."""
         alg, cuts = self.alg, self.cuts
         fail = 0
         for window, (members, table) in zip(clamps, self.groups):
@@ -360,23 +370,18 @@ class _Pass:
                     if bits is None:
                         bits = cuts[up] = scan_fails(alg, up)
                     scans |= bits
-                scans = windows[window] = conjunct_masked(scans)
+                windows[window] = scans
             bits = table.get(scans)
             if bits is None:
-                verdicts = FuzzyVerdicts(alg, self.den, grid_map(order, vals, alg.n), scans)
-                bits = table[scans] = sum(1 << b for b, key in members
-                                          if verdicts.witness(key) is not None)
+                bits = 0
+                for bit, fails, agree in members:
+                    if scans & fails:
+                        bits |= bit
+                    if disagree(scans, fails, agree):
+                        bits |= self.disagree_bit
+                table[scans] = bits
             fail |= bits
         return fail
-
-
-def _raise_first_disagreement(alg, den, checks) -> None:
-    """Raise the AlgebraError of the lexicographically first map whose formulations disagree."""
-    keys = [check.fuzzy for check in checks if check.fuzzy is not None]
-    for nums in grid_maps(alg.n, den):
-        fuzzy = FuzzyWitnesses(alg, den, nums)
-        for key in keys:
-            fuzzy.witness(key)
 
 
 def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
@@ -399,20 +404,15 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
                 found.append((nums, bad))
     else:
         decide = run.decide
-        try:
-            for r in range(1, min(n, den + 1) + 1):
-                vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-                for order in weak_orders(n, r):
-                    w = run.weak(order)
-                    checked += len(vs)
-                    for v in vs:
-                        bad = decide(w, v)
-                        if bad is not None:
-                            found.append((grid_map(order, v[0], n), bad))
-        except AlgebraError:
-            # formulations disagree on some map; name the first one, as a lexicographic pass does
-            _raise_first_disagreement(alg, den, checks)
-            raise
+        for r in range(1, min(n, den + 1) + 1):
+            vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+            for order in weak_orders(n, r):
+                w = run.weak(order)
+                checked += len(vs)
+                for v in vs:
+                    bad = decide(w, v)
+                    if bad is not None:
+                        found.append((grid_map(order, v[0], n), bad))
         found.sort()  # the lexicographic order of the maps
     for nums, bad in found:
         _record(alg, den, nums, checks, _by_kind(bad, run.lane))

@@ -1,0 +1,236 @@
+"""A literal reference checker for the theorem catalog, in Fractions.
+
+It shares no decision code with ``softmtl``.  Of an algebra it reads only
+the operation tables ``prod``, ``res``, ``leq`` and ``join`` and the
+elements ``top`` and ``bottom`` (``labels`` only to name elements), and
+none of its derived tables, fuzzy scans or filter classifiers:
+
+- each fuzzy filter condition is the paper's inequality
+  mu(p) >= min(mu(q), ...), and a family with thresholds (lo, hi) reads it
+  as max(mu(p), lo) >= min(mu(q), ..., hi);
+- each soft level at a representative t = j/D of (lo, hi] is
+  {x : x_t in mu} or {x : x_t q mu}, read through :func:`evaluate`;
+- each crisp filter kind is decided from its definition.
+
+A sample is drawn with ``softmtl.fuzzy.sample_grid_maps``, which decides
+nothing, so that a sampled run meets the same maps as ``verify``.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from softmtl.fuzzy import FuzzySet, sample_grid_maps
+
+ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+
+MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
+
+
+@dataclass(frozen=True)
+class MembershipQuery:
+    x: int
+    level: Fraction
+    mode: str = "in"
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown membership mode {self.mode!r}")
+        if not ZERO < self.level <= ONE:
+            raise ValueError("membership level must lie in (0, 1]")
+
+
+def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
+    """Exact fuzzy-point membership: x_t in mu, x_t q mu, and negations."""
+    belongs = mu.values[query.x] >= query.level
+    coincides = mu.values[query.x] + query.level > ONE
+    return {
+        "in": belongs,
+        "q": coincides,
+        "in-or-q": belongs or coincides,
+        "not-in": not belongs,
+        "not-q": not coincides,
+        "not-in-or-not-q": not belongs or not coincides,
+    }[query.mode]
+
+
+# --- fuzzy side ----------------------------------------------------------------
+
+BOUNDS = {"plain": (ZERO, ONE), "eiq": (ZERO, HALF), "bar": (HALF, ONE)}
+
+# The formulations of each kind in the plain family, the default first, and
+# the one formulation of each kind in every other family.
+PLAIN_FORMS = {"filter": ("product", "mp"), "boolean": ("complement", "chain", "contraction"),
+               "mv": ("mv",), "g": ("g",)}
+OTHER_FORMS = {"filter": "mp", "boolean": "chain", "mv": "mv", "g": "g"}
+
+
+def conditions(alg, form):
+    """Every instance of one formulation, in lexicographic order of its variables.
+
+    An instance is (name, variables, p, qs) and reads
+    mu(p) >= min(mu(q) for q in qs).
+    """
+    e, prod, res, leq, join = range(alg.n), alg.prod, alg.res, alg.leq, alg.join
+    neg = [res[x][alg.bottom] for x in e]
+    if form == "mp":
+        for x in e:  # mu(1) >= mu(x)
+            yield "unit", (x,), alg.top, (x,)
+        for x, y in itertools.product(e, e):  # mu(y) >= min(mu(x -> y), mu(x))
+            yield "mp", (x, y), y, (res[x][y], x)
+    elif form == "product":
+        for x, y in itertools.product(e, e):
+            yield "product", (x, y), prod[x][y], (x, y)  # mu(x . y) >= min(mu(x), mu(y))
+            if leq[x][y]:
+                yield "order", (x, y), y, (x,)  # x <= y implies mu(y) >= mu(x)
+    elif form == "complement":
+        for x in e:  # mu(x v x') >= mu(1)
+            yield "complement", (x,), join[x][neg[x]], (alg.top,)
+    elif form == "chain":
+        for x, y, z in itertools.product(e, e, e):
+            # mu(x -> z) >= min(mu(x -> (z' -> y)), mu(y -> z))
+            yield "chain", (x, y, z), res[x][z], (res[x][res[neg[z]][y]], res[y][z])
+    elif form == "contraction":
+        for x, y in itertools.product(e, e):  # mu(x) >= mu((x -> y) -> x)
+            yield "contraction", (x, y), x, (res[res[x][y]][x],)
+    elif form == "mv":
+        for x, y in itertools.product(e, e):  # mu(((y -> x) -> x) -> y) >= mu(x -> y)
+            yield "mv", (x, y), res[res[res[y][x]][x]][y], (res[x][y],)
+    elif form == "g":
+        for x, y in itertools.product(e, e):  # mu(x -> y) >= mu(x . x -> y)
+            yield "g", (x, y), res[x][y], (res[prod[x][x]][y],)
+    else:
+        raise ValueError(f"unknown formulation {form!r}")
+
+
+@functools.lru_cache(maxsize=1024)  # the conjunct recurs within a map
+def violation(alg, values, form, lo, hi):
+    """The first instance of the formulation where max(mu(p), lo) >= min(mu(qs), hi) fails."""
+    for name, xs, p, qs in conditions(alg, form):
+        if max(values[p], lo) < min(*(values[q] for q in qs), hi):
+            return (name, *(alg.labels[x] for x in xs))
+    return None
+
+
+def fuzzy_witness(alg, values, kind, lo, hi, forms):
+    """The first violated instance of a fuzzy filter kind under thresholds (lo, hi), or None.
+
+    Every kind other than "filter" has the filter condition (unit and
+    modus ponens) as a conjunct.  With several formulations, they must
+    agree.
+    """
+    if kind != "filter":
+        w = violation(alg, values, "mp", lo, hi)
+        if w is not None:
+            return w
+    found = [violation(alg, values, form, lo, hi) for form in forms]
+    if len({w is None for w in found}) > 1:
+        raise AssertionError(f"{kind} formulations {forms} disagree on {values}: {found}")
+    return next((w for w in found if w is not None), None)
+
+
+def forms_of(family, kind, route="default"):
+    """The formulations a spec's family, kind and route name."""
+    if family != "plain":
+        return (OTHER_FORMS[kind],)
+    if route == "all":
+        return PLAIN_FORMS[kind]
+    return (PLAIN_FORMS[kind][0] if route == "default" else route,)
+
+
+# --- crisp and soft side -------------------------------------------------------
+
+def filter_kinds(alg, s):
+    """The kinds of filter the non-empty subset s is, each by its definition."""
+    e, prod, res, leq, join = range(alg.n), alg.prod, alg.res, alg.leq, alg.join
+    closed = all(prod[x][y] in s for x in s for y in s)
+    upward = all(y in s for x in s for y in e if leq[x][y])
+    if not (closed and upward):
+        return frozenset()
+    kinds = {"filter"}
+    if all(join[x][res[x][alg.bottom]] in s for x in e):  # x v x' in F
+        kinds.add("boolean")
+    pairs = list(itertools.product(e, e))
+    if all(res[res[res[y][x]][x]][y] in s for x, y in pairs if res[x][y] in s):
+        kinds.add("mv")  # x -> y in F implies ((y -> x) -> x) -> y in F
+    if all(res[x][y] in s for x, y in pairs if res[prod[x][x]][y] in s):
+        kinds.add("g")  # x . x -> y in F implies x -> y in F
+    return frozenset(kinds)
+
+
+def level(mu, soft_kind, t):
+    """The level at t of a soft set of mu: {x : x_t in mu} or {x : x_t q mu}."""
+    return frozenset(x for x in range(mu.alg.n) if evaluate(mu, MembershipQuery(x, t, soft_kind)))
+
+
+def thresholds(den):
+    """The (alpha, beta] that a generic-interval theorem is checked at on the 1/den grid."""
+    return (HALF, ONE) if den == 2 else (Fraction(1, den), Fraction(den - 1, den))
+
+
+def literal_reports(alg, specs, den, budget=None, seed=0, interval=None):
+    """What ``verify`` reports on each spec, as stated: the mode, the count checked,
+    the verdict and the ordered (mu, direction) list of its counterexamples."""
+    if budget is not None and (den + 1) ** alg.n > budget:
+        maps, mode = sample_grid_maps(alg.n, den, budget, seed), "sampled"
+    else:
+        maps, mode = itertools.product(range(den + 1), repeat=alg.n), "exhaustive"
+    ts = [Fraction(j, den) for j in range(1, den + 1)]  # the representatives of (0, 1]
+    softs, variants, plans = {}, {}, []  # soft sets and fuzzy variants, each met once per map
+    for spec in specs:
+        iv = interval or spec.interval
+        lo, hi = (iv.lo, iv.hi) if iv is not None else thresholds(den)
+        within = tuple(i for i, t in enumerate(ts) if lo < t <= hi)
+        soft = softs.setdefault((spec.soft_kind, within), len(softs))
+        variant = None
+        if not spec.relation:
+            flo, fhi = (lo, hi) if spec.family == "thresholds" else BOUNDS[spec.family]
+            forms = forms_of(spec.family, spec.filter_kind, spec.route)
+            variant = variants.setdefault((spec.filter_kind, flo, fhi, forms), len(variants))
+        plans.append((spec, soft, variant))
+    kinds_of = {}  # level -> the kinds of filter it is
+    found = {spec.id: [] for spec in specs}
+    checked = 0
+    for nums in maps:
+        checked += 1
+        mu = FuzzySet.from_nums(alg, den, nums)
+        at = {}  # (soft kind, index of t) -> the level there
+        every = []  # per soft set: the kinds of filter every non-empty level is
+        for soft_kind, within in softs:
+            kinds = frozenset(PLAIN_FORMS)  # every kind, until a level fails one
+            for i in within:
+                if (soft_kind, i) not in at:
+                    at[soft_kind, i] = level(mu, soft_kind, ts[i])
+                cut = at[soft_kind, i]
+                if cut:
+                    if cut not in kinds_of:
+                        kinds_of[cut] = filter_kinds(alg, cut)
+                    kinds &= kinds_of[cut]
+            every.append(kinds)
+        fuzzy = [fuzzy_witness(alg, mu.values, *variant) is None for variant in variants]
+        for spec, soft, variant in plans:
+            iff = spec.direction == "iff"
+            if variant is None:
+                lhs, rhs = spec.relation
+                holds, rhs_hold = lhs in every[soft], all(k in every[soft] for k in rhs)
+                if holds and not rhs_hold:
+                    direction = "forward"
+                elif not holds and rhs_hold and iff:
+                    direction = "converse"
+                else:
+                    continue
+            else:
+                holds = spec.filter_kind in every[soft]
+                if fuzzy[variant] and not holds:
+                    direction = "fuzzy=>soft"
+                elif not fuzzy[variant] and holds and iff:
+                    direction = "soft=>fuzzy"
+                else:
+                    continue
+            found[spec.id].append((mu.to_doc(), direction))
+    return [{"theorem": spec.id, "mode": mode, "checked": checked,
+             "confirmed": not found[spec.id], "counterexamples": found[spec.id]}
+            for spec in specs]

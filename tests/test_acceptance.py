@@ -14,8 +14,8 @@ from softmtl.algebra import check_derived_laws, load_algebra, validate_mtl
 from softmtl.filters import (classify_filter, crisp_decomposition_check,
                              enumerate_filters, labels_of, mask_of)
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-from softmtl.fuzzy import FuzzySet, check_fuzzy, enumerate_fuzzy_sets, grid
-from softmtl.soft import FULL, epsilon_soft, q_soft
+from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_maps
+from softmtl.soft import FULL, build_soft
 from softmtl.verifier import (catalog_by_id, find_strictness_witness, verify,
                               verify_all)
 
@@ -75,15 +75,17 @@ def test_criterion_3_route_agreement():
         for name in ("a1", "a2"):
             alg = load_fixture(name)
             checked = filters_seen = 0
-            for mu in enumerate_fuzzy_sets(alg, 4):
+            for nums in grid_maps(alg.n, 4):
+                mu = FuzzySet.from_nums(alg, 4, nums)
+                holds = lambda kind, route: check_fuzzy_witness(mu, "plain", kind, route) is None
                 checked += 1
-                direct = check_fuzzy(mu, "plain", "filter", "product")
-                assert direct == check_fuzzy(mu, "plain", "filter", "mp")
+                direct = holds("filter", "product")
+                assert direct == holds("filter", "mp")
                 if direct:
                     filters_seen += 1
-                    a = check_fuzzy(mu, "plain", "boolean", "complement")
-                    assert a == check_fuzzy(mu, "plain", "boolean", "chain")
-                    assert a == check_fuzzy(mu, "plain", "boolean", "contraction")
+                    a = holds("boolean", "complement")
+                    assert a == holds("boolean", "chain")
+                    assert a == holds("boolean", "contraction")
             assert checked == 625 and filters_seen > 0
     ok(3, f"route agreement ({t.elapsed:.2f}s)")
 
@@ -122,12 +124,12 @@ def test_criterion_6_strictness_witnesses():
 def test_criterion_7_level_set_completeness(name, den):
     alg = load_fixture(name)
     rng = random.Random(2024)
-    pts = grid(den)
+    pts = [F(k, den) for k in range(den + 1)]
     for _ in range(1000):
         mu = FuzzySet(alg, den, tuple(rng.choice(pts) for _ in range(alg.n)))
         t = F(2 * rng.randint(0, den - 1) + 1, 2 * den)  # off-grid threshold in (0,1]
         direct_eps = sum(1 << x for x in range(alg.n) if mu.values[x] >= t)
         direct_q = sum(1 << x for x in range(alg.n) if mu.values[x] + t > 1)
-        assert epsilon_soft(mu, FULL).level_at(t) == direct_eps
-        assert q_soft(mu, FULL).level_at(t) == direct_q
+        assert build_soft(mu, FULL, "in").level_at(t) == direct_eps
+        assert build_soft(mu, FULL, "q").level_at(t) == direct_q
     ok(7, f"level-set completeness on {name}")

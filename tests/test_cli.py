@@ -85,6 +85,12 @@ def test_fuzzy_check_and_exit_codes(capsys):
 def test_fuzzy_check_bad_value(capsys):
     code, _, err = run(capsys, "fuzzy-check", "a1", "--mu", "0=1/3,a=0,b=0,1=1")
     assert code == 2
+    for command in ("fuzzy-check", "soft-build"):
+        for mu, fragment in (("0=0,a=0,b=0,1=1,zz=1/2", "unknown element 'zz'"),
+                             ("0=0,a=0,b=0,1=1,1=0", "repeated membership entry for element '1'")):
+            code, out, err = run(capsys, command, "a1", "--mu", mu)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
 
 
 def test_soft_build(capsys):
@@ -185,6 +191,16 @@ def test_interval_only_on_generic_theorems(capsys):
     assert err.count("\n") == 1 and "T3.12" in err
     code, out, _ = run(capsys, "verify", "a1", "T3.12", "--interval", "1/4,1/2")
     assert code == 0 and "confirmed" in out
+
+
+def test_fuzzy_check_interval_only_for_thresholds(capsys):
+    code, out, err = run(capsys, "fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1",
+                         "--family", "plain", "--interval", "1/4,3/4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "thresholds" in err
+    code, out, _ = run(capsys, "fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1",
+                       "--family", "thresholds", "--interval", "1/4,3/4")
+    assert code == 0 and "HOLDS" in out
 
 
 @pytest.mark.parametrize("interval", ["1/3,2/3", "1/3,1/2", "0,1"])

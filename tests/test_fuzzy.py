@@ -7,18 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from products import load_named
+from reference import MembershipQuery, evaluate, forms_of, fuzzy_witness
 from softmtl import fuzzy
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
-from softmtl.fuzzy import (BudgetError, FuzzySet, FuzzyWitnesses, MembershipQuery, check_fuzzy,
-                           check_fuzzy_witness, conjunct_masked, enumerate_fuzzy_sets, evaluate,
-                           grid_map, scan_fails, split_map, weak_orders)
+from softmtl.fuzzy import (FuzzySet, FuzzyWitnesses, check_fuzzy_witness, disagree, grid_map,
+                           grid_maps, scan_fails, scan_masks, split_map, weak_orders)
 
 F = Fraction
 
 
 def mk(alg, den, **vals):
     return FuzzySet.from_mapping(alg, den, {k.strip("_"): v for k, v in vals.items()})
+
+
+def check_fuzzy(mu, family, kind, route="default", alpha=None, beta=None):
+    return check_fuzzy_witness(mu, family, kind, route, alpha, beta) is None
+
+
+def every_set(alg, den):
+    return (FuzzySet.from_nums(alg, den, nums) for nums in grid_maps(alg.n, den))
 
 
 # ---- fuzzy-point membership -------------------------------------------------
@@ -102,7 +110,7 @@ def test_characteristic_function_bridge(name):
 def test_filter_route_agreement(name, den):
     # the product/order form and the unit/modus-ponens form always agree
     alg = load_fixture(name)
-    for mu in enumerate_fuzzy_sets(alg, den):
+    for mu in every_set(alg, den):
         assert check_fuzzy(mu, "plain", "filter", "product") == \
             check_fuzzy(mu, "plain", "filter", "mp")
 
@@ -111,7 +119,7 @@ def test_filter_route_agreement(name, den):
 def test_boolean_route_agreement_on_filters(name):
     alg = load_fixture(name)
     seen = 0
-    for mu in enumerate_fuzzy_sets(alg, 4):
+    for mu in every_set(alg, 4):
         if check_fuzzy(mu, "plain", "filter"):
             seen += 1
             a = check_fuzzy(mu, "plain", "boolean", "complement")
@@ -124,7 +132,7 @@ def test_boolean_route_agreement_on_filters(name):
 @pytest.mark.parametrize("name,den", [("a1", 4), ("a3", 2)])
 def test_plain_implies_relaxed_families(name, den):
     alg = load_fixture(name)
-    for mu in enumerate_fuzzy_sets(alg, den):
+    for mu in every_set(alg, den):
         if check_fuzzy(mu, "plain", "filter"):
             assert check_fuzzy(mu, "eiq", "filter")
             assert check_fuzzy(mu, "bar", "filter")
@@ -152,9 +160,9 @@ def test_invalid_routes_and_thresholds(a1):
 # ---- enumeration ------------------------------------------------------------
 
 def test_enumeration_counts(a1, a3, b2):
-    assert sum(1 for _ in enumerate_fuzzy_sets(a1, 4)) == 625
-    assert sum(1 for _ in enumerate_fuzzy_sets(a3, 2)) == 729
-    first = next(iter(enumerate_fuzzy_sets(b2, 2)))
+    assert sum(1 for _ in every_set(a1, 4)) == 625
+    assert sum(1 for _ in every_set(a3, 2)) == 729
+    first = next(every_set(b2, 2))
     assert first.values == (F(0), F(0))
 
 
@@ -190,13 +198,13 @@ def _sampled_weak_orders(n, count, seed):
 ], ids=["a1", "a2", "a3", "b2", "a1xb2"])
 def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
     # For a weak order W with ranks 0..r-1 and every clamp [low, high] of
-    # them, the OR of scan_fails over the up-sets in W[low:high] gives the
-    # verdicts of the literal scans on W's ranks clamped to [low, high].
+    # them, the OR of scan_fails over the up-sets in W[low:high], read
+    # through each variant's masks, gives the verdict of the literal
+    # variant on W's ranks clamped to [low, high], and no disagreement.
     alg = load_named(name)
-    keys = fuzzy._SCAN_KEYS
-    mp = keys.index(("filter", "mp"))
-    filter_bits = sum(1 << i for i, (kind, _) in enumerate(keys) if kind == "filter")
-    per_cut, slices = {}, 0
+    keys = (*fuzzy._SCAN_KEYS, ("filter", "all"), ("boolean", "all"))
+    masks = [scan_masks(*key) for key in keys]
+    per_cut, per_bits, slices = {}, {}, 0
     for order in orders(alg.n):
         r = len(order) + 1
         literal = FuzzyWitnesses(alg, r, grid_map(order, range(r), alg.n))
@@ -207,18 +215,14 @@ def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
                     if up not in per_cut:
                         per_cut[up] = scan_fails(alg, up)
                     bits |= per_cut[up]
-                want = sum(1 << i for i, (kind, route) in enumerate(keys)
-                           if literal.witness((kind, low, high, route)) is not None)
-                if want >> mp & 1:  # every other kind then fails with its conjunct
-                    want &= filter_bits
-                assert conjunct_masked(bits) == want, (order, low, high)
+                if bits not in per_bits:
+                    assert not any(disagree(bits, *m) for m in masks), bits
+                    per_bits[bits] = [bool(bits & fail) for fail, _ in masks]
+                want = [literal.witness((kind, low, high, route)) is not None
+                        for kind, route in keys]
+                assert per_bits[bits] == want, (order, low, high)
                 slices += 1
     assert slices > len(per_cut) > 0
-
-
-def test_enumeration_budget(a1):
-    with pytest.raises(BudgetError):
-        list(enumerate_fuzzy_sets(a1, 4, budget=100))
 
 
 def test_off_grid_value_rejected(a1):
@@ -239,28 +243,9 @@ def test_grid_closure_of_checks(nums):
         assert check_fuzzy(mu, "eiq", "filter") and check_fuzzy(mu, "bar", "filter")
 
 
-def _reference_witness(alg, v, kind, lo, hi):
-    """The filter, MV and G conditions written with Fraction max/min, as stated."""
-    res, prod, top, lab = alg.res, alg.prod, alg.top, alg.labels
-    for x in range(alg.n):
-        if max(v[top], lo) < min(v[x], hi):
-            return ("unit", lab[x])
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if max(v[y], lo) < min(v[res[x][y]], v[x], hi):
-                return ("mp", lab[x], lab[y])
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if kind == "mv" and max(v[res[res[res[y][x]][x]][y]], lo) < min(v[res[x][y]], hi):
-                return ("mv", lab[x], lab[y])
-            if kind == "g" and max(v[res[x][y]], lo) < min(v[res[prod[x][x]][y]], hi):
-                return ("g", lab[x], lab[y])
-    return None
-
-
 @settings(max_examples=300)
 @given(st.sampled_from(["a2", "a3"]), st.lists(st.integers(0, 4), min_size=6, max_size=6),
-       st.sampled_from(["filter", "mv", "g"]),
+       st.sampled_from(["filter", "boolean", "mv", "g"]),
        st.integers(1, 11), st.integers(1, 11))
 def test_threshold_kernels_match_fraction_reference(name, nums, kind, a, width):
     # thresholds on the finer 1/12 grid are mostly off the 1/4 grid of mu
@@ -268,4 +253,4 @@ def test_threshold_kernels_match_fraction_reference(name, nums, kind, a, width):
     alpha, beta = F(a, 12), F(min(a + width, 12), 12)
     mu = FuzzySet(alg, 4, tuple(F(k, 4) for k in nums[:alg.n]))
     assert check_fuzzy_witness(mu, "thresholds", kind, alpha=alpha, beta=beta) == \
-        _reference_witness(alg, mu.values, kind, alpha, beta)
+        fuzzy_witness(alg, mu.values, kind, alpha, beta, forms_of("thresholds", kind))

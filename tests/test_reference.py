@@ -1,0 +1,95 @@
+"""``verify`` against the literal Fraction checker of ``reference``, which shares no code
+with it."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from reference import BOUNDS, MembershipQuery, evaluate, forms_of, fuzzy_witness, literal_reports
+from softmtl import fuzzy
+from softmtl.algebra import load_algebra
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
+from softmtl.fuzzy import FuzzySet
+from softmtl.verifier import catalog, catalog_by_id, verify, verify_all
+from test_golden import FALSE_SPECS
+
+F = Fraction
+
+
+def as_checked(report):
+    """The parts of a report the reference decides: no witnesses."""
+    doc = report.to_doc()
+    return {"theorem": doc["theorem"], "mode": doc["mode"], "checked": doc["checked"],
+            "confirmed": doc["confirmed"],
+            "counterexamples": [(ce["mu"], ce["direction"]) for ce in doc["counterexamples"]]}
+
+
+@pytest.mark.parametrize("name, den, budget, seed", [
+    ("a1", 4, None, 0),   # every map
+    ("a3", 4, 200, 7),    # a seeded sample of the 5^6 maps
+], ids=["a1-exhaustive", "a3-sampled"])
+def test_catalog_matches_the_reference(name, den, budget, seed):
+    alg = load_algebra(FIXTURE_DOCS[name])
+    reports = [as_checked(rep) for rep in verify_all(alg, den, budget=budget, seed=seed)]
+    assert reports == literal_reports(alg, catalog(), den, budget=budget, seed=seed)
+    assert reports[0]["mode"] == ("sampled" if budget else "exhaustive")
+
+
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+def test_false_specs_match_the_reference(name, den, spec, kw):
+    alg = load_algebra(FIXTURE_DOCS[name])
+    report = as_checked(verify(alg, spec, den, **kw))
+    assert report["counterexamples"]
+    assert [report] == literal_reports(alg, [spec], den, **kw)
+
+
+def test_a_broken_scan_changes_verify_but_not_the_reference(monkeypatch):
+    # on a1 the filter {1} is not an MV-filter
+    spec = catalog_by_id()["T4.2.4"]
+    want = literal_reports(load_algebra(FIXTURE_DOCS["a1"]), [spec], 2)
+    assert want[0]["confirmed"] and [as_checked(verify(load_fixture("a1"), spec, 2))] == want
+    # the MV scan now passes every map, so the fuzzy side claims too much
+    monkeypatch.setitem(fuzzy._SCANS, ("mv", "default"), lambda alg, c: None)
+    broken = as_checked(verify(load_algebra(FIXTURE_DOCS["a1"]), spec, 2))
+    assert not broken["confirmed"]
+    assert {direction for _, direction in broken["counterexamples"]} == {"fuzzy=>soft"}
+    assert literal_reports(load_algebra(FIXTURE_DOCS["a1"]), [spec], 2) == want
+
+
+def _points_hold(mu, family):
+    """The filter conditions of the (in, in-or-q) or the (not-in, not-in-or-not-q)
+    family, stated with fuzzy points x_t for t, r on the grid."""
+    alg, ts = mu.alg, [F(j, mu.den) for j in range(1, mu.den + 1)]
+    top, res, elems, js = alg.top, alg.res, range(alg.n), range(len(ts))
+    pairs = list(itertools.product(elems, elems))
+
+    def holds(mode):  # [x][j]: x_t <mode> mu at t = ts[j]; min(t, r) is ts[min(i, j)]
+        return [[evaluate(mu, MembershipQuery(x, t, mode)) for t in ts] for x in elems]
+
+    if family == "eiq":
+        # x_t in mu => 1_t in-or-q mu;  x_t, (x -> y)_r in mu => y_min(t,r) in-or-q mu
+        inn, inq = holds("in"), holds("in-or-q")
+        unit = all(inq[top][i] for x in elems for i in js if inn[x][i])
+        mp = all(inq[y][min(i, j)] for x, y in pairs for i in js for j in js
+                 if inn[x][i] and inn[res[x][y]][j])
+    else:
+        # 1_t not-in mu => x_t not-in-or-not-q mu;
+        # y_min(t,r) not-in mu => x_t or (x -> y)_r not-in-or-not-q mu
+        out, outq = holds("not-in"), holds("not-in-or-not-q")
+        unit = all(outq[x][i] for x in elems for i in js if out[top][i])
+        mp = all(outq[x][i] or outq[res[x][y]][j] for x, y in pairs for i in js for j in js
+                 if out[y][min(i, j)])
+    return unit and mp
+
+
+@pytest.mark.parametrize("family", ["eiq", "bar"])
+def test_max_min_conditions_are_the_fuzzy_point_definitions(a1, family):
+    held = 0
+    for nums in itertools.product(range(5), repeat=a1.n):
+        mu = FuzzySet.from_nums(a1, 4, nums)
+        holds = fuzzy_witness(a1, mu.values, "filter", *BOUNDS[family],
+                              forms_of(family, "filter")) is None
+        assert _points_hold(mu, family) == holds, nums
+        held += holds
+    assert 0 < held < 625

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from softmtl.filters import labels_of, mask_of
+from softmtl.filters import labels_of
 from softmtl.fixtures import load_fixture
-from softmtl.fuzzy import FuzzySet, grid
-from softmtl.soft import FULL, ParameterInterval, classify_soft, epsilon_soft, q_soft
+from softmtl.fuzzy import FuzzySet
+from softmtl.soft import FULL, ParameterInterval, build_soft, classify_soft
 
 F = Fraction
 
@@ -26,7 +26,7 @@ def test_interval_validation():
 
 def test_epsilon_soft_example(a1):
     mu = FuzzySet.from_mapping(a1, 4, {"1": 1, "b": F(1, 2), "a": F(1, 2), "0": F(1, 4)})
-    levels = level_labels(a1, epsilon_soft(mu, FULL))
+    levels = level_labels(a1, build_soft(mu, FULL, "in"))
     assert levels[F(1, 4)] == {"0", "a", "b", "1"}
     assert levels[F(1, 2)] == {"a", "b", "1"}
     assert levels[F(3, 4)] == {"1"}
@@ -35,40 +35,40 @@ def test_epsilon_soft_example(a1):
 
 def test_epsilon_soft_smallest_level_drops_zeros(a2):
     mu = FuzzySet.from_mapping(a2, 4, {"0": 0, "a": F(1, 4), "b": 0, "1": 1})
-    soft = epsilon_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "in")
     assert set(labels_of(a2, soft.levels[0][1])) == {"a", "1"}
 
 
 def test_constant_one_levels_are_carrier(a3):
     mu = FuzzySet.constant(a3, 2, 1)
-    for _, mask in epsilon_soft(mu, FULL).levels:
+    for _, mask in build_soft(mu, FULL, "in").levels:
         assert mask == (1 << a3.n) - 1
-    for _, mask in q_soft(mu, FULL).levels:
+    for _, mask in build_soft(mu, FULL, "q").levels:
         assert mask == (1 << a3.n) - 1
 
 
 def test_q_soft_half_example(a1):
     mu = FuzzySet.constant(a1, 4, F(1, 2))
-    levels = level_labels(a1, q_soft(mu, FULL))
+    levels = level_labels(a1, build_soft(mu, FULL, "q"))
     assert levels[F(1, 2)] == set()        # 1/2 + 1/2 = 1, not > 1
     assert levels[F(3, 4)] == {"0", "a", "b", "1"}
 
 
 def test_q_soft_strict_comparison(a1):
     mu = FuzzySet.from_mapping(a1, 10, {"0": F(3, 10), "a": F(8, 10), "b": F(9, 10), "1": 1})
-    soft = q_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "q")
     assert set(labels_of(a1, soft.level_at(F(2, 10)))) == {"b", "1"}  # mu > 8/10
 
 
 def test_level_nesting(a1):
     rng = random.Random(7)
-    pts = grid(4)
+    pts = [F(k, 4) for k in range(5)]
     for _ in range(50):
         mu = FuzzySet(a1, 4, tuple(rng.choice(pts) for _ in range(a1.n)))
-        eps = epsilon_soft(mu, FULL).levels
+        eps = build_soft(mu, FULL, "in").levels
         for (_, hi), (_, lo) in zip(eps, eps[1:]):
             assert hi & lo == lo       # shrinking
-        qs = q_soft(mu, FULL).levels
+        qs = build_soft(mu, FULL, "q").levels
         for (_, lo), (_, hi) in zip(qs, qs[1:]):
             assert hi & lo == lo       # growing
 
@@ -76,11 +76,11 @@ def test_level_nesting(a1):
 def test_duality_between_cut_kinds(a2):
     # {x: mu(x) >= t} equals the quasi-coincidence cut at t' = 1 - t + 1/D
     rng = random.Random(11)
-    pts = grid(4)
+    pts = [F(k, 4) for k in range(5)]
     for _ in range(50):
         mu = FuzzySet(a2, 4, tuple(rng.choice(pts) for _ in range(a2.n)))
-        eps = epsilon_soft(mu, FULL)
-        qs = q_soft(mu, FULL)
+        eps = build_soft(mu, FULL, "in")
+        qs = build_soft(mu, FULL, "q")
         for t, mask in eps.levels:
             t2 = 1 - t + F(1, 4)
             assert qs.level_at(t2) == mask
@@ -91,20 +91,20 @@ def test_off_grid_representative(name, den):
     # cuts are constant on ((k-1)/D, k/D], so the grid family loses nothing
     alg = load_fixture(name)
     rng = random.Random(23)
-    pts = grid(den)
+    pts = [F(k, den) for k in range(den + 1)]
     for _ in range(200):
         mu = FuzzySet(alg, den, tuple(rng.choice(pts) for _ in range(alg.n)))
         t = F(2 * rng.randint(0, den - 1) + 1, 2 * den)  # strictly between grid points
         direct_eps = sum(1 << x for x in range(alg.n) if mu.values[x] >= t)
         direct_q = sum(1 << x for x in range(alg.n) if mu.values[x] + t > 1)
-        assert epsilon_soft(mu, FULL).level_at(t) == direct_eps
-        assert q_soft(mu, FULL).level_at(t) == direct_q
+        assert build_soft(mu, FULL, "in").level_at(t) == direct_eps
+        assert build_soft(mu, FULL, "q").level_at(t) == direct_q
 
 
 def test_off_grid_interval_rejected(a1):
     mu = FuzzySet.constant(a1, 4, 1)
     with pytest.raises(ValueError, match="grid"):
-        epsilon_soft(mu, ParameterInterval(F(0), F(1, 3)))
+        build_soft(mu, ParameterInterval(F(0), F(1, 3)), "in")
 
 
 def test_interval_endpoints_are_fractions():
@@ -118,7 +118,7 @@ def test_interval_endpoints_are_fractions():
 
 def test_classify_soft_boolean_example(a1):
     mu = FuzzySet.from_mapping(a1, 4, {"1": 1, "b": F(3, 4), "a": F(3, 4), "0": F(1, 4)})
-    soft = epsilon_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "in")
     ok, witness = classify_soft(soft, "boolean")
     assert not ok
     assert witness[0] == F(1)  # {1} at t=1 is not Boolean
@@ -127,7 +127,7 @@ def test_classify_soft_boolean_example(a1):
 
 def test_classify_accepts_empty_levels(a1):
     mu = FuzzySet.constant(a1, 4, 0)
-    soft = epsilon_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "in")
     assert all(mask == 0 for _, mask in soft.levels)
     for kind in ("filter", "boolean", "mv", "g"):
         assert classify_soft(soft, kind) == (True, None)
@@ -138,7 +138,7 @@ def test_soft_doc_mirrors_paper_shape(a3):
     mu = FuzzySet.from_mapping(
         a3, 10, {"0": F(2, 5), "a": F(4, 5), "b": F(2, 5), "c": F(2, 5),
                  "d": F(2, 5), "1": 1})
-    soft = epsilon_soft(mu, ParameterInterval(F(0), F(4, 5)))
+    soft = build_soft(mu, ParameterInterval(F(0), F(4, 5)), "in")
     levels = level_labels(a3, soft)
     assert levels[F(2, 5)] == {"0", "a", "b", "c", "d", "1"}
     assert levels[F(3, 5)] == {"a", "1"}

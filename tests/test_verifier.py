@@ -10,10 +10,9 @@ from products import load_named
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-from softmtl.soft import (FULL, LOWER, ParameterInterval, build_soft, classify_soft,
-                          epsilon_soft)
-from softmtl.fuzzy import (FuzzySet, check_fuzzy, check_fuzzy_witness, grid_map, grid_maps,
-                           sample_grid_maps, weak_orders)
+from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft
+from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, grid_map, grid_maps, sample_grid_maps,
+                           weak_orders)
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
@@ -97,7 +96,8 @@ def test_verifier_catches_false_claims(a1):
     assert ce["direction"] in ("fuzzy=>soft", "soft=>fuzzy")
     # the recorded mu really separates the two predicates
     mu = FuzzySet.from_mapping(a1, 4, {k: F(v) for k, v in ce["mu"].items()})
-    assert check_fuzzy(mu, "eiq", "filter") != classify_soft(epsilon_soft(mu, FULL))[0]
+    fuzzy_holds = check_fuzzy_witness(mu, "eiq", "filter") is None
+    assert fuzzy_holds != classify_soft(build_soft(mu, FULL, "in"))[0]
 
 
 def test_sampling_fallback(a3):
@@ -110,12 +110,12 @@ def test_sampling_fallback(a3):
 def test_restriction_coherence(a1):
     # a plain fuzzy filter also satisfies the capped predicate, and its
     # narrow-interval cuts agree with the full-interval ones restricted
-    from softmtl.fuzzy import enumerate_fuzzy_sets
-    for mu in enumerate_fuzzy_sets(a1, 4):
-        if check_fuzzy(mu, "plain", "filter"):
-            assert check_fuzzy(mu, "eiq", "filter")
-            full = dict(epsilon_soft(mu, FULL).levels)
-            low = epsilon_soft(mu, LOWER).levels
+    for nums in grid_maps(a1.n, 4):
+        mu = FuzzySet.from_nums(a1, 4, nums)
+        if check_fuzzy_witness(mu, "plain", "filter") is None:
+            assert check_fuzzy_witness(mu, "eiq", "filter") is None
+            full = dict(build_soft(mu, FULL, "in").levels)
+            low = build_soft(mu, LOWER, "in").levels
             for t, mask in low:
                 assert full[t] == mask
 
@@ -123,12 +123,12 @@ def test_restriction_coherence(a1):
 def test_strictness_witness_found(a2, a3):
     mu = find_strictness_witness(a2, "T4.2.13", 2)
     assert mu is not None
-    soft = epsilon_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "in")
     assert classify_soft(soft, "mv")[0] and not classify_soft(soft, "boolean")[0]
 
     mu = find_strictness_witness(a3, "T4.3.12", 2)
     assert mu is not None
-    soft = epsilon_soft(mu, FULL)
+    soft = build_soft(mu, FULL, "in")
     assert classify_soft(soft, "g")[0] and not classify_soft(soft, "boolean")[0]
 
 
@@ -372,3 +372,27 @@ def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch)
     maps = (grid_map(order, vals, alg.n) for r in range(1, alg.n + 1)
             for order in weak_orders(alg.n, r) for vals in itertools.combinations(range(3), r))
     assert next(nums for nums in maps if message(nums)) != first
+
+
+def _disagreement(alg, den, nums):
+    """The message the plain Boolean ``route="all"`` check raises on the map, or None."""
+    try:
+        check_fuzzy_witness(FuzzySet.from_nums(alg, den, nums), "plain", "boolean", "all")
+    except AlgebraError as single:
+        return str(single)
+    return None
+
+
+def test_disagreeing_routes_are_named_where_the_soft_side_fails_too(monkeypatch):
+    # The contraction form now passes every map.  On a fuzzy filter that is
+    # not a Boolean one, the other forms fail, and so does the soft side:
+    # the map is no counterexample, and only the disagree bit records it.
+    alg = load_algebra(FIXTURE_DOCS["a1"])
+    monkeypatch.setitem(fuzzy._SCANS, ("boolean", "contraction"), lambda alg, c: None)
+    spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
+    with pytest.raises(AlgebraError, match="boolean formulations disagree on ") as raised:
+        verify(alg, spec, 4)
+    first = next(nums for nums in grid_maps(alg.n, 4) if _disagreement(alg, 4, nums))
+    assert _disagreement(alg, 4, first) == str(raised.value)
+    mu = FuzzySet.from_nums(alg, 4, first)
+    assert not classify_soft(build_soft(mu, FULL, "in"), "boolean")[0]
