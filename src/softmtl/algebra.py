@@ -61,8 +61,7 @@ class DerivedTables:
     Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
     in lexicographic order of its variables, so the crisp and the fuzzy
     scans over it report the same first violation.  ``classifications``
-    is the memo of :func:`softmtl.filters.classify_filter` by mask, and
-    ``failing_kinds`` that of :func:`softmtl.filters.failing_kinds`.
+    is the memo of :func:`softmtl.filters.classify_filter` by mask.
     ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
@@ -74,7 +73,6 @@ class DerivedTables:
         self.prod, self.res, self.leq, self.join = alg.prod, alg.res, alg.leq, alg.join
         self.bottom, self.elems = alg.bottom, range(alg.n)
         self.classifications = {}
-        self.failing_kinds = {}
         self.mtl_failure = None
         self.filters = None
 

@@ -54,9 +54,13 @@ class FilterClassification:
     mv: bool = False
     # first (lexicographic) violating tuple per failed property
     witnesses: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    # bit i set iff the subset is not a filter of kind KINDS[i]
+    fails: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
+        object.__setattr__(self, "fails", sum(1 << i for i, kind in enumerate(KINDS)
+                                              if not self.has(kind)))
 
     def has(self, kind: str) -> bool:
         if kind == "filter":
@@ -106,20 +110,6 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
         require_mtl(alg)
         cls = memo[mask] = _classify(alg, mask)
     return cls
-
-
-def failing_kinds(alg: FiniteMtlAlgebra, mask: int) -> int:
-    """Bit i set iff the mask is not a filter of kind ``KINDS[i]``.
-
-    Read off :func:`classify_filter` once per mask and kept beside its
-    memo, in ``alg.tables.failing_kinds``.
-    """
-    memo = alg.tables.failing_kinds
-    bits = memo.get(mask)
-    if bits is None:
-        cls = classify_filter(alg, mask)
-        bits = memo[mask] = sum(1 << i for i, kind in enumerate(KINDS) if not cls.has(kind))
-    return bits
 
 
 def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:

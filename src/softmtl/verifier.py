@@ -19,7 +19,7 @@ depends on.
 - Per W: the soft side.  The cut at index j is {x : k[x] >= j}; for
   every j in (V[i-1], V[i]] (V[-1] = 0) it is U_i (U_0 is the whole
   carrier), and above V[r-1] it is empty.  Each U_i is classified once
-  per algebra (:func:`softmtl.filters.failing_kinds` keeps the memo).
+  per algebra (:func:`softmtl.filters.classify_filter` keeps the memo).
 - Per V: the cut indices (V[i-1], V[i]] each rank covers, and for each
   family's bounds [lo, hi] the ranks ``low`` (the highest with
   V[low] <= lo, or 0) and ``high`` (the lowest with V[high] >= hi, or
@@ -91,7 +91,7 @@ from .fuzzy import (ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, f
                     grid_map, grid_maps, resolve_route, sample_grid_maps, scan_fails,
                     scan_masks, split_map, value_masks, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
-                   build_soft, classify_soft, cut_index)
+                   build_soft, classify_soft)
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
 
@@ -213,7 +213,9 @@ def _plan(alg, spec, den, mode, interval) -> _Check:
         raise ValueError(f"unknown soft-set kind {spec.soft_kind!r}")
     iv = interval or spec.interval or default_thresholds(den)
     lo, hi = iv.numerators(den)
-    levels = sum(1 << cut_index(spec.soft_kind, j, den) for j in range(lo + 1, hi + 1))
+    # the cut indices of the levels: lo+1..hi for "in", den-hi+1..den-lo for "q"
+    first, last = (lo + 1, hi) if spec.soft_kind == "in" else (den - hi + 1, den - lo)
+    levels = (2 << last) - (1 << first)
     report = VerificationReport(spec.id, "/".join(alg.labels), den, mode=mode)
     if spec.relation:
         lhs, rhs = spec.relation
@@ -316,12 +318,10 @@ class _Pass:
 
     def weak(self, order):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
-        failing = self.alg.tables.failing_kinds
+        memo = self.alg.tables.classifications
         fails = []
         for i, cut in enumerate((self.full, *order)):
-            kinds = failing.get(cut)
-            if kinds is None:
-                kinds = filters.failing_kinds(self.alg, cut)
+            kinds = (memo.get(cut) or filters.classify_filter(self.alg, cut)).fails
             if kinds:
                 fails.append((i, self.spread[kinds]))
         return order, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
@@ -454,6 +454,7 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
     else:
         stream = grid_maps(alg.n, den)
     rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
+    memo = alg.tables.classifications
     for nums in stream:
         # the in-cuts over (0, 1] are {x : k[x] >= v} for the values v > 0
         at = value_masks(nums)
@@ -462,7 +463,7 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
             if not v or kinds & rhs_bit:
                 break
             cut |= at[v]
-            kinds |= filters.failing_kinds(alg, cut)
+            kinds |= (memo.get(cut) or filters.classify_filter(alg, cut)).fails
         if kinds & boolean_bit and not kinds & rhs_bit:
             return FuzzySet.from_nums(alg, den, nums)
     return None

@@ -10,7 +10,8 @@ none of its derived tables, fuzzy scans or filter classifiers:
   as max(mu(p), lo) >= min(mu(q), ..., hi);
 - each soft level at a representative t = j/D of (lo, hi] is
   {x : x_t in mu} or {x : x_t q mu}, read through :func:`evaluate`;
-- each crisp filter kind is decided from its definition.
+- each crisp filter kind is decided from its definition, and its witness
+  is the first instance of the definition that fails.
 
 A sample is drawn with ``softmtl.fuzzy.sample_grid_maps``, which decides
 nothing, so that a sampled run meets the same maps as ``verify``.
@@ -143,22 +144,37 @@ def forms_of(family, kind, route="default"):
 
 # --- crisp and soft side -------------------------------------------------------
 
-def filter_kinds(alg, s):
-    """The kinds of filter the non-empty subset s is, each by its definition."""
-    e, prod, res, leq, join = range(alg.n), alg.prod, alg.res, alg.leq, alg.join
-    closed = all(prod[x][y] in s for x in s for y in s)
-    upward = all(y in s for x in s for y in e if leq[x][y])
-    if not (closed and upward):
-        return frozenset()
-    kinds = {"filter"}
-    if all(join[x][res[x][alg.bottom]] in s for x in e):  # x v x' in F
-        kinds.add("boolean")
+KINDS = tuple(PLAIN_FORMS)
+
+
+def violations(alg, s, kind):
+    """The instances of a crisp kind's definition that the subset s violates, as labels,
+    in lexicographic order of their variables."""
+    e, prod, res, leq, join, lab = range(alg.n), alg.prod, alg.res, alg.leq, alg.join, alg.labels
     pairs = list(itertools.product(e, e))
-    if all(res[res[res[y][x]][x]][y] in s for x, y in pairs if res[x][y] in s):
-        kinds.add("mv")  # x -> y in F implies ((y -> x) -> x) -> y in F
-    if all(res[x][y] in s for x, y in pairs if res[prod[x][x]][y] in s):
-        kinds.add("g")  # x . x -> y in F implies x -> y in F
-    return frozenset(kinds)
+    if kind == "filter":
+        for x in sorted(s):
+            # x, y in F implies x . y in F; x in F and x <= y imply y in F
+            yield from (("prod", lab[x], lab[y]) for y in e if y in s and prod[x][y] not in s)
+            yield from (("up", lab[x], lab[y]) for y in e if leq[x][y] and y not in s)
+    elif kind == "boolean":  # x v x' in F
+        yield from ((lab[x],) for x in e if join[x][res[x][alg.bottom]] not in s)
+    elif kind == "mv":  # x -> y in F implies ((y -> x) -> x) -> y in F
+        yield from ((lab[x], lab[y]) for x, y in pairs
+                    if res[x][y] in s and res[res[res[y][x]][x]][y] not in s)
+    else:  # x . x -> y in F implies x -> y in F
+        yield from ((lab[x], lab[y]) for x, y in pairs
+                    if res[prod[x][x]][y] in s and res[x][y] not in s)
+
+
+def crisp_witness(alg, s, kind):
+    """Why the non-empty subset s is not a filter of the kind, or None: (key, the first
+    violation), where key is "filter" when s is no filter at all."""
+    for key in dict.fromkeys(("filter", kind)):
+        first = next(violations(alg, s, key), None)
+        if first is not None:
+            return key, first
+    return None
 
 
 def level(mu, soft_kind, t):
@@ -172,8 +188,13 @@ def thresholds(den):
 
 
 def literal_reports(alg, specs, den, budget=None, seed=0, interval=None):
-    """What ``verify`` reports on each spec, as stated: the mode, the count checked,
-    the verdict and the ordered (mu, direction) list of its counterexamples."""
+    """What ``verify`` reports on each spec, as stated: ``VerificationReport.to_doc()``.
+
+    A counterexample's witness is the fuzzy side's first violated instance,
+    or (t, key, crisp witness) at the first non-empty level, by ascending
+    t, that fails the kind.  A forward relation names its first failing
+    right-hand kind, a converse one its left-hand kind.
+    """
     if budget is not None and (den + 1) ** alg.n > budget:
         maps, mode = sample_grid_maps(alg.n, den, budget, seed), "sampled"
     else:
@@ -191,46 +212,49 @@ def literal_reports(alg, specs, den, budget=None, seed=0, interval=None):
             forms = forms_of(spec.family, spec.filter_kind, spec.route)
             variant = variants.setdefault((spec.filter_kind, flo, fhi, forms), len(variants))
         plans.append((spec, soft, variant))
-    kinds_of = {}  # level -> the kinds of filter it is
+    whys = {}  # level -> {kind: its crisp witness}
     found = {spec.id: [] for spec in specs}
     checked = 0
     for nums in maps:
         checked += 1
         mu = FuzzySet.from_nums(alg, den, nums)
         at = {}  # (soft kind, index of t) -> the level there
-        every = []  # per soft set: the kinds of filter every non-empty level is
+        failing = []  # per soft set: each kind it fails -> the soft witness
         for soft_kind, within in softs:
-            kinds = frozenset(PLAIN_FORMS)  # every kind, until a level fails one
+            first = {}
             for i in within:
                 if (soft_kind, i) not in at:
                     at[soft_kind, i] = level(mu, soft_kind, ts[i])
                 cut = at[soft_kind, i]
                 if cut:
-                    if cut not in kinds_of:
-                        kinds_of[cut] = filter_kinds(alg, cut)
-                    kinds &= kinds_of[cut]
-            every.append(kinds)
-        fuzzy = [fuzzy_witness(alg, mu.values, *variant) is None for variant in variants]
+                    if cut not in whys:
+                        whys[cut] = {kind: crisp_witness(alg, cut, kind) for kind in KINDS}
+                    for kind, why in whys[cut].items():
+                        if why is not None:
+                            first.setdefault(kind, (ts[i], *why))
+            failing.append(first)
+        fuzzy = [fuzzy_witness(alg, mu.values, *variant) for variant in variants]
         for spec, soft, variant in plans:
-            iff = spec.direction == "iff"
+            fails, iff = failing[soft], spec.direction == "iff"
             if variant is None:
                 lhs, rhs = spec.relation
-                holds, rhs_hold = lhs in every[soft], all(k in every[soft] for k in rhs)
-                if holds and not rhs_hold:
-                    direction = "forward"
-                elif not holds and rhs_hold and iff:
-                    direction = "converse"
+                rhs_fails = [fails[k] for k in rhs if k in fails]
+                if lhs not in fails and rhs_fails:
+                    direction, witness = "forward", rhs_fails[0]
+                elif lhs in fails and not rhs_fails and iff:
+                    direction, witness = "converse", fails[lhs]
                 else:
                     continue
             else:
-                holds = spec.filter_kind in every[soft]
-                if fuzzy[variant] and not holds:
-                    direction = "fuzzy=>soft"
-                elif not fuzzy[variant] and holds and iff:
-                    direction = "soft=>fuzzy"
+                kind, fw = spec.filter_kind, fuzzy[variant]
+                if fw is None and kind in fails:
+                    direction, witness = "fuzzy=>soft", fails[kind]
+                elif fw is not None and kind not in fails and iff:
+                    direction, witness = "soft=>fuzzy", fw
                 else:
                     continue
-            found[spec.id].append((mu.to_doc(), direction))
-    return [{"theorem": spec.id, "mode": mode, "checked": checked,
-             "confirmed": not found[spec.id], "counterexamples": found[spec.id]}
-            for spec in specs]
+            found[spec.id].append({"mu": mu.to_doc(), "direction": direction,
+                                   "witness": [str(part) for part in witness]})
+    return [{"theorem": spec.id, "algebra": "/".join(alg.labels), "den": den,
+             "checked": checked, "mode": mode, "confirmed": not found[spec.id],
+             "counterexamples": found[spec.id]} for spec in specs]

@@ -11,18 +11,17 @@ from softmtl import fuzzy
 from softmtl.algebra import load_algebra
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.fuzzy import FuzzySet
-from softmtl.verifier import catalog, catalog_by_id, verify, verify_all
+from softmtl.soft import FULL, UPPER
+from softmtl.verifier import TheoremSpec, catalog, catalog_by_id, verify, verify_all
 from test_golden import FALSE_SPECS
 
 F = Fraction
 
-
-def as_checked(report):
-    """The parts of a report the reference decides: no witnesses."""
-    doc = report.to_doc()
-    return {"theorem": doc["theorem"], "mode": doc["mode"], "checked": doc["checked"],
-            "confirmed": doc["confirmed"],
-            "counterexamples": [(ce["mu"], ce["direction"]) for ce in doc["counterexamples"]]}
+# Inputs whose witnesses name G instances: the soft side's on a2, the fuzzy side's on a1.
+G_SPECS = (
+    ("a2", 4, TheoremSpec("false-g-eiq-over-full", "in", FULL, "g", "eiq"), {}),
+    ("a1", 4, TheoremSpec("false-g-plain-over-upper", "in", UPPER, "g", "plain"), {}),
+)
 
 
 @pytest.mark.parametrize("name, den, budget, seed", [
@@ -31,30 +30,47 @@ def as_checked(report):
 ], ids=["a1-exhaustive", "a3-sampled"])
 def test_catalog_matches_the_reference(name, den, budget, seed):
     alg = load_algebra(FIXTURE_DOCS[name])
-    reports = [as_checked(rep) for rep in verify_all(alg, den, budget=budget, seed=seed)]
+    reports = [rep.to_doc() for rep in verify_all(alg, den, budget=budget, seed=seed)]
     assert reports == literal_reports(alg, catalog(), den, budget=budget, seed=seed)
     assert reports[0]["mode"] == ("sampled" if budget else "exhaustive")
 
 
-@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS + G_SPECS,
+                         ids=[s[2].id for s in FALSE_SPECS + G_SPECS])
 def test_false_specs_match_the_reference(name, den, spec, kw):
     alg = load_algebra(FIXTURE_DOCS[name])
-    report = as_checked(verify(alg, spec, den, **kw))
+    report = verify(alg, spec, den, **kw).to_doc()
     assert report["counterexamples"]
     assert [report] == literal_reports(alg, [spec], den, **kw)
+
+
+def _verdicts(report):
+    return [(ce["mu"], ce["direction"]) for ce in report["counterexamples"]]
 
 
 def test_a_broken_scan_changes_verify_but_not_the_reference(monkeypatch):
     # on a1 the filter {1} is not an MV-filter
     spec = catalog_by_id()["T4.2.4"]
     want = literal_reports(load_algebra(FIXTURE_DOCS["a1"]), [spec], 2)
-    assert want[0]["confirmed"] and [as_checked(verify(load_fixture("a1"), spec, 2))] == want
+    assert want[0]["confirmed"] and [verify(load_fixture("a1"), spec, 2).to_doc()] == want
     # the MV scan now passes every map, so the fuzzy side claims too much
     monkeypatch.setitem(fuzzy._SCANS, ("mv", "default"), lambda alg, c: None)
-    broken = as_checked(verify(load_algebra(FIXTURE_DOCS["a1"]), spec, 2))
+    broken = verify(load_algebra(FIXTURE_DOCS["a1"]), spec, 2).to_doc()
     assert not broken["confirmed"]
-    assert {direction for _, direction in broken["counterexamples"]} == {"fuzzy=>soft"}
+    assert {direction for _, direction in _verdicts(broken)} == {"fuzzy=>soft"}
     assert literal_reports(load_algebra(FIXTURE_DOCS["a1"]), [spec], 2) == want
+
+
+def test_reversed_g_pairs_change_verify_witnesses_but_not_the_reference():
+    want, broken = [], []
+    for name, den, spec, _ in G_SPECS:
+        want += literal_reports(load_algebra(FIXTURE_DOCS[name]), [spec], den)
+        alg = load_algebra(FIXTURE_DOCS[name])  # fresh: the memos must not reach other tests
+        alg.tables.g_pairs = alg.tables.g_pairs[::-1]
+        broken.append(verify(alg, spec, den).to_doc())
+        assert literal_reports(alg, [spec], den) == want[-1:]
+    assert [_verdicts(rep) for rep in broken] == [_verdicts(rep) for rep in want]
+    assert broken != want  # the G instances are now scanned from the last
 
 
 def _points_hold(mu, family):

@@ -10,11 +10,12 @@ from products import load_named
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft
+from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
 from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, grid_map, grid_maps, sample_grid_maps,
                            weak_orders)
+from reference import literal_reports
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
-from softmtl.verifier import (TheoremSpec, catalog, catalog_by_id,
+from softmtl.verifier import (TheoremSpec, _plan, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
                               verify, verify_all)
 
@@ -142,6 +143,19 @@ def test_witness_rejects_other_theorems(a1):
         find_strictness_witness(a1, "T3.3", 4)
 
 
+@pytest.mark.parametrize("den", range(2, 13, 2))
+def test_levels_mask_holds_the_cut_index_of_each_level(a1, den):
+    user = ParameterInterval(F(1, den), F(den // 2 + 1, den))
+    specs = [(spec, None) for spec in catalog()]
+    specs += [(TheoremSpec(f"user-{kind}", kind, None, "mv", "thresholds"), user)
+              for kind in ("in", "q")]
+    for spec, interval in specs:
+        check = _plan(a1, spec, den, "exhaustive", interval)
+        lo, hi = check.interval.numerators(den)
+        assert check.levels == sum(1 << cut_index(spec.soft_kind, j, den)
+                                   for j in range(lo + 1, hi + 1)), (spec.id, den)
+
+
 @pytest.mark.parametrize("den", [3, 0, -2])
 def test_odd_or_nonpositive_grid_rejected(a1, den):
     with pytest.raises(ValueError, match="positive and even"):
@@ -191,71 +205,21 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
         assert not validate_mtl(alg).ok
 
 
-def reference_reports(alg, specs, den, budget=None, seed=0, interval=None):
-    """The reports of ``verify``, one set and one check at a time, with no memo.
-
-    The fuzzy side is ``check_fuzzy_witness`` and the soft side is
-    ``classify_soft(build_soft(...))``, on every grid map (or the same
-    seeded sample).  Only the soft sets of one map are shared between
-    the checks.
-    """
-    if budget is not None and (den + 1) ** alg.n > budget:
-        maps, mode = sample_grid_maps(alg.n, den, budget, seed), "sampled"
-    else:
-        maps, mode = itertools.product(range(den + 1), repeat=alg.n), "exhaustive"
-    found = {spec.id: [] for spec in specs}
-    ivs = [interval or spec.interval or default_thresholds(den) for spec in specs]
-    slots = {}
-    slot_of = [slots.setdefault((iv, spec.soft_kind), len(slots))
-               for iv, spec in zip(ivs, specs)]
-    checked = 0
-    for nums in maps:
-        checked += 1
-        mu = FuzzySet.from_nums(alg, den, nums)
-        softs = [build_soft(mu, iv, kind) for iv, kind in slots]
-        for iv, spec, slot in zip(ivs, specs, slot_of):
-            soft = softs[slot]
-            iff = spec.direction == "iff"
-            if spec.relation:
-                lhs, rhs = spec.relation
-                holds, witness = classify_soft(soft, lhs)
-                rhs_failed = [w for ok, w in (classify_soft(soft, k) for k in rhs) if not ok]
-                if holds and rhs_failed:
-                    direction, witness = "forward", rhs_failed[0]
-                elif not holds and not rhs_failed and iff:
-                    direction = "converse"
-                else:
-                    continue
-            else:
-                holds, witness = classify_soft(soft, spec.filter_kind)
-                fw = check_fuzzy_witness(mu, spec.family, spec.filter_kind, spec.route,
-                                         iv.lo, iv.hi)
-                if fw is None and not holds:
-                    direction = "fuzzy=>soft"
-                elif fw is not None and holds and iff:
-                    direction, witness = "soft=>fuzzy", fw
-                else:
-                    continue
-            found[spec.id].append({"mu": mu.to_doc(), "direction": direction,
-                                   "witness": [str(part) for part in witness]})
-    return [{"theorem": spec.id, "algebra": "/".join(alg.labels), "den": den,
-             "checked": checked, "mode": mode, "confirmed": not found[spec.id],
-             "counterexamples": found[spec.id]} for spec in specs]
-
-
 def test_verify_all_matches_the_reference_loop(a1):
-    # at D = 8 most sets are served from the memos
-    reports = [rep.to_doc() for rep in verify_all(a1, 8)]
-    assert reports == reference_reports(a1, catalog(), 8)
-    assert all(rep["checked"] == 9 ** 4 for rep in reports)
+    # at D = 8 most sets are served from the memos of the shared a1; the whole
+    # exhaustive D = 8 run is pinned by the verify-all-a1-D8 golden
+    reports = [rep.to_doc() for rep in verify_all(a1, 8, budget=300, seed=8)]
+    assert reports == literal_reports(a1, catalog(), 8, budget=300, seed=8)
+    assert all(rep["mode"] == "sampled" and rep["checked"] == 300 for rep in reports)
 
 
 @pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
 def test_false_specs_match_the_reference_loop(name, den, spec, kw):
+    # the shared fixture, warm from earlier runs, against the literal reference
     alg = load_fixture(name)
     report = verify(alg, spec, den, **kw).to_doc()
     assert report["counterexamples"]
-    assert [report] == reference_reports(alg, [spec], den, **kw)
+    assert [report] == literal_reports(alg, [spec], den, **kw)
 
 
 def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
@@ -300,10 +264,9 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
     grown = {name for name, size in sizes.items() if len(after[name]) != size}
-    # the memos of failing_kinds and of the classify_filter it calls, by cut
-    assert grown == {"failing_kinds", "classifications"}
-    assert after["failing_kinds"].keys() == after["classifications"].keys()
-    assert all(0 < cut < 1 << alg.n for cut in after["failing_kinds"])
+    # the memo of classify_filter, by cut
+    assert grown == {"classifications"}
+    assert all(0 < cut < 1 << alg.n for cut in after["classifications"])
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
