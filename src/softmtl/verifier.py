@@ -19,7 +19,8 @@ depends on.
 - Per W: the soft side.  The cut at index j is {x : k[x] >= j}; for
   every j in (V[i-1], V[i]] (V[-1] = 0) it is U_i (U_0 is the whole
   carrier), and above V[r-1] it is empty.  Each U_i is classified once
-  per algebra (:func:`softmtl.filters.classify_filter` keeps the memo).
+  per algebra (:func:`softmtl.filters.classify_filter` keeps the memo),
+  and only its failing kinds are read.
 - Per V: the cut indices (V[i-1], V[i]] each rank covers, and for each
   family's bounds [lo, hi] the ranks ``low`` (the highest with
   V[low] <= lo, or 0) and ``high`` (the lowest with V[high] >= hi, or
@@ -51,7 +52,22 @@ the ranks >= high merged, and its chain of up-sets is the slice
 (U_low+1, ..., U_high) of W's chain (empty when low >= high: c is
 constant).  The slice names neither D,
 nor the bounds, nor the values, so each W ORs a slice once, whatever
-bounds its checks carry.  Nothing is kept on the algebra: the memos
+bounds its checks carry.
+
+Per profile.  The decision on (W, V) thus reads W only through one atom
+per U_i of its chain: the failing crisp kinds of U_i and the scan bits
+of U_i.  The tuple of these atoms is W's profile, and :meth:`_Pass.weak`
+builds all it hands to :meth:`_Pass.decide` from the profile alone, so
+two weak orders with the same profile and rank count are decided alike
+on every V, and keying by the profile is exact.  The exhaustive pass
+therefore decides each (profile, V) pair once, on the first W with that
+profile; every later W counts its maps and rebuilds the counterexamples
+found from its own chain.  The key holds both halves of the atom: on an
+MTL-algebra the scan bits follow from the kinds, but that is what the
+theorems claim, so a key by kinds alone would assume what is checked.
+Profiles are few: a3 at D=8 has 4683 weak orders and 65 profiles, and
+6747 (profile, V) pairs stand for its 531441 maps.  A sample keeps its
+memo per drawn weak order.  Nothing is kept on the algebra: the memos
 live as long as the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
@@ -83,11 +99,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (ONE, FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, family_bounds,
+from .fuzzy import (FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, family_bounds,
                     grid_map, grid_maps, resolve_route, sample_grid_maps, scan_fails,
                     scan_masks, split_map, value_masks, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
@@ -148,11 +165,9 @@ def catalog_by_id() -> dict[str, TheoremSpec]:
     return {s.id: s for s in catalog()}
 
 
-def default_thresholds(den: int) -> ParameterInterval:
-    """Grid-aligned (alpha, beta] used when a theorem is generic in its interval."""
-    if den == 2:
-        return ParameterInterval(Fraction(1, 2), ONE)
-    return ParameterInterval(Fraction(1, den), Fraction(den - 1, den))
+def default_thresholds(den: int) -> tuple[int, int]:
+    """Numerators of the grid-aligned (alpha, beta] used when a theorem is generic in its interval."""
+    return (1, 2) if den == 2 else (1, den - 1)
 
 
 @dataclass
@@ -190,18 +205,22 @@ def _sampled(alg, den, budget) -> bool:
     return budget is not None and count_fuzzy_sets(alg, den) > budget
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One theorem resolved against the grid before the pass starts."""
 
     report: VerificationReport
     soft_kind: str
-    interval: ParameterInterval
+    thresholds: tuple[int, int]   # numerators of the soft interval (alpha, beta]
     levels: int                   # bitmask of the cut indices of the soft levels
     kind: str                     # soft-side kind; the left-hand side of a relation
     fuzzy: tuple | None           # FuzzyWitnesses key; None for a relation
     rhs: tuple[str, ...] = ()     # right-hand kinds of a relation
     iff: bool = True
+
+    @property
+    def interval(self) -> ParameterInterval:
+        den = self.report.den
+        return ParameterInterval(*(Fraction(k, den) for k in self.thresholds))
 
 
 def _plan(alg, spec, den, mode, interval) -> _Check:
@@ -211,21 +230,26 @@ def _plan(alg, spec, den, mode, interval) -> _Check:
                          f"only generic-interval theorems ({generic}) take an interval")
     if spec.soft_kind not in SOFT_KINDS:
         raise ValueError(f"unknown soft-set kind {spec.soft_kind!r}")
-    iv = interval or spec.interval or default_thresholds(den)
-    lo, hi = iv.numerators(den)
+    iv = interval or spec.interval
+    lo, hi = default_thresholds(den) if iv is None else iv.numerators(den)
     # the cut indices of the levels: lo+1..hi for "in", den-hi+1..den-lo for "q"
     first, last = (lo + 1, hi) if spec.soft_kind == "in" else (den - hi + 1, den - lo)
     levels = (2 << last) - (1 << first)
     report = VerificationReport(spec.id, "/".join(alg.labels), den, mode=mode)
     if spec.relation:
         lhs, rhs = spec.relation
-        return _Check(report, spec.soft_kind, iv, levels, lhs, None, tuple(rhs),
+        return _Check(report, spec.soft_kind, (lo, hi), levels, lhs, None, tuple(rhs),
                       spec.direction == "iff")
     if spec.filter_kind not in KINDS:
         raise ValueError(f"unknown filter kind {spec.filter_kind!r}")
-    flo, fhi = family_bounds(spec.family, den, iv.lo, iv.hi)
+    if spec.family != "thresholds":
+        flo, fhi = family_bounds(spec.family, den)
+    elif lo:  # on the grid, floor(alpha * den) and ceil(beta * den) are lo and hi
+        flo, fhi = lo, hi
+    else:
+        raise ValueError(f"thresholds must satisfy 0 < alpha < beta <= 1, got ({iv.lo}, {iv.hi})")
     key = (spec.filter_kind, flo, fhi, resolve_route(spec.family, spec.filter_kind, spec.route))
-    return _Check(report, spec.soft_kind, iv, levels, spec.filter_kind, key,
+    return _Check(report, spec.soft_kind, (lo, hi), levels, spec.filter_kind, key,
                   iff=spec.direction == "iff")
 
 
@@ -290,8 +314,9 @@ class _Pass:
 
     A map is a weak order W of the carrier, as its chain of up-sets (see
     :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
-    tuple V.  :meth:`weak` derives what depends on W alone, :meth:`values`
-    what depends on V alone, and :meth:`decide` combines the two.
+    tuple V.  :meth:`profile` reads W's chain as atoms, :meth:`weak`
+    derives from them what depends on W alone, :meth:`values` what
+    depends on V alone, and :meth:`decide` combines the two.
     """
 
     def __init__(self, alg, den, checks):
@@ -312,19 +337,30 @@ class _Pass:
         # per bounds: its checks, and scan-fail bits -> fail bits of those checks
         self.groups = [(members, {}) for members in bounds.values()]
         self.clamps = {}   # the rank clamps of all bounds -> an id
-        self.full = (1 << alg.n) - 1
         self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
-        self.cuts = {}     # up-set -> scan_fails of its indicator
+        self.atoms = {}    # up-set -> (its failing kinds, scan_fails of its indicator)
+        # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
+        self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
 
-    def weak(self, order):
+    def profile(self, order):
+        """One atom per up-set of the chain: all that :meth:`decide` reads of the weak order."""
+        atoms = self.atoms
+        profile = []
+        for up in order:
+            atom = atoms.get(up)
+            if atom is None:
+                atom = atoms[up] = (filters.classify_filter(self.alg, up).fails,
+                                    scan_fails(self.alg, up))
+            profile.append(atom)
+        return tuple(profile)
+
+    def weak(self, profile):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
-        memo = self.alg.tables.classifications
-        fails = []
-        for i, cut in enumerate((self.full, *order)):
-            kinds = (memo.get(cut) or filters.classify_filter(self.alg, cut)).fails
-            if kinds:
-                fails.append((i, self.spread[kinds]))
-        return order, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
+        fails = [(i, self.spread[kinds])
+                 for i, kinds in enumerate((self.carrier, *(kinds for kinds, _ in profile)))
+                 if kinds]
+        chain = [bits for _, bits in profile]  # the scan bits of U_1, ..., U_r-1
+        return chain, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
 
     def values(self, vals):
         """The cut indices covered by each rank, and each bounds' rank clamp with their id."""
@@ -341,14 +377,14 @@ class _Pass:
 
     def decide(self, w, v):
         """The packed failing cut indices if the map is a counterexample to a check, else None."""
-        order, fails, fuzzy, windows = w
+        chain, fails, fuzzy, windows = w
         _, spans, clamp, clamps = v
         bad = 0
         for i, lanes in fails:
             bad |= spans[i] * lanes
         fail = fuzzy.get(clamp)
         if fail is None:
-            fail = fuzzy[clamp] = self._fuzzy(order, clamps, windows)
+            fail = fuzzy[clamp] = self._fuzzy(chain, clamps, windows)
         masks = self.soft.get(bad)
         if masks is None:
             masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
@@ -357,18 +393,14 @@ class _Pass:
             return bad
         return None
 
-    def _fuzzy(self, order, clamps, windows):
+    def _fuzzy(self, chain, clamps, windows):
         """Bits of the fuzzy checks whose predicate fails on the map, and the disagree bit."""
-        alg, cuts = self.alg, self.cuts
         fail = 0
         for window, (members, table) in zip(clamps, self.groups):
             scans = windows.get(window)
             if scans is None:
                 scans = 0
-                for up in order[window[0]:window[1]]:
-                    bits = cuts.get(up)
-                    if bits is None:
-                        bits = cuts[up] = scan_fails(alg, up)
+                for bits in chain[window[0]:window[1]]:
                     scans |= bits
                 windows[window] = scans
             bits = table.get(scans)
@@ -398,7 +430,7 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
             order, vals = split_map(nums)
             w = weak.get(order)
             if w is None:
-                w = weak[order] = run.weak(order)
+                w = weak[order] = run.weak(run.profile(order))
             bad = run.decide(w, run.values(vals))
             if bad is not None:
                 found.append((nums, bad))
@@ -406,13 +438,20 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
         decide = run.decide
         for r in range(1, min(n, den + 1) + 1):
             vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+            decided = {}  # profile -> (values, packed failing cut indices) of its counterexamples
             for order in weak_orders(n, r):
-                w = run.weak(order)
+                profile = run.profile(order)
+                hits = decided.get(profile)
+                if hits is None:
+                    w = run.weak(profile)
+                    hits = decided[profile] = []
+                    for v in vs:
+                        bad = decide(w, v)
+                        if bad is not None:
+                            hits.append((v[0], bad))
                 checked += len(vs)
-                for v in vs:
-                    bad = decide(w, v)
-                    if bad is not None:
-                        found.append((grid_map(order, v[0], n), bad))
+                for vals, bad in hits:
+                    found.append((grid_map(order, vals, n), bad))
         found.sort()  # the lexicographic order of the maps
     for nums, bad in found:
         _record(alg, den, nums, checks, _by_kind(bad, run.lane))

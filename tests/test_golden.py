@@ -32,6 +32,7 @@ CLI_RUNS = {
     "verify-all-a1-D8": ["verify-all", "a1", "--grid", "8", "--budget", "1000000", "--json"],
     "verify-all-a2-D4": ["verify-all", "a2", "--grid", "4", "--budget", "1000000", "--json"],
     "verify-all-a3-D2": ["verify-all", "a3", "--grid", "2", "--budget", "1000000", "--json"],
+    "verify-all-a3-D8": ["verify-all", "a3", "--grid", "8", "--budget", "1000000", "--json"],
     "verify-all-b2-D4": ["verify-all", "b2", "--grid", "4", "--budget", "1000000", "--json"],
     "verify-all-a3-D4-sampled": ["verify-all", "a3", "--grid", "4", "--budget", "3000",
                                  "--seed", "5", "--json"],

@@ -1,14 +1,15 @@
 import copy
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from softmtl import algebra, fixtures, fuzzy
+from softmtl import algebra, fixtures, fuzzy, verifier
 from products import load_named
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
-from softmtl.filters import classify_filter, enumerate_filters, generated_filter
+from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
 from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, grid_map, grid_maps, sample_grid_maps,
@@ -60,10 +61,14 @@ def specs_of_kind(kind):
     return [s for s in catalog() if s.filter_kind == kind and s.relation is None]
 
 
-def test_default_thresholds_are_grid_aligned():
-    assert default_thresholds(2) == ParameterInterval(F(1, 2), F(1))
-    assert default_thresholds(4) == ParameterInterval(F(1, 4), F(3, 4))
-    assert default_thresholds(10) == ParameterInterval(F(1, 10), F(9, 10))
+def test_default_thresholds_are_grid_aligned(a1):
+    assert default_thresholds(2) == (1, 2)
+    assert default_thresholds(4) == (1, 3)
+    assert default_thresholds(10) == (1, 9)
+    # a generic-interval check reports the default thresholds as (alpha, beta]
+    t312 = catalog_by_id()["T3.12"]
+    assert _plan(a1, t312, 2, "exhaustive", None).interval == ParameterInterval(F(1, 2), F(1))
+    assert _plan(a1, t312, 10, "exhaustive", None).interval == ParameterInterval(F(1, 10), F(9, 10))
 
 
 def test_verify_t33_exhaustive(a1):
@@ -267,6 +272,67 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
     # the memo of classify_filter, by cut
     assert grown == {"classifications"}
     assert all(0 < cut < 1 << alg.n for cut in after["classifications"])
+
+
+def _atom(alg, up):
+    """What the pass reads of an up-set: its failing crisp kinds and its scan bits."""
+    return classify_filter(alg, up).fails, fuzzy.scan_fails(alg, up)
+
+
+@pytest.mark.parametrize("spec_id, kind, up_fails, planted", [
+    # U is a G-filter; the planted g bit gives it the scans of the filters failing g too
+    ("T4.3.3", "g", ("boolean", "mv"), ("g", "default")),
+    # U fails boolean, mv and g, as another up-set does; the product bit tells them apart
+    ("T3.3", "filter", ("boolean", "mv", "g"), ("filter", "product")),
+])
+def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch, spec_id, kind,
+                                                                      up_fails, planted):
+    # a fresh algebra: the planted bit must not reach a shared memo
+    alg, den = load_algebra(FIXTURE_DOCS["a3"]), 2
+    atoms = {up: _atom(alg, up) for up in range(1, (1 << alg.n) - 1)}
+    up = min(u for u, (fails, _) in atoms.items()
+             if fails == sum(1 << KINDS.index(k) for k in up_fails))
+    bit = 1 << fuzzy._SCAN_KEYS.index(planted)
+    fails, scans = atoms[up]
+    assert not scans & bit
+    # another up-set that a key by kinds alone, or by scan bits alone, would mistake for U
+    assert any((f == fails) != (s == scans | bit) for u, (f, s) in atoms.items() if u != up)
+    scan_fails = verifier.scan_fails
+    monkeypatch.setattr(verifier, "scan_fails",
+                        lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
+    recorded = []
+    monkeypatch.setattr(verifier, "_record",
+                        lambda alg, den, nums, checks, bad: recorded.append(nums))
+    verify(alg, catalog_by_id()[spec_id], den)
+    # The plain fuzzy side now fails on every map with U as a level cut, so the
+    # maps on which it held, and so the soft side held, become counterexamples.
+    expected = []
+    for nums in itertools.product(range(den + 1), repeat=alg.n):
+        cuts = {sum(1 << x for x, k in enumerate(nums) if k >= j) for j in range(1, den + 1)}
+        mu = FuzzySet.from_nums(alg, den, nums)
+        if up in cuts and check_fuzzy_witness(mu, "plain", kind) is None:
+            expected.append(nums)
+    assert expected and recorded == expected
+
+
+def test_the_pass_decides_once_per_profile(monkeypatch):
+    alg, den = load_algebra(FIXTURE_DOCS["a3"]), 8
+    calls = []
+    decide = verifier._Pass.decide
+    monkeypatch.setattr(verifier._Pass, "decide",
+                        lambda self, w, v: calls.append(v) or decide(self, w, v))
+    reports = verify_all(alg, den)
+    assert all(rep.confirmed and rep.checked == (den + 1) ** alg.n for rep in reports)
+    # the profiles of the weak orders with r ranks, from every map onto the ranks
+    atom = functools.cache(functools.partial(_atom, alg))
+    expected = 0
+    for r in range(1, alg.n + 1):
+        profiles = {tuple(atom(sum(1 << x for x, k in enumerate(ranks) if k >= i))
+                          for i in range(1, r))
+                    for ranks in itertools.product(range(r), repeat=alg.n)
+                    if len(set(ranks)) == r}
+        expected += len(profiles) * math.comb(den + 1, r)
+    assert len(calls) == expected == 6747
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
