@@ -2,9 +2,15 @@
 
 An algebra is loaded from a document carrying the product and residuum
 tables; the lattice order is always derived from the residuum
-(x <= y iff x -> y = top), never trusted from the input.  Validation is
-exhaustive over all pairs/triples -- carriers are expected to be tiny
-(n <= 12 or so), so O(n^3) scans are the right trade.
+(x <= y iff x -> y = top), never trusted from the input.  The meet of
+x and y is the element whose down-set is the set of their common lower
+bounds, found by looking that set up as a bitmask; the join is dual.
+
+Validation is exhaustive over all pairs/triples.  Carriers run from the
+2-element Boolean algebra to products of 24 to 36 elements, so an O(n^3)
+scan is still the right trade, but it makes up to n^3 = 46656 steps:
+each triple loop binds, per (x, y), the table rows its z loop reads, so
+a step indexes one row instead of re-reading the rows of x and y.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class DerivedTables:
     in lexicographic order of its variables, so the crisp and the fuzzy
     scans over it report the same first violation.  ``classifications``
     is the memo of :func:`softmtl.filters.classify_filter` by mask.
-    ``mtl_failure`` is the verdict of :func:`require_mtl`: None until it
+    ``mtl_failure`` is the verdict of :func:`validate_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
     None until it runs.
@@ -217,21 +223,21 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
                     "derived order not transitive on "
                     f"{labels[x]},{labels[y]},{labels[z]}")
 
-    def _bound(x: int, y: int, lower: bool) -> int:
-        """The least-index bound of x, y above (below) every other common bound."""
-        sets = down if lower else up
-        common = sets[x] & sets[y]
-        rest = common
-        while rest:
-            z = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not common & ~sets[z]:
-                return z
-        kind = "meet" if lower else "join"
-        raise AlgebraError(f"no {kind} for {labels[x]},{labels[y]}: order is not a lattice")
+    # With the order antisymmetric and transitive, z is the meet of x and y
+    # iff down[z] is the set of common lower bounds down[x] & down[y], and
+    # dually for the join; distinct elements have distinct down-sets.
+    def _bounds(masks: list[int], kind: str) -> list[list[int]]:
+        of = {m: z for z, m in enumerate(masks)}
+        table = [[of.get(mx & my) for my in masks] for mx in masks]
+        for x, row in enumerate(table):
+            if None in row:
+                y = row.index(None)
+                raise AlgebraError(
+                    f"no {kind} for {labels[x]},{labels[y]}: order is not a lattice")
+        return table
 
-    meet = [[_bound(x, y, True) for y in range(n)] for x in range(n)]
-    join = [[_bound(x, y, False) for y in range(n)] for x in range(n)]
+    meet = _bounds(down, "meet")
+    join = _bounds(up, "join")
 
     for key, derived in (("meet", meet), ("join", join)):
         if key in doc:
@@ -253,31 +259,48 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
 
 
 def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
-    """Exhaustively check the residuated-lattice axioms plus prelinearity."""
+    """Exhaustively check the residuated-lattice axioms plus prelinearity.
+
+    The verdict is kept on ``alg.tables`` (see :func:`require_mtl`), so a
+    later :func:`require_mtl` does not scan again.  The report is not
+    kept: it is mutable, and each call builds a fresh one.
+    """
     n, prod, res, leq = alg.n, alg.prod, alg.res, alg.leq
     join = alg.join
     top = alg.top
     rep = AxiomReport()
 
     for x in range(n):
-        if prod[x][top] != x:
+        px, lx = prod[x], leq[x]
+        if px[top] != x:
             rep.record("prod-unit", alg, x)
         for y in range(n):
-            if prod[x][y] != prod[y][x]:
+            py, ry = prod[y], res[y]
+            pxy = px[y]
+            if pxy != py[x]:
                 rep.record("prod-commutative", alg, x, y)
+            ppxy, lpxy, x_le_y = prod[pxy], leq[pxy], lx[y]
             for z in range(n):
-                if prod[prod[x][y]][z] != prod[x][prod[y][z]]:
+                if ppxy[z] != px[py[z]]:
                     rep.record("prod-associative", alg, x, y, z)
                 # isotone in the first argument (commutativity covers the second)
-                if leq[x][y] and not leq[prod[x][z]][prod[y][z]]:
+                if x_le_y and not leq[px[z]][py[z]]:
                     rep.record("prod-isotone", alg, x, y, z)
-                if leq[prod[x][y]][z] != leq[x][res[y][z]]:
+                if lpxy[z] != lx[ry[z]]:
                     rep.record("adjunction", alg, x, y, z)
 
     for x in range(n):
         for y in range(n):
             if join[res[x][y]][res[y][x]] != top:
                 rep.record("prelinearity", alg, x, y)
+
+    if rep.ok:
+        alg.tables.mtl_failure = ""
+    else:
+        axiom = rep.failed_axioms[0]
+        alg.tables.mtl_failure = (
+            "operation tables are inconsistent: not an MTL-algebra "
+            f"({axiom} fails at ({', '.join(rep.violations[axiom][0])}))")
     return rep
 
 
@@ -286,20 +309,13 @@ def require_mtl(alg: FiniteMtlAlgebra) -> None:
 
     Every theorem is stated for MTL-algebras, so each caller that reads
     the tables as one calls this first.  :func:`validate_mtl` runs once
-    per algebra, and its verdict is kept on ``alg.tables``.
+    per algebra, here or by a direct call: its verdict is kept on
+    ``alg.tables``, and its report is not.
     """
-    tables = alg.tables
-    if tables.mtl_failure is None:
-        rep = validate_mtl(alg)
-        if rep.ok:
-            tables.mtl_failure = ""
-        else:
-            axiom = rep.failed_axioms[0]
-            tables.mtl_failure = (
-                "operation tables are inconsistent: not an MTL-algebra "
-                f"({axiom} fails at ({', '.join(rep.violations[axiom][0])}))")
-    if tables.mtl_failure:
-        raise AlgebraError(tables.mtl_failure)
+    if alg.tables.mtl_failure is None:
+        validate_mtl(alg)
+    if alg.tables.mtl_failure:
+        raise AlgebraError(alg.tables.mtl_failure)
 
 
 def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
@@ -315,6 +331,7 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
     rep = AxiomReport()
 
     for x in range(n):
+        rx = res[x]
         if res[bot][x] != top:
             rep.record("bottom-residuates-to-top", alg, x)
         if res[top][x] != x:
@@ -324,21 +341,22 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
         if join[x][neg[x]] == top and meet[x][neg[x]] != bot:
             rep.record("complemented-implies-disjoint", alg, x)
         for y in range(n):
-            if leq[x][y] != (res[x][y] == top):
+            ry, rxy = res[y], rx[y]
+            if leq[x][y] != (rxy == top):
                 rep.record("order-residuum", alg, x, y)
-            if res[x][res[y][x]] != top:
+            if rx[ry[x]] != top:
                 rep.record("weakening", alg, x, y)
-            if not leq[y][res[res[y][x]][x]]:
+            if not leq[y][res[ry[x]][x]]:
                 rep.record("double-residuation-lift", alg, x, y)
             if not leq[prod[x][y]][meet[x][y]]:
                 rep.record("prod-below-meet", alg, x, y)
+            rpxy, lrxy, jrxy, jy = res[prod[x][y]], leq[rxy], join[rxy], join[y]
             for z in range(n):
-                a = res[x][res[y][z]]
-                if not (a == res[prod[x][y]][z] == res[y][res[x][z]]):
+                rz, rxz, ryz = res[z], rx[z], ry[z]
+                if not (rx[ryz] == rpxy[z] == ry[rxz]):
                     rep.record("exchange", alg, x, y, z)
-                if not (leq[res[x][y]][res[res[z][x]][res[z][y]]]
-                        and leq[res[x][y]][res[res[y][z]][res[x][z]]]):
+                if not (lrxy[res[rz[x]][rz[y]]] and lrxy[res[ryz][rxz]]):
                     rep.record("residuum-monotonicity", alg, x, y, z)
-                if res[x][join[y][z]] != join[res[x][y]][res[x][z]]:
+                if rx[jy[z]] != jrxy[rxz]:
                     rep.record("residuum-join-distribution", alg, x, y, z)
     return rep

@@ -70,12 +70,14 @@ class FilterClassification:
 
 def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
     """The first violation of product closure or upward closure, or None."""
-    for x in elements(mask):
-        for y in elements(mask):
-            if not mask >> alg.prod[x][y] & 1:
+    members, prod, leq, carrier = list(elements(mask)), alg.prod, alg.leq, range(alg.n)
+    for x in members:
+        px, lx = prod[x], leq[x]
+        for y in members:
+            if not mask >> px[y] & 1:
                 return ("prod", x, y)
-        for y in range(alg.n):
-            if alg.leq[x][y] and not mask >> y & 1:
+        for y in carrier:
+            if lx[y] and not mask >> y & 1:
                 return ("up", x, y)
     return None
 

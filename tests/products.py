@@ -1,5 +1,7 @@
-"""Direct products of the fixture algebras, for tests that need larger carriers."""
+"""Direct products of the fixture algebras, for tests that need larger carriers, and
+single-cell mutations of the fixtures, for tests that need broken tables."""
 
+import copy
 import itertools
 
 from softmtl.algebra import load_algebra
@@ -24,3 +26,15 @@ def load_named(name):
     if "x" in name:
         return load_algebra(product_doc(*name.split("x")))
     return load_fixture(name)
+
+
+def single_cell_mutations(name, key):
+    """Every copy of a fixture document with one cell of the table ``key`` changed."""
+    base = FIXTURE_DOCS[name]
+    for x, row in enumerate(base[key]):
+        for y, cell in enumerate(row):
+            for label in base["labels"]:
+                if label != cell:
+                    doc = copy.deepcopy(base)
+                    doc[key][x][y] = label
+                    yield doc

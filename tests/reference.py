@@ -1,9 +1,14 @@
 """A literal reference checker for the theorem catalog, in Fractions.
 
 It shares no decision code with ``softmtl``.  Of an algebra it reads only
-the operation tables ``prod``, ``res``, ``leq`` and ``join`` and the
-elements ``top`` and ``bottom`` (``labels`` only to name elements), and
-none of its derived tables, fuzzy scans or filter classifiers:
+the operation tables ``prod``, ``res``, ``leq`` and ``join`` (and ``meet``
+for the derived laws) and the elements ``top`` and ``bottom`` (``labels``
+only to name elements), and none of its derived tables, fuzzy scans or
+filter classifiers:
+
+- the axioms and the derived laws are the plain triple loops of
+  :func:`literal_axioms` and :func:`literal_laws`, each subscript read
+  from the tables at every step;
 
 - each fuzzy filter condition is the paper's inequality
   mu(p) >= min(mu(q), ...), and a family with thresholds (lo, hi) reads it
@@ -56,6 +61,77 @@ def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
         "not-q": not coincides,
         "not-in-or-not-q": not belongs or not coincides,
     }[query.mode]
+
+
+# --- algebra side ---------------------------------------------------------------
+
+def _recorder(alg):
+    """A violations dict, axiom -> [labels of each instance], and its recorder."""
+    found = {}
+
+    def record(axiom, *elems):
+        found.setdefault(axiom, []).append(tuple(alg.labels[e] for e in elems))
+    return found, record
+
+
+def literal_axioms(alg):
+    """The residuated-lattice axioms plus prelinearity, instance by instance."""
+    n, prod, res, leq, join, top = alg.n, alg.prod, alg.res, alg.leq, alg.join, alg.top
+    found, record = _recorder(alg)
+    for x in range(n):
+        if prod[x][top] != x:
+            record("prod-unit", x)
+        for y in range(n):
+            if prod[x][y] != prod[y][x]:
+                record("prod-commutative", x, y)
+            for z in range(n):
+                if prod[prod[x][y]][z] != prod[x][prod[y][z]]:
+                    record("prod-associative", x, y, z)
+                if leq[x][y] and not leq[prod[x][z]][prod[y][z]]:
+                    record("prod-isotone", x, y, z)
+                if leq[prod[x][y]][z] != leq[x][res[y][z]]:
+                    record("adjunction", x, y, z)
+    for x in range(n):
+        for y in range(n):
+            if join[res[x][y]][res[y][x]] != top:
+                record("prelinearity", x, y)
+    return found
+
+
+def literal_laws(alg):
+    """The laws every MTL-algebra satisfies, instance by instance."""
+    n, prod, res, leq, meet, join = alg.n, alg.prod, alg.res, alg.leq, alg.meet, alg.join
+    bot, top = alg.bottom, alg.top
+    neg = [res[x][bot] for x in range(n)]
+    found, record = _recorder(alg)
+    for x in range(n):
+        if res[bot][x] != top:
+            record("bottom-residuates-to-top", x)
+        if res[top][x] != x:
+            record("top-residuum-identity", x)
+        if not (neg[x] == neg[neg[neg[x]]] and leq[x][neg[neg[x]]] and prod[neg[x]][x] == bot):
+            record("negation-laws", x)
+        if join[x][neg[x]] == top and meet[x][neg[x]] != bot:
+            record("complemented-implies-disjoint", x)
+        for y in range(n):
+            if leq[x][y] != (res[x][y] == top):
+                record("order-residuum", x, y)
+            if res[x][res[y][x]] != top:
+                record("weakening", x, y)
+            if not leq[y][res[res[y][x]][x]]:
+                record("double-residuation-lift", x, y)
+            if not leq[prod[x][y]][meet[x][y]]:
+                record("prod-below-meet", x, y)
+            for z in range(n):
+                a = res[x][res[y][z]]
+                if not (a == res[prod[x][y]][z] == res[y][res[x][z]]):
+                    record("exchange", x, y, z)
+                if not (leq[res[x][y]][res[res[z][x]][res[z][y]]]
+                        and leq[res[x][y]][res[res[y][z]][res[x][z]]]):
+                    record("residuum-monotonicity", x, y, z)
+                if res[x][join[y][z]] != join[res[x][y]][res[x][z]]:
+                    record("residuum-join-distribution", x, y, z)
+    return found
 
 
 # --- fuzzy side ----------------------------------------------------------------

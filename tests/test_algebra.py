@@ -3,9 +3,14 @@ import itertools
 
 import pytest
 
-from products import load_named
-from softmtl.algebra import AlgebraError, check_derived_laws, load_algebra, validate_mtl
+from products import load_named, single_cell_mutations
+from reference import literal_axioms, literal_laws
+from softmtl import algebra
+from softmtl.algebra import (AlgebraError, check_derived_laws, load_algebra, require_mtl,
+                             validate_mtl)
+from softmtl.filters import classify_filter, crisp_decomposition_check, enumerate_filters
 from softmtl.fixtures import FIXTURE_DOCS, FIXTURE_NAMES, load_fixture
+from softmtl.verifier import verify_all
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2"])
@@ -176,3 +181,60 @@ def test_order_error_names_the_first_violation(doc, message):
     with pytest.raises(AlgebraError) as err:
         load_algebra(doc)
     assert str(err.value) == message
+
+
+def assert_reports_are_literal(alg):
+    for report, literal in ((validate_mtl(alg), literal_axioms(alg)),
+                            (check_derived_laws(alg), literal_laws(alg))):
+        assert report.violations == literal
+        assert list(report.violations) == list(literal)  # the same first axiom, too
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2", "a3xb2", "a1xa1"])
+def test_violations_match_the_literal_loops(name):
+    assert_reports_are_literal(load_named(name))
+
+
+def test_violations_of_mutated_tables_match_the_literal_loops():
+    mutated = []
+    for name, key in itertools.product(("a1", "a2", "a3", "b2"), ("prod", "res")):
+        for doc in single_cell_mutations(name, key):
+            try:
+                mutated.append(load_algebra(doc))
+            except AlgebraError:
+                pass  # the changed residuum derives no lattice order
+    assert len(mutated) == 380
+    for alg in mutated:
+        assert_reports_are_literal(alg)
+        assert not validate_mtl(alg).ok
+
+
+def test_an_algebra_is_validated_once(monkeypatch):
+    validated = []
+
+    def counted(alg):
+        validated.append(alg)
+        return validate_mtl(alg)
+
+    monkeypatch.setattr(algebra, "validate_mtl", counted)
+    alg = load_algebra(FIXTURE_DOCS["a3"])
+    assert algebra.validate_mtl(alg).ok and check_derived_laws(alg).ok
+    enumerate_filters(alg)
+    classify_filter(alg, 1 << alg.top)
+    assert crisp_decomposition_check(alg) == []
+    verify_all(alg, 2)
+    assert validated == [alg]
+
+
+def test_a_kept_verdict_raises_the_message_of_a_fresh_one():
+    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
+    doc["prod"][1][2] = "0"
+    messages = []
+    for direct in (False, True):
+        alg = load_algebra(doc)
+        if direct:
+            assert not validate_mtl(alg).ok
+        with pytest.raises(AlgebraError, match="inconsistent") as err:
+            require_mtl(alg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

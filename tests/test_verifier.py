@@ -1,4 +1,3 @@
-import copy
 import functools
 import itertools
 import math
@@ -7,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from softmtl import algebra, fixtures, fuzzy, verifier
-from products import load_named
+from products import load_named, single_cell_mutations
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
@@ -169,17 +168,6 @@ def test_odd_or_nonpositive_grid_rejected(a1, den):
         find_strictness_witness(a1, "T4.2.13", den)
 
 
-def single_cell_prod_mutations(name):
-    base = FIXTURE_DOCS[name]
-    for x, row in enumerate(base["prod"]):
-        for y, cell in enumerate(row):
-            for label in base["labels"]:
-                if label != cell:
-                    doc = copy.deepcopy(base)
-                    doc["prod"][x][y] = label
-                    yield doc
-
-
 @pytest.mark.parametrize("name", ["a1", "a2"])
 def test_non_mtl_tables_rejected(name, monkeypatch):
     # each of the 48 mutations loads, but its tables are not an MTL-algebra
@@ -190,7 +178,7 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
         return validate_mtl(alg)
 
     monkeypatch.setattr(algebra, "validate_mtl", counted)
-    docs = list(single_cell_prod_mutations(name))
+    docs = list(single_cell_mutations(name, "prod"))
     assert len(docs) == 48
     for doc in docs:
         alg = load_algebra(doc)
