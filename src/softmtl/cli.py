@@ -192,11 +192,10 @@ def cmd_verify_all(args):
 def cmd_witness(args):
     alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
-    mu = verifier.find_strictness_witness(alg, args.theorem, den,
-                                          budget=args.budget, seed=args.seed)
+    mu = verifier.find_strictness_witness(alg, args.theorem, den)
     if mu is None:
         _emit(args, {"theorem": args.theorem, "witness": None},
-              [f"{args.theorem}: no strictness witness at this scale"])
+              [f"{args.theorem}: no strictness witness on any grid"])
         return 0
     st = soft.build_soft(mu, soft.FULL, "in")
     _emit(args, {"theorem": args.theorem, "witness": mu.to_doc(), "soft": st.to_doc()},
@@ -263,8 +262,8 @@ def build_parser():
     common(sp, budget=True)
     sp.set_defaults(fn=cmd_verify_all)
 
-    sp = sub.add_parser("witness", help="search a converse-failure witness")
-    common(sp, budget=True)
+    sp = sub.add_parser("witness", help="find a converse-failure witness")
+    common(sp)
     sp.add_argument("theorem", help="T4.2.13 or T4.3.12")
     sp.set_defaults(fn=cmd_witness)
     return p

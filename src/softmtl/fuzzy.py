@@ -15,7 +15,6 @@ caller-chosen (alpha, beta).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -329,11 +328,6 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
 
 def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:
     return (den + 1) ** alg.n
-
-
-def grid_maps(n: int, den: int):
-    """Every numerator tuple of length n over 0..den, lexicographically."""
-    return itertools.product(range(den + 1), repeat=n)
 
 
 def weak_orders(n: int, r: int):

@@ -105,8 +105,8 @@ from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
 from .fuzzy import (FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, family_bounds,
-                    grid_map, grid_maps, resolve_route, sample_grid_maps, scan_fails,
-                    scan_masks, split_map, value_masks, weak_orders)
+                    grid_map, resolve_route, sample_grid_maps, scan_fails, scan_masks,
+                    split_map, weak_orders)
 from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
                    build_soft, classify_soft)
 
@@ -479,30 +479,26 @@ def verify_all(alg: FiniteMtlAlgebra, den: int, budget: int | None = None,
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
                             budget: int | None = None, seed: int = 0) -> FuzzySet | None:
-    """Search for a fuzzy set showing the converse of T4.2.13 / T4.3.12 fails.
+    """A fuzzy set showing that the converse of T4.2.13 / T4.3.12 fails, or None.
 
-    Returns the first mu whose level cuts are all MV- (resp. G-) filters
-    but not all Boolean filters, or None if the search space has none
-    (absence at one scale is not a refutation).
+    It is the indicator of the first filter in :func:`softmtl.filters.enumerate_filters`
+    that is an MV- (resp. G-) filter but not a Boolean one, and None means
+    that no grid has a witness.  Proof: every in-cut over (0, 1] of the
+    indicator of F is F, so it is a witness iff F is one; and any witness
+    has an in-cut over (0, 1] that is not Boolean, so not empty, and is an
+    MV- (G-) filter like all its in-cuts.
+
+    ``budget`` and ``seed`` are ignored.  They stay only because the
+    benchmark's ``witness-sampled`` workload passes them, and go when that
+    workload is replaced (ROADMAP item 5).
     """
     rhs = {"T4.2.13": "mv", "T4.3.12": "g"}.get(theorem_id)
     if rhs is None:
         raise ValueError(f"{theorem_id!r} has no strictness claim; use T4.2.13 or T4.3.12")
-    if _sampled(alg, den, budget):
-        stream = sample_grid_maps(alg.n, den, budget, seed)
-    else:
-        stream = grid_maps(alg.n, den)
+    _sampled(alg, den, None)  # the tables and the grid are checked as for verify
     rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
-    memo = alg.tables.classifications
-    for nums in stream:
-        # the in-cuts over (0, 1] are {x : k[x] >= v} for the values v > 0
-        at = value_masks(nums)
-        cut = kinds = 0
-        for v in sorted(at, reverse=True):
-            if not v or kinds & rhs_bit:
-                break
-            cut |= at[v]
-            kinds |= (memo.get(cut) or filters.classify_filter(alg, cut)).fails
-        if kinds & boolean_bit and not kinds & rhs_bit:
-            return FuzzySet.from_nums(alg, den, nums)
+    for mask in filters.enumerate_filters(alg):
+        fails = filters.classify_filter(alg, mask).fails
+        if fails & boolean_bit and not fails & rhs_bit:
+            return FuzzySet.characteristic(alg, den, mask)
     return None

@@ -16,7 +16,10 @@ filter classifiers:
 - each soft level at a representative t = j/D of (lo, hi] is
   {x : x_t in mu} or {x : x_t q mu}, read through :func:`evaluate`;
 - each crisp filter kind is decided from its definition, and its witness
-  is the first instance of the definition that fails.
+  is the first instance of the definition that fails;
+- a strictness witness for T4.2.13 (T4.3.12) is found by walking every
+  grid map for one whose non-empty in-levels are all MV- (G-) filters and
+  not all Boolean.
 
 A sample is drawn with ``softmtl.fuzzy.sample_grid_maps``, which decides
 nothing, so that a sampled run meets the same maps as ``verify``.
@@ -256,6 +259,30 @@ def crisp_witness(alg, s, kind):
 def level(mu, soft_kind, t):
     """The level at t of a soft set of mu: {x : x_t in mu} or {x : x_t q mu}."""
     return frozenset(x for x in range(mu.alg.n) if evaluate(mu, MembershipQuery(x, t, soft_kind)))
+
+
+@functools.lru_cache(maxsize=1024)  # the levels recur from map to map
+def crisp_verdicts(alg, cut, kind):
+    """Whether the non-empty subset cut is a filter of the kind, and whether it is Boolean."""
+    return crisp_witness(alg, cut, kind) is None, crisp_witness(alg, cut, "boolean") is None
+
+
+def is_strictness_witness(mu, kind):
+    """True when the in-levels of mu over (0, 1] show that a filter of the kind need not be
+    Boolean: every non-empty level is a filter of the kind, and some one is not Boolean."""
+    cuts = {level(mu, "in", Fraction(j, mu.den)) for j in range(1, mu.den + 1)} - {frozenset()}
+    verdicts = [crisp_verdicts(mu.alg, cut, kind) for cut in cuts]
+    return all(ok for ok, _ in verdicts) and not all(boolean for _, boolean in verdicts)
+
+
+def literal_strictness_witness(alg, kind, den):
+    """The first map of the 1/den grid, lexicographically, that is a strictness witness
+    for the kind ("mv" for T4.2.13, "g" for T4.3.12), or None."""
+    for nums in itertools.product(range(den + 1), repeat=alg.n):
+        mu = FuzzySet.from_nums(alg, den, nums)
+        if is_strictness_witness(mu, kind):
+            return mu
+    return None
 
 
 def thresholds(den):

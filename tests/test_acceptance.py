@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import copy
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from softmtl.algebra import check_derived_laws, load_algebra, validate_mtl
 from softmtl.filters import (classify_filter, crisp_decomposition_check,
                              enumerate_filters, labels_of, mask_of)
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_maps
+from softmtl.fuzzy import FuzzySet, check_fuzzy_witness
 from softmtl.soft import FULL, build_soft
 from softmtl.verifier import (catalog_by_id, find_strictness_witness, verify,
                               verify_all)
@@ -75,7 +76,7 @@ def test_criterion_3_route_agreement():
         for name in ("a1", "a2"):
             alg = load_fixture(name)
             checked = filters_seen = 0
-            for nums in grid_maps(alg.n, 4):
+            for nums in itertools.product(range(5), repeat=alg.n):
                 mu = FuzzySet.from_nums(alg, 4, nums)
                 holds = lambda kind, route: check_fuzzy_witness(mu, "plain", kind, route) is None
                 checked += 1

@@ -123,9 +123,13 @@ def test_witness_command(capsys):
     code, out, _ = run(capsys, "witness", "a3", "T4.3.12", "--grid", "2")
     assert code == 0
     assert "converse fails" in out
+    code, out, _ = run(capsys, "witness", "a3", "T4.3.12", "--grid", "2", "--json")
+    # the indicator of the G-filter {a, 1}, which is not Boolean
+    assert json.loads(out)["witness"] == {"0": "0", "a": "1", "b": "0", "c": "0", "d": "0",
+                                          "1": "1"}
     code, out, _ = run(capsys, "witness", "b2", "T4.3.12")
     assert code == 0
-    assert "no strictness witness" in out
+    assert out == "T4.3.12: no strictness witness on any grid\n"
 
 
 def test_odd_grid_rejected(capsys):
@@ -176,13 +180,20 @@ def test_parser_is_reused_across_calls(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "a1", "T3.3", "--budget", "0"),
     ("verify-all", "a1", "--budget", "-1"),
-    ("witness", "a3", "T4.3.12", "--budget", "0"),
 ])
 def test_vacuous_budget_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("option", ["--budget", "--seed"])
+def test_witness_takes_no_sampling_options(capsys, option):
+    with pytest.raises(SystemExit) as exited:
+        main(["witness", "a3", "T4.3.12", option, "10"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_interval_only_on_generic_theorems(capsys):

@@ -12,7 +12,7 @@ from softmtl import fuzzy
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (FuzzySet, FuzzyWitnesses, check_fuzzy_witness, disagree, grid_map,
-                           grid_maps, scan_fails, scan_masks, split_map, weak_orders)
+                           scan_fails, scan_masks, split_map, weak_orders)
 
 F = Fraction
 
@@ -26,7 +26,8 @@ def check_fuzzy(mu, family, kind, route="default", alpha=None, beta=None):
 
 
 def every_set(alg, den):
-    return (FuzzySet.from_nums(alg, den, nums) for nums in grid_maps(alg.n, den))
+    return (FuzzySet.from_nums(alg, den, nums)
+            for nums in itertools.product(range(den + 1), repeat=alg.n))
 
 
 # ---- fuzzy-point membership -------------------------------------------------

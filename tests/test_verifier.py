@@ -11,9 +11,8 @@ from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mt
 from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
-from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, grid_map, grid_maps, sample_grid_maps,
-                           weak_orders)
-from reference import literal_reports
+from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_map, sample_grid_maps, weak_orders
+from reference import is_strictness_witness, literal_reports, literal_strictness_witness
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, _plan, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
@@ -115,7 +114,7 @@ def test_sampling_fallback(a3):
 def test_restriction_coherence(a1):
     # a plain fuzzy filter also satisfies the capped predicate, and its
     # narrow-interval cuts agree with the full-interval ones restricted
-    for nums in grid_maps(a1.n, 4):
+    for nums in itertools.product(range(5), repeat=a1.n):
         mu = FuzzySet.from_nums(a1, 4, nums)
         if check_fuzzy_witness(mu, "plain", "filter") is None:
             assert check_fuzzy_witness(mu, "eiq", "filter") is None
@@ -140,6 +139,25 @@ def test_strictness_witness_found(a2, a3):
 def test_no_witness_on_boolean_algebra(b2):
     assert find_strictness_witness(b2, "T4.2.13", 4) is None
     assert find_strictness_witness(b2, "T4.3.12", 4) is None
+
+
+@pytest.mark.parametrize("name, den", [(name, den) for name in ("a1", "a2", "a3", "b2")
+                                       for den in (2, 4)] + [("a1xb2", 2)])
+def test_strictness_witness_matches_the_literal_walk(name, den):
+    alg = load_named(name)
+    for theorem, kind in (("T4.2.13", "mv"), ("T4.3.12", "g")):
+        mu = find_strictness_witness(alg, theorem, den)
+        assert (mu is None) == (literal_strictness_witness(alg, kind, den) is None), theorem
+        if mu is not None:
+            assert set(mu.nums) == {0, den} and is_strictness_witness(mu, kind), theorem
+
+
+def test_strictness_witness_on_a_product_the_sampler_missed():
+    # 3^24 maps at D = 2, too many to walk, and too few of them are witnesses to sample
+    alg = load_named("a3xa1")
+    mu = find_strictness_witness(alg, "T4.3.12", 2)
+    assert mu is not None and set(mu.nums) == {0, 2} and is_strictness_witness(mu, "g")
+    assert find_strictness_witness(alg, "T4.2.13", 2) is None
 
 
 def test_witness_rejects_other_theorems(a1):
@@ -383,7 +401,7 @@ def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch)
         return None
 
     # the lexicographically first map on which the check alone raises
-    first = next(nums for nums in grid_maps(alg.n, 2) if message(nums))
+    first = next(nums for nums in itertools.product(range(3), repeat=alg.n) if message(nums))
     assert message(first) == str(raised.value)
     # the pass's own order, (rank count, weak order, values), meets another one first
     maps = (grid_map(order, vals, alg.n) for r in range(1, alg.n + 1)
@@ -409,7 +427,8 @@ def test_disagreeing_routes_are_named_where_the_soft_side_fails_too(monkeypatch)
     spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
     with pytest.raises(AlgebraError, match="boolean formulations disagree on ") as raised:
         verify(alg, spec, 4)
-    first = next(nums for nums in grid_maps(alg.n, 4) if _disagreement(alg, 4, nums))
+    first = next(nums for nums in itertools.product(range(5), repeat=alg.n)
+                 if _disagreement(alg, 4, nums))
     assert _disagreement(alg, 4, first) == str(raised.value)
     mu = FuzzySet.from_nums(alg, 4, first)
     assert not classify_soft(build_soft(mu, FULL, "in"), "boolean")[0]
