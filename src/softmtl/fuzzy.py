@@ -5,7 +5,7 @@ Membership values lie on a fixed grid 0, 1/D, ..., 1 with D even, so
 numerator k, and every filter condition is an exact integer comparison
 (1/2 is D//2).  ``Fraction`` appears only at the edges: values given to
 ``FuzzySet`` and thresholds are parsed from it, and ``FuzzySet.values``
-and ``to_doc`` print with it.
+and :func:`map_doc` print with it.
 
 All four families share one inequality engine: the plain family is the
 threshold pair (0, 1), the (min .., 1/2)-capped family is (0, 1/2), the
@@ -32,6 +32,11 @@ def on_grid(value: Fraction, den: int) -> bool:
     return ZERO <= value <= ONE and (value * den).denominator == 1
 
 
+def map_doc(alg: FiniteMtlAlgebra, den: int, nums) -> dict:
+    """The printed form of a grid map: each label with its value k/den in lowest terms."""
+    return {lab: str(Fraction(k, den)) for lab, k in zip(alg.labels, nums)}
+
+
 @dataclass(frozen=True)
 class FuzzySet:
     """Total map from the carrier to the 1/D grid.
@@ -56,7 +61,7 @@ class FuzzySet:
         object.__setattr__(self, "nums", tuple(int(v * self.den) for v in self.values))
 
     def to_doc(self) -> dict:
-        return {lab: str(v) for lab, v in zip(self.alg.labels, self.values)}
+        return map_doc(self.alg, self.den, self.nums)
 
     @classmethod
     def constant(cls, alg, den, value) -> "FuzzySet":
@@ -222,48 +227,30 @@ def resolve_route(family: str, kind: str, route: str = "default") -> str:
     return {"filter": "mp", "boolean": "chain"}.get(kind, "default")
 
 
-_UNSET = object()
-
-
-class FuzzyWitnesses:
-    """First violating tuple of each fuzzy-filter variant on one grid map.
+def variant_witness(alg: FiniteMtlAlgebra, den: int, nums: tuple[int, ...], key):
+    """First violating tuple of one fuzzy-filter variant on a grid map, or None.
 
     ``nums`` are the membership numerators.  A variant is keyed by
     (kind, lo, hi, route): the family's bounds from :func:`family_bounds`
     and a route from :func:`resolve_route`.  Every kind other than
-    "filter" includes the same-family filter condition as a conjunct.
-    Each variant, conjuncts included, is scanned on first request only.
+    "filter" includes the same-family filter condition as a conjunct,
+    scanned first.  Route "all" scans every formulation and raises
+    AlgebraError, naming the map, if they disagree.
     """
-
-    __slots__ = ("alg", "den", "nums", "_memo")
-
-    def __init__(self, alg: FiniteMtlAlgebra, den: int, nums: tuple[int, ...]):
-        self.alg, self.den, self.nums = alg, den, nums
-        self._memo = {}
-
-    def witness(self, key):
-        w = self._memo.get(key, _UNSET)
-        if w is _UNSET:
-            w = self._memo[key] = self._scan(*key)
-        return w
-
-    def _scan(self, kind, lo, hi, route):
-        if _conjoined(kind):
-            w = self.witness((_CONJUNCT[0], lo, hi, _CONJUNCT[1]))
-            if w is not None:
-                return w
-        if route == "all":
-            return self._agreed(kind, lo, hi)
-        return _SCANS[kind, route](self.alg, _clamp(self.nums, lo, hi))
-
-    def _agreed(self, kind, lo, hi):
-        """Every formulation, which must agree; the first violation found."""
-        results = {r: self.witness((kind, lo, hi, r)) for r in PLAIN_ROUTES[kind]}
-        verdicts = {r: w is None for r, w in results.items()}
-        if len(set(verdicts.values())) != 1:
-            mu = FuzzySet.from_nums(self.alg, self.den, self.nums)
-            raise AlgebraError(f"{kind} formulations disagree on {mu.to_doc()}: {verdicts}")
-        return next((w for w in results.values() if w is not None), None)
+    kind, lo, hi, route = key
+    c = _clamp(nums, lo, hi)
+    if _conjoined(kind):
+        w = _SCANS[_CONJUNCT](alg, c)
+        if w is not None:
+            return w
+    if route != "all":
+        return _SCANS[kind, route](alg, c)
+    results = {r: _SCANS[kind, r](alg, c) for r in PLAIN_ROUTES[kind]}
+    verdicts = {r: w is None for r, w in results.items()}
+    if len(set(verdicts.values())) != 1:
+        mu = map_doc(alg, den, nums)
+        raise AlgebraError(f"{kind} formulations disagree on {mu}: {verdicts}")
+    return next((w for w in results.values() if w is not None), None)
 
 
 def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
@@ -302,7 +289,7 @@ def disagree(bits: int, fail: int, agree: int) -> bool:
     """True iff the formulations of a ``route="all"`` variant disagree on the OR'd bits.
 
     They are compared only when the conjunct, if any, passes, as
-    :class:`FuzzyWitnesses` does; otherwise their scans were not run.
+    :func:`variant_witness` does; otherwise their scans were not run.
     """
     return not bits & fail & ~agree and bits & agree not in (0, agree)
 
@@ -323,7 +310,7 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
     require_mtl(mu.alg)
     lo, hi = family_bounds(family, mu.den, alpha, beta)
     key = (kind, lo, hi, resolve_route(family, kind, route))
-    return FuzzyWitnesses(mu.alg, mu.den, mu.nums).witness(key)
+    return variant_witness(mu.alg, mu.den, mu.nums, key)
 
 
 def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:

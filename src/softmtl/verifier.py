@@ -77,15 +77,18 @@ biconditional and never in S: it is set when the formulations of a
 ``route="all"`` check disagree by its agree mask
 (:func:`softmtl.fuzzy.disagree`).  A map is a counterexample to some
 check only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
-biconditionals.  Such maps are sorted lexicographically, and only then
-are their checks run one by one and their witnesses recorded, so every
-report is the same as that of a pass that runs each check on each map
-in lexicographic order.  A sample splits each drawn map into (W, V),
-takes the same decision, and records in the order drawn.  A map whose
-formulations disagree is thus recorded like a counterexample, and
-recording it runs the literal check, which raises and names the map: in
-an exhaustive run the lexicographically first such map, in a sample the
-first drawn, with no second pass.
+biconditionals.  Such maps are sorted lexicographically and recorded,
+so every report is the same as that of a pass that runs each check on
+each map in lexicographic order.  A sample splits each drawn map into
+(W, V), takes the same decision, and records in the order drawn.
+Recording reads each check's verdict off the map's bits and looks up
+only its witness: the first failing soft level by ascending t, or one
+literal scan (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy
+record.  A ``route="all"`` check runs its literal formulations on every
+recorded map, so a map whose formulations disagree raises and names the
+map: in an exhaustive run the lexicographically first such map, in a
+sample the first drawn, with no second pass.  A literal scan that
+contradicts the bits raises RuntimeError.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -104,11 +107,10 @@ from typing import NamedTuple
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, FuzzyWitnesses, count_fuzzy_sets, disagree, family_bounds,
-                    grid_map, resolve_route, sample_grid_maps, scan_fails, scan_masks,
-                    split_map, weak_orders)
-from .soft import (FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval,
-                   build_soft, classify_soft)
+from .fuzzy import (FuzzySet, count_fuzzy_sets, disagree, family_bounds, grid_map, map_doc,
+                    resolve_route, sample_grid_maps, scan_fails, scan_masks, split_map,
+                    variant_witness, weak_orders)
+from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
 
@@ -213,14 +215,9 @@ class _Check(NamedTuple):
     thresholds: tuple[int, int]   # numerators of the soft interval (alpha, beta]
     levels: int                   # bitmask of the cut indices of the soft levels
     kind: str                     # soft-side kind; the left-hand side of a relation
-    fuzzy: tuple | None           # FuzzyWitnesses key; None for a relation
+    fuzzy: tuple | None           # variant_witness key; None for a relation
     rhs: tuple[str, ...] = ()     # right-hand kinds of a relation
     iff: bool = True
-
-    @property
-    def interval(self) -> ParameterInterval:
-        den = self.report.den
-        return ParameterInterval(*(Fraction(k, den) for k in self.thresholds))
 
 
 def _plan(alg, spec, den, mode, interval) -> _Check:
@@ -275,38 +272,51 @@ def _soft_masks(checks, bad: int, lane: int) -> tuple[int, int]:
     return soft, rel
 
 
-def _record(alg, den, nums, checks, bad: dict[str, int]) -> None:
-    """Run every check on one set and append its counterexample, if any."""
-    fuzzy = FuzzyWitnesses(alg, den, nums)
-    mu = None
-    for check in checks:
-        soft_fail = bad[check.kind] & check.levels
+def _record(alg, den, nums, checks, bad: int, fail: int) -> None:
+    """Append each check's counterexample on one map, read off the bits ``decide`` returned."""
+    fails, doc = _by_kind(bad, den + 1), map_doc(alg, den, nums)
+    for b, check in enumerate(checks):
+        soft_fail = fails[check.kind] & check.levels
         witness = None  # None: the first failing soft level of `kind`
         if check.fuzzy is not None:
-            fw = fuzzy.witness(check.fuzzy)
-            if fw is None and soft_fail:
+            fuzzy_fail = bool(fail >> b & 1)
+            # a soft=>fuzzy witness; route "all" compares its formulations on every recorded map
+            if fuzzy_fail and not soft_fail and check.iff or check.fuzzy[3] == "all":
+                witness = variant_witness(alg, den, nums, check.fuzzy)
+                if (witness is not None) != fuzzy_fail:
+                    raise RuntimeError(f"{check.report.theorem}: the literal scan contradicts "
+                                       f"the scan bits on {doc}")
+            if soft_fail and not fuzzy_fail:
                 direction, kind = "fuzzy=>soft", check.kind
-            elif fw is not None and not soft_fail and check.iff:
-                direction, witness = "soft=>fuzzy", fw
+            elif fuzzy_fail and not soft_fail and check.iff:
+                direction = "soft=>fuzzy"
             else:
                 continue
         else:
-            rhs_fail = [k for k in check.rhs if bad[k] & check.levels]
+            rhs_fail = [k for k in check.rhs if fails[k] & check.levels]
             if not soft_fail and rhs_fail:
                 direction, kind = "forward", rhs_fail[0]
             elif soft_fail and not rhs_fail and check.iff:
                 direction, kind = "converse", check.kind
             else:
                 continue
-        if mu is None:
-            mu = FuzzySet.from_nums(alg, den, nums)
-            doc = mu.to_doc()
         if witness is None:
-            soft = build_soft(mu, check.interval, check.soft_kind)
-            witness = classify_soft(soft, kind)[1]
+            # the first failing level by ascending t: the cut index of an
+            # in-level rises with t, that of a q-level falls
+            levels = fails[kind] & check.levels
+            if check.soft_kind == "q":
+                j = levels.bit_length() - 1
+            else:
+                j = (levels & -levels).bit_length() - 1
+            cls = filters.classify_filter(alg, sum(1 << x for x, k in enumerate(nums) if k >= j))
+            key = kind if cls.is_filter else "filter"
+            witness = (Fraction(cut_index(check.soft_kind, j, den), den), key,
+                       cls.witnesses.get(key))
         check.report.counterexamples.append(
-            {"mu": doc, "direction": direction,
-             "witness": [str(part) for part in witness]})
+            {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
+    if fail >> len(checks):
+        raise RuntimeError(f"the scan bits flag disagreeing formulations on {doc}, "
+                           f"and the literal scans agree")
 
 
 class _Pass:
@@ -376,7 +386,7 @@ class _Pass:
         return vals, spans, self.clamps.setdefault(clamps, len(self.clamps)), clamps
 
     def decide(self, w, v):
-        """The packed failing cut indices if the map is a counterexample to a check, else None."""
+        """(packed failing cut indices, fuzzy fail bits) of a counterexample map, else None."""
         chain, fails, fuzzy, windows = w
         _, spans, clamp, clamps = v
         bad = 0
@@ -390,7 +400,7 @@ class _Pass:
             masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
         sfail, rel = masks
         if (sfail & ~fail) | (fail & ~sfail & self.iff) | rel:
-            return bad
+            return bad, fail
         return None
 
     def _fuzzy(self, chain, clamps, windows):
@@ -421,7 +431,7 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
     mode = "sampled" if sampled else "exhaustive"
     checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
-    found = []  # (map, packed failing cut indices) of each counterexample
+    found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
     if sampled:
         weak = {}
@@ -431,14 +441,14 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
             w = weak.get(order)
             if w is None:
                 w = weak[order] = run.weak(run.profile(order))
-            bad = run.decide(w, run.values(vals))
-            if bad is not None:
-                found.append((nums, bad))
+            bits = run.decide(w, run.values(vals))
+            if bits is not None:
+                found.append((nums, bits))
     else:
         decide = run.decide
         for r in range(1, min(n, den + 1) + 1):
             vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-            decided = {}  # profile -> (values, packed failing cut indices) of its counterexamples
+            decided = {}  # profile -> (values, decision bits) of its counterexamples
             for order in weak_orders(n, r):
                 profile = run.profile(order)
                 hits = decided.get(profile)
@@ -446,15 +456,15 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
                     w = run.weak(profile)
                     hits = decided[profile] = []
                     for v in vs:
-                        bad = decide(w, v)
-                        if bad is not None:
-                            hits.append((v[0], bad))
+                        bits = decide(w, v)
+                        if bits is not None:
+                            hits.append((v[0], bits))
                 checked += len(vs)
-                for vals, bad in hits:
-                    found.append((grid_map(order, vals, n), bad))
+                for vals, bits in hits:
+                    found.append((grid_map(order, vals, n), bits))
         found.sort()  # the lexicographic order of the maps
-    for nums, bad in found:
-        _record(alg, den, nums, checks, _by_kind(bad, run.lane))
+    for nums, (bad, fail) in found:
+        _record(alg, den, nums, checks, bad, fail)
     for check in checks:
         check.report.checked = checked
     return [check.report for check in checks]

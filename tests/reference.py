@@ -36,7 +36,15 @@ from softmtl.fuzzy import FuzzySet, sample_grid_maps
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
-MODES = ("in", "q", "in-or-q", "not-in", "not-q", "not-in-or-not-q")
+# each membership mode as a predicate on (mu(x), t)
+MODES = {
+    "in": lambda value, t: value >= t,
+    "q": lambda value, t: value + t > ONE,
+    "in-or-q": lambda value, t: value >= t or value + t > ONE,
+    "not-in": lambda value, t: not value >= t,
+    "not-q": lambda value, t: not value + t > ONE,
+    "not-in-or-not-q": lambda value, t: not value >= t or not value + t > ONE,
+}
 
 
 @dataclass(frozen=True)
@@ -54,16 +62,7 @@ class MembershipQuery:
 
 def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
     """Exact fuzzy-point membership: x_t in mu, x_t q mu, and negations."""
-    belongs = mu.values[query.x] >= query.level
-    coincides = mu.values[query.x] + query.level > ONE
-    return {
-        "in": belongs,
-        "q": coincides,
-        "in-or-q": belongs or coincides,
-        "not-in": not belongs,
-        "not-q": not coincides,
-        "not-in-or-not-q": not belongs or not coincides,
-    }[query.mode]
+    return MODES[query.mode](mu.values[query.x], query.level)
 
 
 # --- algebra side ---------------------------------------------------------------

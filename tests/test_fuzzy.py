@@ -11,8 +11,8 @@ from reference import MembershipQuery, evaluate, forms_of, fuzzy_witness
 from softmtl import fuzzy
 from softmtl.filters import classify_filter, is_filter
 from softmtl.fixtures import load_fixture
-from softmtl.fuzzy import (FuzzySet, FuzzyWitnesses, check_fuzzy_witness, disagree, grid_map,
-                           scan_fails, scan_masks, split_map, weak_orders)
+from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, disagree, grid_map, scan_fails,
+                           scan_masks, split_map, variant_witness, weak_orders)
 
 F = Fraction
 
@@ -208,7 +208,7 @@ def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
     per_cut, per_bits, slices = {}, {}, 0
     for order in orders(alg.n):
         r = len(order) + 1
-        literal = FuzzyWitnesses(alg, r, grid_map(order, range(r), alg.n))
+        nums = grid_map(order, range(r), alg.n)
         for low in range(r):
             for high in range(low, r):
                 bits = 0
@@ -219,7 +219,7 @@ def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
                 if bits not in per_bits:
                     assert not any(disagree(bits, *m) for m in masks), bits
                     per_bits[bits] = [bool(bits & fail) for fail, _ in masks]
-                want = [literal.witness((kind, low, high, route)) is not None
+                want = [variant_witness(alg, r, nums, (kind, low, high, route)) is not None
                         for kind, route in keys]
                 assert per_bits[bits] == want, (order, low, high)
                 slices += 1

@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from softmtl import soft
 from softmtl.cli import main
 from softmtl.fixtures import load_fixture
+from softmtl.fuzzy import FuzzySet
 from softmtl.soft import FULL, LOWER, UPPER, ParameterInterval
 from softmtl.verifier import TheoremSpec, verify
 
@@ -83,6 +85,17 @@ NAMES = (*CLI_RUNS, "false-specs")
 @pytest.mark.parametrize("name", NAMES)
 def test_golden_report(name):
     assert render(name).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_false_specs_are_recorded_from_the_numerators(monkeypatch):
+    # a counterexample's mu and witnesses come from the decision bits and the numerators
+    def refused(*args, **kwargs):
+        raise AssertionError("the verifier built a FuzzySet or a SoftSet")
+
+    monkeypatch.setattr(FuzzySet, "from_nums", refused)
+    monkeypatch.setattr(soft, "build_soft", refused)
+    monkeypatch.setattr(soft, "classify_soft", refused)
+    assert render("false-specs").encode() == (GOLDEN / "false-specs.json").read_bytes()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from softmtl import algebra, fixtures, fuzzy, verifier
+from softmtl.cli import main
 from products import load_named, single_cell_mutations
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
@@ -65,8 +66,8 @@ def test_default_thresholds_are_grid_aligned(a1):
     assert default_thresholds(10) == (1, 9)
     # a generic-interval check reports the default thresholds as (alpha, beta]
     t312 = catalog_by_id()["T3.12"]
-    assert _plan(a1, t312, 2, "exhaustive", None).interval == ParameterInterval(F(1, 2), F(1))
-    assert _plan(a1, t312, 10, "exhaustive", None).interval == ParameterInterval(F(1, 10), F(9, 10))
+    assert _plan(a1, t312, 2, "exhaustive", None).thresholds == (1, 2)
+    assert _plan(a1, t312, 10, "exhaustive", None).thresholds == (1, 9)
 
 
 def test_verify_t33_exhaustive(a1):
@@ -173,7 +174,7 @@ def test_levels_mask_holds_the_cut_index_of_each_level(a1, den):
               for kind in ("in", "q")]
     for spec, interval in specs:
         check = _plan(a1, spec, den, "exhaustive", interval)
-        lo, hi = check.interval.numerators(den)
+        lo, hi = check.thresholds
         assert check.levels == sum(1 << cut_index(spec.soft_kind, j, den)
                                    for j in range(lo + 1, hi + 1)), (spec.id, den)
 
@@ -231,6 +232,16 @@ def test_false_specs_match_the_reference_loop(name, den, spec, kw):
     report = verify(alg, spec, den, **kw).to_doc()
     assert report["counterexamples"]
     assert [report] == literal_reports(alg, [spec], den, **kw)
+
+
+def test_q_level_witnesses_match_the_reference_on_a_fine_grid():
+    # Eight q-levels over (0, 1]: each fuzzy=>soft witness names the first
+    # failing level by ascending t, whose cut index is the highest failing one.
+    name, _, spec, _ = next(s for s in FALSE_SPECS if s[2].id == "false-q-full-eiq-filter")
+    alg = load_fixture(name)
+    report = verify(alg, spec, 8).to_doc()
+    assert len(report["counterexamples"]) == 1030
+    assert [report] == literal_reports(alg, [spec], 8)
 
 
 def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
@@ -308,7 +319,7 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
     recorded = []
     monkeypatch.setattr(verifier, "_record",
-                        lambda alg, den, nums, checks, bad: recorded.append(nums))
+                        lambda alg, den, nums, checks, bad, fail: recorded.append(nums))
     verify(alg, catalog_by_id()[spec_id], den)
     # The plain fuzzy side now fails on every map with U as a level cut, so the
     # maps on which it held, and so the soft side held, become counterexamples.
@@ -319,6 +330,40 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
         if up in cuts and check_fuzzy_witness(mu, "plain", kind) is None:
             expected.append(nums)
     assert expected and recorded == expected
+
+
+def test_a_literal_scan_that_contradicts_the_bits_is_an_internal_error(monkeypatch, capsys):
+    # The planted g bit of the test above, recorded: on the first map with U as
+    # a cut, the bits fail the fuzzy side and pass the soft side, and the
+    # literal scan finds no violation to name as a soft=>fuzzy witness.
+    alg, den = load_algebra(FIXTURE_DOCS["a3"]), 2
+    fails = sum(1 << KINDS.index(k) for k in ("boolean", "mv"))
+    up = min(u for u in range(1, (1 << alg.n) - 1) if classify_filter(alg, u).fails == fails)
+    bit = 1 << fuzzy._SCAN_KEYS.index(("g", "default"))
+    scan_fails = verifier.scan_fails
+    monkeypatch.setattr(verifier, "scan_fails",
+                        lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
+    first = next(FuzzySet.from_nums(alg, den, nums)
+                 for nums in itertools.product(range(den + 1), repeat=alg.n)
+                 if sum(1 << x for x, k in enumerate(nums) if k) == up)
+    assert check_fuzzy_witness(first, "plain", "g") is None
+    with pytest.raises(RuntimeError) as raised:
+        verify(alg, catalog_by_id()["T4.3.3"], den)
+    assert str(raised.value).startswith("T4.3.3: ") and str(first.to_doc()) in str(raised.value)
+    # the CLI reports an internal error, not the bad input of an AlgebraError
+    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: alg)
+    assert main(["verify", "a3", "T4.3.3", "--grid", str(den)]) == 3
+    assert "RuntimeError: T4.3.3: " in capsys.readouterr().err
+
+
+def test_a_disagree_bit_the_literal_scans_do_not_share_is_an_internal_error(monkeypatch):
+    # every map is flagged, and on the constant 0 map nothing else fails
+    monkeypatch.setattr(verifier, "disagree", lambda bits, fail, agree: True)
+    alg = load_algebra(FIXTURE_DOCS["a1"])
+    spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
+    with pytest.raises(RuntimeError, match="formulations on ") as raised:
+        verify(alg, spec, 2)
+    assert str({"0": "0", "a": "0", "b": "0", "1": "0"}) in str(raised.value)
 
 
 def test_the_pass_decides_once_per_profile(monkeypatch):
