@@ -157,11 +157,12 @@ class AxiomReport:
         }
 
 
-def _index(idx: dict[str, int], label, where: str) -> int:
+def _decode(idx: dict[str, int], labels, where: str) -> list[int]:
     try:
-        return idx[label]
-    except (KeyError, TypeError):  # TypeError: an unhashable cell, such as a list
-        raise AlgebraError(f"unknown label {label!r} in {where}") from None
+        return [idx[label] for label in labels]
+    except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
+        bad = next(x for x in labels if not isinstance(x, str) or x not in idx)
+        raise AlgebraError(f"unknown label {bad!r} in {where}") from None
 
 
 def _parse_table(doc: dict, key: str, idx: dict[str, int]) -> list[list[int]]:
@@ -169,7 +170,7 @@ def _parse_table(doc: dict, key: str, idx: dict[str, int]) -> list[list[int]]:
     if not (isinstance(table, list) and len(table) == n
             and all(isinstance(row, list) and len(row) == n for row in table)):
         raise AlgebraError(f"{where} is missing or not a {n}x{n} list of lists")
-    return [[_index(idx, cell, where) for cell in row] for row in table]
+    return [_decode(idx, row, where) for row in table]
 
 
 def load_algebra(doc: dict) -> FiniteMtlAlgebra:
@@ -194,8 +195,8 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
 
     prod = _parse_table(doc, "prod", idx)
     res = _parse_table(doc, "res", idx)
-    bottom = _index(idx, doc.get("bottom", labels[0]), "'bottom'")
-    top = _index(idx, doc.get("top", labels[-1]), "'top'")
+    [bottom] = _decode(idx, [doc.get("bottom", labels[0])], "'bottom'")
+    [top] = _decode(idx, [doc.get("top", labels[-1])], "'top'")
     if bottom == top:
         raise AlgebraError("bottom and top must differ")
 

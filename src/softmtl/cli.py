@@ -163,8 +163,7 @@ def cmd_verify(args):
     if args.theorem not in specs:
         raise ValueError(f"unknown theorem id {args.theorem!r}; known: {', '.join(specs)}")
     iv = soft.ParameterInterval.parse(args.interval) if args.interval else None
-    rep = verifier.verify(alg, specs[args.theorem], den, budget=args.budget, seed=args.seed,
-                          interval=iv)
+    rep = verifier.verify(alg, specs[args.theorem], den, budget=args.budget, interval=iv)
     doc = rep.to_doc()
     status = "confirmed" if rep.confirmed else f"{len(rep.counterexamples)} counterexample(s)"
     lines = [f"{rep.theorem} on {rep.algebra} at D={den} ({rep.mode}, "
@@ -178,7 +177,7 @@ def cmd_verify(args):
 def cmd_verify_all(args):
     alg = fixtures.resolve_algebra(args.target)
     den = _default_den(alg, args)
-    reports = verifier.verify_all(alg, den, budget=args.budget, seed=args.seed)
+    reports = verifier.verify_all(alg, den, budget=args.budget)
     lines, bad = [], 0
     for rep in reports:
         status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"
@@ -218,8 +217,7 @@ def build_parser():
                             help="grid denominator (even; default 4, or 2 for n >= 6)")
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="max fuzzy sets before sampling kicks in")
-            sp.add_argument("--seed", type=int, default=0)
+                            help="max grid maps; over it, the two-valued ones (same verdicts)")
 
     sp = sub.add_parser("check-algebra", help="validate axioms and derived laws")
     common(sp, grid=False)

@@ -16,7 +16,6 @@ caller-chosen (alpha, beta).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -313,10 +312,6 @@ def check_fuzzy_witness(mu: FuzzySet, family: str, kind: str, route: str = "defa
     return variant_witness(mu.alg, mu.den, mu.nums, key)
 
 
-def count_fuzzy_sets(alg: FiniteMtlAlgebra, den: int) -> int:
-    return (den + 1) ** alg.n
-
-
 def weak_orders(n: int, r: int):
     """Every weak order of n elements with exactly r ranks, once each.
 
@@ -352,31 +347,14 @@ def grid_map(order: tuple[int, ...], values, n: int) -> tuple[int, ...]:
     return tuple([values[r] for r in rank])
 
 
-def value_masks(nums) -> dict[int, int]:
-    """The elements taking each value of nums, as {value: bitmask}."""
-    at = {}
-    for x, k in enumerate(nums):
-        at[k] = at.get(k, 0) | 1 << x
-    return at
+def up_sets(alg: FiniteMtlAlgebra) -> list[int]:
+    """Every non-empty proper up-set of the algebra's order, as a bitmask, ascending.
 
-
-def split_map(nums) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The weak order of a grid map, as its chain of up-sets, and its sorted distinct values.
-
-    The inverse of :func:`grid_map`: ``grid_map(*split_map(nums), len(nums)) == nums``.
+    Sets grow from the top down: an element joins a set that holds all above it.
     """
-    at = value_masks(nums)
-    vals = sorted(at)
-    ups, up = [], 0  # {x : nums[x] >= v} for the values v but the least, high to low
-    for v in vals[:0:-1]:
-        up |= at[v]
-        ups.append(up)
-    return tuple(ups[::-1]), tuple(vals)
-
-
-def sample_grid_maps(n: int, den: int, count: int, seed: int):
-    """Seeded uniform sample of numerator tuples, drawn with replacement."""
-    rng = random.Random(seed)
-    ks = range(den + 1)
-    for _ in range(count):
-        yield tuple([rng.choice(ks) for _ in range(n)])
+    above = [sum(1 << y for y, le in enumerate(row) if le and y != x)
+             for x, row in enumerate(alg.leq)]
+    sets = [0]
+    for x in sorted(range(alg.n), key=lambda x: above[x].bit_count()):
+        sets += [s | 1 << x for s in sets if not above[x] & ~s]
+    return sorted(s for s in sets if 0 < s < (1 << alg.n) - 1)

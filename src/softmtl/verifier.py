@@ -2,10 +2,10 @@
 
 Each catalog entry ties a fuzzy-side predicate (family + kind) to a
 soft-side predicate (level cuts over an interval, classified per kind),
-or relates two soft-side predicates.  Verification is one pass over the
-grid fuzzy sets on the algebra (every one, or a seeded sample when over
-budget), each produced once as its integer numerators k in 0..D and
-checked against every requested theorem.
+or relates two soft-side predicates.  Verification is one pass over
+grid fuzzy sets on the algebra, each produced once as its integer
+numerators k in 0..D and checked against every requested theorem: all
+(D+1)^n of them within budget, else the two-valued maps (below).
 
 A verdict depends only on how the values k[x] are ordered, not on the
 values themselves.  So a map is split into a weak order W of the
@@ -50,25 +50,23 @@ hi, and c[x] = V[W[x]], strictly between them, for the ranks in
 between.  So the weak order of c is W with the ranks <= low merged and
 the ranks >= high merged, and its chain of up-sets is the slice
 (U_low+1, ..., U_high) of W's chain (empty when low >= high: c is
-constant).  The slice names neither D,
-nor the bounds, nor the values, so each W ORs a slice once, whatever
-bounds its checks carry.
+constant).  The slice names neither D, nor the bounds, nor the values,
+so each W ORs a slice once, whatever bounds its checks carry.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per U_i of its chain: the failing crisp kinds of U_i and the scan bits
 of U_i.  The tuple of these atoms is W's profile, and :meth:`_Pass.weak`
 builds all it hands to :meth:`_Pass.decide` from the profile alone, so
 two weak orders with the same profile and rank count are decided alike
-on every V, and keying by the profile is exact.  The exhaustive pass
-therefore decides each (profile, V) pair once, on the first W with that
+on every V, and keying by the profile is exact.  The pass therefore
+decides each (profile, V) pair once, on the first W with that
 profile; every later W counts its maps and rebuilds the counterexamples
 found from its own chain.  The key holds both halves of the atom: on an
 MTL-algebra the scan bits follow from the kinds, but that is what the
 theorems claim, so a key by kinds alone would assume what is checked.
 Profiles are few: a3 at D=8 has 4683 weak orders and 65 profiles, and
-6747 (profile, V) pairs stand for its 531441 maps.  A sample keeps its
-memo per drawn weak order.  Nothing is kept on the algebra: the memos
-live as long as the run.
+6747 (profile, V) pairs stand for its 531441 maps.  Nothing is kept on
+the algebra: the memos live as long as the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
@@ -79,16 +77,34 @@ biconditional and never in S: it is set when the formulations of a
 check only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
 biconditionals.  Such maps are sorted lexicographically and recorded,
 so every report is the same as that of a pass that runs each check on
-each map in lexicographic order.  A sample splits each drawn map into
-(W, V), takes the same decision, and records in the order drawn.
-Recording reads each check's verdict off the map's bits and looks up
-only its witness: the first failing soft level by ascending t, or one
-literal scan (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy
-record.  A ``route="all"`` check runs its literal formulations on every
-recorded map, so a map whose formulations disagree raises and names the
-map: in an exhaustive run the lexicographically first such map, in a
-sample the first drawn, with no second pass.  A literal scan that
-contradicts the bits raises RuntimeError.
+each map it walks, in lexicographic order.  Recording reads each check's
+verdict off the map's bits and looks up only its witness: the first
+failing soft level by ascending t, or one literal scan
+(:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
+``route="all"`` check runs its literal formulations on every recorded
+map, so a map whose formulations disagree raises and names the
+lexicographically first such map the pass walks, with no second pass.
+A literal scan that contradicts the bits raises RuntimeError.
+
+Two-valued maps.  Over budget the pass walks only the constant maps
+(r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
+U each non-empty proper up-set of the algebra's order
+(:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one.
+They are grid maps, so their records are the grid's on them, and each
+check the grid refutes is refuted on one of them:
+
+- Per-U_i split.  S, F, each side of a relation and each agree bit are
+  ORs over a map's chain.  U_i counts where its span (V[i-1], V[i]]
+  meets the levels, and in a slice iff V[i] > lo and V[i-1] < hi, both
+  fixed by (V[i-1], V[i]); U_0, the carrier, fails no kind and is in no
+  slice.  So the U_i that sets the failing side of a counterexample, or
+  an agree bit of a disagreement (U_i lacks every bit the OR lacks),
+  makes the grid map V[i-1] off U_i, V[i] on U_i fail the same way.
+- One atom for every non-up-set.  A set with x <= y, x in it and y not,
+  is no filter, so it fails every kind.  On its indicator the unit check
+  (1 not in it) or mp at (x, y) fails, as x -> y = 1, and so does the
+  product route's order check; the conjoined scans are skipped.  So all
+  non-up-sets share one atom, and one stands for all.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -101,15 +117,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import NamedTuple
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, count_fuzzy_sets, disagree, family_bounds, grid_map, map_doc,
-                    resolve_route, sample_grid_maps, scan_fails, scan_masks, split_map,
-                    variant_witness, weak_orders)
+from .fuzzy import (FuzzySet, disagree, family_bounds, grid_map, map_doc, resolve_route,
+                    scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
 from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
@@ -197,14 +212,34 @@ class VerificationReport:
         }
 
 
-def _sampled(alg, den, budget) -> bool:
-    """Check a run's inputs; True when the grid is over budget and a sample is checked."""
+def _check_grid(alg, den) -> None:
     require_mtl(alg)
     if den <= 0 or den % 2:
         raise ValueError(f"grid denominator must be positive and even, got {den}")
+
+
+def _orders(alg, den, budget) -> tuple[str, list]:
+    """Check a run's inputs; its mode, and the weak orders it walks for r = 1, 2, ... ranks."""
+    _check_grid(alg, den)
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    return budget is not None and count_fuzzy_sets(alg, den) > budget
+    n = alg.n
+    if budget is None or (den + 1) ** n <= budget:
+        return "exhaustive", [weak_orders(n, r) for r in range(1, min(n, den + 1) + 1)]
+    orders = _two_valued(alg)
+    maps = den + 1 + len(orders[1]) * (den + 1) * den // 2
+    if maps > budget:  # before any map is walked
+        raise ValueError(f"budget {budget} is below the {maps} two-valued maps "
+                         f"of the 1/{den} grid on {n} elements")
+    return "two-valued", orders
+
+
+def _two_valued(alg) -> list[list[tuple[int, ...]]]:
+    """The weak orders of the constant maps, and of a off U, b on U for each representative U."""
+    ups = up_sets(alg)
+    known = set(ups)
+    other = next(mask for mask in count(1) if mask not in known)  # the least non-up-set
+    return [[()], [(up,) for up in (*ups, other)]]
 
 
 class _Check(NamedTuple):
@@ -426,43 +461,31 @@ class _Pass:
         return fail
 
 
-def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationReport]:
-    sampled = _sampled(alg, den, budget)
-    mode = "sampled" if sampled else "exhaustive"
+def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
+    """Run the checks on the maps of ``walk``, a mode and its weak orders from :func:`_orders`."""
+    mode, orders = walk
     checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
+    decide = run.decide
     found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
-    if sampled:
-        weak = {}
-        for nums in sample_grid_maps(n, den, budget, seed):
-            checked += 1
-            order, vals = split_map(nums)
-            w = weak.get(order)
-            if w is None:
-                w = weak[order] = run.weak(run.profile(order))
-            bits = run.decide(w, run.values(vals))
-            if bits is not None:
-                found.append((nums, bits))
-    else:
-        decide = run.decide
-        for r in range(1, min(n, den + 1) + 1):
-            vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-            decided = {}  # profile -> (values, decision bits) of its counterexamples
-            for order in weak_orders(n, r):
-                profile = run.profile(order)
-                hits = decided.get(profile)
-                if hits is None:
-                    w = run.weak(profile)
-                    hits = decided[profile] = []
-                    for v in vs:
-                        bits = decide(w, v)
-                        if bits is not None:
-                            hits.append((v[0], bits))
-                checked += len(vs)
-                for vals, bits in hits:
-                    found.append((grid_map(order, vals, n), bits))
-        found.sort()  # the lexicographic order of the maps
+    for r, of_r in enumerate(orders, 1):
+        vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+        decided = {}  # profile -> (values, decision bits) of its counterexamples
+        for order in of_r:
+            profile = run.profile(order)
+            hits = decided.get(profile)
+            if hits is None:
+                w = run.weak(profile)
+                hits = decided[profile] = []
+                for v in vs:
+                    bits = decide(w, v)
+                    if bits is not None:
+                        hits.append((v[0], bits))
+            checked += len(vs)
+            for vals, bits in hits:
+                found.append((grid_map(order, vals, n), bits))
+    found.sort()  # the lexicographic order of the maps
     for nums, (bad, fail) in found:
         _record(alg, den, nums, checks, bad, fail)
     for check in checks:
@@ -470,21 +493,20 @@ def _verify(alg, specs, den, budget, seed, interval=None) -> list[VerificationRe
     return [check.report for check in checks]
 
 
-def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int,
-           budget: int | None = None, seed: int = 0,
+def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int, budget: int | None = None,
            interval: ParameterInterval | None = None) -> VerificationReport:
-    """Check one catalog entry against every (or a sampled set of) grid fuzzy set.
+    """Check one catalog entry against every grid fuzzy set, or the two-valued ones over budget.
 
     ``interval`` overrides the default (alpha, beta] of a generic-interval
     entry (``spec.interval is None``) and is rejected for any other.
     """
-    return _verify(alg, [spec], den, budget, seed, interval)[0]
+    return _verify(alg, [spec], den, _orders(alg, den, budget), interval)[0]
 
 
-def verify_all(alg: FiniteMtlAlgebra, den: int, budget: int | None = None,
-               seed: int = 0) -> list[VerificationReport]:
+def verify_all(alg: FiniteMtlAlgebra, den: int,
+               budget: int | None = None) -> list[VerificationReport]:
     """Check the whole catalog in one pass over the grid fuzzy sets."""
-    return _verify(alg, catalog(), den, budget, seed)
+    return _verify(alg, catalog(), den, _orders(alg, den, budget))
 
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
@@ -500,12 +522,12 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
 
     ``budget`` and ``seed`` are ignored.  They stay only because the
     benchmark's ``witness-sampled`` workload passes them, and go when that
-    workload is replaced (ROADMAP item 5).
+    workload is replaced (ROADMAP item 6).
     """
     rhs = {"T4.2.13": "mv", "T4.3.12": "g"}.get(theorem_id)
     if rhs is None:
         raise ValueError(f"{theorem_id!r} has no strictness claim; use T4.2.13 or T4.3.12")
-    _sampled(alg, den, None)  # the tables and the grid are checked as for verify
+    _check_grid(alg, den)  # the tables and the grid are checked as for verify
     rhs_bit, boolean_bit = 1 << KINDS.index(rhs), 1 << KINDS.index("boolean")
     for mask in filters.enumerate_filters(alg):
         fails = filters.classify_filter(alg, mask).fails

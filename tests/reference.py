@@ -19,10 +19,9 @@ filter classifiers:
   is the first instance of the definition that fails;
 - a strictness witness for T4.2.13 (T4.3.12) is found by walking every
   grid map for one whose non-empty in-levels are all MV- (G-) filters and
-  not all Boolean.
-
-A sample is drawn with ``softmtl.fuzzy.sample_grid_maps``, which decides
-nothing, so that a sampled run meets the same maps as ``verify``.
+  not all Boolean;
+- over budget it walks the two-valued maps, a off U and b on U, listing
+  the up-sets U by a brute force over every subset.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from softmtl.fuzzy import FuzzySet, sample_grid_maps
+from softmtl.fuzzy import FuzzySet
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -289,7 +288,22 @@ def thresholds(den):
     return (HALF, ONE) if den == 2 else (Fraction(1, den), Fraction(den - 1, den))
 
 
-def literal_reports(alg, specs, den, budget=None, seed=0, interval=None):
+def two_valued_maps(alg, den):
+    """The maps of the two-valued pass, in lexicographic order: the constant maps, and for
+    a < b the map a off U, b on U, U each non-empty proper up-set and the least other subset."""
+    n, leq = alg.n, alg.leq
+    subsets = range(1, (1 << n) - 1)
+    upward = [all(m >> y & 1 for x in range(n) if m >> x & 1 for y in range(n) if leq[x][y])
+              for m in subsets]
+    sets = [m for m, up in zip(subsets, upward) if up]
+    sets.append(next(m for m, up in zip(subsets, upward) if not up))
+    pairs = itertools.combinations(range(den + 1), 2)
+    maps = [(k,) * n for k in range(den + 1)]
+    maps += [tuple(b if m >> x & 1 else a for x in range(n)) for a, b in pairs for m in sets]
+    return sorted(maps)
+
+
+def literal_reports(alg, specs, den, budget=None, interval=None):
     """What ``verify`` reports on each spec, as stated: ``VerificationReport.to_doc()``.
 
     A counterexample's witness is the fuzzy side's first violated instance,
@@ -298,7 +312,7 @@ def literal_reports(alg, specs, den, budget=None, seed=0, interval=None):
     right-hand kind, a converse one its left-hand kind.
     """
     if budget is not None and (den + 1) ** alg.n > budget:
-        maps, mode = sample_grid_maps(alg.n, den, budget, seed), "sampled"
+        maps, mode = two_valued_maps(alg, den), "two-valued"
     else:
         maps, mode = itertools.product(range(den + 1), repeat=alg.n), "exhaustive"
     ts = [Fraction(j, den) for j in range(1, den + 1)]  # the representatives of (0, 1]

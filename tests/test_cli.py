@@ -180,6 +180,7 @@ def test_parser_is_reused_across_calls(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "a1", "T3.3", "--budget", "0"),
     ("verify-all", "a1", "--budget", "-1"),
+    ("verify-all", "a1", "--grid", "1000000", "--budget", "10"),  # below the two-valued maps
 ])
 def test_vacuous_budget_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

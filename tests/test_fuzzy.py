@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from products import load_named
 from reference import MembershipQuery, evaluate, forms_of, fuzzy_witness
 from softmtl import fuzzy
-from softmtl.filters import classify_filter, is_filter
+from softmtl.filters import KINDS, classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, disagree, grid_map, scan_fails,
-                           scan_masks, split_map, variant_witness, weak_orders)
+                           scan_masks, up_sets, variant_witness, weak_orders)
 
 F = Fraction
 
@@ -178,8 +178,14 @@ def test_weak_orders_and_values_give_every_grid_map_once(n, den):
              for vals in itertools.combinations(range(den + 1), r)]
     maps = [grid_map(order, vals, n) for order, vals in pairs]
     assert sorted(maps) == list(itertools.product(range(den + 1), repeat=n))
-    # split_map is the inverse: each map gives back its own (weak order, values)
-    assert [split_map(nums) for nums in maps] == pairs
+    # each map gives back its own (weak order, values)
+    assert [_split(nums) for nums in maps] == pairs
+
+
+def _split(nums):
+    """The weak order of a grid map, as its chain of up-sets, and its sorted distinct values."""
+    vals = sorted(set(nums))
+    return tuple(sum(1 << x for x, k in enumerate(nums) if k >= v) for v in vals[1:]), tuple(vals)
 
 
 def _all_weak_orders(n, max_ranks):
@@ -188,7 +194,7 @@ def _all_weak_orders(n, max_ranks):
 
 def _sampled_weak_orders(n, count, seed):
     rng = random.Random(seed)
-    return [split_map(tuple(rng.randrange(n) for _ in range(n)))[0] for _ in range(count)]
+    return [_split([rng.randrange(n) for _ in range(n)])[0] for _ in range(count)]
 
 
 @pytest.mark.parametrize("name, orders", [
@@ -224,6 +230,39 @@ def test_scan_verdicts_are_the_or_over_the_up_sets(name, orders):
                 assert per_bits[bits] == want, (order, low, high)
                 slices += 1
     assert slices > len(per_cut) > 0
+
+
+def _is_up_set(alg, mask):
+    return all(mask >> y & 1 for x in range(alg.n) if mask >> x & 1
+               for y in range(alg.n) if alg.leq[x][y])
+
+
+ALGEBRAS = ("b2", "a1", "a2", "a3", "a1xb2")
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_up_sets_are_the_up_closed_masks(name):
+    alg = load_named(name)
+    assert up_sets(alg) == [m for m in range(1, (1 << alg.n) - 1) if _is_up_set(alg, m)]
+
+
+# what the verifier reads of a set that is not an up-set: it fails every kind,
+# and on its indicator the mp and product scans fail, so no conjoined scan runs
+NON_UP_SET_ATOM = ((1 << len(KINDS)) - 1,
+                   sum(1 << fuzzy._SCAN_KEYS.index(("filter", r)) for r in ("mp", "product")))
+
+
+@pytest.mark.parametrize("name", (*ALGEBRAS, "a3xa1"))
+def test_every_non_up_set_has_one_atom(name):
+    alg = load_named(name)
+    masks = range(1, (1 << alg.n) - 1)
+    if name == "a3xa1":  # 2^24 subsets: 300 seeded ones
+        rng = random.Random(16)
+        masks = [rng.choice(masks) for _ in range(300)]
+    masks = [m for m in masks if not _is_up_set(alg, m)]
+    assert masks
+    for mask in masks:
+        assert (classify_filter(alg, mask).fails, scan_fails(alg, mask)) == NON_UP_SET_ATOM, mask
 
 
 def test_off_grid_value_rejected(a1):

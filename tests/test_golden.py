@@ -5,7 +5,8 @@ of ``mu`` and of witnesses.  The false specs are the only inputs that
 produce counterexamples, so they pin the counterexample paths: both
 directions of a fuzzy/soft theorem, both directions of a soft relation,
 in- and q-cuts, a generic interval, the plain ``all`` route and a
-sampled run.
+two-valued run, which walks only the maps a off U, b on U of the
+verifier's two-valued pass.
 
 Regenerate (only when a report format changes on purpose) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,8 +37,8 @@ CLI_RUNS = {
     "verify-all-a3-D2": ["verify-all", "a3", "--grid", "2", "--budget", "1000000", "--json"],
     "verify-all-a3-D8": ["verify-all", "a3", "--grid", "8", "--budget", "1000000", "--json"],
     "verify-all-b2-D4": ["verify-all", "b2", "--grid", "4", "--budget", "1000000", "--json"],
-    "verify-all-a3-D4-sampled": ["verify-all", "a3", "--grid", "4", "--budget", "3000",
-                                 "--seed", "5", "--json"],
+    "verify-all-a3-D12-two-valued": ["verify-all", "a3", "--grid", "12", "--budget", "1000000",
+                                     "--json"],
 }
 
 # (fixture, grid, spec, verify keyword arguments)
@@ -53,8 +54,8 @@ FALSE_SPECS = (
                           relation=("g", ("boolean", "mv"))), {}),
     ("a1", 4, TheoremSpec("false-plain-boolean-all-routes", "in", LOWER, "boolean", "plain",
                           route="all"), {}),
-    ("a3", 4, TheoremSpec("false-eiq-mv-sampled", "in", UPPER, "mv", "eiq"),
-     {"budget": 400, "seed": 3}),
+    ("a3", 4, TheoremSpec("false-eiq-mv-two-valued", "in", UPPER, "mv", "eiq"),
+     {"budget": 400}),
 )
 
 

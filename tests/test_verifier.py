@@ -12,8 +12,9 @@ from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mt
 from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
-from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_map, sample_grid_maps, weak_orders
-from reference import is_strictness_witness, literal_reports, literal_strictness_witness
+from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_map, up_sets, weak_orders
+from reference import (is_strictness_witness, literal_reports, literal_strictness_witness,
+                       two_valued_maps)
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, _plan, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
@@ -106,10 +107,13 @@ def test_verifier_catches_false_claims(a1):
 
 
 def test_sampling_fallback(a3):
-    rep = verify(a3, catalog_by_id()["T3.3"], 2, budget=100, seed=42)
-    assert rep.mode == "sampled"
-    assert rep.checked == 100
+    # over budget: the 3 constant maps, and 3 more for each of the 6 up-sets and the non-up-set
+    rep = verify(a3, catalog_by_id()["T3.3"], 2, budget=100)
+    assert rep.mode == "two-valued"
+    assert rep.checked == 3 + 3 * (len(up_sets(a3)) + 1) == 24
     assert rep.confirmed
+    with pytest.raises(ValueError, match="budget 23 is below the 24 two-valued maps"):
+        verify(a3, catalog_by_id()["T3.3"], 2, budget=23)
 
 
 def test_restriction_coherence(a1):
@@ -203,8 +207,8 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
         alg = load_algebra(doc)
         mu = FuzzySet.constant(alg, 2, 1)
         for call in (lambda: verify_all(alg, 2),
-                     # seed 117 samples only the constant-0 set, whose cuts read no filter
-                     lambda: verify_all(alg, 2, budget=1, seed=117),
+                     # the tables are checked before the budget
+                     lambda: verify_all(alg, 2, budget=1),
                      lambda: find_strictness_witness(alg, "T4.2.13", 2),
                      lambda: enumerate_filters(alg),
                      lambda: classify_filter(alg, 1 << alg.top),
@@ -220,9 +224,9 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
 def test_verify_all_matches_the_reference_loop(a1):
     # at D = 8 most sets are served from the memos of the shared a1; the whole
     # exhaustive D = 8 run is pinned by the verify-all-a1-D8 golden
-    reports = [rep.to_doc() for rep in verify_all(a1, 8, budget=300, seed=8)]
-    assert reports == literal_reports(a1, catalog(), 8, budget=300, seed=8)
-    assert all(rep["mode"] == "sampled" and rep["checked"] == 300 for rep in reports)
+    reports = [rep.to_doc() for rep in verify_all(a1, 8, budget=300)]
+    assert reports == literal_reports(a1, catalog(), 8, budget=300)
+    assert all(rep["mode"] == "two-valued" and rep["checked"] == 153 for rep in reports)
 
 
 @pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
@@ -232,6 +236,25 @@ def test_false_specs_match_the_reference_loop(name, den, spec, kw):
     report = verify(alg, spec, den, **kw).to_doc()
     assert report["counterexamples"]
     assert [report] == literal_reports(alg, [spec], den, **kw)
+
+
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
+def test_two_valued_runs_give_the_grids_verdicts(name):
+    # On b2 the two-valued maps are all the maps, so no budget selects them:
+    # the pass gets them straight from the verifier's two-valued source.
+    alg = load_algebra(FIXTURE_DOCS[name])
+    walk = ("two-valued", verifier._two_valued(alg))
+    refuted = 0
+    for _, grid, spec, kw in FALSE_SPECS:
+        for den in (grid, grid + 4):
+            full = verify(alg, spec, den, interval=kw.get("interval")).counterexamples
+            two = verifier._verify(alg, [spec], den, walk, kw.get("interval"))[0].counterexamples
+            docs = {tuple(str(F(k, den)) for k in nums) for nums in two_valued_maps(alg, den)}
+            on_maps = [ce for ce in full if tuple(ce["mu"][lab] for lab in alg.labels) in docs]
+            assert bool(two) == bool(full), (spec.id, den)
+            assert two == on_maps, (spec.id, den)
+            refuted += bool(full)
+    assert refuted
 
 
 def test_q_level_witnesses_match_the_reference_on_a_fine_grid():
@@ -256,10 +279,10 @@ def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(k, f) for k, f in fuzzy._SCANS.items()})
     runs = []
-    for den, budget in ((8, None), (16, None), (16, 500)):
+    for den, budget in ((8, None), (16, None), (16, 1000)):
         calls.clear()
-        reports = verify_all(alg, den, budget=budget, seed=2)
-        assert reports[0].mode == ("sampled" if budget else "exhaustive")
+        reports = verify_all(alg, den, budget=budget)
+        assert reports[0].mode == ("two-valued" if budget else "exhaustive")
         runs.append(list(calls))
     for scans in runs:
         # a run scans each up-set (given by its 0/1 indicator) at most once
@@ -273,7 +296,7 @@ def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
 
 
 def test_a_run_keeps_only_cut_classifications_on_the_algebra():
-    # a sample on a large carrier meets new up-sets and weak orders almost every draw
+    # a two-valued run on a large carrier: 5^24 grid maps, 292 up-sets
     alg = load_named("a3xa1")
     for name, attr in vars(type(alg.tables)).items():
         if isinstance(attr, functools.cached_property):
@@ -281,13 +304,19 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
     require_mtl(alg)
     before = dict(vars(alg.tables))
     sizes = {name: len(value) for name, value in before.items() if isinstance(value, dict)}
-    assert verify_all(alg, 4, budget=2000, seed=0)[0].mode == "sampled"
+    ups = up_sets(alg)
+    budget = (len(ups) + 1) * math.comb(5, 2) + 5
+    assert len(ups) + 1 == 293
+    reports = verify_all(alg, 4, budget=budget)
+    assert all(rep.mode == "two-valued" and rep.checked == budget and rep.confirmed
+               for rep in reports)
     after = vars(alg.tables)
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
     grown = {name for name, size in sizes.items() if len(after[name]) != size}
-    # the memo of classify_filter, by cut
+    # the memo of classify_filter, by cut: the up-sets, the representative and the carrier
     assert grown == {"classifications"}
+    assert len(after["classifications"]) - sizes["classifications"] <= len(ups) + 2
     assert all(0 < cut < 1 << alg.n for cut in after["classifications"])
 
 
@@ -387,11 +416,11 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
-    # one algebra object, warmed at other grids and by a sample, then the golden run
+    # one algebra object, warmed at other grids and by a two-valued run, then the golden run
     alg = load_algebra(FIXTURE_DOCS["a1"])
     verify_all(alg, 4)
     verify_all(alg, 16)
-    assert verify_all(alg, 16, budget=300, seed=4)[0].mode == "sampled"
+    assert verify_all(alg, 16, budget=1000)[0].mode == "two-valued"
     targets = []
     monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: targets.append(target) or alg)
     golden = (GOLDEN / "verify-all-a1-D8.json").read_bytes()
@@ -409,24 +438,27 @@ def test_false_specs_do_not_depend_on_the_memo(name, den, spec, kw):
     assert cold and warm == [cold, cold]
 
 
+def _disagreement(alg, den, nums):
+    """The message the plain Boolean ``route="all"`` check raises on the map, or None."""
+    try:
+        check_fuzzy_witness(FuzzySet.from_nums(alg, den, nums), "plain", "boolean", "all")
+    except AlgebraError as single:
+        return str(single)
+    return None
+
+
 def test_disagreeing_routes_name_the_map(monkeypatch):
     # a fresh algebra: the broken scan below must not reach a shared memo
     alg = load_algebra(FIXTURE_DOCS["a1"])
-    monkeypatch.setitem(fuzzy._SCANS, ("boolean", "contraction"), lambda alg, c: ("broken",))
+    # broken: fails every non-constant map, so the Boolean formulations disagree
+    monkeypatch.setitem(fuzzy._SCANS, ("boolean", "contraction"),
+                        lambda alg, c: ("broken",) if len(set(c)) > 1 else None)
     spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
     with pytest.raises(AlgebraError, match="boolean formulations disagree on ") as raised:
-        verify(alg, spec, 4, budget=50, seed=0)
-    # the first drawn map on which the check alone raises, with the same message
-    for nums in sample_grid_maps(alg.n, 4, 50, 0):
-        try:
-            check_fuzzy_witness(FuzzySet.from_nums(alg, 4, nums), "plain", "boolean", "all")
-        except AlgebraError as single:
-            assert str(single) == str(raised.value)
-            break
-    else:
-        pytest.fail("no drawn map makes the routes disagree")
-    # its values are not the ranks 0, 1, ... of their weak order
-    assert sorted(set(nums)) != list(range(len(set(nums))))
+        verify(alg, spec, 4, budget=50)  # the 45 two-valued maps of the 625
+    # the lexicographically first two-valued map on which the check alone raises
+    first = next(nums for nums in two_valued_maps(alg, 4) if _disagreement(alg, 4, nums))
+    assert _disagreement(alg, 4, first) == str(raised.value)
 
 
 def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch):
@@ -452,15 +484,6 @@ def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch)
     maps = (grid_map(order, vals, alg.n) for r in range(1, alg.n + 1)
             for order in weak_orders(alg.n, r) for vals in itertools.combinations(range(3), r))
     assert next(nums for nums in maps if message(nums)) != first
-
-
-def _disagreement(alg, den, nums):
-    """The message the plain Boolean ``route="all"`` check raises on the map, or None."""
-    try:
-        check_fuzzy_witness(FuzzySet.from_nums(alg, den, nums), "plain", "boolean", "all")
-    except AlgebraError as single:
-        return str(single)
-    return None
 
 
 def test_disagreeing_routes_are_named_where_the_soft_side_fails_too(monkeypatch):
