@@ -21,6 +21,8 @@ from . import algebra, filters, fixtures, fuzzy, soft, verifier
 
 DEFAULT_BUDGET = 1_000_000
 
+_escape = json.encoder.encode_basestring_ascii
+
 
 def _default_den(alg, args):
     if args.grid is None:
@@ -58,8 +60,53 @@ def _write(text):
         os.close(devnull)
 
 
+def _json(doc, newline="\n") -> str:
+    """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, for JSON-native documents.
+
+    With an indent, ``json.dumps`` runs CPython's pure-Python encoder, and
+    for a small report that costs more than the run.  This writes dicts
+    with str keys, lists, tuples (as lists), str, int, bool and None;
+    strings are escaped by the same C function.  Any other key or value
+    raises TypeError.
+    """
+    kind = type(doc)
+    if kind is str:
+        return _escape(doc)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        # sorted() or the escape raises TypeError on a key that is not a str
+        items = [_escape(key) + ": " + _json(doc[key], inner) for key in sorted(doc)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(item, inner) for item in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return int.__repr__(doc)
+    if kind is bool:
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    raise TypeError(f"{kind.__name__} is left to json.dumps")
+
+
 def _emit(args, doc, text_lines):
-    text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(text_lines)
+    """Print the report; ``--json`` prints ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    :func:`_json` writes those bytes, and a document it cannot write goes
+    to ``json.dumps`` whole, so the output never depends on which wrote it.
+    """
+    if not args.json:
+        text = "\n".join(text_lines)
+    else:
+        try:
+            text = _json(doc)
+        except TypeError:
+            text = json.dumps(doc, indent=2, sort_keys=True)
     _write(text + "\n")
 
 

@@ -15,6 +15,7 @@ caller-chosen (alpha, beta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -270,6 +271,7 @@ def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
     return bits
 
 
+@functools.cache
 def scan_masks(kind: str, route: str) -> tuple[int, int]:
     """The (fail, agree) masks of a variant over the bits of :func:`scan_fails`.
 
@@ -347,14 +349,22 @@ def grid_map(order: tuple[int, ...], values, n: int) -> tuple[int, ...]:
     return tuple([values[r] for r in rank])
 
 
-def up_sets(alg: FiniteMtlAlgebra) -> list[int]:
+def up_sets(alg: FiniteMtlAlgebra, most: int | None = None) -> list[int] | None:
     """Every non-empty proper up-set of the algebra's order, as a bitmask, ascending.
 
-    Sets grow from the top down: an element joins a set that holds all above it.
+    Sets grow from the top down: an element joins a set that holds all
+    above it, so every set held is an up-set of the whole order.  The
+    bottom, below every element, would only make the carrier, so it never
+    joins, and every set held but the empty one is non-empty and proper.
+    With ``most`` given, a listing that holds more than ``most`` of them
+    before it is complete stops and returns None.
     """
     above = [sum(1 << y for y, le in enumerate(row) if le and y != x)
              for x, row in enumerate(alg.leq)]
+    rest = [x for x in range(alg.n) if x != alg.bottom]
     sets = [0]
-    for x in sorted(range(alg.n), key=lambda x: above[x].bit_count()):
+    for x in sorted(rest, key=lambda x: above[x].bit_count()):
+        if most is not None and len(sets) - 1 > most:
+            return None
         sets += [s | 1 << x for s in sets if not above[x] & ~s]
-    return sorted(s for s in sets if 0 < s < (1 << alg.n) - 1)
+    return sorted(sets[1:])

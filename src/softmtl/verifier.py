@@ -59,20 +59,26 @@ of U_i.  The tuple of these atoms is W's profile, and :meth:`_Pass.weak`
 builds all it hands to :meth:`_Pass.decide` from the profile alone, so
 two weak orders with the same profile and rank count are decided alike
 on every V, and keying by the profile is exact.  The pass therefore
-decides each (profile, V) pair once, on the first W with that
-profile; every later W counts its maps and rebuilds the counterexamples
-found from its own chain.  The key holds both halves of the atom: on an
-MTL-algebra the scan bits follow from the kinds, but that is what the
-theorems claim, so a key by kinds alone would assume what is checked.
-Profiles are few: a3 at D=8 has 4683 weak orders and 65 profiles, and
-6747 (profile, V) pairs stand for its 531441 maps.  Nothing is kept on
-the algebra: the memos live as long as the run.
+decides each (profile, V) pair once: for each rank count it decides the
+distinct profiles first, and only if some has counterexamples walks the
+weak orders again, each rebuilding them from its own chain.  The key
+holds both halves of the atom: on an MTL-algebra the scan bits follow
+from the kinds, but that is what the theorems claim, so a key by kinds
+alone would assume what is checked.  Profiles are few: a3 at D=8 has
+4683 weak orders and 65 profiles, and 6747 (profile, V) pairs stand for
+its 531441 maps.  Nothing is kept on the algebra: the memos live as long
+as the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
-the relation checks that fail.  F has one extra bit, counted as a
-biconditional and never in S: it is set when the formulations of a
-``route="all"`` check disagree by its agree mask
+the relation checks that fail.  The map's failing cut indices are packed
+in one lane of D+1 bits per kind, and each check's levels mask is
+shifted into its kind's lane once per run.  So S costs one AND per
+distinct packed levels mask, whose checks share its bits ("in" and "q"
+over (0, 1] read the same cuts), and R one AND per side of each
+relation, its right-hand kinds' lanes OR'd.  F has one extra bit,
+counted as a biconditional and never in S: it is set when the
+formulations of a ``route="all"`` check disagree by its agree mask
 (:func:`softmtl.fuzzy.disagree`).  A map is a counterexample to some
 check only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
 biconditionals.  Such maps are sorted lexicographically and recorded,
@@ -117,14 +123,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count
 from typing import NamedTuple
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, disagree, family_bounds, grid_map, map_doc, resolve_route,
-                    scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
+from .fuzzy import (FuzzySet, disagree, family_bounds, grid_map, resolve_route, scan_fails,
+                    scan_masks, up_sets, variant_witness, weak_orders)
 from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
@@ -226,17 +233,28 @@ def _orders(alg, den, budget) -> tuple[str, list]:
     n = alg.n
     if budget is None or (den + 1) ** n <= budget:
         return "exhaustive", [weak_orders(n, r) for r in range(1, min(n, den + 1) + 1)]
-    orders = _two_valued(alg)
-    maps = den + 1 + len(orders[1]) * (den + 1) * den // 2
+    pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
+    most = max((budget - den - 1) // pairs - 1, 0)  # the most up-sets the budget has maps for
+    orders = _two_valued(alg, most)
+    if orders is None:  # the listing stopped
+        raise ValueError(f"budget {budget} is below the two-valued maps of the 1/{den} grid "
+                         f"on {n} elements, whose order has more than {most} up-sets")
+    maps = den + 1 + len(orders[1]) * pairs
     if maps > budget:  # before any map is walked
         raise ValueError(f"budget {budget} is below the {maps} two-valued maps "
                          f"of the 1/{den} grid on {n} elements")
     return "two-valued", orders
 
 
-def _two_valued(alg) -> list[list[tuple[int, ...]]]:
-    """The weak orders of the constant maps, and of a off U, b on U for each representative U."""
-    ups = up_sets(alg)
+def _two_valued(alg, most=None) -> list[list[tuple[int, ...]]] | None:
+    """The weak orders of the constant maps, and of a off U, b on U for each representative U.
+
+    None when the order has more than ``most`` non-empty proper up-sets
+    (:func:`softmtl.fuzzy.up_sets` stops listing them).
+    """
+    ups = up_sets(alg, most)
+    if ups is None:
+        return None
     known = set(ups)
     other = next(mask for mask in count(1) if mask not in known)  # the least non-up-set
     return [[()], [(up,) for up in (*ups, other)]]
@@ -255,7 +273,8 @@ class _Check(NamedTuple):
     iff: bool = True
 
 
-def _plan(alg, spec, den, mode, interval) -> _Check:
+def _plan(name, spec, den, mode, interval) -> _Check:
+    """Resolve one theorem against the 1/den grid; ``name`` is the algebra's printed name."""
     if interval is not None and spec.interval is not None:
         generic = ", ".join(s.id for s in catalog() if s.interval is None)
         raise ValueError(f"{spec.id} is stated over {spec.interval}; "
@@ -267,7 +286,7 @@ def _plan(alg, spec, den, mode, interval) -> _Check:
     # the cut indices of the levels: lo+1..hi for "in", den-hi+1..den-lo for "q"
     first, last = (lo + 1, hi) if spec.soft_kind == "in" else (den - hi + 1, den - lo)
     levels = (2 << last) - (1 << first)
-    report = VerificationReport(spec.id, "/".join(alg.labels), den, mode=mode)
+    report = VerificationReport(spec.id, name, den, mode=mode)
     if spec.relation:
         lhs, rhs = spec.relation
         return _Check(report, spec.soft_kind, (lo, hi), levels, lhs, None, tuple(rhs),
@@ -291,25 +310,28 @@ def _by_kind(bad: int, lane: int) -> dict[str, int]:
     return {kind: bad >> i * lane & full for i, kind in enumerate(KINDS)}
 
 
-def _soft_masks(checks, bad: int, lane: int) -> tuple[int, int]:
-    """Bits of the fuzzy checks with a failing soft level, and of the failed relations."""
-    fails = _by_kind(bad, lane)
+def _soft_masks(packed, relations, bad: int) -> tuple[int, int]:
+    """Bits of the fuzzy checks with a failing soft level, and of the failed relations.
+
+    ``packed`` and ``relations`` hold the checks' levels shifted into their
+    kinds' lanes (:meth:`_Pass.__init__`), so each costs one AND with ``bad``.
+    """
     soft = rel = 0
-    for b, check in enumerate(checks):
-        fail = fails[check.kind] & check.levels
-        if check.fuzzy is not None:
-            if fail:
-                soft |= 1 << b
-        else:
-            rhs_fail = any(fails[k] & check.levels for k in check.rhs)
-            if (rhs_fail and not fail) or (fail and not rhs_fail and check.iff):
-                rel |= 1 << b
+    for levels, bits in packed:
+        if bad & levels:
+            soft |= bits
+    for bit, lhs, rhs, iff in relations:
+        fail, rhs_fail = bad & lhs, bad & rhs
+        if (rhs_fail and not fail) or (fail and not rhs_fail and iff):
+            rel |= bit
     return soft, rel
 
 
-def _record(alg, den, nums, checks, bad: int, fail: int) -> None:
+def _record(run, nums, bad: int, fail: int) -> None:
     """Append each check's counterexample on one map, read off the bits ``decide`` returned."""
-    fails, doc = _by_kind(bad, den + 1), map_doc(alg, den, nums)
+    alg, den, checks, printed = run.alg, run.den, run.checks, run.printed
+    fails = _by_kind(bad, run.lane)
+    doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
     for b, check in enumerate(checks):
         soft_fail = fails[check.kind] & check.levels
         witness = None  # None: the first failing soft level of `kind`
@@ -345,8 +367,7 @@ def _record(alg, den, nums, checks, bad: int, fail: int) -> None:
                 j = (levels & -levels).bit_length() - 1
             cls = filters.classify_filter(alg, sum(1 << x for x, k in enumerate(nums) if k >= j))
             key = kind if cls.is_filter else "filter"
-            witness = (Fraction(cut_index(check.soft_kind, j, den), den), key,
-                       cls.witnesses.get(key))
+            witness = (printed[cut_index(check.soft_kind, j, den)], key, cls.witnesses.get(key))
         check.report.counterexamples.append(
             {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
     if fail >> len(checks):
@@ -365,19 +386,31 @@ class _Pass:
     """
 
     def __init__(self, alg, den, checks):
-        self.alg, self.checks = alg, checks
+        self.alg, self.den, self.checks = alg, den, checks
         # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
-        self.lane = den + 1
-        self.spread = [sum(1 << i * self.lane for i in range(len(KINDS)) if kinds >> i & 1)
-                       for kinds in range(1 << len(KINDS))]
+        self.lane = lane = den + 1
+        shift = {kind: i * lane for i, kind in enumerate(KINDS)}
+        self.spread = [0]  # failing kinds -> the lowest bit of each of their lanes
+        for i in shift.values():
+            self.spread += [lanes | 1 << i for lanes in self.spread]
+        # Each check's levels, shifted into its kind's lane, meet the packed
+        # failing cut indices iff its soft side fails.
+        packed, bounds, self.relations = {}, {}, []
+        for b, check in enumerate(checks):
+            levels = check.levels << shift[check.kind]
+            if check.fuzzy is not None:
+                packed[levels] = packed.get(levels, 0) | 1 << b
+                kind, lo, hi, route = check.fuzzy
+                bounds.setdefault((lo, hi), []).append((1 << b, *scan_masks(kind, route)))
+            else:
+                rhs = 0
+                for kind in check.rhs:
+                    rhs |= check.levels << shift[kind]
+                self.relations.append((1 << b, levels, rhs, check.iff))
+        self.packed = list(packed.items())  # (levels, bits of the checks with those levels)
         # an extra fail bit, counted as an iff check, flags formulations that disagree
         self.disagree_bit = 1 << len(checks)
         self.iff = self.disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff)
-        bounds = {}
-        for b, check in enumerate(checks):
-            if check.fuzzy is not None:
-                kind, lo, hi, route = check.fuzzy
-                bounds.setdefault((lo, hi), []).append((1 << b, *scan_masks(kind, route)))
         self.bounds = list(bounds)
         # per bounds: its checks, and scan-fail bits -> fail bits of those checks
         self.groups = [(members, {}) for members in bounds.values()]
@@ -387,17 +420,20 @@ class _Pass:
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
         self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
 
+    @cached_property
+    def printed(self) -> list[str]:
+        """Each grid value k/den as a counterexample prints it, built once per run."""
+        return [str(Fraction(k, self.den)) for k in range(self.lane)]
+
     def profile(self, order):
         """One atom per up-set of the chain: all that :meth:`decide` reads of the weak order."""
         atoms = self.atoms
-        profile = []
-        for up in order:
-            atom = atoms.get(up)
-            if atom is None:
-                atom = atoms[up] = (filters.classify_filter(self.alg, up).fails,
-                                    scan_fails(self.alg, up))
-            profile.append(atom)
-        return tuple(profile)
+        return tuple([atoms[up] if up in atoms else self._atom(up) for up in order])
+
+    def _atom(self, up):
+        atom = self.atoms[up] = (filters.classify_filter(self.alg, up).fails,
+                                 scan_fails(self.alg, up))
+        return atom
 
     def weak(self, profile):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
@@ -432,7 +468,7 @@ class _Pass:
             fail = fuzzy[clamp] = self._fuzzy(chain, clamps, windows)
         masks = self.soft.get(bad)
         if masks is None:
-            masks = self.soft[bad] = _soft_masks(self.checks, bad, self.lane)
+            masks = self.soft[bad] = _soft_masks(self.packed, self.relations, bad)
         sfail, rel = masks
         if (sfail & ~fail) | (fail & ~sfail & self.iff) | rel:
             return bad, fail
@@ -464,30 +500,29 @@ class _Pass:
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     """Run the checks on the maps of ``walk``, a mode and its weak orders from :func:`_orders`."""
     mode, orders = walk
-    checks = [_plan(alg, spec, den, mode, interval) for spec in specs]
+    name = "/".join(alg.labels)
+    checks = [_plan(name, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
     decide = run.decide
     found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
     for r, of_r in enumerate(orders, 1):
         vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-        decided = {}  # profile -> (values, decision bits) of its counterexamples
-        for order in of_r:
-            profile = run.profile(order)
-            hits = decided.get(profile)
-            if hits is None:
-                w = run.weak(profile)
-                hits = decided[profile] = []
-                for v in vs:
-                    bits = decide(w, v)
-                    if bits is not None:
-                        hits.append((v[0], bits))
-            checked += len(vs)
-            for vals, bits in hits:
-                found.append((grid_map(order, vals, n), bits))
+        of_r = list(of_r)
+        profiles = [run.profile(order) for order in of_r]
+        # each distinct profile -> (values, decision bits) of its counterexamples
+        decided = dict.fromkeys(profiles)
+        for profile in decided:
+            w = run.weak(profile)
+            decided[profile] = [(v[0], bits) for v in vs if (bits := decide(w, v)) is not None]
+        checked += len(vs) * len(of_r)
+        if any(decided.values()):
+            for order, profile in zip(of_r, profiles):
+                for vals, bits in decided[profile]:
+                    found.append((grid_map(order, vals, n), bits))
     found.sort()  # the lexicographic order of the maps
     for nums, (bad, fail) in found:
-        _record(alg, den, nums, checks, bad, fail)
+        _record(run, nums, bad, fail)
     for check in checks:
         check.report.checked = checked
     return [check.report for check in checks]

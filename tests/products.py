@@ -8,21 +8,22 @@ from softmtl.algebra import load_algebra
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 
 
-def product_doc(left, right):
-    """The direct product of two fixture algebras, operations componentwise."""
-    dl, dr = FIXTURE_DOCS[left], FIXTURE_DOCS[right]
-    pairs = list(itertools.product(range(len(dl["labels"])), range(len(dr["labels"]))))
-    name = lambda x, y: f"({x},{y})"
+def product_doc(*names):
+    """The direct product of fixture algebras, operations componentwise."""
+    docs = [FIXTURE_DOCS[name] for name in names]
+    tuples = list(itertools.product(*(range(len(doc["labels"])) for doc in docs)))
+    name = lambda cells: "(" + ",".join(cells) + ")"
 
     def table(key):
-        return [[name(dl[key][i][k], dr[key][j][l]) for k, l in pairs] for i, j in pairs]
+        return [[name([doc[key][i][j] for doc, i, j in zip(docs, s, t)]) for t in tuples]
+                for s in tuples]
 
-    return {"labels": [name(dl["labels"][i], dr["labels"][j]) for i, j in pairs],
+    return {"labels": [name([doc["labels"][i] for doc, i in zip(docs, s)]) for s in tuples],
             "prod": table("prod"), "res": table("res")}
 
 
 def load_named(name):
-    """A fixture, or the product "axb" of two fixtures."""
+    """A fixture, or the product "axb" (or "axbxc" ...) of fixtures."""
     if "x" in name:
         return load_algebra(product_doc(*name.split("x")))
     return load_fixture(name)

@@ -1,15 +1,21 @@
+import argparse
 import copy
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from products import product_doc
 from softmtl import verifier
-from softmtl.cli import build_parser, main
+from softmtl.cli import _emit, _json, build_parser, main
 from softmtl.fixtures import FIXTURE_DOCS
+from test_golden import GOLDEN
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -189,6 +195,18 @@ def test_vacuous_budget_is_usage_error(capsys, argv):
     assert err.count("\n") == 1 and "budget" in err
 
 
+def test_an_over_budget_run_stops_listing_up_sets(tmp_path, capsys):
+    # b2^6 has about 7.8M up-sets; 1000 maps allow 331 at the default D = 2
+    path = tmp_path / "b2-power-6.json"
+    path.write_text(json.dumps(product_doc(*["b2"] * 6)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-all", str(path), "--budget", "1000")
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err == ("error: budget 1000 is below the two-valued maps of the 1/2 grid on 64 "
+                   "elements, whose order has more than 331 up-sets\n")
+
+
 @pytest.mark.parametrize("option", ["--budget", "--seed"])
 def test_witness_takes_no_sampling_options(capsys, option):
     with pytest.raises(SystemExit) as exited:
@@ -287,3 +305,34 @@ def test_budget_environment_variable_is_ignored():
     proc = _subprocess(["-c", "import softmtl.cli"], env={"SOFTMTL_BUDGET": "abc"},
                        stdout=subprocess.DEVNULL)
     assert proc.returncode == 0, proc.stderr
+
+
+# what the JSON writer must print as json.dumps does: nested dicts, lists and
+# tuples of any text (non-ASCII, control characters), integers, bools and None
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(JSON_DOCS)
+@example({"\u00e9\x00\n": ["\u2028\ud83d\ude00", (), {}, [[]], {"": None}], "\x7f": (True, -0)})
+def test_the_json_writer_prints_what_json_dumps_prints(doc):
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [0.5]}, [{"b": {True: None}}],
+                                 ("x", {"y": [2, 1e300]}), {"z": type("Label", (str,), {})("s")}])
+def test_a_document_the_writer_cannot_print_goes_to_json_dumps(capsys, doc):
+    with pytest.raises(TypeError):
+        _json(doc)
+    _emit(argparse.Namespace(json=True), doc, [])
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+def test_the_json_writer_prints_every_golden(path):
+    text = path.read_text()
+    assert _json(json.loads(text)) + "\n" == text

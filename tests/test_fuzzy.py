@@ -13,6 +13,7 @@ from softmtl.filters import KINDS, classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, disagree, grid_map, scan_fails,
                            scan_masks, up_sets, variant_witness, weak_orders)
+from softmtl.verifier import verify_all
 
 F = Fraction
 
@@ -244,6 +245,20 @@ ALGEBRAS = ("b2", "a1", "a2", "a3", "a1xb2")
 def test_up_sets_are_the_up_closed_masks(name):
     alg = load_named(name)
     assert up_sets(alg) == [m for m in range(1, (1 << alg.n) - 1) if _is_up_set(alg, m)]
+
+
+def test_the_up_set_listing_stops_once_it_holds_more_than_most():
+    alg = load_named("a3xa1")
+    ups = up_sets(alg)
+    assert len(ups) == 292
+    assert up_sets(alg, 292) == up_sets(alg, 10**6) == ups
+    for most in (0, 1, 100, 250):
+        assert up_sets(alg, most) is None, most
+    # through the budget: 10 two-valued maps for each of at most 198 up-sets at D = 4
+    with pytest.raises(ValueError, match="^budget 2000 is below the two-valued maps of the 1/4 "
+                                         "grid on 24 elements, whose order has more than 198 "
+                                         "up-sets$"):
+        verify_all(alg, 4, budget=2000)
 
 
 # what the verifier reads of a set that is not an up-set: it fails every kind,

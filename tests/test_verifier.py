@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,8 +68,8 @@ def test_default_thresholds_are_grid_aligned(a1):
     assert default_thresholds(10) == (1, 9)
     # a generic-interval check reports the default thresholds as (alpha, beta]
     t312 = catalog_by_id()["T3.12"]
-    assert _plan(a1, t312, 2, "exhaustive", None).thresholds == (1, 2)
-    assert _plan(a1, t312, 10, "exhaustive", None).thresholds == (1, 9)
+    assert _plan("0/a/b/1", t312, 2, "exhaustive", None).thresholds == (1, 2)
+    assert _plan("0/a/b/1", t312, 10, "exhaustive", None).thresholds == (1, 9)
 
 
 def test_verify_t33_exhaustive(a1):
@@ -177,7 +178,7 @@ def test_levels_mask_holds_the_cut_index_of_each_level(a1, den):
     specs += [(TheoremSpec(f"user-{kind}", kind, None, "mv", "thresholds"), user)
               for kind in ("in", "q")]
     for spec, interval in specs:
-        check = _plan(a1, spec, den, "exhaustive", interval)
+        check = _plan("0/a/b/1", spec, den, "exhaustive", interval)
         lo, hi = check.thresholds
         assert check.levels == sum(1 << cut_index(spec.soft_kind, j, den)
                                    for j in range(lo + 1, hi + 1)), (spec.id, den)
@@ -347,8 +348,7 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
     monkeypatch.setattr(verifier, "scan_fails",
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
     recorded = []
-    monkeypatch.setattr(verifier, "_record",
-                        lambda alg, den, nums, checks, bad, fail: recorded.append(nums))
+    monkeypatch.setattr(verifier, "_record", lambda run, nums, bad, fail: recorded.append(nums))
     verify(alg, catalog_by_id()[spec_id], den)
     # The plain fuzzy side now fails on every map with U as a level cut, so the
     # maps on which it held, and so the soft side held, become counterexamples.
@@ -413,6 +413,45 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
                     if len(set(ranks)) == r}
         expected += len(profiles) * math.comb(den + 1, r)
     assert len(calls) == expected == 6747
+
+
+def _literal_soft_masks(checks, bad, lane):
+    """The per-check rule: a check's soft side fails iff its kind's lane of ``bad`` meets its
+    levels, and a relation fails iff its left side holds and a right-hand kind fails, or,
+    for an iff claim, the other way round."""
+    fails = {kind: bad >> i * lane & ((1 << lane) - 1) for i, kind in enumerate(KINDS)}
+    soft = rel = 0
+    for b, check in enumerate(checks):
+        fail = fails[check.kind] & check.levels
+        if check.fuzzy is not None:
+            soft |= bool(fail) << b
+        else:
+            rhs_fail = any(fails[kind] & check.levels for kind in check.rhs)
+            if (rhs_fail and not fail) or (fail and not rhs_fail and check.iff):
+                rel |= 1 << b
+    return soft, rel
+
+
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
+def test_packed_soft_verdicts_are_the_per_check_rule(monkeypatch, name):
+    alg, den = load_algebra(FIXTURE_DOCS[name]), 4
+    met = set()
+    soft_masks = verifier._soft_masks
+    monkeypatch.setattr(verifier, "_soft_masks",
+                        lambda packed, relations, bad: met.add(bad) or
+                        soft_masks(packed, relations, bad))
+    assert all(rep.confirmed for rep in verify_all(alg, den))
+    # the catalog and the false specs: every soft kind, interval and relation shape
+    specs = [(spec, None) for spec in catalog()]
+    specs += [(spec, kw.get("interval")) for _, _, spec, kw in FALSE_SPECS]
+    checks = [_plan(name, spec, den, "exhaustive", interval) for spec, interval in specs]
+    run = verifier._Pass(alg, den, checks)
+    rng = random.Random(17)
+    bads = sorted(met) + [rng.getrandbits(len(KINDS) * (den + 1)) for _ in range(2000)]
+    assert len(met) > 1
+    for bad in bads:
+        assert (soft_masks(run.packed, run.relations, bad)
+                == _literal_soft_masks(checks, bad, den + 1)), bad
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
