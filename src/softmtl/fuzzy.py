@@ -324,6 +324,10 @@ def weak_orders(n: int, r: int):
     increasing values v_0 < ... < v_{r-1}, x -> v_{w[x]} is a grid map,
     and every grid map arises from exactly one (w, v): w is the weak order
     of its values and v their sorted distinct values.
+
+    The verifier lists weak orders only to name counterexample maps: it
+    finds and decides their distinct profiles without them, and walks the
+    weak orders of a rank count only when some profile has counterexamples.
     """
     def extend(chain, top, left):
         if not left:

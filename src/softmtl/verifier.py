@@ -12,9 +12,8 @@ values themselves.  So a map is split into a weak order W of the
 carrier (a map onto the ranks 0..r-1, given as its chain of up-sets
 U_i = {x : W[x] >= i}, see :func:`softmtl.fuzzy.weak_orders`) and a
 strictly increasing value tuple V from combinations(range(D+1), r):
-k[x] = V[W[x]].  Every grid map is exactly one such pair, so the pass
-enumerates the pairs, r = 1..min(n, D+1), and splits the work by what it
-depends on.
+k[x] = V[W[x]].  Every grid map is exactly one such pair, r = 1..min(n,
+D+1), and the pass splits the work by what it depends on.
 
 - Per W: the soft side.  The cut at index j is {x : k[x] >= j}; for
   every j in (V[i-1], V[i]] (V[-1] = 0) it is U_i (U_0 is the whole
@@ -40,9 +39,10 @@ in Q; conversely rank q >= i > rank p), and on the indicator of U, iff
 U holds Q but not p.  A scan added later must keep that shape (one that
 fails on a constant map, or asks c[a] < c[b] < c[d], does not).
 
-So a run keeps :func:`softmtl.fuzzy.scan_fails` per up-set, at most 2^n
-of them, and a map's scan verdicts are the OR over its chain.  Each
-fuzzy check reads its verdict straight off those bits through two masks
+So a run keeps :func:`softmtl.fuzzy.scan_fails` per up-set of the
+algebra's order, and one for all other sets (below), and a map's scan
+verdicts are the OR over its chain.  Each fuzzy check reads its verdict
+straight off those bits through two masks
 (:func:`softmtl.fuzzy.scan_masks`): it fails iff the bits meet its fail
 mask.  As V increases, c[x] = lo for the ranks W[x] <= low that lie at
 or below lo, c[x] = hi for the ranks W[x] >= high that lie at or above
@@ -55,19 +55,41 @@ so each W ORs a slice once, whatever bounds its checks carry.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per U_i of its chain: the failing crisp kinds of U_i and the scan bits
-of U_i.  The tuple of these atoms is W's profile, and :meth:`_Pass.weak`
-builds all it hands to :meth:`_Pass.decide` from the profile alone, so
-two weak orders with the same profile and rank count are decided alike
-on every V, and keying by the profile is exact.  The pass therefore
-decides each (profile, V) pair once: for each rank count it decides the
-distinct profiles first, and only if some has counterexamples walks the
-weak orders again, each rebuilding them from its own chain.  The key
-holds both halves of the atom: on an MTL-algebra the scan bits follow
-from the kinds, but that is what the theorems claim, so a key by kinds
-alone would assume what is checked.  Profiles are few: a3 at D=8 has
-4683 weak orders and 65 profiles, and 6747 (profile, V) pairs stand for
-its 531441 maps.  Nothing is kept on the algebra: the memos live as long
-as the run.
+of U_i.  A run gives each set an atom id.  An up-set gets the id of its
+own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``),
+shared with every up-set whose atom is equal; every other set gets the
+id of the least non-up-set's atom, computed once with the live scans
+(all non-up-sets have that atom, below).  W's profile is the tuple of
+the ids of its chain, and :meth:`_Pass.weak` builds all it hands to
+:meth:`_Pass.decide` from the profile alone, so two weak orders with
+the same profile and rank count are decided alike on every V, and
+keying by the profile is exact.  The key holds both halves of the atom:
+on an MTL-algebra the scan bits follow from the kinds, but that is what
+the theorems claim, so a key by kinds alone would assume what is
+checked.
+
+For each rank count r, :func:`_profiles` finds the distinct profiles of
+the chains U_1 > ... > U_r-1 (each set non-empty, U_i of at least r - i
+elements) level by level, without listing the chains.  A state is a
+pair (last set, profile so far), kept once.  That is exact: the sets
+that can follow a chain, and so the profiles that complete it, depend
+only on its last set, so chains with one state complete alike.  (Keyed
+by the profile alone, a state would lose the chains whose last set has
+other subsets.)  The last level needs no walk: below[S], the bitmask of
+the ids of the non-empty proper subsets of S, is built once per run as
+the OR over x in S of below[S - x] | 1 << id[S - x], since each proper
+subset of S lies in some S - x.  The pass decides each (profile, V)
+pair once, and counts the maps without listing them: C(D+1, r) value
+tuples times surj(n, r), the maps of n elements onto r ranks, which are
+the weak orders with r ranks.  Only when some profile of a rank count
+has counterexamples does it walk that rank count's weak orders
+(:func:`softmtl.fuzzy.weak_orders`), to name their maps.  Profiles are
+few: a3 at D=8 has 4683 weak orders and 65 profiles, and 6747 (profile,
+V) pairs stand for its 531441 maps.  Nothing is kept on the algebra,
+and a confirmed run classifies only the up-sets, the representative
+and the carrier.  The ids and ``below`` are lists over all 2^n sets,
+fewer than the (D+1)^n maps of an exhaustive run, and live as long as
+the run.
 
 Per map this gives two bitmasks over the checks: F, the fuzzy checks
 whose predicate fails, and S, those with a failing soft level, plus R,
@@ -95,9 +117,12 @@ A literal scan that contradicts the bits raises RuntimeError.
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
 U each non-empty proper up-set of the algebra's order
-(:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one.
-They are grid maps, so their records are the grid's on them, and each
-check the grid refutes is refuted on one of them:
+(:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one, the
+representative.  It is the same loop with r <= 2: the ids come from a
+dict keyed by those sets, the profiles of r = 2 are their distinct ids,
+and the chains (U,) are listed only to name counterexamples.  The maps
+are grid maps, so their records are the grid's on them, and each check
+the grid refutes is refuted on one of them:
 
 - Per-U_i split.  S, F, each side of a relation and each agree bit are
   ORs over a map's chain.  U_i counts where its span (V[i-1], V[i]]
@@ -125,6 +150,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count
+from math import comb
 from typing import NamedTuple
 
 from . import filters
@@ -225,39 +251,91 @@ def _check_grid(alg, den) -> None:
         raise ValueError(f"grid denominator must be positive and even, got {den}")
 
 
-def _orders(alg, den, budget) -> tuple[str, list]:
-    """Check a run's inputs; its mode, and the weak orders it walks for r = 1, 2, ... ranks."""
+def _walk(alg, den, budget) -> tuple[str, list[int] | None]:
+    """Check a run's inputs; its mode, and the sets U of a two-valued run (None: every map)."""
     _check_grid(alg, den)
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     n = alg.n
     if budget is None or (den + 1) ** n <= budget:
-        return "exhaustive", [weak_orders(n, r) for r in range(1, min(n, den + 1) + 1)]
+        return "exhaustive", None
     pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
     most = max((budget - den - 1) // pairs - 1, 0)  # the most up-sets the budget has maps for
-    orders = _two_valued(alg, most)
-    if orders is None:  # the listing stopped
+    sets = _two_valued(alg, most)
+    if sets is None:  # the listing stopped
         raise ValueError(f"budget {budget} is below the two-valued maps of the 1/{den} grid "
                          f"on {n} elements, whose order has more than {most} up-sets")
-    maps = den + 1 + len(orders[1]) * pairs
+    maps = den + 1 + len(sets) * pairs
     if maps > budget:  # before any map is walked
         raise ValueError(f"budget {budget} is below the {maps} two-valued maps "
                          f"of the 1/{den} grid on {n} elements")
-    return "two-valued", orders
+    return "two-valued", sets
 
 
-def _two_valued(alg, most=None) -> list[list[tuple[int, ...]]] | None:
-    """The weak orders of the constant maps, and of a off U, b on U for each representative U.
+def _two_valued(alg, most=None) -> list[int] | None:
+    """Each non-empty proper up-set of the algebra's order, ascending, then the least non-up-set.
 
-    None when the order has more than ``most`` non-empty proper up-sets
+    None when the order has more than ``most`` of those up-sets
     (:func:`softmtl.fuzzy.up_sets` stops listing them).
     """
     ups = up_sets(alg, most)
     if ups is None:
         return None
     known = set(ups)
-    other = next(mask for mask in count(1) if mask not in known)  # the least non-up-set
-    return [[()], [(up,) for up in (*ups, other)]]
+    return [*ups, next(mask for mask in count(1) if mask not in known)]
+
+
+def _surjections(n: int, r: int) -> int:
+    """The maps of n elements onto r ranks, so the weak orders with r ranks."""
+    return sum((-1) ** k * comb(r, k) * (r - k) ** n for k in range(r + 1))
+
+
+def _subset_ids(run, alg) -> list[int]:
+    """The atom id of every subset, by mask: an up-set's own, the representative's for the rest."""
+    *ups, other = _two_valued(alg)
+    ids = [run.atom_id(other)] * (1 << alg.n)
+    for up in ups:
+        ids[up] = run.atom_id(up)
+    return ids
+
+
+def _below(ids: list[int]) -> list[int]:
+    """For each set S, the bitmask of the atom ids ``ids`` gives S's non-empty proper subsets."""
+    below = [0] * len(ids)
+    for s in range(1, len(ids)):
+        union, rest = 0, s
+        while rest:  # every proper subset of S lies in some S - x
+            x = rest & -rest
+            rest ^= x
+            if sub := s ^ x:
+                union |= below[sub] | 1 << ids[sub]
+        below[s] = union
+    return below
+
+
+def _profiles(ids, below, full: int, r: int) -> list[tuple[int, ...]]:
+    """The distinct atom-id profiles of the chains full > U_1 > ... > U_r-1, all sets non-empty.
+
+    A state is (last set, profile so far), each kept once: what can follow
+    a chain depends only on its last set.  The last level reads ``below``.
+    """
+    if r == 1:
+        return [()]
+    states = {(full, ())}
+    for need in range(r - 1, 1, -1):  # U_i holds the ranks i..r-1, so r - i elements or more
+        grown = set()
+        for last, profile in states:
+            sub = (last - 1) & last
+            while sub:
+                if sub.bit_count() >= need:
+                    grown.add((sub, (*profile, ids[sub])))
+                sub = (sub - 1) & last
+        states = grown
+    tails = {}  # profile so far -> the ids its last sets have below them
+    for last, profile in states:
+        tails[profile] = tails.get(profile, 0) | below[last]
+    return [(*profile, i) for profile, mask in tails.items()
+            for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class _Check(NamedTuple):
@@ -380,9 +458,9 @@ class _Pass:
 
     A map is a weak order W of the carrier, as its chain of up-sets (see
     :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
-    tuple V.  :meth:`profile` reads W's chain as atoms, :meth:`weak`
-    derives from them what depends on W alone, :meth:`values` what
-    depends on V alone, and :meth:`decide` combines the two.
+    tuple V.  :meth:`atom_id` names each cut's atom, :meth:`weak` derives
+    from a profile of atom ids what depends on W alone, :meth:`values`
+    what depends on V alone, and :meth:`decide` combines the two.
     """
 
     def __init__(self, alg, den, checks):
@@ -416,7 +494,8 @@ class _Pass:
         self.groups = [(members, {}) for members in bounds.values()]
         self.clamps = {}   # the rank clamps of all bounds -> an id
         self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
-        self.atoms = {}    # up-set -> (its failing kinds, scan_fails of its indicator)
+        self.ids = {}      # atom: (failing kinds, scan_fails of the indicator) -> its id
+        self.atoms = []    # id -> atom
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
         self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
 
@@ -425,22 +504,21 @@ class _Pass:
         """Each grid value k/den as a counterexample prints it, built once per run."""
         return [str(Fraction(k, self.den)) for k in range(self.lane)]
 
-    def profile(self, order):
-        """One atom per up-set of the chain: all that :meth:`decide` reads of the weak order."""
-        atoms = self.atoms
-        return tuple([atoms[up] if up in atoms else self._atom(up) for up in order])
-
-    def _atom(self, up):
-        atom = self.atoms[up] = (filters.classify_filter(self.alg, up).fails,
-                                 scan_fails(self.alg, up))
-        return atom
+    def atom_id(self, cut):
+        """The id of the cut's atom, all that :meth:`decide` reads of it; equal atoms share one."""
+        atom = filters.classify_filter(self.alg, cut).fails, scan_fails(self.alg, cut)
+        if atom not in self.ids:
+            self.ids[atom] = len(self.atoms)
+            self.atoms.append(atom)
+        return self.ids[atom]
 
     def weak(self, profile):
         """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
+        atoms = [self.atoms[i] for i in profile]
         fails = [(i, self.spread[kinds])
-                 for i, kinds in enumerate((self.carrier, *(kinds for kinds, _ in profile)))
+                 for i, kinds in enumerate((self.carrier, *(kinds for kinds, _ in atoms)))
                  if kinds]
-        chain = [bits for _, bits in profile]  # the scan bits of U_1, ..., U_r-1
+        chain = [bits for _, bits in atoms]  # the scan bits of U_1, ..., U_r-1
         return chain, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
 
     def values(self, vals):
@@ -498,27 +576,35 @@ class _Pass:
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
-    """Run the checks on the maps of ``walk``, a mode and its weak orders from :func:`_orders`."""
-    mode, orders = walk
+    """Run the checks on the maps of ``walk``, a mode and its sets U from :func:`_walk`."""
+    mode, sets = walk
     name = "/".join(alg.labels)
     checks = [_plan(name, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
+    full = (1 << n) - 1
+    if sets is None:  # every map: the chains of any non-empty proper subsets
+        ids = _subset_ids(run, alg)
+        below = _below(ids)
+        ranks = range(1, min(n, den + 1) + 1)
+        orders = [(_surjections(n, r), weak_orders(n, r)) for r in ranks]
+    else:  # the constant maps, and a off U, b on U: the chains (U,)
+        ids = {up: run.atom_id(up) for up in sets}
+        below = {full: sum(1 << i for i in set(ids.values()))}
+        orders = [(1, [()]), (len(sets), [(up,) for up in sets])]
     decide = run.decide
     found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
-    for r, of_r in enumerate(orders, 1):
+    for r, (n_orders, of_r) in enumerate(orders, 1):
         vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
-        of_r = list(of_r)
-        profiles = [run.profile(order) for order in of_r]
         # each distinct profile -> (values, decision bits) of its counterexamples
-        decided = dict.fromkeys(profiles)
-        for profile in decided:
+        decided = {}
+        for profile in _profiles(ids, below, full, r):
             w = run.weak(profile)
             decided[profile] = [(v[0], bits) for v in vs if (bits := decide(w, v)) is not None]
-        checked += len(vs) * len(of_r)
-        if any(decided.values()):
-            for order, profile in zip(of_r, profiles):
-                for vals, bits in decided[profile]:
+        checked += len(vs) * n_orders
+        if any(decided.values()):  # list the weak orders, only to name their maps
+            for order in of_r:
+                for vals, bits in decided[tuple([ids[up] for up in order])]:
                     found.append((grid_map(order, vals, n), bits))
     found.sort()  # the lexicographic order of the maps
     for nums, (bad, fail) in found:
@@ -535,13 +621,13 @@ def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int, budget: int | Non
     ``interval`` overrides the default (alpha, beta] of a generic-interval
     entry (``spec.interval is None``) and is rejected for any other.
     """
-    return _verify(alg, [spec], den, _orders(alg, den, budget), interval)[0]
+    return _verify(alg, [spec], den, _walk(alg, den, budget), interval)[0]
 
 
 def verify_all(alg: FiniteMtlAlgebra, den: int,
                budget: int | None = None) -> list[VerificationReport]:
     """Check the whole catalog in one pass over the grid fuzzy sets."""
-    return _verify(alg, catalog(), den, _orders(alg, den, budget))
+    return _verify(alg, catalog(), den, _walk(alg, den, budget))
 
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,

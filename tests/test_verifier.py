@@ -415,6 +415,46 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
     assert len(calls) == expected == 6747
 
 
+
+@pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
+                                         ("a1xb2", 3)])
+def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
+    alg = load_named(name)
+    ranks = ranks or alg.n  # every rank count, unless the carrier is large
+    run = verifier._Pass(alg, 2, [])
+    ids = verifier._subset_ids(run, alg)
+    below = verifier._below(ids)
+    atom = functools.cache(functools.partial(_atom, alg))
+    for r in range(1, ranks + 1):
+        walked = verifier._profiles(ids, below, (1 << alg.n) - 1, r)
+        # the literal side: the atoms of the cuts of every map onto the ranks
+        literal = {tuple(atom(sum(1 << x for x, k in enumerate(rank) if k >= i))
+                         for i in range(1, r))
+                   for rank in itertools.product(range(r), repeat=alg.n) if len(set(rank)) == r}
+        assert len(set(walked)) == len(walked) == len(literal), r
+        assert {tuple(run.atoms[i] for i in profile) for profile in walked} == literal, r
+
+
+def test_the_maps_onto_the_ranks_count_every_grid_map():
+    for n in range(1, 9):
+        for den in range(1, 13):
+            assert sum(math.comb(den + 1, r) * verifier._surjections(n, r)
+                       for r in range(1, min(n, den + 1) + 1)) == (den + 1) ** n, (n, den)
+    for n in range(1, 6):
+        for r in range(1, n + 1):
+            assert verifier._surjections(n, r) == sum(1 for _ in weak_orders(n, r))
+
+
+def test_an_exhaustive_run_classifies_only_the_cuts_it_must():
+    # a fresh algebra: its memo holds only what this run classified
+    alg = load_algebra(FIXTURE_DOCS["a3"])
+    assert all(rep.confirmed and rep.mode == "exhaustive" for rep in verify_all(alg, 8))
+    ups = up_sets(alg)
+    other = next(mask for mask in itertools.count(1) if mask not in ups)
+    # the up-sets, the representative non-up-set and the carrier, not all 63 masks
+    assert set(alg.tables.classifications) == {*ups, other, (1 << alg.n) - 1}
+    assert len(alg.tables.classifications) == 8
+
 def _literal_soft_masks(checks, bad, lane):
     """The per-check rule: a check's soft side fails iff its kind's lane of ``bad`` meets its
     levels, and a relation fails iff its left side holds and a right-hand kind fails, or,
