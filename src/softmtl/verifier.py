@@ -20,11 +20,9 @@ D+1), and the pass splits the work by what it depends on.
   carrier), and above V[r-1] it is empty.  Each U_i is classified once
   per algebra (:func:`softmtl.filters.classify_filter` keeps the memo),
   and only its failing kinds are read.
-- Per V: the cut indices (V[i-1], V[i]] each rank covers, and for each
-  family's bounds [lo, hi] the ranks ``low`` (the highest with
-  V[low] <= lo, or 0) and ``high`` (the lowest with V[high] >= hi, or
-  r-1) where clamping merges the ranks below and above.
-- Per (W, V): a few ORs and lookups, below.
+- Per V: the span of each rank i, the cut indices (V[i-1], V[i]] it
+  covers, as a bitmask.  Nothing else of V is read.
+- Per (W, V): one product per rank and one lookup, below.
 
 Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
 clamped numerators c = min(max(k, lo), hi) at positions of the algebra,
@@ -44,22 +42,22 @@ algebra's order, and one for all other sets (below), and a map's scan
 verdicts are the OR over its chain.  Each fuzzy check reads its verdict
 straight off those bits through two masks
 (:func:`softmtl.fuzzy.scan_masks`): it fails iff the bits meet its fail
-mask.  As V increases, c[x] = lo for the ranks W[x] <= low that lie at
-or below lo, c[x] = hi for the ranks W[x] >= high that lie at or above
-hi, and c[x] = V[W[x]], strictly between them, for the ranks in
-between.  So the weak order of c is W with the ranks <= low merged and
-the ranks >= high merged, and its chain of up-sets is the slice
-(U_low+1, ..., U_high) of W's chain (empty when low >= high: c is
-constant).  The slice names neither D, nor the bounds, nor the values,
-so each W ORs a slice once, whatever bounds its checks carry.
+mask.  Clamping sends the ranks with V[i] <= lo to lo and those with
+V[i] >= hi to hi, and keeps the ranks strictly between apart.  So the
+chain of up-sets of c is W's chain less each U_i whose ranks i - 1 and
+i are merged: U_i stays iff V[i] > lo and V[i-1] < hi, that is, iff its
+span (V[i-1], V[i]] meets the cut indices lo+1..hi.  That is the test
+the soft side makes of its levels, so both sides read the same packed
+bits (per map, below), and the chain of c is never built.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
-per U_i of its chain: the failing crisp kinds of U_i and the scan bits
-of U_i.  A run gives each set an atom id.  An up-set gets the id of its
-own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``),
-shared with every up-set whose atom is equal; every other set gets the
-id of the least non-up-set's atom, computed once with the live scans
-(all non-up-sets have that atom, below).  W's profile is the tuple of
+per U_i of its chain, one int: the failing crisp kinds of U_i in its
+low ``len(KINDS)`` bits and the scan bits of U_i above them.  A run
+gives each set an atom id.  An up-set gets the id of its own atom
+(:func:`softmtl.filters.classify_filter`, ``scan_fails``), shared with
+every up-set whose atom is equal; every other set gets the id of the
+least non-up-set's atom, computed once with the live scans (all
+non-up-sets have that atom, below).  W's profile is the tuple of
 the ids of its chain, and :meth:`_Pass.weak` builds all it hands to
 :meth:`_Pass.decide` from the profile alone, so two weak orders with
 the same profile and rank count are decided alike on every V, and
@@ -91,21 +89,28 @@ and the carrier.  The ids and ``below`` are lists over all 2^n sets,
 fewer than the (D+1)^n maps of an exhaustive run, and live as long as
 the run.
 
-Per map this gives two bitmasks over the checks: F, the fuzzy checks
-whose predicate fails, and S, those with a failing soft level, plus R,
-the relation checks that fail.  The map's failing cut indices are packed
-in one lane of D+1 bits per kind, and each check's levels mask is
-shifted into its kind's lane once per run.  So S costs one AND per
-distinct packed levels mask, whose checks share its bits ("in" and "q"
-over (0, 1] read the same cuts), and R one AND per side of each
-relation, its right-hand kinds' lanes OR'd.  F has one extra bit,
-counted as a biconditional and never in S: it is set when the
-formulations of a ``route="all"`` check disagree by its agree mask
-(:func:`softmtl.fuzzy.disagree`).  A map is a counterexample to some
-check only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
-biconditionals.  Such maps are sorted lexicographically and recorded,
-so every report is the same as that of a pass that runs each check on
-each map it walks, in lexicographic order.  Recording reads each check's
+Per map.  Each bit of an atom owns a lane of D+1 bits, one per cut
+index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
+spreads each rank's atom to the lowest bit of each of its lanes, and the
+map's packed bits are the OR over the ranks of span times spread atom,
+so bit j of a lane is set iff the cut at index j has that atom bit.
+Every check's masks are shifted into place once per run: the soft side
+fails iff the packed bits meet its levels in its kind's lane, and the
+fuzzy side iff they meet lo+1..hi in the lane of some bit of its fail
+mask.  So F, the fuzzy checks whose predicate fails, and S, those with a
+failing soft level, cost one AND per distinct mask, whose checks share
+its bits ("in" and "q" over (0, 1] read the same cuts), and R, the
+relation checks that fail, one AND per side of each relation, its
+right-hand kinds' lanes OR'd.  F has one extra bit, counted as a
+biconditional and never in S: it is set when the formulations of a
+``route="all"`` check disagree by its agree mask
+(:func:`softmtl.fuzzy.disagree`) on the scan bits read off its own
+range lo+1..hi of the lanes.  A map is a counterexample to some check
+only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
+biconditionals.  The pass keeps that decision, with F, in its one memo,
+keyed by the packed bits.  Such maps are sorted lexicographically and
+recorded, so every report is the same as that of a pass that runs each
+check on each map it walks, in lexicographic order.  Recording reads each check's
 verdict off the map's bits and looks up only its witness: the first
 failing soft level by ascending t, or one literal scan
 (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
@@ -126,11 +131,11 @@ the grid refutes is refuted on one of them:
 
 - Per-U_i split.  S, F, each side of a relation and each agree bit are
   ORs over a map's chain.  U_i counts where its span (V[i-1], V[i]]
-  meets the levels, and in a slice iff V[i] > lo and V[i-1] < hi, both
-  fixed by (V[i-1], V[i]); U_0, the carrier, fails no kind and is in no
-  slice.  So the U_i that sets the failing side of a counterexample, or
-  an agree bit of a disagreement (U_i lacks every bit the OR lacks),
-  makes the grid map V[i-1] off U_i, V[i] on U_i fail the same way.
+  meets a mask's cut indices, the levels or lo+1..hi, which (V[i-1],
+  V[i]) fixes; U_0, the carrier, fails no kind and no scan.  So the
+  U_i that sets the failing side of a counterexample, or an agree bit
+  of a disagreement (U_i lacks every bit the OR lacks), makes the grid
+  map V[i-1] off U_i, V[i] on U_i fail the same way.
 - One atom for every non-up-set.  A set with x <= y, x in it and y not,
   is no filter, so it fails every kind.  On its indicator the unit check
   (1 not in it) or mp at (x, y) fails, as x -> y = 1, and so does the
@@ -145,7 +150,6 @@ proof.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -388,23 +392,6 @@ def _by_kind(bad: int, lane: int) -> dict[str, int]:
     return {kind: bad >> i * lane & full for i, kind in enumerate(KINDS)}
 
 
-def _soft_masks(packed, relations, bad: int) -> tuple[int, int]:
-    """Bits of the fuzzy checks with a failing soft level, and of the failed relations.
-
-    ``packed`` and ``relations`` hold the checks' levels shifted into their
-    kinds' lanes (:meth:`_Pass.__init__`), so each costs one AND with ``bad``.
-    """
-    soft = rel = 0
-    for levels, bits in packed:
-        if bad & levels:
-            soft |= bits
-    for bit, lhs, rhs, iff in relations:
-        fail, rhs_fail = bad & lhs, bad & rhs
-        if (rhs_fail and not fail) or (fail and not rhs_fail and iff):
-            rel |= bit
-    return soft, rel
-
-
 def _record(run, nums, bad: int, fail: int) -> None:
     """Append each check's counterexample on one map, read off the bits ``decide`` returned."""
     alg, den, checks, printed = run.alg, run.den, run.checks, run.printed
@@ -458,44 +445,45 @@ class _Pass:
 
     A map is a weak order W of the carrier, as its chain of up-sets (see
     :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
-    tuple V.  :meth:`atom_id` names each cut's atom, :meth:`weak` derives
-    from a profile of atom ids what depends on W alone, :meth:`values`
-    what depends on V alone, and :meth:`decide` combines the two.
+    tuple V.  :meth:`atom_id` names each cut's atom, an int holding its
+    failing kinds and, above them, its scan bits.  :meth:`weak` spreads
+    the atoms of a profile over the lanes, :meth:`values` gives the span
+    of cut indices of each rank of V, and :meth:`decide` ORs their
+    products into the packed bits of the map.  Every check, soft or
+    fuzzy, fails iff those bits meet one of its masks, and
+    :meth:`verdicts` reads the checks off them, once per run for each
+    packed value.
     """
 
     def __init__(self, alg, den, checks):
         self.alg, self.den, self.checks = alg, den, checks
-        # The failing cut indices of kind KINDS[i] are packed at bits i*lane + (0..den).
+        # Bit j of an atom owns the lane of cut indices j*lane + (0..den).
         self.lane = lane = den + 1
-        shift = {kind: i * lane for i, kind in enumerate(KINDS)}
-        self.spread = [0]  # failing kinds -> the lowest bit of each of their lanes
-        for i in shift.values():
-            self.spread += [lanes | 1 << i for lanes in self.spread]
-        # Each check's levels, shifted into its kind's lane, meet the packed
-        # failing cut indices iff its soft side fails.
-        packed, bounds, self.relations = {}, {}, []
+        masks, self.relations, self.routes = {}, [], []
         for b, check in enumerate(checks):
-            levels = check.levels << shift[check.kind]
-            if check.fuzzy is not None:
-                packed[levels] = packed.get(levels, 0) | 1 << b
-                kind, lo, hi, route = check.fuzzy
-                bounds.setdefault((lo, hi), []).append((1 << b, *scan_masks(kind, route)))
-            else:
+            levels = check.levels << KINDS.index(check.kind) * lane
+            if check.fuzzy is None:
                 rhs = 0
                 for kind in check.rhs:
-                    rhs |= check.levels << shift[kind]
+                    rhs |= check.levels << KINDS.index(kind) * lane
                 self.relations.append((1 << b, levels, rhs, check.iff))
-        self.packed = list(packed.items())  # (levels, bits of the checks with those levels)
+                continue
+            kind, lo, hi, route = check.fuzzy
+            fail, agree = scan_masks(kind, route)
+            span = (2 << hi) - (2 << lo)  # the cut indices lo+1..hi
+            masks.setdefault(levels, [0, 0])[0] |= 1 << b
+            masks.setdefault(self._spread(fail << len(KINDS)) * span, [0, 0])[1] |= 1 << b
+            if route == "all":
+                self.routes.append((span, fail, agree))
+        # (mask, soft bits, fuzzy bits): the checks that fail when the packed bits meet it
+        self.masks = [(mask, soft, fuzzy) for mask, (soft, fuzzy) in masks.items()]
+        self.fuzzy = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is not None)
         # an extra fail bit, counted as an iff check, flags formulations that disagree
         self.disagree_bit = 1 << len(checks)
         self.iff = self.disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff)
-        self.bounds = list(bounds)
-        # per bounds: its checks, and scan-fail bits -> fail bits of those checks
-        self.groups = [(members, {}) for members in bounds.values()]
-        self.clamps = {}   # the rank clamps of all bounds -> an id
-        self.soft = {}     # packed failing cut indices -> (soft fail bits, relation fail bits)
-        self.ids = {}      # atom: (failing kinds, scan_fails of the indicator) -> its id
-        self.atoms = []    # id -> atom
+        self.memo = {}     # packed bits -> fuzzy fail bits of a counterexample, else -1
+        self.ids = {}      # atom -> its id
+        self.atoms = []    # id -> atom: failing kinds | scan_fails of the indicator << len(KINDS)
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
         self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
 
@@ -506,73 +494,59 @@ class _Pass:
 
     def atom_id(self, cut):
         """The id of the cut's atom, all that :meth:`decide` reads of it; equal atoms share one."""
-        atom = filters.classify_filter(self.alg, cut).fails, scan_fails(self.alg, cut)
+        alg = self.alg
+        atom = filters.classify_filter(alg, cut).fails | scan_fails(alg, cut) << len(KINDS)
         if atom not in self.ids:
             self.ids[atom] = len(self.atoms)
             self.atoms.append(atom)
         return self.ids[atom]
 
+    def _spread(self, atom: int) -> int:
+        """The lowest bit of the lane of each bit of ``atom``."""
+        return sum(1 << j * self.lane for j in range(atom.bit_length()) if atom >> j & 1)
+
     def weak(self, profile):
-        """The ranks whose cut fails some kind, each with its failing kinds spread over the lanes."""
-        atoms = [self.atoms[i] for i in profile]
-        fails = [(i, self.spread[kinds])
-                 for i, kinds in enumerate((self.carrier, *(kinds for kinds, _ in atoms)))
-                 if kinds]
-        chain = [bits for _, bits in atoms]  # the scan bits of U_1, ..., U_r-1
-        return chain, fails, {}, {}  # clamp id -> fuzzy fail bits, (low, high) -> scan bits
+        """The ranks whose cut has a non-empty atom, each with the atom spread over the lanes."""
+        atoms = (self.carrier, *[self.atoms[i] for i in profile])
+        return [(i, self._spread(atom)) for i, atom in enumerate(atoms) if atom]
 
     def values(self, vals):
-        """The cut indices covered by each rank, and each bounds' rank clamp with their id."""
-        # the cut {x : k[x] >= j} of rank i is the same for every j in (vals[i-1], vals[i]]
-        spans = [(2 << v) - (2 << u) for u, v in zip((0, *vals), vals)]
-        # Clamping to [lo, hi] merges the ranks <= low and the ranks >= high, so
-        # the clamped map's weak order is the slice [low:high] of the chain.
-        top, clamps = len(vals) - 1, []
-        for lo, hi in self.bounds:
-            low, high = max(bisect_right(vals, lo) - 1, 0), min(bisect_left(vals, hi), top)
-            clamps.append((low, high) if low < high else (0, 0))  # (0, 0): all merged
-        clamps = tuple(clamps)
-        return vals, spans, self.clamps.setdefault(clamps, len(self.clamps)), clamps
+        """Each rank i's span: its cut indices (vals[i-1], vals[i]] as a bitmask, vals[-1] = 0."""
+        # the cut {x : k[x] >= j} of rank i is the same for every j in its span
+        return [(2 << v) - (2 << u) for u, v in zip((0, *vals), vals)]
 
-    def decide(self, w, v):
-        """(packed failing cut indices, fuzzy fail bits) of a counterexample map, else None."""
-        chain, fails, fuzzy, windows = w
-        _, spans, clamp, clamps = v
+    def decide(self, w, spans):
+        """(packed bits, fuzzy fail bits) of a counterexample map, else None."""
         bad = 0
-        for i, lanes in fails:
+        for i, lanes in w:
             bad |= spans[i] * lanes
-        fail = fuzzy.get(clamp)
+        fail = self.memo.get(bad)
         if fail is None:
-            fail = fuzzy[clamp] = self._fuzzy(chain, clamps, windows)
-        masks = self.soft.get(bad)
-        if masks is None:
-            masks = self.soft[bad] = _soft_masks(self.packed, self.relations, bad)
-        sfail, rel = masks
-        if (sfail & ~fail) | (fail & ~sfail & self.iff) | rel:
-            return bad, fail
-        return None
+            soft, fail, rel = self.verdicts(bad)
+            if not (soft & ~fail) | (fail & ~soft & self.iff) | rel:
+                fail = -1
+            self.memo[bad] = fail
+        return None if fail < 0 else (bad, fail)
 
-    def _fuzzy(self, chain, clamps, windows):
-        """Bits of the fuzzy checks whose predicate fails on the map, and the disagree bit."""
-        fail = 0
-        for window, (members, table) in zip(clamps, self.groups):
-            scans = windows.get(window)
-            if scans is None:
-                scans = 0
-                for bits in chain[window[0]:window[1]]:
-                    scans |= bits
-                windows[window] = scans
-            bits = table.get(scans)
-            if bits is None:
-                bits = 0
-                for bit, fails, agree in members:
-                    if scans & fails:
-                        bits |= bit
-                    if disagree(scans, fails, agree):
-                        bits |= self.disagree_bit
-                table[scans] = bits
-            fail |= bits
-        return fail
+    def verdicts(self, bad: int) -> tuple[int, int, int]:
+        """The bits of the checks with a failing soft level, of those whose fuzzy predicate
+        fails (with the disagree bit), and of the failed relations, on the packed bits ``bad``."""
+        held_soft = held_fuzzy = rel = 0  # the checks whose side holds: bad misses its mask
+        for mask, soft_bits, fuzzy_bits in self.masks:
+            if not bad & mask:  # most maps meet most masks, so OR the few they miss
+                held_soft |= soft_bits
+                held_fuzzy |= fuzzy_bits
+        soft, fail = self.fuzzy & ~held_soft, self.fuzzy & ~held_fuzzy
+        for bit, lhs, rhs, iff in self.relations:
+            lhs_fail, rhs_fail = bad & lhs, bad & rhs
+            if (rhs_fail and not lhs_fail) or (lhs_fail and not rhs_fail and iff):
+                rel |= bit
+        lanes = bad >> len(KINDS) * self.lane  # the scan lanes
+        for span, fails, agree in self.routes:  # read over the check's own cut indices
+            scans = sum(1 << s for s in range(fails.bit_length()) if lanes >> s * self.lane & span)
+            if disagree(scans, fails, agree):
+                fail |= self.disagree_bit
+        return soft, fail, rel
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
@@ -595,12 +569,13 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
     for r, (n_orders, of_r) in enumerate(orders, 1):
-        vs = [run.values(vals) for vals in combinations(range(den + 1), r)]
+        vs = [(vals, run.values(vals)) for vals in combinations(range(den + 1), r)]
         # each distinct profile -> (values, decision bits) of its counterexamples
         decided = {}
         for profile in _profiles(ids, below, full, r):
             w = run.weak(profile)
-            decided[profile] = [(v[0], bits) for v in vs if (bits := decide(w, v)) is not None]
+            decided[profile] = [(vals, bits) for vals, spans in vs
+                                if (bits := decide(w, spans)) is not None]
         checked += len(vs) * n_orders
         if any(decided.values()):  # list the weak orders, only to name their maps
             for order in of_r:

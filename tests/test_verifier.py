@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import math
@@ -432,7 +433,8 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
                          for i in range(1, r))
                    for rank in itertools.product(range(r), repeat=alg.n) if len(set(rank)) == r}
         assert len(set(walked)) == len(walked) == len(literal), r
-        assert {tuple(run.atoms[i] for i in profile) for profile in walked} == literal, r
+        assert {tuple((run.atoms[i] & (1 << len(KINDS)) - 1, run.atoms[i] >> len(KINDS))
+                      for i in profile) for profile in walked} == literal, r
 
 
 def test_the_maps_onto_the_ranks_count_every_grid_map():
@@ -455,43 +457,91 @@ def test_an_exhaustive_run_classifies_only_the_cuts_it_must():
     assert set(alg.tables.classifications) == {*ups, other, (1 << alg.n) - 1}
     assert len(alg.tables.classifications) == 8
 
-def _literal_soft_masks(checks, bad, lane):
-    """The per-check rule: a check's soft side fails iff its kind's lane of ``bad`` meets its
-    levels, and a relation fails iff its left side holds and a right-hand kind fails, or,
-    for an iff claim, the other way round."""
-    fails = {kind: bad >> i * lane & ((1 << lane) - 1) for i, kind in enumerate(KINDS)}
-    soft = rel = 0
+def _cut_atoms(den, carrier, atoms, vals):
+    """The (failing kinds, scan bits) of the cut at each index 1..den of the map whose ranks
+    0..r-1 take the values ``vals``, and whose cuts U_1, ..., U_r-1 have the ``atoms``; U_0,
+    the carrier, fails the kinds ``carrier`` and no scan, and the empty cut fails nothing."""
+    cuts = [(carrier, 0), *atoms, (0, 0)]  # the cut at j is U_i for vals[i-1] < j <= vals[i]
+    return {j: cuts[bisect.bisect_left(vals, j)] for j in range(1, den + 1)}
+
+
+def _literal_verdicts(checks, den, carrier, atoms, vals):
+    """S, F and R by the per-check rule, on the map of :func:`_cut_atoms`.
+
+    A check's soft side fails iff a cut at one of its levels fails its kind, and a relation
+    fails iff its left side holds and a right-hand kind fails, or, for an iff claim, the other
+    way round.  A fuzzy check clamps the ranks to its bounds, merging the ranks at or below lo
+    and those at or above hi, and ORs the scan bits of the cuts between them."""
+    fails = {kind: sum(1 << j for j, (kinds, _) in _cut_atoms(den, carrier, atoms, vals).items()
+                       if kinds >> i & 1)
+             for i, kind in enumerate(KINDS)}
+    soft = fail = rel = 0
     for b, check in enumerate(checks):
-        fail = fails[check.kind] & check.levels
-        if check.fuzzy is not None:
-            soft |= bool(fail) << b
-        else:
+        soft_fail = fails[check.kind] & check.levels
+        if check.fuzzy is None:
             rhs_fail = any(fails[kind] & check.levels for kind in check.rhs)
-            if (rhs_fail and not fail) or (fail and not rhs_fail and check.iff):
+            if (rhs_fail and not soft_fail) or (soft_fail and not rhs_fail and check.iff):
                 rel |= 1 << b
-    return soft, rel
+            continue
+        soft |= bool(soft_fail) << b
+        kind, lo, hi, route = check.fuzzy
+        low = max(bisect.bisect_right(vals, lo) - 1, 0)
+        high = min(bisect.bisect_left(vals, hi), len(vals) - 1)
+        scans = 0
+        for _, bits in atoms[low:high]:  # U_low+1, ..., U_high
+            scans |= bits
+        fail_mask, agree = fuzzy.scan_masks(kind, route)
+        fail |= bool(scans & fail_mask) << b
+        if route == "all" and fuzzy.disagree(scans, fail_mask, agree):
+            fail |= 1 << len(checks)
+    return soft, fail, rel
 
 
 @pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
-def test_packed_soft_verdicts_are_the_per_check_rule(monkeypatch, name):
-    alg, den = load_algebra(FIXTURE_DOCS[name]), 4
-    met = set()
-    soft_masks = verifier._soft_masks
-    monkeypatch.setattr(verifier, "_soft_masks",
-                        lambda packed, relations, bad: met.add(bad) or
-                        soft_masks(packed, relations, bad))
-    assert all(rep.confirmed for rep in verify_all(alg, den))
-    # the catalog and the false specs: every soft kind, interval and relation shape
-    specs = [(spec, None) for spec in catalog()]
-    specs += [(spec, kw.get("interval")) for _, _, spec, kw in FALSE_SPECS]
-    checks = [_plan(name, spec, den, "exhaustive", interval) for spec, interval in specs]
-    run = verifier._Pass(alg, den, checks)
+def test_packed_soft_verdicts_are_the_per_check_rule(name):
+    # S, F and R, the soft and fuzzy sides and the relations, read off the same packed bits
+    alg = load_algebra(FIXTURE_DOCS[name])
     rng = random.Random(17)
-    bads = sorted(met) + [rng.getrandbits(len(KINDS) * (den + 1)) for _ in range(2000)]
-    assert len(met) > 1
-    for bad in bads:
-        assert (soft_masks(run.packed, run.relations, bad)
-                == _literal_soft_masks(checks, bad, den + 1)), bad
+    seen = set()  # (counterexample?, disagreement?) of the maps
+    for den in (4, 8):
+        # the catalog, the false specs and route "all": every soft kind, interval and
+        # relation shape, and "all" at every family's bounds, each read over its own range
+        specs = [(spec, None) for spec in catalog()]
+        specs += [(spec, kw.get("interval")) for _, _, spec, kw in FALSE_SPECS]
+        specs += [(TheoremSpec("all-routes", "in", FULL, "filter", "plain", route="all"), None)]
+        checks = [_plan(name, spec, den, "exhaustive", interval) for spec, interval in specs]
+        checks += [check._replace(fuzzy=(*check.fuzzy[:3], "all")) for check in checks
+                   if check.fuzzy and check.fuzzy[0] in ("filter", "boolean")]
+        assert {check.fuzzy[1:3] for check in checks if check.fuzzy and check.fuzzy[3] == "all"} \
+            == {(0, den), (0, den // 2), (den // 2, den), (1, den - 1)}
+        iff = 1 << len(checks) | sum(1 << b for b, check in enumerate(checks) if check.iff)
+        run = verifier._Pass(alg, den, checks)
+        for up in up_sets(alg):
+            run.atom_id(up)
+        # each atom again with one scan bit flipped: scan bits that do not follow from the kinds
+        run.atoms += [atom ^ 1 << len(KINDS) + rng.randrange(len(fuzzy._SCAN_KEYS))
+                      for atom in run.atoms]
+        decoded = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in run.atoms]
+        maps = [(carrier, tuple(rng.randrange(len(run.atoms)) for _ in range(r - 1)), vals)
+                for carrier in (run.carrier, rng.getrandbits(len(KINDS)))
+                for r in range(1, min(alg.n, den + 1) + 1) for _ in range(4)
+                for vals in itertools.combinations(range(den + 1), r)]
+        for carrier, profile, vals in maps:
+            run.carrier = carrier
+            atoms = [decoded[i] for i in profile]
+            expected = _literal_verdicts(checks, den, carrier, atoms, vals)
+            bad = 0  # the lane of atom bit i holds the cut indices j whose cut has bit i
+            for j, (kinds, scans) in _cut_atoms(den, carrier, atoms, vals).items():
+                atom = kinds | scans << len(KINDS)
+                bad |= sum(1 << i * (den + 1) + j
+                           for i in range(atom.bit_length()) if atom >> i & 1)
+            assert run.verdicts(bad) == expected, (carrier, profile, vals)
+            soft, fail, rel = expected
+            decision = (soft & ~fail) | (fail & ~soft & iff) | rel
+            assert run.decide(run.weak(profile), run.values(vals)) == \
+                ((bad, fail) if decision else None), (carrier, profile, vals)
+            seen.add((bool(decision), bool(fail >> len(checks))))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
