@@ -139,9 +139,6 @@ class AxiomReport:
         tup = tuple(alg.labels[e] for e in elems)
         self.violations.setdefault(axiom, []).append(tup)
 
-    def passed(self, axiom: str) -> bool:
-        return not self.violations.get(axiom)
-
     @property
     def ok(self) -> bool:
         return not any(self.violations.values())

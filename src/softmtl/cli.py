@@ -1,5 +1,11 @@
 """Command-line front door.
 
+``main`` alone resolves the target algebra, fills in the default grid
+(4, or 2 for carriers of 6 or more elements) and prints.  Each command
+``cmd_x(args, alg)`` only computes its report and returns
+``(code, doc, lines)``: the exit code, the ``--json`` document and the
+text lines.
+
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
 read, and a bad one raises ValueError (OSError for files); ``main`` alone
@@ -22,12 +28,6 @@ from . import algebra, filters, fixtures, fuzzy, soft, verifier
 DEFAULT_BUDGET = 1_000_000
 
 _escape = json.encoder.encode_basestring_ascii
-
-
-def _default_den(alg, args):
-    if args.grid is None:
-        return 2 if alg.n >= 6 else 4
-    return args.grid
 
 
 def _parse_mu(alg, den, text):
@@ -110,8 +110,7 @@ def _emit(args, doc, text_lines):
     _write(text + "\n")
 
 
-def cmd_check_algebra(args):
-    alg = fixtures.resolve_algebra(args.target)
+def cmd_check_algebra(args, alg):
     axioms = algebra.validate_mtl(alg)
     laws = algebra.check_derived_laws(alg)
     doc = {"algebra": "/".join(alg.labels), "axioms": axioms.to_doc(), "laws": laws.to_doc()}
@@ -123,12 +122,10 @@ def cmd_check_algebra(args):
             first = rep.violations[ax][0]
             lines.append(f"  {name} {ax}: {len(rep.violations[ax])} violation(s), "
                          f"first at ({', '.join(first)})")
-    _emit(args, doc, lines)
-    return 0 if axioms.ok and laws.ok else 1
+    return (0 if axioms.ok and laws.ok else 1), doc, lines
 
 
-def cmd_filters(args):
-    alg = fixtures.resolve_algebra(args.target)
+def cmd_filters(args, alg):
     masks = filters.enumerate_filters(alg)
     rows = []
     for m in masks:
@@ -143,12 +140,10 @@ def cmd_filters(args):
         if args.classify:
             flags = "  [" + " ".join(k for k in ("boolean", "g", "mv") if entry[k]) + "]"
         lines.append("  {" + ",".join(entry["elements"]) + "}" + flags)
-    _emit(args, {"filters": rows}, lines)
-    return 0
+    return 0, {"filters": rows}, lines
 
 
-def cmd_classify(args):
-    alg = fixtures.resolve_algebra(args.target)
+def cmd_classify(args, alg):
     mask = filters.mask_of(alg, args.elements)
     cls = filters.classify_filter(alg, mask)
     doc = {"elements": filters.labels_of(alg, mask), "filter": cls.is_filter,
@@ -158,14 +153,11 @@ def cmd_classify(args):
              f"boolean={cls.boolean} g={cls.g} mv={cls.mv}"]
     for key, wit in cls.witnesses.items():
         lines.append(f"  {key} fails at ({', '.join(wit)})")
-    _emit(args, doc, lines)
-    return 0
+    return 0, doc, lines
 
 
-def cmd_fuzzy_check(args):
-    alg = fixtures.resolve_algebra(args.target)
-    den = _default_den(alg, args)
-    mu = _parse_mu(alg, den, args.mu)
+def cmd_fuzzy_check(args, alg):
+    mu = _parse_mu(alg, args.grid, args.mu)
     alpha = beta = None
     if args.family == "thresholds":
         iv = soft.ParameterInterval.parse(args.interval or "")
@@ -181,13 +173,11 @@ def cmd_fuzzy_check(args):
     lines = [f"{args.family} {args.kind} ({args.route}): {'HOLDS' if ok else 'FAILS'}"]
     if not ok:
         lines.append(f"  violated at ({', '.join(map(str, witness))})")
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), doc, lines
 
 
-def cmd_soft_build(args):
-    alg = fixtures.resolve_algebra(args.target)
-    den = _default_den(alg, args)
+def cmd_soft_build(args, alg):
+    den = args.grid
     mu = _parse_mu(alg, den, args.mu)
     iv = soft.ParameterInterval.parse(args.interval) if args.interval else soft.FULL
     st = soft.build_soft(mu, iv, args.soft)
@@ -199,13 +189,11 @@ def cmd_soft_build(args):
         lines.append(f"  t={t}: {{{','.join(filters.labels_of(alg, mask))}}}")
     lines.append(f"every level a {args.kind}: {ok}" +
                  ("" if ok else f" (fails at t={witness[0]})"))
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), doc, lines
 
 
-def cmd_verify(args):
-    alg = fixtures.resolve_algebra(args.target)
-    den = _default_den(alg, args)
+def cmd_verify(args, alg):
+    den = args.grid
     specs = verifier.catalog_by_id()
     if args.theorem not in specs:
         raise ValueError(f"unknown theorem id {args.theorem!r}; known: {', '.join(specs)}")
@@ -217,36 +205,28 @@ def cmd_verify(args):
              f"{rep.checked} fuzzy sets): {status}"]
     for ce in rep.counterexamples[:5]:
         lines.append(f"  {ce['direction']} fails for mu={ce['mu']} witness={ce['witness']}")
-    _emit(args, doc, lines)
-    return 0 if rep.confirmed else 1
+    return (0 if rep.confirmed else 1), doc, lines
 
 
-def cmd_verify_all(args):
-    alg = fixtures.resolve_algebra(args.target)
-    den = _default_den(alg, args)
-    reports = verifier.verify_all(alg, den, budget=args.budget)
+def cmd_verify_all(args, alg):
+    reports = verifier.verify_all(alg, args.grid, budget=args.budget)
     lines, bad = [], 0
     for rep in reports:
         status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"
         bad += not rep.confirmed
         lines.append(f"{rep.theorem:9s} {rep.mode:10s} {rep.checked:6d} checked  {status}")
     lines.append(f"{len(reports)} theorems, {bad} with counterexamples")
-    _emit(args, {"reports": [r.to_doc() for r in reports]}, lines)
-    return 0 if bad == 0 else 1
+    return (0 if bad == 0 else 1), {"reports": [r.to_doc() for r in reports]}, lines
 
 
-def cmd_witness(args):
-    alg = fixtures.resolve_algebra(args.target)
-    den = _default_den(alg, args)
-    mu = verifier.find_strictness_witness(alg, args.theorem, den)
+def cmd_witness(args, alg):
+    mu = verifier.find_strictness_witness(alg, args.theorem, args.grid)
     if mu is None:
-        _emit(args, {"theorem": args.theorem, "witness": None},
-              [f"{args.theorem}: no strictness witness on any grid"])
-        return 0
+        return 0, {"theorem": args.theorem, "witness": None}, [
+            f"{args.theorem}: no strictness witness on any grid"]
     st = soft.build_soft(mu, soft.FULL, "in")
-    _emit(args, {"theorem": args.theorem, "witness": mu.to_doc(), "soft": st.to_doc()},
-          [f"{args.theorem}: converse fails for mu={mu.to_doc()}"])
-    return 0
+    return 0, {"theorem": args.theorem, "witness": mu.to_doc(), "soft": st.to_doc()}, [
+        f"{args.theorem}: converse fails for mu={mu.to_doc()}"]
 
 
 @functools.cache
@@ -320,7 +300,12 @@ def main(argv=None) -> int:
     finally:
         _write("")  # argparse prints --help itself, then exits
     try:
-        return args.fn(args)
+        alg = fixtures.resolve_algebra(args.target)
+        if hasattr(args, "grid") and args.grid is None:
+            args.grid = 2 if alg.n >= 6 else 4
+        code, doc, lines = args.fn(args, alg)
+        _emit(args, doc, lines)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,13 @@
 """Direct products of the fixture algebras, for tests that need larger carriers, and
-single-cell mutations of the fixtures, for tests that need broken tables."""
+single-cell mutations of the fixtures, for tests that need broken tables.
+
+``python tests/products.py a3 a1`` prints the product a3 x a1 as an algebra document.
+"""
 
 import copy
 import itertools
+import json
+import sys
 
 from softmtl.algebra import load_algebra
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
@@ -39,3 +44,7 @@ def single_cell_mutations(name, key):
                     doc = copy.deepcopy(base)
                     doc[key][x][y] = label
                     yield doc
+
+
+if __name__ == "__main__":
+    print(json.dumps(product_doc(*sys.argv[1:])))

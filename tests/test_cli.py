@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from products import product_doc
-from softmtl import verifier
+from softmtl import fixtures, verifier
 from softmtl.cli import _emit, _json, build_parser, main
 from softmtl.fixtures import FIXTURE_DOCS
 from test_golden import GOLDEN
@@ -154,6 +154,80 @@ def test_zero_grid_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--grid", "0")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "got 0" in err
+
+
+def _mu(target, a="1"):
+    """A membership of the fixture ``target`` that is ``a`` at a and 1 elsewhere."""
+    return ",".join(f"{label}={a if label == 'a' else 1}"
+                    for label in FIXTURE_DOCS[target]["labels"])
+
+
+# each command that takes --grid and prints a --json doc: its arguments after the target,
+# and the grids the doc names
+GRID_DOCS = {
+    "soft-build": (lambda target: ["--mu", _mu(target)], lambda doc: {doc["den"]}),
+    "verify": (lambda target: ["T3.12"], lambda doc: {doc["den"]}),
+    "verify-all": (lambda target: [], lambda doc: {r["den"] for r in doc["reports"]}),
+    "witness": (lambda target: ["T4.3.12"],
+                lambda doc: {doc["soft"]["den"]} if doc["witness"] else set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_DOCS))
+@pytest.mark.parametrize("target, grid, den", [
+    ("a1", (), 4),
+    ("a3", (), 2),  # 6 elements
+    ("a1", ("--grid", "2"), 2),
+    ("a3", ("--grid", "4"), 4),
+])
+def test_default_grid_is_4_or_2_from_six_elements(capsys, monkeypatch, command, target, grid,
+                                                  den):
+    # a witness doc names no grid when there is no witness (a1), so read it off the call
+    called = []
+    find = verifier.find_strictness_witness
+    monkeypatch.setattr(verifier, "find_strictness_witness",
+                        lambda alg, theorem, d: called.append(d) or find(alg, theorem, d))
+    extra, dens = GRID_DOCS[command]
+    code, out, _ = run(capsys, command, target, *extra(target), *grid, "--json")
+    assert code == 0
+    assert dens(json.loads(out)) | set(called) == {den}
+
+
+@pytest.mark.parametrize("target, grid, on_grid", [
+    ("a1", (), True),
+    ("a3", (), False),
+    ("a1", ("--grid", "2"), False),
+    ("a3", ("--grid", "4"), True),
+])
+def test_fuzzy_check_reads_values_on_the_default_grid(capsys, target, grid, on_grid):
+    code, out, err = run(capsys, "fuzzy-check", target, "--mu", _mu(target, a="1/4"), *grid)
+    if on_grid:
+        assert code in (0, 1) and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err == "error: membership value 1/4 is not on the 1/2 grid\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-algebra",),
+    ("filters",),
+    ("classify", "1"),
+    ("fuzzy-check", "--mu", _mu("a1")),
+    ("soft-build", "--mu", _mu("a1")),
+    ("verify", "T3.12"),
+    ("verify-all",),
+    ("witness", "T4.3.12"),
+], ids=lambda argv: argv[0])
+def test_main_resolves_the_target_once(capsys, monkeypatch, argv):
+    targets = []
+    resolve = fixtures.resolve_algebra
+    monkeypatch.setattr(fixtures, "resolve_algebra",
+                        lambda target: targets.append(target) or resolve(target))
+    code, _, _ = run(capsys, argv[0], "a1", *argv[1:])
+    assert code == 0 and targets == ["a1"]
+    code, out, err = run(capsys, argv[0], "nope", *argv[1:])
+    assert code == 2 and out == "" and targets == ["a1", "nope"]
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'nope'" in err
 
 
 def test_parser_is_reused_across_calls(capsys):
