@@ -88,6 +88,12 @@ class DerivedTables:
         return tuple(row[self.bottom] for row in self.res)
 
     @cached_property
+    def above(self) -> tuple[int, ...]:
+        """For every x, the bitmask of the elements strictly above it."""
+        return tuple(sum(1 << y for y, le in enumerate(row) if le and y != x)
+                     for x, row in enumerate(self.leq))
+
+    @cached_property
     def complement_joins(self) -> tuple[int, ...]:
         """x v x' for every x."""
         return tuple(self.join[x][nx] for x, nx in enumerate(self.neg))

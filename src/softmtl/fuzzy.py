@@ -363,8 +363,7 @@ def up_sets(alg: FiniteMtlAlgebra, most: int | None = None) -> list[int] | None:
     With ``most`` given, a listing that holds more than ``most`` of them
     before it is complete stops and returns None.
     """
-    above = [sum(1 << y for y, le in enumerate(row) if le and y != x)
-             for x, row in enumerate(alg.leq)]
+    above = alg.tables.above
     rest = [x for x in range(alg.n) if x != alg.bottom]
     sets = [0]
     for x in sorted(rest, key=lambda x: above[x].bit_count()):

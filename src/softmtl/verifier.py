@@ -53,11 +53,11 @@ bits (per map, below), and the chain of c is never built.
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per U_i of its chain, one int: the failing crisp kinds of U_i in its
 low ``len(KINDS)`` bits and the scan bits of U_i above them.  A run
-gives each set an atom id.  An up-set gets the id of its own atom
+keeps one map {up-set: atom id}.  An up-set gets the id of its own atom
 (:func:`softmtl.filters.classify_filter`, ``scan_fails``), shared with
-every up-set whose atom is equal; every other set gets the id of the
-least non-up-set's atom, computed once with the live scans (all
-non-up-sets have that atom, below).  W's profile is the tuple of
+every up-set whose atom is equal; every other set gets ``other``, the
+id of the least non-up-set's atom, computed once with the live scans
+(all non-up-sets have that atom, below).  W's profile is the tuple of
 the ids of its chain, and :meth:`_Pass.weak` builds all it hands to
 :meth:`_Pass.decide` from the profile alone, so two weak orders with
 the same profile and rank count are decided alike on every V, and
@@ -66,28 +66,39 @@ on an MTL-algebra the scan bits follow from the kinds, but that is what
 the theorems claim, so a key by kinds alone would assume what is
 checked.
 
-For each rank count r, :func:`_profiles` finds the distinct profiles of
-the chains U_1 > ... > U_r-1 (each set non-empty, U_i of at least r - i
-elements) level by level, without listing the chains.  A state is a
-pair (last set, profile so far), kept once.  That is exact: the sets
-that can follow a chain, and so the profiles that complete it, depend
-only on its last set, so chains with one state complete alike.  (Keyed
-by the profile alone, a state would lose the chains whose last set has
-other subsets.)  The last level needs no walk: below[S], the bitmask of
-the ids of the non-empty proper subsets of S, is built once per run as
-the OR over x in S of below[S - x] | 1 << id[S - x], since each proper
-subset of S lies in some S - x.  The pass decides each (profile, V)
-pair once, and counts the maps without listing them: C(D+1, r) value
-tuples times surj(n, r), the maps of n elements onto r ranks, which are
-the weak orders with r ranks.  Only when some profile of a rank count
-has counterexamples does it walk that rank count's weak orders
+:func:`_profiles` finds the distinct profiles of the chains carrier >
+U_1 > ... > U_r-1 > {} of every rank count r, level by level, from the
+up-sets alone and without listing the chains.  Such a chain is its
+up-sets carrier = A_0 > A_1 > ... > A_k, with a run of non-up-sets
+between each A_j and the next (after A_k, the empty set), so its profile
+is the ids of the A_j with the non-up-sets' id once for each set of each
+run.  Lemma: for up-sets A > B and P = A - B, the longest chain of
+non-up-sets strictly between B and A, m(A, B), has |P| - 1 sets if P
+holds a pair x < y, and none if P is an antichain.  Proof: B with T, a
+subset of P, added is an up-set iff T is an up-set of P (an element
+above one of T lies in the up-set A, so in B or in P).  If P holds x <
+y, drop y first and then the rest of P but x, one at a time: each set
+between holds x and not y, so none is an up-set, and no chain strictly
+between has more than |P| - 1 sets.  If P is an antichain, every T is an
+up-set of P.  Any part of a chain of non-up-sets is one, and the runs of
+different gaps are independent, so a chain with these up-sets and runs
+exists iff each run is at most the m of its gap.  A state is thus (last
+up-set, run since it, profile so far), kept once: what can follow a
+chain depends only on those two.  A state is kept only if its run fits
+above the empty set, which bounds every gap below its up-set (P lies in
+A), so every state kept is some chain's, and the profiles of rank count r
+are those of the states after r - 1 steps.  m depends only on P, and
+each is computed once per run.  The pass decides each (profile, V) pair
+once, and counts the maps without listing them: C(D+1, r) value tuples
+times surj(n, r), the maps of n elements onto r ranks, which are the
+weak orders with r ranks.  Only when some profile of a rank count has
+counterexamples does it walk that rank count's weak orders
 (:func:`softmtl.fuzzy.weak_orders`), to name their maps.  Profiles are
 few: a3 at D=8 has 4683 weak orders and 65 profiles, and 6747 (profile,
 V) pairs stand for its 531441 maps.  Nothing is kept on the algebra,
 and a confirmed run classifies only the up-sets, the representative
-and the carrier.  The ids and ``below`` are lists over all 2^n sets,
-fewer than the (D+1)^n maps of an exhaustive run, and live as long as
-the run.
+and the carrier.  The walk holds the up-sets, their ids and its states,
+and nothing that grows with the 2^n subsets.
 
 Per map.  Each bit of an atom owns a lane of D+1 bits, one per cut
 index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
@@ -123,11 +134,12 @@ Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
 U each non-empty proper up-set of the algebra's order
 (:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one, the
-representative.  It is the same loop with r <= 2: the ids come from a
-dict keyed by those sets, the profiles of r = 2 are their distinct ids,
-and the chains (U,) are listed only to name counterexamples.  The maps
-are grid maps, so their records are the grid's on them, and each check
-the grid refutes is refuted on one of them:
+representative.  It is the same loop, ids and walk with r <= 2: the
+profiles of r = 2 are the distinct ids of those sets (the carrier holds
+bottom < top, so some set is no up-set), and the chains (U,) are listed
+only to name counterexamples.  The maps are grid maps, so their records
+are the grid's on them, and each check the grid refutes is refuted on
+one of them:
 
 - Per-U_i split.  S, F, each side of a relation and each agree bit are
   ORs over a map's chain.  U_i counts where its span (V[i-1], V[i]]
@@ -152,7 +164,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, count
 from math import comb
 from typing import NamedTuple
@@ -255,14 +267,14 @@ def _check_grid(alg, den) -> None:
         raise ValueError(f"grid denominator must be positive and even, got {den}")
 
 
-def _walk(alg, den, budget) -> tuple[str, list[int] | None]:
-    """Check a run's inputs; its mode, and the sets U of a two-valued run (None: every map)."""
+def _walk(alg, den, budget) -> tuple[str, list[int]]:
+    """Check a run's inputs; its mode, and the up-sets and representative of :func:`_two_valued`."""
     _check_grid(alg, den)
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     n = alg.n
     if budget is None or (den + 1) ** n <= budget:
-        return "exhaustive", None
+        return "exhaustive", _two_valued(alg)
     pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
     most = max((budget - den - 1) // pairs - 1, 0)  # the most up-sets the budget has maps for
     sets = _two_valued(alg, most)
@@ -294,52 +306,46 @@ def _surjections(n: int, r: int) -> int:
     return sum((-1) ** k * comb(r, k) * (r - k) ** n for k in range(r + 1))
 
 
-def _subset_ids(run, alg) -> list[int]:
-    """The atom id of every subset, by mask: an up-set's own, the representative's for the rest."""
-    *ups, other = _two_valued(alg)
-    ids = [run.atom_id(other)] * (1 << alg.n)
-    for up in ups:
-        ids[up] = run.atom_id(up)
-    return ids
+def _room(above, part: int) -> int:
+    """The longest chain of non-up-sets strictly between up-sets A > B, where part = A - B.
 
-
-def _below(ids: list[int]) -> list[int]:
-    """For each set S, the bitmask of the atom ids ``ids`` gives S's non-empty proper subsets."""
-    below = [0] * len(ids)
-    for s in range(1, len(ids)):
-        union, rest = 0, s
-        while rest:  # every proper subset of S lies in some S - x
-            x = rest & -rest
-            rest ^= x
-            if sub := s ^ x:
-                union |= below[sub] | 1 << ids[sub]
-        below[s] = union
-    return below
-
-
-def _profiles(ids, below, full: int, r: int) -> list[tuple[int, ...]]:
-    """The distinct atom-id profiles of the chains full > U_1 > ... > U_r-1, all sets non-empty.
-
-    A state is (last set, profile so far), each kept once: what can follow
-    a chain depends only on its last set.  The last level reads ``below``.
+    ``above`` holds each element's strict up-set mask.  |part| - 1 if part
+    holds a pair x < y, else 0 (proof in the module docstring).
     """
-    if r == 1:
-        return [()]
-    states = {(full, ())}
-    for need in range(r - 1, 1, -1):  # U_i holds the ranks i..r-1, so r - i elements or more
+    rest = part
+    while rest:
+        x = rest & -rest
+        if above[x.bit_length() - 1] & part:  # x < y for some y in part
+            return part.bit_count() - 1
+        rest ^= x
+    return 0
+
+
+def _profiles(alg, ids: dict[int, int], other: int, ranks: int) -> list[list[tuple[int, ...]]]:
+    """For r = 1..ranks, the distinct atom-id profiles of the chains carrier > U_1 > ... > U_r-1.
+
+    Every U_i is non-empty.  ``ids`` maps each non-empty proper up-set,
+    ascending, to its id, and ``other`` is the id of every other set.  A
+    state is (last up-set, run of non-up-sets since it, profile so far),
+    each kept once, and every state kept completes: its run fits between
+    its last up-set and the empty set (proof in the module docstring).
+    """
+    room = cache(partial(_room, alg.tables.above))
+    states = {((1 << alg.n) - 1, 0, ())}
+    levels = [[()]]
+    for _ in range(1, ranks):
         grown = set()
-        for last, profile in states:
-            sub = (last - 1) & last
-            while sub:
-                if sub.bit_count() >= need:
-                    grown.add((sub, (*profile, ids[sub])))
-                sub = (sub - 1) & last
+        for last, run, profile in states:
+            if run < room(last):  # one more non-up-set
+                grown.add((last, run + 1, (*profile, other)))
+            for up, i in ids.items():  # an up-set inside the last one, the run between them
+                if up >= last:  # the up-sets ascend, and one inside the last is below it
+                    break
+                if not up & ~last and (not run or run <= room(last ^ up)):
+                    grown.add((up, 0, (*profile, i)))
         states = grown
-    tails = {}  # profile so far -> the ids its last sets have below them
-    for last, profile in states:
-        tails[profile] = tails.get(profile, 0) | below[last]
-    return [(*profile, i) for profile, mask in tails.items()
-            for i in range(mask.bit_length()) if mask >> i & 1]
+        levels.append(list({profile for _, _, profile in states}))
+    return levels
 
 
 class _Check(NamedTuple):
@@ -550,36 +556,35 @@ class _Pass:
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
-    """Run the checks on the maps of ``walk``, a mode and its sets U from :func:`_walk`."""
+    """Run the checks on the maps of ``walk``, a mode and its sets from :func:`_walk`."""
     mode, sets = walk
     name = "/".join(alg.labels)
     checks = [_plan(name, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
-    full = (1 << n) - 1
-    if sets is None:  # every map: the chains of any non-empty proper subsets
-        ids = _subset_ids(run, alg)
-        below = _below(ids)
+    *ups, rep = sets
+    ids = {up: run.atom_id(up) for up in ups}
+    other = run.atom_id(rep)
+    if mode == "exhaustive":  # every map: the chains of any non-empty proper subsets
         ranks = range(1, min(n, den + 1) + 1)
         orders = [(_surjections(n, r), weak_orders(n, r)) for r in ranks]
     else:  # the constant maps, and a off U, b on U: the chains (U,)
-        ids = {up: run.atom_id(up) for up in sets}
-        below = {full: sum(1 << i for i in set(ids.values()))}
         orders = [(1, [()]), (len(sets), [(up,) for up in sets])]
     decide = run.decide
     found = []  # (map, its decision bits from decide) of each counterexample
     checked = 0
-    for r, (n_orders, of_r) in enumerate(orders, 1):
+    levels = _profiles(alg, ids, other, len(orders))
+    for r, ((n_orders, of_r), profiles) in enumerate(zip(orders, levels), 1):
         vs = [(vals, run.values(vals)) for vals in combinations(range(den + 1), r)]
         # each distinct profile -> (values, decision bits) of its counterexamples
         decided = {}
-        for profile in _profiles(ids, below, full, r):
+        for profile in profiles:
             w = run.weak(profile)
             decided[profile] = [(vals, bits) for vals, spans in vs
                                 if (bits := decide(w, spans)) is not None]
         checked += len(vs) * n_orders
         if any(decided.values()):  # list the weak orders, only to name their maps
             for order in of_r:
-                for vals, bits in decided[tuple([ids[up] for up in order])]:
+                for vals, bits in decided[tuple([ids.get(up, other) for up in order])]:
                     found.append((grid_map(order, vals, n), bits))
     found.sort()  # the lexicographic order of the maps
     for nums, (bad, fail) in found:
@@ -618,7 +623,7 @@ def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,
 
     ``budget`` and ``seed`` are ignored.  They stay only because the
     benchmark's ``witness-sampled`` workload passes them, and go when that
-    workload is replaced (ROADMAP item 6).
+    workload is replaced.
     """
     rhs = {"T4.2.13": "mv", "T4.3.12": "g"}.get(theorem_id)
     if rhs is None:

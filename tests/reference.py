@@ -22,6 +22,11 @@ filter classifiers:
   not all Boolean;
 - over budget it walks the two-valued maps, a off U and b on U, listing
   the up-sets U by a brute force over every subset.
+
+The one exception is the subset walk at the end (:func:`_profiles` with
+:func:`_subset_ids` and :func:`_below`): the verifier's former source of
+exhaustive profiles, kept unchanged to check the walk over the up-sets
+that replaced it.  It reads the verifier's atom ids and up-set listing.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from softmtl.fuzzy import FuzzySet
+from softmtl.verifier import _two_valued
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -374,3 +380,51 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
     return [{"theorem": spec.id, "algebra": "/".join(alg.labels), "den": den,
              "checked": checked, "mode": mode, "confirmed": not found[spec.id],
              "counterexamples": found[spec.id]} for spec in specs]
+
+
+def _subset_ids(run, alg) -> list[int]:
+    """The atom id of every subset, by mask: an up-set's own, the representative's for the rest."""
+    *ups, other = _two_valued(alg)
+    ids = [run.atom_id(other)] * (1 << alg.n)
+    for up in ups:
+        ids[up] = run.atom_id(up)
+    return ids
+
+
+def _below(ids: list[int]) -> list[int]:
+    """For each set S, the bitmask of the atom ids ``ids`` gives S's non-empty proper subsets."""
+    below = [0] * len(ids)
+    for s in range(1, len(ids)):
+        union, rest = 0, s
+        while rest:  # every proper subset of S lies in some S - x
+            x = rest & -rest
+            rest ^= x
+            if sub := s ^ x:
+                union |= below[sub] | 1 << ids[sub]
+        below[s] = union
+    return below
+
+
+def _profiles(ids, below, full: int, r: int) -> list[tuple[int, ...]]:
+    """The distinct atom-id profiles of the chains full > U_1 > ... > U_r-1, all sets non-empty.
+
+    A state is (last set, profile so far), each kept once: what can follow
+    a chain depends only on its last set.  The last level reads ``below``.
+    """
+    if r == 1:
+        return [()]
+    states = {(full, ())}
+    for need in range(r - 1, 1, -1):  # U_i holds the ranks i..r-1, so r - i elements or more
+        grown = set()
+        for last, profile in states:
+            sub = (last - 1) & last
+            while sub:
+                if sub.bit_count() >= need:
+                    grown.add((sub, (*profile, ids[sub])))
+                sub = (sub - 1) & last
+        states = grown
+    tails = {}  # profile so far -> the ids its last sets have below them
+    for last, profile in states:
+        tails[profile] = tails.get(profile, 0) | below[last]
+    return [(*profile, i) for profile, mask in tails.items()
+            for i in range(mask.bit_length()) if mask >> i & 1]

@@ -15,8 +15,10 @@ from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
 from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_map, up_sets, weak_orders
+import reference
 from reference import (is_strictness_witness, literal_reports, literal_strictness_witness,
                        two_valued_maps)
+from test_fuzzy import _is_up_set
 from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, render_cli
 from softmtl.verifier import (TheoremSpec, _plan, catalog, catalog_by_id,
                               default_thresholds, find_strictness_witness,
@@ -417,17 +419,22 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
 
 
 
+def _walk_ids(run, alg):
+    """The run's id of each up-set, and of every other set, as ``_verify`` gives them."""
+    *ups, rep = verifier._two_valued(alg)
+    return {up: run.atom_id(up) for up in ups}, run.atom_id(rep)
+
+
 @pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
                                          ("a1xb2", 3)])
 def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n  # every rank count, unless the carrier is large
     run = verifier._Pass(alg, 2, [])
-    ids = verifier._subset_ids(run, alg)
-    below = verifier._below(ids)
+    levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
+    assert len(levels) == ranks
     atom = functools.cache(functools.partial(_atom, alg))
-    for r in range(1, ranks + 1):
-        walked = verifier._profiles(ids, below, (1 << alg.n) - 1, r)
+    for r, walked in enumerate(levels, 1):
         # the literal side: the atoms of the cuts of every map onto the ranks
         literal = {tuple(atom(sum(1 << x for x, k in enumerate(rank) if k >= i))
                          for i in range(1, r))
@@ -435,6 +442,58 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
         assert len(set(walked)) == len(walked) == len(literal), r
         assert {tuple((run.atoms[i] & (1 << len(KINDS)) - 1, run.atoms[i] >> len(KINDS))
                       for i in profile) for profile in walked} == literal, r
+
+
+@pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
+                                         ("a1xb2", 5), ("a3xb2", 5), ("a1xa1", 3)])
+def test_the_up_set_walk_finds_the_subset_walks_profiles(name, ranks):
+    alg = load_named(name)
+    ranks = ranks or alg.n
+    run = verifier._Pass(alg, 2, [])
+    levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
+    subset_ids = reference._subset_ids(run, alg)  # the same run, so the same atom ids
+    below = reference._below(subset_ids)
+    assert len(levels) == ranks
+    for r, walked in enumerate(levels, 1):
+        subsets = reference._profiles(subset_ids, below, len(below) - 1, r)
+        assert sorted(walked) == sorted(subsets), r
+        assert len(set(walked)) == len(walked), r
+
+
+def _longest_non_up_chain(alg, a, b):
+    """The most non-up-sets in a chain strictly between the sets b < a, by brute force."""
+    part = a & ~b
+
+    def drops(s):  # the sets s - x, x in s - b
+        return [s & ~(1 << x) for x in range(alg.n) if (s & part) >> x & 1]
+
+    @functools.cache
+    def most(s):  # in a chain of non-up-sets T with b < T <= s
+        return 0 if s == b else max(map(most, drops(s))) + (not _is_up_set(alg, s))
+
+    return max(map(most, drops(a)))
+
+
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a1xb2"])
+def test_the_room_between_up_sets_is_their_longest_chain_of_non_up_sets(name):
+    alg = load_named(name)
+    ups = [m for m in range(1 << alg.n) if _is_up_set(alg, m)]  # the empty set and the carrier too
+    pairs = [(a, b) for a in ups for b in ups if b != a and not b & ~a]
+    for a, b in pairs:
+        assert verifier._room(alg.tables.above, a & ~b) == _longest_non_up_chain(alg, a, b), (a, b)
+    # parts with room and parts without are both met
+    assert {verifier._room(alg.tables.above, a & ~b) > 0 for a, b in pairs} == {True, False}
+
+
+@pytest.mark.parametrize("name, den, maps", [("a3xa1", 2, 282429536481),
+                                            ("a1xa1", 4, 152587890625)])
+def test_large_exhaustive_runs_confirm_the_catalog(name, den, maps):
+    alg = load_named(name)
+    assert maps == (den + 1) ** alg.n
+    reports = verify_all(alg, den)
+    assert len(reports) == 31
+    assert all(rep.mode == "exhaustive" and rep.confirmed and rep.checked == maps
+               for rep in reports)
 
 
 def test_the_maps_onto_the_ranks_count_every_grid_map():
@@ -456,6 +515,13 @@ def test_an_exhaustive_run_classifies_only_the_cuts_it_must():
     # the up-sets, the representative non-up-set and the carrier, not all 63 masks
     assert set(alg.tables.classifications) == {*ups, other, (1 << alg.n) - 1}
     assert len(alg.tables.classifications) == 8
+    # and on a fresh product of 24 elements, exhaustive at D = 2 over 3^24 maps
+    alg = load_named("a3xa1")
+    assert all(rep.confirmed and rep.mode == "exhaustive" for rep in verify_all(alg, 2))
+    ups = up_sets(alg)
+    other = next(mask for mask in itertools.count(1) if mask not in ups)
+    assert set(alg.tables.classifications) == {*ups, other, (1 << alg.n) - 1}
+    assert len(alg.tables.classifications) == 292 + 2
 
 def _cut_atoms(den, carrier, atoms, vals):
     """The (failing kinds, scan bits) of the cut at each index 1..den of the map whose ranks
