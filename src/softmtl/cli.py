@@ -185,10 +185,10 @@ def cmd_soft_build(args, alg):
     doc = st.to_doc()
     doc.update(kind_checked=args.kind, holds=ok)
     lines = [f"{args.soft}-soft set over {iv}, grid 1/{den}:"]
-    for t, mask in st.levels:
-        lines.append(f"  t={t}: {{{','.join(filters.labels_of(alg, mask))}}}")
+    for t, labels in doc["levels"]:
+        lines.append(f"  t={t}: {{{','.join(labels)}}}")
     lines.append(f"every level a {args.kind}: {ok}" +
-                 ("" if ok else f" (fails at t={witness[0]})"))
+                 ("" if ok else f" (fails at t={Fraction(witness[0], den)})"))
     return (0 if ok else 1), doc, lines
 
 

@@ -3,9 +3,9 @@
 Membership values lie on a fixed grid 0, 1/D, ..., 1 with D even, so
 1/2 is always representable.  A value k/D is held as its integer
 numerator k, and every filter condition is an exact integer comparison
-(1/2 is D//2).  ``Fraction`` appears only at the edges: values given to
-``FuzzySet`` and thresholds are parsed from it, and ``FuzzySet.values``
-and :func:`map_doc` print with it.
+(1/2 is D//2).  ``Fraction`` appears only at the edges: :func:`numerator`
+and :func:`family_bounds` parse values and thresholds with it, and
+:func:`map_doc` prints with it.
 
 All four families share one inequality engine: the plain family is the
 threshold pair (0, 1), the (min .., 1/2)-capped family is (0, 1/2), the
@@ -17,19 +17,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 FAMILIES = ("plain", "eiq", "bar", "thresholds")
 
-def on_grid(value: Fraction, den: int) -> bool:
-    return ZERO <= value <= ONE and (value * den).denominator == 1
+
+def check_den(den: int) -> None:
+    """Raise ValueError unless the grid denominator is positive and even."""
+    if den <= 0 or den % 2:
+        raise ValueError(f"grid denominator must be positive and even, got {den}")
+
+
+def numerator(value, den: int) -> int:
+    """The numerator k of a membership value k/den, read exactly; raises if it is off the grid."""
+    check_den(den)
+    value = Fraction(value)
+    k, off = divmod(value.numerator * den, value.denominator)
+    if off or not 0 <= k <= den:
+        raise ValueError(f"membership value {value} is not on the 1/{den} grid")
+    return k
 
 
 def map_doc(alg: FiniteMtlAlgebra, den: int, nums) -> dict:
@@ -39,53 +49,40 @@ def map_doc(alg: FiniteMtlAlgebra, den: int, nums) -> dict:
 
 @dataclass(frozen=True)
 class FuzzySet:
-    """Total map from the carrier to the 1/D grid.
-
-    ``values`` are the memberships as given; ``nums`` their numerators
-    k = value * D, on which every check runs.
-    """
+    """Total map from the carrier to the 1/D grid, as the numerators k of its values k/D."""
 
     alg: FiniteMtlAlgebra
     den: int
-    values: tuple[Fraction, ...]
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...]
 
     def __post_init__(self):
-        if self.den <= 0 or self.den % 2:
-            raise ValueError(f"grid denominator must be positive and even, got {self.den}")
-        if len(self.values) != self.alg.n:
+        check_den(self.den)
+        if len(self.nums) != self.alg.n:
             raise ValueError("fuzzy set must be total over the carrier")
-        for v in self.values:
-            if not on_grid(v, self.den):
-                raise ValueError(f"membership value {v} is not on the 1/{self.den} grid")
-        object.__setattr__(self, "nums", tuple(int(v * self.den) for v in self.values))
+        for k in self.nums:
+            if type(k) is not int or not 0 <= k <= self.den:
+                raise ValueError(f"membership numerator {k!r} is not an int in 0..{self.den}")
 
     def to_doc(self) -> dict:
         return map_doc(self.alg, self.den, self.nums)
 
     @classmethod
     def constant(cls, alg, den, value) -> "FuzzySet":
-        return cls(alg, den, (Fraction(value),) * alg.n)
+        return cls(alg, den, (numerator(value, den),) * alg.n)
 
     @classmethod
     def from_mapping(cls, alg, den, mapping) -> "FuzzySet":
         for lab in mapping:
             if lab not in alg.labels:
                 raise ValueError(f"membership value for unknown element {lab!r}")
-        vals = []
         for lab in alg.labels:
             if lab not in mapping:
                 raise ValueError(f"no membership value for element {lab!r}")
-            vals.append(Fraction(mapping[lab]))
-        return cls(alg, den, tuple(vals))
-
-    @classmethod
-    def from_nums(cls, alg, den, nums) -> "FuzzySet":
-        return cls(alg, den, tuple(Fraction(k, den) for k in nums))
+        return cls(alg, den, tuple([numerator(mapping[lab], den) for lab in alg.labels]))
 
     @classmethod
     def characteristic(cls, alg, den, mask: int) -> "FuzzySet":
-        return cls(alg, den, tuple(ONE if mask >> i & 1 else ZERO for i in range(alg.n)))
+        return cls(alg, den, tuple([den if mask >> i & 1 else 0 for i in range(alg.n)]))
 
 
 # --- inequality scans on numerators; each returns the first violating tuple or None ---
@@ -208,7 +205,7 @@ def family_bounds(family: str, den: int, alpha=None, beta=None) -> tuple[int, in
     if alpha is None or beta is None:
         raise ValueError("thresholds family needs alpha and beta")
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if not ZERO < alpha < beta <= ONE:
+    if not 0 < alpha < beta <= 1:
         raise ValueError(f"thresholds must satisfy 0 < alpha < beta <= 1, got ({alpha}, {beta})")
     return math.floor(alpha * den), math.ceil(beta * den)
 

@@ -4,8 +4,10 @@ The parameterized family t -> {x : mu(x) >= t} (membership cut) or
 t -> {x : mu(x) + t > 1} (quasi-coincidence cut) is constant between
 consecutive grid points because mu takes values on the 1/D grid, so the
 finitely many grid thresholds in (lo, hi] represent the whole real
-interval without loss.  ``level_at`` maps any real threshold to its grid
-representative ceil(t*D)/D.
+interval without loss.  A level is held with the numerator j of its
+threshold j/D, and ``level_at`` maps any real threshold t to the level of
+its grid representative j = ceil(t*D).  ``Fraction`` appears only where
+an interval or a threshold is parsed and where ``SoftSet.to_doc`` prints.
 
 Both families are read off one array of cuts of the numerators k:
 cut[j] = {x : k[x] >= j}.  The membership cut at j/D is cut[j]; the
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FiniteMtlAlgebra, require_mtl
-from .fuzzy import ONE, ZERO, FuzzySet
-from .filters import classify_filter, labels_of
+from .fuzzy import FuzzySet
+from .filters import KINDS, classify_filter, labels_of
 
 SOFT_KINDS = ("in", "q")
 
@@ -35,7 +37,7 @@ class ParameterInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
-        if not (ZERO <= self.lo < self.hi <= ONE):
+        if not (0 <= self.lo < self.hi <= 1):
             raise ValueError(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi}]")
 
     def __contains__(self, t) -> bool:
@@ -61,9 +63,9 @@ class ParameterInterval:
         return cls(lo, hi)
 
 
-FULL = ParameterInterval(ZERO, ONE)
-LOWER = ParameterInterval(ZERO, Fraction(1, 2))
-UPPER = ParameterInterval(Fraction(1, 2), ONE)
+FULL = ParameterInterval(0, 1)
+LOWER = ParameterInterval(0, Fraction(1, 2))
+UPPER = ParameterInterval(Fraction(1, 2), 1)
 
 
 def level_cuts(nums: tuple[int, ...], den: int) -> list[int]:
@@ -89,25 +91,23 @@ class SoftSet:
     interval: ParameterInterval
     kind: str  # "in" or "q"
     den: int
-    levels: tuple[tuple[Fraction, int], ...]  # (threshold, bitmask), ascending
+    levels: tuple[tuple[int, int], ...]  # (j, bitmask) of each threshold j/den, ascending
 
     def level_at(self, t) -> int:
         """Level set at an arbitrary threshold t in (lo, hi]."""
         t = Fraction(t)
         if t not in self.interval:
             raise ValueError(f"threshold {t} outside parameter interval {self.interval}")
-        rep = Fraction(math.ceil(t * self.den), self.den)
-        for thr, mask in self.levels:
-            if thr == rep:
-                return mask
-        raise ValueError(f"no grid representative for threshold {t}")  # pragma: no cover
+        # the thresholds j/den run over j = lo+1..hi, and ceil(t * den) is one of them
+        return self.levels[math.ceil(t * self.den) - self.levels[0][0]][1]
 
     def to_doc(self) -> dict:
         return {
             "kind": self.kind,
             "interval": str(self.interval),
             "den": self.den,
-            "levels": [[str(t), labels_of(self.alg, m)] for t, m in self.levels],
+            "levels": [[str(Fraction(j, self.den)), labels_of(self.alg, m)]
+                       for j, m in self.levels],
         }
 
 
@@ -117,8 +117,7 @@ def build_soft(mu: FuzzySet, interval: ParameterInterval, kind: str) -> SoftSet:
         raise ValueError(f"unknown soft-set kind {kind!r}")
     lo, hi = interval.numerators(mu.den)
     cut = level_cuts(mu.nums, mu.den)
-    levels = tuple((Fraction(j, mu.den), cut[cut_index(kind, j, mu.den)])
-                   for j in range(lo + 1, hi + 1))
+    levels = tuple((j, cut[cut_index(kind, j, mu.den)]) for j in range(lo + 1, hi + 1))
     return SoftSet(mu.alg, interval, kind, mu.den, levels)
 
 
@@ -127,15 +126,18 @@ def classify_soft(soft: SoftSet, kind: str = "filter"):
 
     The empty level passes for every kind (the conventional reading of
     the empty set as a filter).  Returns (verdict, witness) where the
-    witness is the first failing threshold with the offending tuple.
-    Raises AlgebraError if the tables are not an MTL-algebra.
+    witness is the numerator j of the first failing threshold j/den, with
+    the offending tuple.  Raises AlgebraError if the tables are not an
+    MTL-algebra.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown filter kind {kind!r}")
     require_mtl(soft.alg)
-    for t, mask in soft.levels:
+    for j, mask in soft.levels:
         if mask == 0:
             continue
         cls = classify_filter(soft.alg, mask)
         if not cls.has(kind):
             key = "filter" if not cls.is_filter else kind
-            return False, (t, key, cls.witnesses.get(key))
+            return False, (j, key, cls.witnesses.get(key))
     return True, None

@@ -89,16 +89,16 @@ above the empty set, which bounds every gap below its up-set (P lies in
 A), so every state kept is some chain's, and the profiles of rank count r
 are those of the states after r - 1 steps.  m depends only on P, and
 each is computed once per run.  The pass decides each (profile, V) pair
-once, and counts the maps without listing them: C(D+1, r) value tuples
-times surj(n, r), the maps of n elements onto r ranks, which are the
-weak orders with r ranks.  Only when some profile of a rank count has
-counterexamples does it walk that rank count's weak orders
-(:func:`softmtl.fuzzy.weak_orders`), to name their maps.  Profiles are
-few: a3 at D=8 has 4683 weak orders and 65 profiles, and 6747 (profile,
-V) pairs stand for its 531441 maps.  Nothing is kept on the algebra,
-and a confirmed run classifies only the up-sets, the representative
-and the carrier.  The walk holds the up-sets, their ids and its states,
-and nothing that grows with the 2^n subsets.
+once and never lists the maps, whose count :func:`_walk` knows: every
+(W, V) is one grid map, so an exhaustive run checks all (D+1)^n of them.
+Only when some profile of a rank count has counterexamples does it walk
+that rank count's weak orders (:func:`softmtl.fuzzy.weak_orders`), to
+name their maps.  Profiles are few: a3 at D=8 has 4683 weak orders and
+65 profiles, and 6747 (profile, V) pairs stand for its 531441 maps.
+Nothing is kept on the algebra, and a confirmed run classifies only the
+up-sets, the representative and the carrier.  The walk holds the
+up-sets, their ids and its states, and nothing that grows with the 2^n
+subsets.
 
 Per map.  Each bit of an atom owns a lane of D+1 bits, one per cut
 index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
@@ -166,14 +166,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, count
-from math import comb
 from typing import NamedTuple
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, disagree, family_bounds, grid_map, resolve_route, scan_fails,
-                    scan_masks, up_sets, variant_witness, weak_orders)
+from .fuzzy import (FuzzySet, check_den, disagree, family_bounds, grid_map, resolve_route,
+                    scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
 from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
 
 RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
@@ -263,18 +262,19 @@ class VerificationReport:
 
 def _check_grid(alg, den) -> None:
     require_mtl(alg)
-    if den <= 0 or den % 2:
-        raise ValueError(f"grid denominator must be positive and even, got {den}")
+    check_den(den)
 
 
-def _walk(alg, den, budget) -> tuple[str, list[int]]:
-    """Check a run's inputs; its mode, and the up-sets and representative of :func:`_two_valued`."""
+def _walk(alg, den, budget) -> tuple[str, list[int], int]:
+    """Check a run's inputs; its mode, the up-sets and representative of :func:`_two_valued`,
+    and the number of maps it checks."""
     _check_grid(alg, den)
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     n = alg.n
-    if budget is None or (den + 1) ** n <= budget:
-        return "exhaustive", _two_valued(alg)
+    maps = (den + 1) ** n
+    if budget is None or maps <= budget:
+        return "exhaustive", _two_valued(alg), maps
     pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
     most = max((budget - den - 1) // pairs - 1, 0)  # the most up-sets the budget has maps for
     sets = _two_valued(alg, most)
@@ -285,7 +285,7 @@ def _walk(alg, den, budget) -> tuple[str, list[int]]:
     if maps > budget:  # before any map is walked
         raise ValueError(f"budget {budget} is below the {maps} two-valued maps "
                          f"of the 1/{den} grid on {n} elements")
-    return "two-valued", sets
+    return "two-valued", sets, maps
 
 
 def _two_valued(alg, most=None) -> list[int] | None:
@@ -299,11 +299,6 @@ def _two_valued(alg, most=None) -> list[int] | None:
         return None
     known = set(ups)
     return [*ups, next(mask for mask in count(1) if mask not in known)]
-
-
-def _surjections(n: int, r: int) -> int:
-    """The maps of n elements onto r ranks, so the weak orders with r ranks."""
-    return sum((-1) ** k * comb(r, k) * (r - k) ** n for k in range(r + 1))
 
 
 def _room(above, part: int) -> int:
@@ -556,8 +551,8 @@ class _Pass:
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
-    """Run the checks on the maps of ``walk``, a mode and its sets from :func:`_walk`."""
-    mode, sets = walk
+    """Run the checks on the maps of ``walk``: the mode, sets and map count of :func:`_walk`."""
+    mode, sets, checked = walk
     name = "/".join(alg.labels)
     checks = [_plan(name, spec, den, mode, interval) for spec in specs]
     run, n = _Pass(alg, den, checks), alg.n
@@ -566,14 +561,13 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     other = run.atom_id(rep)
     if mode == "exhaustive":  # every map: the chains of any non-empty proper subsets
         ranks = range(1, min(n, den + 1) + 1)
-        orders = [(_surjections(n, r), weak_orders(n, r)) for r in ranks]
+        orders = [weak_orders(n, r) for r in ranks]
     else:  # the constant maps, and a off U, b on U: the chains (U,)
-        orders = [(1, [()]), (len(sets), [(up,) for up in sets])]
+        orders = [[()], [(up,) for up in sets]]
     decide = run.decide
     found = []  # (map, its decision bits from decide) of each counterexample
-    checked = 0
     levels = _profiles(alg, ids, other, len(orders))
-    for r, ((n_orders, of_r), profiles) in enumerate(zip(orders, levels), 1):
+    for r, (of_r, profiles) in enumerate(zip(orders, levels), 1):
         vs = [(vals, run.values(vals)) for vals in combinations(range(den + 1), r)]
         # each distinct profile -> (values, decision bits) of its counterexamples
         decided = {}
@@ -581,7 +575,6 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
             w = run.weak(profile)
             decided[profile] = [(vals, bits) for vals, spans in vs
                                 if (bits := decide(w, spans)) is not None]
-        checked += len(vs) * n_orders
         if any(decided.values()):  # list the weak orders, only to name their maps
             for order in of_r:
                 for vals, bits in decided[tuple([ids.get(up, other) for up in order])]:

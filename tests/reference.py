@@ -67,7 +67,7 @@ class MembershipQuery:
 
 def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
     """Exact fuzzy-point membership: x_t in mu, x_t q mu, and negations."""
-    return MODES[query.mode](mu.values[query.x], query.level)
+    return MODES[query.mode](Fraction(mu.nums[query.x], mu.den), query.level)
 
 
 # --- algebra side ---------------------------------------------------------------
@@ -283,7 +283,7 @@ def literal_strictness_witness(alg, kind, den):
     """The first map of the 1/den grid, lexicographically, that is a strictness witness
     for the kind ("mv" for T4.2.13, "g" for T4.3.12), or None."""
     for nums in itertools.product(range(den + 1), repeat=alg.n):
-        mu = FuzzySet.from_nums(alg, den, nums)
+        mu = FuzzySet(alg, den, nums)
         if is_strictness_witness(mu, kind):
             return mu
     return None
@@ -339,7 +339,7 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
     checked = 0
     for nums in maps:
         checked += 1
-        mu = FuzzySet.from_nums(alg, den, nums)
+        mu = FuzzySet(alg, den, nums)
         at = {}  # (soft kind, index of t) -> the level there
         failing = []  # per soft set: each kind it fails -> the soft witness
         for soft_kind, within in softs:
@@ -355,7 +355,8 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
                         if why is not None:
                             first.setdefault(kind, (ts[i], *why))
             failing.append(first)
-        fuzzy = [fuzzy_witness(alg, mu.values, *variant) for variant in variants]
+        values = tuple(Fraction(k, den) for k in nums)
+        fuzzy = [fuzzy_witness(alg, values, *variant) for variant in variants]
         for spec, soft, variant in plans:
             fails, iff = failing[soft], spec.direction == "iff"
             if variant is None:

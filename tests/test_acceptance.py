@@ -77,7 +77,7 @@ def test_criterion_3_route_agreement():
             alg = load_fixture(name)
             checked = filters_seen = 0
             for nums in itertools.product(range(5), repeat=alg.n):
-                mu = FuzzySet.from_nums(alg, 4, nums)
+                mu = FuzzySet(alg, 4, nums)
                 holds = lambda kind, route: check_fuzzy_witness(mu, "plain", kind, route) is None
                 checked += 1
                 direct = holds("filter", "product")
@@ -125,12 +125,12 @@ def test_criterion_6_strictness_witnesses():
 def test_criterion_7_level_set_completeness(name, den):
     alg = load_fixture(name)
     rng = random.Random(2024)
-    pts = [F(k, den) for k in range(den + 1)]
+    pts = range(den + 1)
     for _ in range(1000):
         mu = FuzzySet(alg, den, tuple(rng.choice(pts) for _ in range(alg.n)))
         t = F(2 * rng.randint(0, den - 1) + 1, 2 * den)  # off-grid threshold in (0,1]
-        direct_eps = sum(1 << x for x in range(alg.n) if mu.values[x] >= t)
-        direct_q = sum(1 << x for x in range(alg.n) if mu.values[x] + t > 1)
+        direct_eps = sum(1 << x for x in range(alg.n) if F(mu.nums[x], den) >= t)
+        direct_q = sum(1 << x for x in range(alg.n) if F(mu.nums[x], den) + t > 1)
         assert build_soft(mu, FULL, "in").level_at(t) == direct_eps
         assert build_soft(mu, FULL, "q").level_at(t) == direct_q
     ok(7, f"level-set completeness on {name}")

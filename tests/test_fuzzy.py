@@ -27,7 +27,7 @@ def check_fuzzy(mu, family, kind, route="default", alpha=None, beta=None):
 
 
 def every_set(alg, den):
-    return (FuzzySet.from_nums(alg, den, nums)
+    return (FuzzySet(alg, den, nums)
             for nums in itertools.product(range(den + 1), repeat=alg.n))
 
 
@@ -87,7 +87,7 @@ def test_eiq_filter_example(a1):
     # iff every cut {x: mu(x) >= t} for t in (0, 1/2] is a filter
     for k in range(1, 6):
         t = F(k, 10)
-        cut = sum(1 << x for x in range(a1.n) if mu.values[x] >= t)
+        cut = sum(1 << x for x in range(a1.n) if F(mu.nums[x], mu.den) >= t)
         assert cut == 0 or is_filter(a1, cut)
     assert check_fuzzy(mu, "eiq", "filter")
 
@@ -165,7 +165,7 @@ def test_enumeration_counts(a1, a3, b2):
     assert sum(1 for _ in every_set(a1, 4)) == 625
     assert sum(1 for _ in every_set(a3, 2)) == 729
     first = next(every_set(b2, 2))
-    assert first.values == (F(0), F(0))
+    assert first.nums == (0, 0)
 
 
 @pytest.mark.parametrize("den", [2, 4, 6])
@@ -282,9 +282,27 @@ def test_every_non_up_set_has_one_atom(name):
 
 def test_off_grid_value_rejected(a1):
     with pytest.raises(ValueError):
-        FuzzySet(a1, 4, (F(1, 3), F(0), F(0), F(1)))
+        FuzzySet.from_mapping(a1, 4, dict(zip(a1.labels, (F(1, 3), F(0), F(0), F(1)))))
     with pytest.raises(ValueError):
-        FuzzySet(a1, 3, (F(0),) * 4)  # odd denominator
+        FuzzySet(a1, 3, (0,) * 4)  # odd denominator
+
+
+def test_numerators_are_checked(a1):
+    assert FuzzySet.from_mapping(a1, 4, {"0": 0, "a": 0.25, "b": "1/2", "1": 1}).nums == \
+        (0, 1, 2, 4)
+    assert fuzzy.numerator(F(3, 4), 8) == 6
+    for nums in ((0, 0, 0, 5), (0, 0, 0, -1), (0, 0, 0, F(1)), (0, 0, 0, 1.0)):
+        with pytest.raises(ValueError, match="^membership numerator .* is not an int in 0..4$"):
+            FuzzySet(a1, 4, nums)
+    with pytest.raises(ValueError, match="^fuzzy set must be total over the carrier$"):
+        FuzzySet(a1, 4, (0, 0, 0))
+    for value in (F(1, 3), F(5, 4), F(-1, 4)):
+        with pytest.raises(ValueError, match=f"^membership value {value} is not on the 1/4 grid$"):
+            fuzzy.numerator(value, 4)
+    for den in (0, -2, 3):
+        with pytest.raises(ValueError, match=f"^grid denominator must be positive and even, "
+                                             f"got {den}$"):
+            fuzzy.numerator(F(1, 2), den)
 
 
 @settings(max_examples=200)
@@ -292,7 +310,7 @@ def test_off_grid_value_rejected(a1):
 def test_grid_closure_of_checks(nums):
     # any grid map gets a definite verdict and the relaxations only widen it
     a1 = load_fixture("a1")
-    mu = FuzzySet(a1, 4, tuple(F(k, 4) for k in nums))
+    mu = FuzzySet(a1, 4, tuple(nums))
     plain = check_fuzzy(mu, "plain", "filter")
     if plain:
         assert check_fuzzy(mu, "eiq", "filter") and check_fuzzy(mu, "bar", "filter")
@@ -306,6 +324,7 @@ def test_threshold_kernels_match_fraction_reference(name, nums, kind, a, width):
     # thresholds on the finer 1/12 grid are mostly off the 1/4 grid of mu
     alg = load_fixture(name)
     alpha, beta = F(a, 12), F(min(a + width, 12), 12)
-    mu = FuzzySet(alg, 4, tuple(F(k, 4) for k in nums[:alg.n]))
+    mu = FuzzySet(alg, 4, tuple(nums[:alg.n]))
+    values = tuple(F(k, 4) for k in mu.nums)
     assert check_fuzzy_witness(mu, "thresholds", kind, alpha=alpha, beta=beta) == \
-        fuzzy_witness(alg, mu.values, kind, alpha, beta, forms_of("thresholds", kind))
+        fuzzy_witness(alg, values, kind, alpha, beta, forms_of("thresholds", kind))

@@ -103,8 +103,8 @@ def _points_hold(mu, family):
 def test_max_min_conditions_are_the_fuzzy_point_definitions(a1, family):
     held = 0
     for nums in itertools.product(range(5), repeat=a1.n):
-        mu = FuzzySet.from_nums(a1, 4, nums)
-        holds = fuzzy_witness(a1, mu.values, "filter", *BOUNDS[family],
+        mu = FuzzySet(a1, 4, nums)
+        holds = fuzzy_witness(a1, tuple(F(k, 4) for k in nums), "filter", *BOUNDS[family],
                               forms_of(family, "filter")) is None
         assert _points_hold(mu, family) == holds, nums
         held += holds

@@ -12,7 +12,8 @@ F = Fraction
 
 
 def level_labels(alg, soft):
-    return {t: set(labels_of(alg, m)) for t, m in soft.levels}
+    """Each level's labels, keyed by its threshold j/den."""
+    return {F(j, soft.den): set(labels_of(alg, m)) for j, m in soft.levels}
 
 
 def test_interval_validation():
@@ -62,7 +63,7 @@ def test_q_soft_strict_comparison(a1):
 
 def test_level_nesting(a1):
     rng = random.Random(7)
-    pts = [F(k, 4) for k in range(5)]
+    pts = range(5)
     for _ in range(50):
         mu = FuzzySet(a1, 4, tuple(rng.choice(pts) for _ in range(a1.n)))
         eps = build_soft(mu, FULL, "in").levels
@@ -76,13 +77,13 @@ def test_level_nesting(a1):
 def test_duality_between_cut_kinds(a2):
     # {x: mu(x) >= t} equals the quasi-coincidence cut at t' = 1 - t + 1/D
     rng = random.Random(11)
-    pts = [F(k, 4) for k in range(5)]
+    pts = range(5)
     for _ in range(50):
         mu = FuzzySet(a2, 4, tuple(rng.choice(pts) for _ in range(a2.n)))
         eps = build_soft(mu, FULL, "in")
         qs = build_soft(mu, FULL, "q")
-        for t, mask in eps.levels:
-            t2 = 1 - t + F(1, 4)
+        for j, mask in eps.levels:
+            t2 = 1 - F(j, 4) + F(1, 4)
             assert qs.level_at(t2) == mask
 
 
@@ -91,12 +92,12 @@ def test_off_grid_representative(name, den):
     # cuts are constant on ((k-1)/D, k/D], so the grid family loses nothing
     alg = load_fixture(name)
     rng = random.Random(23)
-    pts = [F(k, den) for k in range(den + 1)]
+    pts = range(den + 1)
     for _ in range(200):
         mu = FuzzySet(alg, den, tuple(rng.choice(pts) for _ in range(alg.n)))
         t = F(2 * rng.randint(0, den - 1) + 1, 2 * den)  # strictly between grid points
-        direct_eps = sum(1 << x for x in range(alg.n) if mu.values[x] >= t)
-        direct_q = sum(1 << x for x in range(alg.n) if mu.values[x] + t > 1)
+        direct_eps = sum(1 << x for x in range(alg.n) if F(mu.nums[x], den) >= t)
+        direct_q = sum(1 << x for x in range(alg.n) if F(mu.nums[x], den) + t > 1)
         assert build_soft(mu, FULL, "in").level_at(t) == direct_eps
         assert build_soft(mu, FULL, "q").level_at(t) == direct_q
 
@@ -121,7 +122,7 @@ def test_classify_soft_boolean_example(a1):
     soft = build_soft(mu, FULL, "in")
     ok, witness = classify_soft(soft, "boolean")
     assert not ok
-    assert witness[0] == F(1)  # {1} at t=1 is not Boolean
+    assert witness[0] == 4  # {1} at t=4/4 is not Boolean
     assert classify_soft(soft, "filter") == (True, None)
 
 
@@ -144,3 +145,10 @@ def test_soft_doc_mirrors_paper_shape(a3):
     assert levels[F(3, 5)] == {"a", "1"}
     assert classify_soft(soft, "g") == (True, None)
     assert not classify_soft(soft, "mv")[0]
+
+
+def test_classify_soft_rejects_an_unknown_kind(a1):
+    for value in (0, 1):  # every level empty, then every level the carrier
+        soft = build_soft(FuzzySet.constant(a1, 4, value), FULL, "in")
+        with pytest.raises(ValueError, match="^unknown filter kind 'bogus'$"):
+            classify_soft(soft, "bogus")

@@ -124,7 +124,7 @@ def test_restriction_coherence(a1):
     # a plain fuzzy filter also satisfies the capped predicate, and its
     # narrow-interval cuts agree with the full-interval ones restricted
     for nums in itertools.product(range(5), repeat=a1.n):
-        mu = FuzzySet.from_nums(a1, 4, nums)
+        mu = FuzzySet(a1, 4, nums)
         if check_fuzzy_witness(mu, "plain", "filter") is None:
             assert check_fuzzy_witness(mu, "eiq", "filter") is None
             full = dict(build_soft(mu, FULL, "in").levels)
@@ -247,10 +247,11 @@ def test_two_valued_runs_give_the_grids_verdicts(name):
     # On b2 the two-valued maps are all the maps, so no budget selects them:
     # the pass gets them straight from the verifier's two-valued source.
     alg = load_algebra(FIXTURE_DOCS[name])
-    walk = ("two-valued", verifier._two_valued(alg))
+    sets = verifier._two_valued(alg)
     refuted = 0
     for _, grid, spec, kw in FALSE_SPECS:
         for den in (grid, grid + 4):
+            walk = ("two-valued", sets, den + 1 + len(sets) * math.comb(den + 1, 2))
             full = verify(alg, spec, den, interval=kw.get("interval")).counterexamples
             two = verifier._verify(alg, [spec], den, walk, kw.get("interval"))[0].counterexamples
             docs = {tuple(str(F(k, den)) for k in nums) for nums in two_valued_maps(alg, den)}
@@ -358,7 +359,7 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
     expected = []
     for nums in itertools.product(range(den + 1), repeat=alg.n):
         cuts = {sum(1 << x for x, k in enumerate(nums) if k >= j) for j in range(1, den + 1)}
-        mu = FuzzySet.from_nums(alg, den, nums)
+        mu = FuzzySet(alg, den, nums)
         if up in cuts and check_fuzzy_witness(mu, "plain", kind) is None:
             expected.append(nums)
     assert expected and recorded == expected
@@ -375,7 +376,7 @@ def test_a_literal_scan_that_contradicts_the_bits_is_an_internal_error(monkeypat
     scan_fails = verifier.scan_fails
     monkeypatch.setattr(verifier, "scan_fails",
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
-    first = next(FuzzySet.from_nums(alg, den, nums)
+    first = next(FuzzySet(alg, den, nums)
                  for nums in itertools.product(range(den + 1), repeat=alg.n)
                  if sum(1 << x for x, k in enumerate(nums) if k) == up)
     assert check_fuzzy_witness(first, "plain", "g") is None
@@ -496,14 +497,21 @@ def test_large_exhaustive_runs_confirm_the_catalog(name, den, maps):
                for rep in reports)
 
 
-def test_the_maps_onto_the_ranks_count_every_grid_map():
-    for n in range(1, 9):
-        for den in range(1, 13):
-            assert sum(math.comb(den + 1, r) * verifier._surjections(n, r)
-                       for r in range(1, min(n, den + 1) + 1)) == (den + 1) ** n, (n, den)
-    for n in range(1, 6):
-        for r in range(1, n + 1):
-            assert verifier._surjections(n, r) == sum(1 for _ in weak_orders(n, r))
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2"])
+def test_an_exhaustive_run_reports_every_grid_map_checked(name):
+    alg = load_fixture(name)
+    for den in (2, 4):
+        reports = verify_all(alg, den)
+        assert {(rep.mode, rep.checked) for rep in reports} == {("exhaustive", (den + 1) ** alg.n)}
+
+
+def test_a_two_valued_run_reports_its_maps_checked(a3):
+    # the D+1 constant maps, and a < b with a off U, b on U for each up-set U and one other set
+    ups = sum(_is_up_set(a3, mask) for mask in range(1, (1 << a3.n) - 1))
+    maps = 13 + (ups + 1) * math.comb(13, 2)
+    assert maps == len(two_valued_maps(a3, 12))
+    reports = verify_all(a3, 12, budget=10**6)
+    assert {(rep.mode, rep.checked) for rep in reports} == {("two-valued", maps)}
 
 
 def test_an_exhaustive_run_classifies_only_the_cuts_it_must():
@@ -636,7 +644,7 @@ def test_false_specs_do_not_depend_on_the_memo(name, den, spec, kw):
 def _disagreement(alg, den, nums):
     """The message the plain Boolean ``route="all"`` check raises on the map, or None."""
     try:
-        check_fuzzy_witness(FuzzySet.from_nums(alg, den, nums), "plain", "boolean", "all")
+        check_fuzzy_witness(FuzzySet(alg, den, nums), "plain", "boolean", "all")
     except AlgebraError as single:
         return str(single)
     return None
@@ -667,7 +675,7 @@ def test_disagreeing_routes_name_the_first_map_in_an_exhaustive_run(monkeypatch)
         verify(alg, spec, 2)
     def message(nums):
         try:
-            check_fuzzy_witness(FuzzySet.from_nums(alg, 2, nums), "plain", "filter", "all")
+            check_fuzzy_witness(FuzzySet(alg, 2, nums), "plain", "filter", "all")
         except AlgebraError as single:
             return str(single)
         return None
@@ -693,5 +701,5 @@ def test_disagreeing_routes_are_named_where_the_soft_side_fails_too(monkeypatch)
     first = next(nums for nums in itertools.product(range(5), repeat=alg.n)
                  if _disagreement(alg, 4, nums))
     assert _disagreement(alg, 4, first) == str(raised.value)
-    mu = FuzzySet.from_nums(alg, 4, first)
+    mu = FuzzySet(alg, 4, first)
     assert not classify_soft(build_soft(mu, FULL, "in"), "boolean")[0]
