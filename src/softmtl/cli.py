@@ -67,7 +67,8 @@ def _json(doc, newline="\n") -> str:
     for a small report that costs more than the run.  This writes dicts
     with str keys, lists, tuples (as lists), str, int, bool and None;
     strings are escaped by the same C function.  Any other key or value
-    raises TypeError.
+    raises TypeError.  A dict's str, int and bool values, most of a
+    report, are written in place rather than by a call each.
     """
     kind = type(doc)
     if kind is str:
@@ -76,8 +77,20 @@ def _json(doc, newline="\n") -> str:
         if not doc:
             return "{}"
         inner = newline + "  "
+        items = []
         # sorted() or the escape raises TypeError on a key that is not a str
-        items = [_escape(key) + ": " + _json(doc[key], inner) for key in sorted(doc)]
+        for key in sorted(doc):
+            value = doc[key]
+            kind = type(value)
+            if kind is str:
+                text = _escape(value)
+            elif kind is int:
+                text = int.__repr__(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            else:
+                text = _json(value, inner)
+            items.append(_escape(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is list or kind is tuple:
         if not doc:

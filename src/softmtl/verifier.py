@@ -105,7 +105,7 @@ index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
 spreads each rank's atom to the lowest bit of each of its lanes, and the
 map's packed bits are the OR over the ranks of span times spread atom,
 so bit j of a lane is set iff the cut at index j has that atom bit.
-Every check's masks are shifted into place once per run: the soft side
+Every check's masks are shifted into place once per plan: the soft side
 fails iff the packed bits meet its levels in its kind's lane, and the
 fuzzy side iff they meet lo+1..hi in the lane of some bit of its fail
 mask.  So F, the fuzzy checks whose predicate fails, and S, those with a
@@ -129,6 +129,21 @@ failing soft level by ascending t, or one literal scan
 map, so a map whose formulations disagree raises and names the
 lexicographically first such map the pass walks, with no second pass.
 A literal scan that contradicts the bits raises RuntimeError.
+
+Per grid.  Resolving the checks and shifting their masks into the lanes
+reads only the specs, the grid and the interval, never the algebra.  So
+:func:`_plan` builds them once per (specs, D, interval) into one
+immutable plan, of tuples, ints and strs: each check's thresholds,
+levels, fuzzy key, relation kinds, iff flag and theorem id, the packed
+masks, relations and ``route="all"`` spans, the bits of the fuzzy and
+biconditional checks, and the D+1 grid values as a counterexample prints
+them.  It keeps the last 8 plans (``functools.lru_cache``), so repeated
+runs at one grid, on any algebra, share one; each plan holds no algebra
+and grows only with D, about 14 KB at D=24.  Each run makes its own
+reports, atom ids, profiles, decision memo and value spans.  The memo
+and the spans grow with the work, with the distinct packed values and
+with C(D+1, r) (885k packed values on a3 at D=24), so they stay on the
+run and go with it.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
@@ -164,7 +179,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations, count
 from typing import NamedTuple
 
@@ -188,6 +203,11 @@ class TheoremSpec:
     route: str = "default"
     direction: str = "iff"               # "iff" or "forward"
     relation: tuple[str, tuple[str, ...]] | None = None
+
+    def __hash__(self):
+        # Equal specs have equal ids.  The generated hash reads the Fraction
+        # fields, and a run hashes its specs to find its plan.
+        return hash(self.id)
 
 
 # (soft kind, interval, fuzzy family) pattern shared by all four filter kinds
@@ -346,7 +366,7 @@ def _profiles(alg, ids: dict[int, int], other: int, ranks: int) -> list[list[tup
 class _Check(NamedTuple):
     """One theorem resolved against the grid before the pass starts."""
 
-    report: VerificationReport
+    theorem: str                  # the spec's id, which its report names
     soft_kind: str
     thresholds: tuple[int, int]   # numerators of the soft interval (alpha, beta]
     levels: int                   # bitmask of the cut indices of the soft levels
@@ -356,8 +376,8 @@ class _Check(NamedTuple):
     iff: bool = True
 
 
-def _plan(name, spec, den, mode, interval) -> _Check:
-    """Resolve one theorem against the 1/den grid; ``name`` is the algebra's printed name."""
+def _check(spec, den, interval) -> _Check:
+    """Resolve one theorem against the 1/den grid."""
     if interval is not None and spec.interval is not None:
         generic = ", ".join(s.id for s in catalog() if s.interval is None)
         raise ValueError(f"{spec.id} is stated over {spec.interval}; "
@@ -369,10 +389,9 @@ def _plan(name, spec, den, mode, interval) -> _Check:
     # the cut indices of the levels: lo+1..hi for "in", den-hi+1..den-lo for "q"
     first, last = (lo + 1, hi) if spec.soft_kind == "in" else (den - hi + 1, den - lo)
     levels = (2 << last) - (1 << first)
-    report = VerificationReport(spec.id, name, den, mode=mode)
     if spec.relation:
         lhs, rhs = spec.relation
-        return _Check(report, spec.soft_kind, (lo, hi), levels, lhs, None, tuple(rhs),
+        return _Check(spec.id, spec.soft_kind, (lo, hi), levels, lhs, None, tuple(rhs),
                       spec.direction == "iff")
     if spec.filter_kind not in KINDS:
         raise ValueError(f"unknown filter kind {spec.filter_kind!r}")
@@ -383,8 +402,74 @@ def _plan(name, spec, den, mode, interval) -> _Check:
     else:
         raise ValueError(f"thresholds must satisfy 0 < alpha < beta <= 1, got ({iv.lo}, {iv.hi})")
     key = (spec.filter_kind, flo, fhi, resolve_route(spec.family, spec.filter_kind, spec.route))
-    return _Check(report, spec.soft_kind, (lo, hi), levels, spec.filter_kind, key,
+    return _Check(spec.id, spec.soft_kind, (lo, hi), levels, spec.filter_kind, key,
                   iff=spec.direction == "iff")
+
+
+class _Plan(NamedTuple):
+    """The checks of a pass and their masks on the 1/den grid; nothing of the algebra.
+
+    Bit j of an atom owns the lane of cut indices j*lane + (0..den), and
+    every mask is shifted into its lanes here (module docstring, "Per map").
+    """
+
+    checks: tuple[_Check, ...]
+    den: int
+    lane: int
+    # (mask, soft bits, fuzzy bits): the checks that fail when the packed bits meet it
+    masks: tuple[tuple[int, int, int], ...]
+    relations: tuple[tuple[int, int, int, bool], ...]  # (bit, left lane, right lanes, iff)
+    routes: tuple[tuple[int, int, int], ...]  # (span, fail, agree) of each route="all" check
+    fuzzy: int                     # the bits of the fuzzy checks
+    # an extra fail bit, counted as an iff check, flags formulations that disagree
+    disagree_bit: int
+    iff: int                       # the bits of the biconditionals, with the disagree bit
+    printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
+
+
+def _spread(atom: int, lane: int) -> int:
+    """The lowest bit of the lane of each bit of ``atom``."""
+    return sum(1 << j * lane for j in range(atom.bit_length()) if atom >> j & 1)
+
+
+def _pack(checks, den) -> _Plan:
+    """Shift each check's masks into its lanes, grouping the fuzzy checks by equal masks."""
+    lane = den + 1
+    masks, relations, routes = {}, [], []
+    for b, check in enumerate(checks):
+        levels = check.levels << KINDS.index(check.kind) * lane
+        if check.fuzzy is None:
+            rhs = 0
+            for kind in check.rhs:
+                rhs |= check.levels << KINDS.index(kind) * lane
+            relations.append((1 << b, levels, rhs, check.iff))
+            continue
+        kind, lo, hi, route = check.fuzzy
+        fail, agree = scan_masks(kind, route)
+        span = (2 << hi) - (2 << lo)  # the cut indices lo+1..hi
+        masks.setdefault(levels, [0, 0])[0] |= 1 << b
+        masks.setdefault(_spread(fail << len(KINDS), lane) * span, [0, 0])[1] |= 1 << b
+        if route == "all":
+            routes.append((span, fail, agree))
+    disagree_bit = 1 << len(checks)
+    return _Plan(
+        tuple(checks), den, lane,
+        tuple((mask, soft, fuzzy) for mask, (soft, fuzzy) in masks.items()),
+        tuple(relations), tuple(routes),
+        sum(1 << b for b, check in enumerate(checks) if check.fuzzy is not None),
+        disagree_bit,
+        disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff),
+        tuple(str(Fraction(k, den)) for k in range(lane)))
+
+
+@lru_cache(maxsize=8)
+def _plan(specs: tuple[TheoremSpec, ...], den: int, interval) -> _Plan:
+    """The plan of ``specs`` on the 1/den grid, ``interval`` overriding a generic one's.
+
+    It depends only on its arguments, so it is built once and shared by
+    every run with them (module docstring, "Per grid").
+    """
+    return _pack([_check(spec, den, interval) for spec in specs], den)
 
 
 def _by_kind(bad: int, lane: int) -> dict[str, int]:
@@ -395,8 +480,9 @@ def _by_kind(bad: int, lane: int) -> dict[str, int]:
 
 def _record(run, nums, bad: int, fail: int) -> None:
     """Append each check's counterexample on one map, read off the bits ``decide`` returned."""
-    alg, den, checks, printed = run.alg, run.den, run.checks, run.printed
-    fails = _by_kind(bad, run.lane)
+    alg, plan, reports = run.alg, run.plan, run.reports
+    den, checks, printed = plan.den, plan.checks, plan.printed
+    fails = _by_kind(bad, plan.lane)
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
     for b, check in enumerate(checks):
         soft_fail = fails[check.kind] & check.levels
@@ -407,7 +493,7 @@ def _record(run, nums, bad: int, fail: int) -> None:
             if fuzzy_fail and not soft_fail and check.iff or check.fuzzy[3] == "all":
                 witness = variant_witness(alg, den, nums, check.fuzzy)
                 if (witness is not None) != fuzzy_fail:
-                    raise RuntimeError(f"{check.report.theorem}: the literal scan contradicts "
+                    raise RuntimeError(f"{check.theorem}: the literal scan contradicts "
                                        f"the scan bits on {doc}")
             if soft_fail and not fuzzy_fail:
                 direction, kind = "fuzzy=>soft", check.kind
@@ -434,7 +520,7 @@ def _record(run, nums, bad: int, fail: int) -> None:
             cls = filters.classify_filter(alg, sum(1 << x for x, k in enumerate(nums) if k >= j))
             key = kind if cls.is_filter else "filter"
             witness = (printed[cut_index(check.soft_kind, j, den)], key, cls.witnesses.get(key))
-        check.report.counterexamples.append(
+        reports[b].counterexamples.append(
             {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
     if fail >> len(checks):
         raise RuntimeError(f"the scan bits flag disagreeing formulations on {doc}, "
@@ -451,47 +537,18 @@ class _Pass:
     the atoms of a profile over the lanes, :meth:`values` gives the span
     of cut indices of each rank of V, and :meth:`decide` ORs their
     products into the packed bits of the map.  Every check, soft or
-    fuzzy, fails iff those bits meet one of its masks, and
-    :meth:`verdicts` reads the checks off them, once per run for each
-    packed value.
+    fuzzy, fails iff those bits meet one of its masks in the shared
+    ``plan``, and :meth:`verdicts` reads the checks off them, once per run
+    for each packed value.  ``reports`` are this run's own, one per check.
     """
 
-    def __init__(self, alg, den, checks):
-        self.alg, self.den, self.checks = alg, den, checks
-        # Bit j of an atom owns the lane of cut indices j*lane + (0..den).
-        self.lane = lane = den + 1
-        masks, self.relations, self.routes = {}, [], []
-        for b, check in enumerate(checks):
-            levels = check.levels << KINDS.index(check.kind) * lane
-            if check.fuzzy is None:
-                rhs = 0
-                for kind in check.rhs:
-                    rhs |= check.levels << KINDS.index(kind) * lane
-                self.relations.append((1 << b, levels, rhs, check.iff))
-                continue
-            kind, lo, hi, route = check.fuzzy
-            fail, agree = scan_masks(kind, route)
-            span = (2 << hi) - (2 << lo)  # the cut indices lo+1..hi
-            masks.setdefault(levels, [0, 0])[0] |= 1 << b
-            masks.setdefault(self._spread(fail << len(KINDS)) * span, [0, 0])[1] |= 1 << b
-            if route == "all":
-                self.routes.append((span, fail, agree))
-        # (mask, soft bits, fuzzy bits): the checks that fail when the packed bits meet it
-        self.masks = [(mask, soft, fuzzy) for mask, (soft, fuzzy) in masks.items()]
-        self.fuzzy = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is not None)
-        # an extra fail bit, counted as an iff check, flags formulations that disagree
-        self.disagree_bit = 1 << len(checks)
-        self.iff = self.disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff)
+    def __init__(self, alg, plan: _Plan, reports: list[VerificationReport]):
+        self.alg, self.plan, self.reports = alg, plan, reports
         self.memo = {}     # packed bits -> fuzzy fail bits of a counterexample, else -1
         self.ids = {}      # atom -> its id
         self.atoms = []    # id -> atom: failing kinds | scan_fails of the indicator << len(KINDS)
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
         self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
-
-    @cached_property
-    def printed(self) -> list[str]:
-        """Each grid value k/den as a counterexample prints it, built once per run."""
-        return [str(Fraction(k, self.den)) for k in range(self.lane)]
 
     def atom_id(self, cut):
         """The id of the cut's atom, all that :meth:`decide` reads of it; equal atoms share one."""
@@ -502,14 +559,11 @@ class _Pass:
             self.atoms.append(atom)
         return self.ids[atom]
 
-    def _spread(self, atom: int) -> int:
-        """The lowest bit of the lane of each bit of ``atom``."""
-        return sum(1 << j * self.lane for j in range(atom.bit_length()) if atom >> j & 1)
-
     def weak(self, profile):
         """The ranks whose cut has a non-empty atom, each with the atom spread over the lanes."""
         atoms = (self.carrier, *[self.atoms[i] for i in profile])
-        return [(i, self._spread(atom)) for i, atom in enumerate(atoms) if atom]
+        lane = self.plan.lane
+        return [(i, _spread(atom, lane)) for i, atom in enumerate(atoms) if atom]
 
     def values(self, vals):
         """Each rank i's span: its cut indices (vals[i-1], vals[i]] as a bitmask, vals[-1] = 0."""
@@ -524,7 +578,7 @@ class _Pass:
         fail = self.memo.get(bad)
         if fail is None:
             soft, fail, rel = self.verdicts(bad)
-            if not (soft & ~fail) | (fail & ~soft & self.iff) | rel:
+            if not (soft & ~fail) | (fail & ~soft & self.plan.iff) | rel:
                 fail = -1
             self.memo[bad] = fail
         return None if fail < 0 else (bad, fail)
@@ -532,30 +586,34 @@ class _Pass:
     def verdicts(self, bad: int) -> tuple[int, int, int]:
         """The bits of the checks with a failing soft level, of those whose fuzzy predicate
         fails (with the disagree bit), and of the failed relations, on the packed bits ``bad``."""
+        plan = self.plan
         held_soft = held_fuzzy = rel = 0  # the checks whose side holds: bad misses its mask
-        for mask, soft_bits, fuzzy_bits in self.masks:
+        for mask, soft_bits, fuzzy_bits in plan.masks:
             if not bad & mask:  # most maps meet most masks, so OR the few they miss
                 held_soft |= soft_bits
                 held_fuzzy |= fuzzy_bits
-        soft, fail = self.fuzzy & ~held_soft, self.fuzzy & ~held_fuzzy
-        for bit, lhs, rhs, iff in self.relations:
+        soft, fail = plan.fuzzy & ~held_soft, plan.fuzzy & ~held_fuzzy
+        for bit, lhs, rhs, iff in plan.relations:
             lhs_fail, rhs_fail = bad & lhs, bad & rhs
             if (rhs_fail and not lhs_fail) or (lhs_fail and not rhs_fail and iff):
                 rel |= bit
-        lanes = bad >> len(KINDS) * self.lane  # the scan lanes
-        for span, fails, agree in self.routes:  # read over the check's own cut indices
-            scans = sum(1 << s for s in range(fails.bit_length()) if lanes >> s * self.lane & span)
+        lane = plan.lane
+        lanes = bad >> len(KINDS) * lane  # the scan lanes
+        for span, fails, agree in plan.routes:  # read over the check's own cut indices
+            scans = sum(1 << s for s in range(fails.bit_length()) if lanes >> s * lane & span)
             if disagree(scans, fails, agree):
-                fail |= self.disagree_bit
+                fail |= plan.disagree_bit
         return soft, fail, rel
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     """Run the checks on the maps of ``walk``: the mode, sets and map count of :func:`_walk`."""
     mode, sets, checked = walk
+    plan = _plan(tuple(specs), den, interval)
     name = "/".join(alg.labels)
-    checks = [_plan(name, spec, den, mode, interval) for spec in specs]
-    run, n = _Pass(alg, den, checks), alg.n
+    reports = [VerificationReport(check.theorem, name, den, checked, mode)
+               for check in plan.checks]
+    run, n = _Pass(alg, plan, reports), alg.n
     *ups, rep = sets
     ids = {up: run.atom_id(up) for up in ups}
     other = run.atom_id(rep)
@@ -582,9 +640,7 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     found.sort()  # the lexicographic order of the maps
     for nums, (bad, fail) in found:
         _record(run, nums, bad, fail)
-    for check in checks:
-        check.report.checked = checked
-    return [check.report for check in checks]
+    return reports
 
 
 def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int, budget: int | None = None,
@@ -600,7 +656,7 @@ def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int, budget: int | Non
 def verify_all(alg: FiniteMtlAlgebra, den: int,
                budget: int | None = None) -> list[VerificationReport]:
     """Check the whole catalog in one pass over the grid fuzzy sets."""
-    return _verify(alg, catalog(), den, _walk(alg, den, budget))
+    return _verify(alg, _CATALOG, den, _walk(alg, den, budget))
 
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,

@@ -1,8 +1,12 @@
 import bisect
+import dataclasses
 import functools
+import gc
 import itertools
+import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -71,8 +75,8 @@ def test_default_thresholds_are_grid_aligned(a1):
     assert default_thresholds(10) == (1, 9)
     # a generic-interval check reports the default thresholds as (alpha, beta]
     t312 = catalog_by_id()["T3.12"]
-    assert _plan("0/a/b/1", t312, 2, "exhaustive", None).thresholds == (1, 2)
-    assert _plan("0/a/b/1", t312, 10, "exhaustive", None).thresholds == (1, 9)
+    assert _plan((t312,), 2, None).checks[0].thresholds == (1, 2)
+    assert _plan((t312,), 10, None).checks[0].thresholds == (1, 9)
 
 
 def test_verify_t33_exhaustive(a1):
@@ -181,7 +185,7 @@ def test_levels_mask_holds_the_cut_index_of_each_level(a1, den):
     specs += [(TheoremSpec(f"user-{kind}", kind, None, "mv", "thresholds"), user)
               for kind in ("in", "q")]
     for spec, interval in specs:
-        check = _plan("0/a/b/1", spec, den, "exhaustive", interval)
+        check, = _plan((spec,), den, interval).checks
         lo, hi = check.thresholds
         assert check.levels == sum(1 << cut_index(spec.soft_kind, j, den)
                                    for j in range(lo + 1, hi + 1)), (spec.id, den)
@@ -431,7 +435,7 @@ def _walk_ids(run, alg):
 def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n  # every rank count, unless the carrier is large
-    run = verifier._Pass(alg, 2, [])
+    run = verifier._Pass(alg, _plan((), 2, None), [])
     levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
     assert len(levels) == ranks
     atom = functools.cache(functools.partial(_atom, alg))
@@ -450,7 +454,7 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
 def test_the_up_set_walk_finds_the_subset_walks_profiles(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n
-    run = verifier._Pass(alg, 2, [])
+    run = verifier._Pass(alg, _plan((), 2, None), [])
     levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
     subset_ids = reference._subset_ids(run, alg)  # the same run, so the same atom ids
     below = reference._below(subset_ids)
@@ -583,13 +587,13 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
         specs = [(spec, None) for spec in catalog()]
         specs += [(spec, kw.get("interval")) for _, _, spec, kw in FALSE_SPECS]
         specs += [(TheoremSpec("all-routes", "in", FULL, "filter", "plain", route="all"), None)]
-        checks = [_plan(name, spec, den, "exhaustive", interval) for spec, interval in specs]
+        checks = [_plan((spec,), den, interval).checks[0] for spec, interval in specs]
         checks += [check._replace(fuzzy=(*check.fuzzy[:3], "all")) for check in checks
                    if check.fuzzy and check.fuzzy[0] in ("filter", "boolean")]
         assert {check.fuzzy[1:3] for check in checks if check.fuzzy and check.fuzzy[3] == "all"} \
             == {(0, den), (0, den // 2), (den // 2, den), (1, den - 1)}
         iff = 1 << len(checks) | sum(1 << b for b, check in enumerate(checks) if check.iff)
-        run = verifier._Pass(alg, den, checks)
+        run = verifier._Pass(alg, verifier._pack(checks, den), [])
         for up in up_sets(alg):
             run.atom_id(up)
         # each atom again with one scan bit flipped: scan bits that do not follow from the kinds
@@ -619,26 +623,121 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
-    # one algebra object, warmed at other grids and by a two-valued run, then the golden run
+    # one algebra object, warmed at other grids and by a two-valued run, then the golden runs
     alg = load_algebra(FIXTURE_DOCS["a1"])
     verify_all(alg, 4)
     verify_all(alg, 16)
     assert verify_all(alg, 16, budget=1000)[0].mode == "two-valued"
+    algs = {"a1": alg}
     targets = []
-    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: targets.append(target) or alg)
-    golden = (GOLDEN / "verify-all-a1-D8.json").read_bytes()
-    assert render_cli(CLI_RUNS["verify-all-a1-D8"]).encode() == golden
-    assert targets == ["a1"]
+    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: targets.append(target)
+                        or algs.setdefault(target, load_algebra(FIXTURE_DOCS[target])))
+    # runs at one grid on other algebras share its plan, and a false spec verified
+    # between two of them gets its own
+    name, den, spec, kw = FALSE_SPECS[0]
+    assert (name, den) == ("a1", 4)
+    false_doc = json.loads((GOLDEN / "false-specs.json").read_text())[0]
+    for run in ("verify-all-a1-D4", "verify-all-b2-D4", "verify-all-a2-D4", "verify-all-a3-D2",
+                "verify-all-a1-D8"):
+        golden = (GOLDEN / f"{run}.json").read_bytes()
+        assert render_cli(CLI_RUNS[run]).encode() == golden, run
+        if run == "verify-all-a1-D4":
+            assert verify(alg, spec, den, **kw).to_doc() == false_doc
+    assert targets == ["a1", "b2", "a2", "a3", "a1"]
 
 
 @pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
 def test_false_specs_do_not_depend_on_the_memo(name, den, spec, kw):
     cold = verify(load_algebra(FIXTURE_DOCS[name]), spec, den, **kw).counterexamples
+    cold_catalog = [rep.to_doc() for rep in verify_all(load_algebra(FIXTURE_DOCS[name]), den)]
     alg = load_algebra(FIXTURE_DOCS[name])
     verify_all(alg, den + 2)
-    verify_all(alg, den)
+    before = [rep.to_doc() for rep in verify_all(alg, den)]
     warm = [verify(alg, spec, den, **kw).counterexamples for _ in range(2)]
+    # the catalog at the same grid again, after the false spec
+    after = [rep.to_doc() for rep in verify_all(alg, den)]
     assert cold and warm == [cold, cold]
+    assert before == after == cold_catalog
+
+
+def test_a_plan_holds_only_immutable_values():
+    # every shape of check: relations, intervals, route "all" and each family
+    specs = (*catalog(), *(spec for _, _, spec, _ in FALSE_SPECS))
+    plan = _plan(specs, 4, None)
+    assert plan is _plan(specs, 4, None)  # one plan, shared by the runs
+    parts, seen = [plan], 0
+    while parts:
+        part = parts.pop()
+        seen += 1
+        if isinstance(part, tuple):
+            parts.extend(part)
+        else:
+            assert part is None or type(part) in (int, bool, str), type(part)
+    assert seen > len(specs) * 8
+
+
+def test_runs_share_the_plan_and_not_the_reports(a1):
+    first, second = verify_all(a1, 4), verify_all(a1, 4)
+    assert all(x is not y and x.counterexamples is not y.counterexamples
+               for x, y in zip(first, second))
+    expected = [rep.to_doc() for rep in second]
+    first[0].counterexamples.append({"mu": "planted"})
+    first[1].checked = 0
+    assert [rep.to_doc() for rep in second] == expected
+    assert [rep.to_doc() for rep in verify_all(a1, 4)] == expected
+
+
+def test_the_plan_cache_keeps_nothing_of_the_algebra():
+    alg = load_algebra(FIXTURE_DOCS["a1"])
+    verify_all(alg, 4)
+    name, den, spec, kw = FALSE_SPECS[0]
+    assert verify(alg, spec, den, **kw).counterexamples  # recorded maps and witnesses
+    algebra_ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert algebra_ref() is None
+
+
+def test_the_plan_cache_is_bounded(a1):
+    bound = _plan.cache_info().maxsize
+    assert 2 <= bound <= 16
+    for den in range(2, 2 * bound + 6, 2):  # more grids than the bound
+        assert verify_all(a1, den, budget=5000)[0].confirmed
+        assert _plan.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("spec, interval, message", [
+    (catalog_by_id()["T3.12"], ParameterInterval(F(1, 3), F(2, 3)),
+     "interval (1/3,2/3] is not aligned to the 1/4 grid"),
+    (TheoremSpec("bad-kind", "x", FULL, "filter", "plain"), None, "unknown soft-set kind 'x'"),
+])
+def test_a_plan_that_raises_raises_again(a1, spec, interval, message):
+    for _ in range(2):  # the error is not cached as a plan
+        with pytest.raises(ValueError) as raised:
+            verify(a1, spec, 4, interval=interval)
+        assert str(raised.value) == message
+
+
+def test_specs_hash_by_id_and_plan_by_value(a1):
+    t312 = catalog_by_id()["T3.12"]
+    assert hash(dataclasses.replace(t312)) == hash(t312)
+    # the catalog entry's id with its own interval: the same hash, not the same plan
+    interval = ParameterInterval(F(1, 4), F(1, 2))
+    own = dataclasses.replace(t312, interval=interval)
+    refuted = dataclasses.replace(own, soft_kind="q")
+    assert hash(own) == hash(refuted) == hash(t312) and len({own, refuted, t312}) == 3
+    assert _plan((t312,), 4, None).checks[0].thresholds == (1, 3)
+    assert _plan((own,), 4, None).checks[0].thresholds == (1, 2)
+    # interleaved, each gets its own verdicts
+    expected = verify(a1, t312, 4).to_doc()
+    assert expected["confirmed"]
+    assert verify(a1, own, 4).to_doc() == verify(a1, t312, 4, interval=interval).to_doc()
+    assert verify(a1, t312, 4).to_doc() == expected
+    doc = verify(a1, refuted, 4).to_doc()
+    assert len(doc["counterexamples"]) == 172
+    assert verify(a1, dataclasses.replace(refuted, id="q-own"), 4).to_doc() == \
+        {**doc, "theorem": "q-own"}
+    assert verify(a1, t312, 4).to_doc() == expected
 
 
 def _disagreement(alg, den, nums):
