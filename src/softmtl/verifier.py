@@ -105,38 +105,44 @@ index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
 spreads each rank's atom to the lowest bit of each of its lanes, and the
 map's packed bits are the OR over the ranks of span times spread atom,
 so bit j of a lane is set iff the cut at index j has that atom bit.
-Every check's masks are shifted into place once per plan: the soft side
-fails iff the packed bits meet its levels in its kind's lane, and the
-fuzzy side iff they meet lo+1..hi in the lane of some bit of its fail
-mask.  So F, the fuzzy checks whose predicate fails, and S, those with a
-failing soft level, cost one AND per distinct mask, whose checks share
-its bits ("in" and "q" over (0, 1] read the same cuts), and R, the
-relation checks that fail, one AND per side of each relation, its
-right-hand kinds' lanes OR'd.  F has one extra bit, counted as a
-biconditional and never in S: it is set when the formulations of a
-``route="all"`` check disagree by its agree mask
+Every check has two sides, a premise and a conclusion, each a mask
+shifted into place once per plan that fails iff the packed bits meet it.
+A fuzzy check's conclusion is its levels in its kind's lane, and its
+premise is lo+1..hi in the lane of each bit of its fail mask.  A
+relation's premise is its levels in its left-hand kind's lane, and its
+conclusion its levels in its right-hand kinds' lanes, OR'd.  So S, the
+checks whose conclusion fails, and F, those whose premise fails, cost
+one AND per distinct mask, whose checks share its bits ("in" and "q"
+over (0, 1] read the same cuts, and a relation's sides are catalog
+checks' soft sides, but for an OR of two lanes).  F has one extra bit,
+counted as a biconditional and never in S: it is set when the
+formulations of a ``route="all"`` check disagree by its agree mask
 (:func:`softmtl.fuzzy.disagree`) on the scan bits read off its own
 range lo+1..hi of the lanes.  A map is a counterexample to some check
-only if (S & ~F) | (F & ~S & IFF) | R is non-zero, IFF marking the
-biconditionals.  The pass keeps that decision, with F, in its one memo,
-keyed by the packed bits.  Such maps are sorted lexicographically and
-recorded, so every report is the same as that of a pass that runs each
-check on each map it walks, in lexicographic order.  Recording reads each check's
-verdict off the map's bits and looks up only its witness: the first
-failing soft level by ascending t, or one literal scan
+only if (S & ~F) | (F & ~S & IFF) is non-zero, IFF marking the
+biconditionals.  The pass keeps that decision, with S and F, in its one
+memo, keyed by the packed bits.  Such maps are sorted lexicographically
+and recorded, so every report is the same as that of a pass that runs
+each check on each map it walks, in lexicographic order.  Recording
+reads each check's two sides off S and F and looks up only its witness:
+the first failing soft level by ascending t of the first failing
+witness kind, or one literal scan
 (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
 ``route="all"`` check runs its literal formulations on every recorded
 map, so a map whose formulations disagree raises and names the
 lexicographically first such map the pass walks, with no second pass.
-A literal scan that contradicts the bits raises RuntimeError.
+A literal scan that contradicts the scan bits, or a witness level whose
+literal classification passes the kind its bits fail, raises
+RuntimeError; the latter also checks, on every recorded map, that one
+atom stands for all non-up-sets.
 
 Per grid.  Resolving the checks and shifting their masks into the lanes
 reads only the specs, the grid and the interval, never the algebra.  So
 :func:`_plan` builds them once per (specs, D, interval) into one
 immutable plan, of tuples, ints and strs: each check's thresholds,
 levels, fuzzy key, relation kinds, iff flag and theorem id, the packed
-masks, relations and ``route="all"`` spans, the bits of the fuzzy and
-biconditional checks, and the D+1 grid values as a counterexample prints
+masks of both sides and the ``route="all"`` spans, the bits of the
+biconditionals, and the D+1 grid values as a counterexample prints
 them.  It keeps the last 8 plans (``functools.lru_cache``), so repeated
 runs at one grid, on any algebra, share one; each plan holds no algebra
 and grows only with D, about 14 KB at D=24.  Each run makes its own
@@ -156,13 +162,13 @@ only to name counterexamples.  The maps are grid maps, so their records
 are the grid's on them, and each check the grid refutes is refuted on
 one of them:
 
-- Per-U_i split.  S, F, each side of a relation and each agree bit are
-  ORs over a map's chain.  U_i counts where its span (V[i-1], V[i]]
-  meets a mask's cut indices, the levels or lo+1..hi, which (V[i-1],
-  V[i]) fixes; U_0, the carrier, fails no kind and no scan.  So the
-  U_i that sets the failing side of a counterexample, or an agree bit
-  of a disagreement (U_i lacks every bit the OR lacks), makes the grid
-  map V[i-1] off U_i, V[i] on U_i fail the same way.
+- Per-U_i split.  S, F and each agree bit are ORs over a map's chain.
+  U_i counts where its span (V[i-1], V[i]] meets a mask's cut indices,
+  the levels or lo+1..hi, which (V[i-1], V[i]) fixes; U_0, the
+  carrier, fails no kind and no scan.  So the U_i that sets the failing
+  side of a counterexample, or an agree bit of a disagreement (U_i lacks
+  every bit the OR lacks), makes the grid map V[i-1] off U_i, V[i] on
+  U_i fail the same way.
 - One atom for every non-up-set.  A set with x <= y, x in it and y not,
   is no filter, so it fails every kind.  On its indicator the unit check
   (1 not in it) or mp at (x, y) fails, as x -> y = 1, and so does the
@@ -370,9 +376,9 @@ class _Check(NamedTuple):
     soft_kind: str
     thresholds: tuple[int, int]   # numerators of the soft interval (alpha, beta]
     levels: int                   # bitmask of the cut indices of the soft levels
-    kind: str                     # soft-side kind; the left-hand side of a relation
-    fuzzy: tuple | None           # variant_witness key; None for a relation
-    rhs: tuple[str, ...] = ()     # right-hand kinds of a relation
+    kind: str                     # the soft side's kind: the conclusion, or a relation's premise
+    fuzzy: tuple | None           # variant_witness key of the premise; None for a relation
+    rhs: tuple[str, ...] = ()     # right-hand kinds of a relation, its conclusion
     iff: bool = True
 
 
@@ -386,8 +392,8 @@ def _check(spec, den, interval) -> _Check:
         raise ValueError(f"unknown soft-set kind {spec.soft_kind!r}")
     iv = interval or spec.interval
     lo, hi = default_thresholds(den) if iv is None else iv.numerators(den)
-    # the cut indices of the levels: lo+1..hi for "in", den-hi+1..den-lo for "q"
-    first, last = (lo + 1, hi) if spec.soft_kind == "in" else (den - hi + 1, den - lo)
+    # the levels j = lo+1..hi have consecutive cut indices, ascending for "in", descending for "q"
+    first, last = sorted(cut_index(spec.soft_kind, j, den) for j in (lo + 1, hi))
     levels = (2 << last) - (1 << first)
     if spec.relation:
         lhs, rhs = spec.relation
@@ -395,12 +401,7 @@ def _check(spec, den, interval) -> _Check:
                       spec.direction == "iff")
     if spec.filter_kind not in KINDS:
         raise ValueError(f"unknown filter kind {spec.filter_kind!r}")
-    if spec.family != "thresholds":
-        flo, fhi = family_bounds(spec.family, den)
-    elif lo:  # on the grid, floor(alpha * den) and ceil(beta * den) are lo and hi
-        flo, fhi = lo, hi
-    else:
-        raise ValueError(f"thresholds must satisfy 0 < alpha < beta <= 1, got ({iv.lo}, {iv.hi})")
+    flo, fhi = family_bounds(spec.family, den, Fraction(lo, den), Fraction(hi, den))
     key = (spec.filter_kind, flo, fhi, resolve_route(spec.family, spec.filter_kind, spec.route))
     return _Check(spec.id, spec.soft_kind, (lo, hi), levels, spec.filter_kind, key,
                   iff=spec.direction == "iff")
@@ -416,12 +417,12 @@ class _Plan(NamedTuple):
     checks: tuple[_Check, ...]
     den: int
     lane: int
-    # (mask, soft bits, fuzzy bits): the checks that fail when the packed bits meet it
+    # (mask, conclusion bits, premise bits): the checks whose side fails when the packed bits
+    # meet it; the conclusion is the soft side, or a relation's right-hand kinds' lanes OR'd
     masks: tuple[tuple[int, int, int], ...]
-    relations: tuple[tuple[int, int, int, bool], ...]  # (bit, left lane, right lanes, iff)
     routes: tuple[tuple[int, int, int], ...]  # (span, fail, agree) of each route="all" check
-    fuzzy: int                     # the bits of the fuzzy checks
-    # an extra fail bit, counted as an iff check, flags formulations that disagree
+    # an extra premise bit, above the checks' bits and counted as an iff check, flags
+    # formulations that disagree
     disagree_bit: int
     iff: int                       # the bits of the biconditionals, with the disagree bit
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
@@ -433,31 +434,28 @@ def _spread(atom: int, lane: int) -> int:
 
 
 def _pack(checks, den) -> _Plan:
-    """Shift each check's masks into its lanes, grouping the fuzzy checks by equal masks."""
+    """Shift each check's two sides into their lanes, grouping the checks by equal masks."""
     lane = den + 1
-    masks, relations, routes = {}, [], []
+    masks, routes = {}, []
     for b, check in enumerate(checks):
-        levels = check.levels << KINDS.index(check.kind) * lane
-        if check.fuzzy is None:
-            rhs = 0
-            for kind in check.rhs:
-                rhs |= check.levels << KINDS.index(kind) * lane
-            relations.append((1 << b, levels, rhs, check.iff))
-            continue
-        kind, lo, hi, route = check.fuzzy
-        fail, agree = scan_masks(kind, route)
-        span = (2 << hi) - (2 << lo)  # the cut indices lo+1..hi
-        masks.setdefault(levels, [0, 0])[0] |= 1 << b
-        masks.setdefault(_spread(fail << len(KINDS), lane) * span, [0, 0])[1] |= 1 << b
-        if route == "all":
-            routes.append((span, fail, agree))
+        conclusion = 0
+        for kind in check.rhs or (check.kind,):
+            conclusion |= check.levels << KINDS.index(kind) * lane
+        if check.fuzzy is None:  # a relation's left-hand kind
+            premise = check.levels << KINDS.index(check.kind) * lane
+        else:  # the fuzzy side's scan lanes over the cut indices lo+1..hi
+            kind, lo, hi, route = check.fuzzy
+            fail, agree = scan_masks(kind, route)
+            span = (2 << hi) - (2 << lo)
+            premise = _spread(fail << len(KINDS), lane) * span
+            if route == "all":
+                routes.append((span, fail, agree))
+        masks.setdefault(conclusion, [0, 0])[0] |= 1 << b
+        masks.setdefault(premise, [0, 0])[1] |= 1 << b
     disagree_bit = 1 << len(checks)
     return _Plan(
         tuple(checks), den, lane,
-        tuple((mask, soft, fuzzy) for mask, (soft, fuzzy) in masks.items()),
-        tuple(relations), tuple(routes),
-        sum(1 << b for b, check in enumerate(checks) if check.fuzzy is not None),
-        disagree_bit,
+        tuple((mask, *sides) for mask, sides in masks.items()), tuple(routes), disagree_bit,
         disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff),
         tuple(str(Fraction(k, den)) for k in range(lane)))
 
@@ -472,52 +470,43 @@ def _plan(specs: tuple[TheoremSpec, ...], den: int, interval) -> _Plan:
     return _pack([_check(spec, den, interval) for spec in specs], den)
 
 
-def _by_kind(bad: int, lane: int) -> dict[str, int]:
-    """Split the packed failing cut indices into one bitmask per kind."""
-    full = (1 << lane) - 1
-    return {kind: bad >> i * lane & full for i, kind in enumerate(KINDS)}
-
-
-def _record(run, nums, bad: int, fail: int) -> None:
-    """Append each check's counterexample on one map, read off the bits ``decide`` returned."""
+def _record(run, nums, bad: int, soft: int, fail: int) -> None:
+    """Append each check's counterexample on one map, read off the sides ``decide`` returned."""
     alg, plan, reports = run.alg, run.plan, run.reports
     den, checks, printed = plan.den, plan.checks, plan.printed
-    fails = _by_kind(bad, plan.lane)
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
     for b, check in enumerate(checks):
-        soft_fail = fails[check.kind] & check.levels
-        witness = None  # None: the first failing soft level of `kind`
-        if check.fuzzy is not None:
-            fuzzy_fail = bool(fail >> b & 1)
-            # a soft=>fuzzy witness; route "all" compares its formulations on every recorded map
-            if fuzzy_fail and not soft_fail and check.iff or check.fuzzy[3] == "all":
-                witness = variant_witness(alg, den, nums, check.fuzzy)
-                if (witness is not None) != fuzzy_fail:
-                    raise RuntimeError(f"{check.theorem}: the literal scan contradicts "
-                                       f"the scan bits on {doc}")
-            if soft_fail and not fuzzy_fail:
-                direction, kind = "fuzzy=>soft", check.kind
-            elif fuzzy_fail and not soft_fail and check.iff:
-                direction = "soft=>fuzzy"
-            else:
-                continue
+        conclusion, premise = soft >> b & 1, fail >> b & 1
+        witness = None  # None: the first failing soft level of a witness kind
+        # a soft=>fuzzy witness; route "all" compares its formulations on every recorded map
+        if check.fuzzy is not None and (premise and not conclusion and check.iff
+                                        or check.fuzzy[3] == "all"):
+            witness = variant_witness(alg, den, nums, check.fuzzy)
+            if (witness is not None) != premise:
+                raise RuntimeError(f"{check.theorem}: the literal scan contradicts "
+                                   f"the scan bits on {doc}")
+        if conclusion and not premise:
+            direction = "fuzzy=>soft" if check.fuzzy else "forward"
+            kinds = check.rhs or (check.kind,)
+        elif premise and not conclusion and check.iff:
+            direction, kinds = ("soft=>fuzzy" if check.fuzzy else "converse"), (check.kind,)
         else:
-            rhs_fail = [k for k in check.rhs if fails[k] & check.levels]
-            if not soft_fail and rhs_fail:
-                direction, kind = "forward", rhs_fail[0]
-            elif soft_fail and not rhs_fail and check.iff:
-                direction, kind = "converse", check.kind
-            else:
-                continue
+            continue
         if witness is None:
-            # the first failing level by ascending t: the cut index of an
+            for kind in kinds:  # the first whose lane meets the levels
+                levels = bad >> KINDS.index(kind) * plan.lane & check.levels
+                if levels:
+                    break
+            # its first failing level by ascending t: the cut index of an
             # in-level rises with t, that of a q-level falls
-            levels = fails[kind] & check.levels
             if check.soft_kind == "q":
                 j = levels.bit_length() - 1
             else:
                 j = (levels & -levels).bit_length() - 1
             cls = filters.classify_filter(alg, sum(1 << x for x, k in enumerate(nums) if k >= j))
+            if cls.has(kind):
+                raise RuntimeError(f"{check.theorem}: the literal classification contradicts "
+                                   f"the kind bits on {doc}")
             key = kind if cls.is_filter else "filter"
             witness = (printed[cut_index(check.soft_kind, j, den)], key, cls.witnesses.get(key))
         reports[b].counterexamples.append(
@@ -536,15 +525,15 @@ class _Pass:
     failing kinds and, above them, its scan bits.  :meth:`weak` spreads
     the atoms of a profile over the lanes, :meth:`values` gives the span
     of cut indices of each rank of V, and :meth:`decide` ORs their
-    products into the packed bits of the map.  Every check, soft or
-    fuzzy, fails iff those bits meet one of its masks in the shared
-    ``plan``, and :meth:`verdicts` reads the checks off them, once per run
-    for each packed value.  ``reports`` are this run's own, one per check.
+    products into the packed bits of the map.  Each side of every check
+    fails iff those bits meet its mask in the shared ``plan``, and
+    :meth:`verdicts` reads both sides of every check off them, once per
+    run for each packed value.  ``reports`` are this run's own, one per check.
     """
 
     def __init__(self, alg, plan: _Plan, reports: list[VerificationReport]):
         self.alg, self.plan, self.reports = alg, plan, reports
-        self.memo = {}     # packed bits -> fuzzy fail bits of a counterexample, else -1
+        self.memo = {}     # packed bits -> decide's result
         self.ids = {}      # atom -> its id
         self.atoms = []    # id -> atom: failing kinds | scan_fails of the indicator << len(KINDS)
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
@@ -571,39 +560,35 @@ class _Pass:
         return [(2 << v) - (2 << u) for u, v in zip((0, *vals), vals)]
 
     def decide(self, w, spans):
-        """(packed bits, fuzzy fail bits) of a counterexample map, else None."""
+        """(packed bits, S, F) of a counterexample map, else None."""
         bad = 0
         for i, lanes in w:
             bad |= spans[i] * lanes
-        fail = self.memo.get(bad)
-        if fail is None:
-            soft, fail, rel = self.verdicts(bad)
-            if not (soft & ~fail) | (fail & ~soft & self.plan.iff) | rel:
-                fail = -1
-            self.memo[bad] = fail
-        return None if fail < 0 else (bad, fail)
+        found = self.memo.get(bad, False)
+        if found is False:
+            soft, fail = self.verdicts(bad)
+            found = (bad, soft, fail) if (soft & ~fail) | (fail & ~soft & self.plan.iff) else None
+            self.memo[bad] = found
+        return found
 
-    def verdicts(self, bad: int) -> tuple[int, int, int]:
-        """The bits of the checks with a failing soft level, of those whose fuzzy predicate
-        fails (with the disagree bit), and of the failed relations, on the packed bits ``bad``."""
+    def verdicts(self, bad: int) -> tuple[int, int]:
+        """S and F on the packed bits ``bad``: the bits of the checks whose conclusion fails,
+        and of those whose premise fails, with the disagree bit."""
         plan = self.plan
-        held_soft = held_fuzzy = rel = 0  # the checks whose side holds: bad misses its mask
-        for mask, soft_bits, fuzzy_bits in plan.masks:
+        held_soft = held_fail = 0  # the checks whose side holds: bad misses its mask
+        for mask, soft_bits, fail_bits in plan.masks:
             if not bad & mask:  # most maps meet most masks, so OR the few they miss
                 held_soft |= soft_bits
-                held_fuzzy |= fuzzy_bits
-        soft, fail = plan.fuzzy & ~held_soft, plan.fuzzy & ~held_fuzzy
-        for bit, lhs, rhs, iff in plan.relations:
-            lhs_fail, rhs_fail = bad & lhs, bad & rhs
-            if (rhs_fail and not lhs_fail) or (lhs_fail and not rhs_fail and iff):
-                rel |= bit
+                held_fail |= fail_bits
+        every = plan.disagree_bit - 1
+        soft, fail = every & ~held_soft, every & ~held_fail
         lane = plan.lane
         lanes = bad >> len(KINDS) * lane  # the scan lanes
         for span, fails, agree in plan.routes:  # read over the check's own cut indices
             scans = sum(1 << s for s in range(fails.bit_length()) if lanes >> s * lane & span)
             if disagree(scans, fails, agree):
                 fail |= plan.disagree_bit
-        return soft, fail, rel
+        return soft, fail
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
@@ -623,7 +608,7 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     else:  # the constant maps, and a off U, b on U: the chains (U,)
         orders = [[()], [(up,) for up in sets]]
     decide = run.decide
-    found = []  # (map, its decision bits from decide) of each counterexample
+    found = []  # (map, (packed bits, S, F) from decide) of each counterexample
     levels = _profiles(alg, ids, other, len(orders))
     for r, (of_r, profiles) in enumerate(zip(orders, levels), 1):
         vs = [(vals, run.values(vals)) for vals in combinations(range(den + 1), r)]
@@ -638,8 +623,8 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
                 for vals, bits in decided[tuple([ids.get(up, other) for up in order])]:
                     found.append((grid_map(order, vals, n), bits))
     found.sort()  # the lexicographic order of the maps
-    for nums, (bad, fail) in found:
-        _record(run, nums, bad, fail)
+    for nums, bits in found:
+        _record(run, nums, *bits)
     return reports
 
 

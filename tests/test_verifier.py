@@ -356,7 +356,8 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
     monkeypatch.setattr(verifier, "scan_fails",
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
     recorded = []
-    monkeypatch.setattr(verifier, "_record", lambda run, nums, bad, fail: recorded.append(nums))
+    monkeypatch.setattr(verifier, "_record",
+                        lambda run, nums, bad, soft, fail: recorded.append(nums))
     verify(alg, catalog_by_id()[spec_id], den)
     # The plain fuzzy side now fails on every map with U as a level cut, so the
     # maps on which it held, and so the soft side held, become counterexamples.
@@ -367,6 +368,38 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
         if up in cuts and check_fuzzy_witness(mu, "plain", kind) is None:
             expected.append(nums)
     assert expected and recorded == expected
+
+
+def test_a_kind_failure_planted_on_one_up_set_is_an_internal_error(monkeypatch, capsys):
+    # U is a G-filter, and its atom now fails g too: on every map with U as a
+    # level cut on which the fuzzy side holds, the bits fail the soft side alone,
+    # and the literal classification of that level, U, passes g.
+    alg, den = load_algebra(FIXTURE_DOCS["a3"]), 2
+    fails = sum(1 << KINDS.index(k) for k in ("boolean", "mv"))
+    up = min(u for u in up_sets(alg) if classify_filter(alg, u).fails == fails)
+    atom_id = verifier._Pass.atom_id
+
+    def planted(run, cut):
+        i = atom_id(run, cut)
+        if cut != up:
+            return i
+        run.atoms.append(run.atoms[i] | 1 << KINDS.index("g"))
+        return len(run.atoms) - 1
+
+    monkeypatch.setattr(verifier._Pass, "atom_id", planted)
+    maps = (FuzzySet(alg, den, nums) for nums in itertools.product(range(den + 1), repeat=alg.n))
+    first = next(mu for mu in maps
+                 if up in {sum(1 << x for x, k in enumerate(mu.nums) if k >= j)
+                           for j in range(1, den + 1)}
+                 and check_fuzzy_witness(mu, "plain", "g") is None)
+    with pytest.raises(RuntimeError) as raised:
+        verify(alg, catalog_by_id()["T4.3.3"], den)
+    assert str(raised.value) == ("T4.3.3: the literal classification contradicts the kind bits "
+                                 f"on {first.to_doc()}")
+    # the CLI reports an internal error
+    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: alg)
+    assert main(["verify", "a3", "T4.3.3", "--grid", str(den)]) == 3
+    assert "RuntimeError: T4.3.3: the literal classification" in capsys.readouterr().err
 
 
 def test_a_literal_scan_that_contradicts_the_bits_is_an_internal_error(monkeypatch, capsys):
@@ -546,10 +579,13 @@ def _cut_atoms(den, carrier, atoms, vals):
 def _literal_verdicts(checks, den, carrier, atoms, vals):
     """S, F and R by the per-check rule, on the map of :func:`_cut_atoms`.
 
-    A check's soft side fails iff a cut at one of its levels fails its kind, and a relation
-    fails iff its left side holds and a right-hand kind fails, or, for an iff claim, the other
-    way round.  A fuzzy check clamps the ranks to its bounds, merging the ranks at or below lo
-    and those at or above hi, and ORs the scan bits of the cuts between them."""
+    A soft side fails iff a cut at one of its levels fails its kind.  S holds the checks whose
+    conclusion fails: a fuzzy check's soft side, or some right-hand kind of a relation.  F
+    holds those whose premise fails: a fuzzy check's fuzzy side, or a relation's left-hand
+    kind.  A fuzzy check clamps the ranks to its bounds, merging the ranks at or below lo and
+    those at or above hi, and ORs the scan bits of the cuts between them.  R holds the
+    relations that fail: the left side holds and a right-hand kind fails, or, for an iff
+    claim, the other way round."""
     fails = {kind: sum(1 << j for j, (kinds, _) in _cut_atoms(den, carrier, atoms, vals).items()
                        if kinds >> i & 1)
              for i, kind in enumerate(KINDS)}
@@ -560,6 +596,8 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
             rhs_fail = any(fails[kind] & check.levels for kind in check.rhs)
             if (rhs_fail and not soft_fail) or (soft_fail and not rhs_fail and check.iff):
                 rel |= 1 << b
+            soft |= rhs_fail << b
+            fail |= bool(soft_fail) << b
             continue
         soft |= bool(soft_fail) << b
         kind, lo, hi, route = check.fuzzy
@@ -577,10 +615,11 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
 
 @pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
 def test_packed_soft_verdicts_are_the_per_check_rule(name):
-    # S, F and R, the soft and fuzzy sides and the relations, read off the same packed bits
+    # S and F, the conclusions and premises of every check, read off the same packed bits
     alg = load_algebra(FIXTURE_DOCS[name])
     rng = random.Random(17)
     seen = set()  # (counterexample?, disagreement?) of the maps
+    refuted = 0  # the bits of the relations that some map refutes
     for den in (4, 8):
         # the catalog, the false specs and route "all": every soft kind, interval and
         # relation shape, and "all" at every family's bounds, each read over its own range
@@ -593,6 +632,7 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
         assert {check.fuzzy[1:3] for check in checks if check.fuzzy and check.fuzzy[3] == "all"} \
             == {(0, den), (0, den // 2), (den // 2, den), (1, den - 1)}
         iff = 1 << len(checks) | sum(1 << b for b, check in enumerate(checks) if check.iff)
+        relations = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is None)
         run = verifier._Pass(alg, verifier._pack(checks, den), [])
         for up in up_sets(alg):
             run.atom_id(up)
@@ -607,19 +647,22 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
         for carrier, profile, vals in maps:
             run.carrier = carrier
             atoms = [decoded[i] for i in profile]
-            expected = _literal_verdicts(checks, den, carrier, atoms, vals)
+            soft, fail, rel = _literal_verdicts(checks, den, carrier, atoms, vals)
             bad = 0  # the lane of atom bit i holds the cut indices j whose cut has bit i
             for j, (kinds, scans) in _cut_atoms(den, carrier, atoms, vals).items():
                 atom = kinds | scans << len(KINDS)
                 bad |= sum(1 << i * (den + 1) + j
                            for i in range(atom.bit_length()) if atom >> i & 1)
-            assert run.verdicts(bad) == expected, (carrier, profile, vals)
-            soft, fail, rel = expected
-            decision = (soft & ~fail) | (fail & ~soft & iff) | rel
+            assert run.verdicts(bad) == (soft, fail), (carrier, profile, vals)
+            decision = (soft & ~fail) | (fail & ~soft & iff)
+            # the one rule decides each relation as its literal rule does
+            assert decision & relations == rel, (carrier, profile, vals)
             assert run.decide(run.weak(profile), run.values(vals)) == \
-                ((bad, fail) if decision else None), (carrier, profile, vals)
+                ((bad, soft, fail) if decision else None), (carrier, profile, vals)
             seen.add((bool(decision), bool(fail >> len(checks))))
+            refuted |= rel
     assert seen == {(False, False), (True, False), (True, True)}
+    assert refuted  # so the relation bits were asserted on refutations too
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
