@@ -7,16 +7,30 @@ x and y is the element whose down-set is the set of their common lower
 bounds, found by looking that set up as a bitmask; the join is dual.
 
 Validation is exhaustive over all pairs/triples.  Carriers run from the
-2-element Boolean algebra to products of 24 to 36 elements, so an O(n^3)
-scan is still the right trade, but it makes up to n^3 = 46656 steps:
-each triple loop binds, per (x, y), the table rows its z loop reads, so
-a step indexes one row instead of re-reading the rows of x and y.
+2-element Boolean algebra to products of 24 to 36 elements, and a law
+over triples has up to n^3 = 46656 instances, too many for one Python
+step each.  So the laws over triples are decided by the byte-row
+kernels of :mod:`softmtl.kernels`: both sides of a law are compared at
+every triple in C, and a kernel returns the pairs (x, y) where the law
+fails at some z.  Only there does the literal z loop run, so a report
+holds the same violations, in the same order, as the plain triple loops.
+
+:func:`validate_mtl` runs the literal loop over every triple as soon as
+a kernel finds a failure, since isotonicity has no kernel of its own:
+it follows from adjunction at every triple and the order checks of the
+load.  Let x <= y.  Then y . z <= y . z gives y <= z -> y . z by
+adjunction, so x <= z -> y . z by transitivity, and adjunction again
+gives x . z <= y . z.  A byte holds an index below 256, so a carrier
+over 256 elements has no kernels and runs the literal loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+
+from .kernels import ByteRows
 
 
 class AlgebraError(ValueError):
@@ -66,7 +80,8 @@ class DerivedTables:
 
     Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
     in lexicographic order of its variables, so the crisp and the fuzzy
-    scans over it report the same first violation.  ``classifications``
+    scans over it report the same first violation.  ``rows`` holds the
+    byte rows the validation kernels read.  ``classifications``
     is the memo of :func:`softmtl.filters.classify_filter` by mask.
     ``mtl_failure`` is the verdict of :func:`validate_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
@@ -83,20 +98,58 @@ class DerivedTables:
         self.filters = None
 
     @cached_property
+    def rows(self) -> ByteRows | None:
+        """The tables as byte rows, or None for a carrier over 256 elements."""
+        if len(self.elems) > 256:
+            return None
+        return ByteRows(self.prod, self.res, self.leq, self.join, self.ups)
+
+    @cached_property
     def neg(self) -> tuple[int, ...]:
         """x' = x -> bottom for every x."""
         return tuple(row[self.bottom] for row in self.res)
 
     @cached_property
+    def ups(self) -> tuple[int, ...]:
+        """For every x, the bitmask of the elements above it, x included."""
+        # a row of leq as "0"s and "1"s, lowest element last, read in base 2
+        return tuple(int(bytes(row).translate(_DIGITS)[::-1], 2) for row in self.leq)
+
+    @cached_property
     def above(self) -> tuple[int, ...]:
         """For every x, the bitmask of the elements strictly above it."""
-        return tuple(sum(1 << y for y, le in enumerate(row) if le and y != x)
-                     for x, row in enumerate(self.leq))
+        return tuple(up ^ 1 << x for x, up in enumerate(self.ups))
 
     @cached_property
     def complement_joins(self) -> tuple[int, ...]:
         """x v x' for every x."""
         return tuple(self.join[x][nx] for x, nx in enumerate(self.neg))
+
+    @cached_property
+    def complement_mask(self) -> int:
+        """The mask of every x v x': a Boolean filter holds all of it."""
+        return sum(1 << j for j in set(self.complement_joins))
+
+    @cached_property
+    def g_needs(self) -> tuple[int, ...]:
+        """For every v, the mask of the x -> y with x . x -> y = v: a G-filter
+        holding v holds all of them."""
+        res, prod = self.res, self.prod
+        return self._needs(zip(chain.from_iterable(res[prod[x][x]] for x in self.elems),
+                               chain.from_iterable(res)))
+
+    @cached_property
+    def mv_needs(self) -> tuple[int, ...]:
+        """For every v, the mask of the ((y -> x) -> x) -> y with x -> y = v:
+        an MV-filter holding v holds all of them."""
+        return self._needs((rxy, lhs) for _, _, lhs, rxy in self.mv_pairs)
+
+    def _needs(self, implications) -> tuple[int, ...]:
+        """For every v, the mask of the w of the implications (v, w)."""
+        needs = [0] * len(self.elems)
+        for v, w in set(implications):
+            needs[v] |= 1 << w
+        return tuple(needs)
 
     @cached_property
     def mp_pairs(self) -> tuple[tuple[int, int, int], ...]:
@@ -133,6 +186,9 @@ class DerivedTables:
         e, res, neg = self.elems, self.res, self.neg
         return tuple((x, y, z, res[x][z], res[x][res[neg[z]][y]], res[y][z])
                      for x in e for y in e for z in e)
+
+
+_DIGITS = b"01" + bytes(254)
 
 
 @dataclass
@@ -273,6 +329,9 @@ def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
     join = alg.join
     top = alg.top
     rep = AxiomReport()
+    rows = alg.tables.rows
+    # no kernel failure: isotonicity holds too (see the module docstring)
+    triples = rows is None or bool(rows.axiom_failures())
 
     for x in range(n):
         px, lx = prod[x], leq[x]
@@ -283,6 +342,8 @@ def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
             pxy = px[y]
             if pxy != py[x]:
                 rep.record("prod-commutative", alg, x, y)
+            if not triples:
+                continue
             ppxy, lpxy, x_le_y = prod[pxy], leq[pxy], lx[y]
             for z in range(n):
                 if ppxy[z] != px[py[z]]:
@@ -332,6 +393,9 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
     leq, meet, join = alg.leq, alg.meet, alg.join
     bot, top = alg.bottom, alg.top
     neg = alg.tables.neg
+    rows = alg.tables.rows
+    # the (x, y) whose z loop runs: those where a kernel finds a failure
+    failures = None if rows is None else rows.law_failures()
     rep = AxiomReport()
 
     for x in range(n):
@@ -354,6 +418,8 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
                 rep.record("double-residuation-lift", alg, x, y)
             if not leq[prod[x][y]][meet[x][y]]:
                 rep.record("prod-below-meet", alg, x, y)
+            if failures is not None and (x, y) not in failures:
+                continue
             rpxy, lrxy, jrxy, jy = res[prod[x][y]], leq[rxy], join[rxy], join[y]
             for z in range(n):
                 rz, rxz, ryz = res[z], rx[z], ry[z]

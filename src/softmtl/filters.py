@@ -8,10 +8,18 @@ empty set is never produced by :func:`enumerate_filters` and is rejected
 by :func:`is_filter`; the soft layer applies its own "empty set counts
 as a filter of every kind" convention.
 
-In a finite MTL-algebra every filter F is ``up(m) = {y : m <= y}`` for
-the product m of all of F, and m . m = m.  So a carrier of n elements
-has at most n filters, and :func:`enumerate_filters` tests only the
-up-sets of the idempotents (the proof is in its docstring).
+In a finite MTL-algebra the filters are exactly the up-sets
+``up(m) = {y : m <= y}`` of the idempotents m (m . m = m).  So a carrier
+of n elements has at most n filters, and :func:`enumerate_filters` lists
+them without testing any subset (the proof is in its docstring).
+
+A filter's kinds are decided by bitmasks.  It is Boolean iff it holds
+the mask of every x v x'.  Each G or MV condition reads "v in F implies
+w in F" for pairs (v, w) fixed by the algebra, so it holds iff F holds
+the union of ``needs[v]`` over its elements v, where ``needs[v]`` is the
+mask of the w paired with v (``DerivedTables.g_needs`` and ``mv_needs``).
+The instances of a kind are scanned in lexicographic order only when the
+kind fails, to name the first one as its witness.
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
 
 
 def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
-    """Flag a subset as (Boolean/G/MV-)filter by exhaustive scans.
+    """Flag a subset as (Boolean/G/MV-)filter, with the first violation of each failed kind.
 
     Each mask is classified once per algebra; later calls return the same
     frozen classification from the algebra's memo.
@@ -118,26 +126,28 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     if not mask:
         return FilterClassification(False)
     labels = alg.labels
-    # a mask from enumerate_filters has passed the closure check already
+    # a mask from enumerate_filters is a filter
     known = alg.tables.filters
     w = None if known is not None and mask in known else _filter_by_closure(alg, mask)
     if w is not None:
         return FilterClassification(
             False, witnesses={"filter": (w[0], *(labels[e] for e in w[1:]))})
 
-    witnesses = {}
-    for x, joined in enumerate(alg.tables.complement_joins):
-        if not mask >> joined & 1:
-            witnesses["boolean"] = (labels[x],)
-            break
-    for x, y, rxy, rxxy in alg.tables.g_pairs:
-        if mask >> rxxy & 1 and not mask >> rxy & 1:
-            witnesses["g"] = (labels[x], labels[y])
-            break
-    for x, y, lhs, rxy in alg.tables.mv_pairs:
-        if mask >> rxy & 1 and not mask >> lhs & 1:
-            witnesses["mv"] = (labels[x], labels[y])
-            break
+    # each kind is decided by masks; its pairs are scanned only to name the first witness
+    tables, g, mv, witnesses = alg.tables, 0, 0, {}
+    g_needs, mv_needs = tables.g_needs, tables.mv_needs
+    for v in elements(mask):
+        g |= g_needs[v]
+        mv |= mv_needs[v]
+    if tables.complement_mask & ~mask:
+        witnesses["boolean"] = next((labels[x],) for x, joined in enumerate(tables.complement_joins)
+                                    if not mask >> joined & 1)
+    if g & ~mask:
+        witnesses["g"] = next((labels[x], labels[y]) for x, y, rxy, rxxy in tables.g_pairs
+                              if mask >> rxxy & 1 and not mask >> rxy & 1)
+    if mv & ~mask:
+        witnesses["mv"] = next((labels[x], labels[y]) for x, y, lhs, rxy in tables.mv_pairs
+                               if mask >> rxy & 1 and not mask >> lhs & 1)
     return FilterClassification(True, boolean="boolean" not in witnesses,
                                 g="g" not in witnesses, mv="mv" not in witnesses,
                                 witnesses=witnesses)
@@ -146,21 +156,23 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
 def enumerate_filters(alg: FiniteMtlAlgebra) -> list[int]:
     """All non-empty filters, ordered by (size, bitmask value).
 
-    Every filter F is ``up(m)`` for an idempotent m, so only the up-sets
-    of the idempotents are tested.  Let m be the product of all of F
-    (well defined by commutativity and associativity):
+    The filters are exactly the up-sets ``up(m)`` of the idempotents m,
+    so none is scanned.  Let m be the product of all of a filter F (well
+    defined by commutativity and associativity):
       - m is in F by product closure, and m <= x for every x in F by
         integrality (m = x . rest <= x), so F = up(m) by upward closure;
       - m . m is in F by product closure, so m <= m . m, and
         m . m <= m by integrality: m is idempotent.
+    Conversely, up(m) for an idempotent m is a filter: it holds m, it is
+    upward closed, and x, y >= m give x . y >= m . y >= m . m = m by
+    isotonicity in each argument.
     The result is kept on ``alg.tables``; each call returns a new list.
     """
     require_mtl(alg)
     tables = alg.tables
     if tables.filters is None:
-        n, prod, leq = alg.n, alg.prod, alg.leq
-        ups = (sum(1 << y for y in range(n) if leq[e][y]) for e in range(n) if prod[e][e] == e)
-        tables.filters = tuple(sorted((m for m in ups if _filter_by_closure(alg, m) is None),
+        prod, ups = alg.prod, tables.ups
+        tables.filters = tuple(sorted((ups[e] for e in range(alg.n) if prod[e][e] == e),
                                       key=lambda m: (m.bit_count(), m)))
     return list(tables.filters)
 

@@ -34,10 +34,13 @@ def load_named(name):
     return load_fixture(name)
 
 
-def single_cell_mutations(name, key):
-    """Every copy of a fixture document with one cell of the table ``key`` changed."""
-    base = FIXTURE_DOCS[name]
+def single_cell_mutations(name, key, rows=None):
+    """Every copy of a fixture document, or of a product "axb", with one cell of the
+    table ``key`` changed, in every row or in the given rows."""
+    base = product_doc(*name.split("x")) if "x" in name else FIXTURE_DOCS[name]
     for x, row in enumerate(base[key]):
+        if rows is not None and x not in rows:
+            continue
         for y, cell in enumerate(row):
             for label in base["labels"]:
                 if label != cell:

@@ -1,13 +1,14 @@
 import copy
 import itertools
+import types
 
 import pytest
 
 from products import load_named, single_cell_mutations
 from reference import literal_axioms, literal_laws
 from softmtl import algebra
-from softmtl.algebra import (AlgebraError, check_derived_laws, load_algebra, require_mtl,
-                             validate_mtl)
+from softmtl.algebra import (AlgebraError, DerivedTables, check_derived_laws, load_algebra,
+                             require_mtl, validate_mtl)
 from softmtl.filters import classify_filter, crisp_decomposition_check, enumerate_filters
 from softmtl.fixtures import FIXTURE_DOCS, FIXTURE_NAMES, load_fixture
 from softmtl.verifier import verify_all
@@ -190,23 +191,75 @@ def assert_reports_are_literal(alg):
         assert list(report.violations) == list(literal)  # the same first axiom, too
 
 
-@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2", "a3xb2", "a1xa1"])
+KERNEL_NAMES = ["a1", "a2", "a3", "b2", "a1xb2", "a3xb2", "a1xa1", "a3xa1"]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_violations_match_the_literal_loops(name):
     assert_reports_are_literal(load_named(name))
 
 
-def test_violations_of_mutated_tables_match_the_literal_loops():
+def mutated_algebras(names=("a1", "a2", "a3", "b2"), rows=None):
+    """Every single-cell mutation of the prod or res of each named algebra that still loads."""
     mutated = []
-    for name, key in itertools.product(("a1", "a2", "a3", "b2"), ("prod", "res")):
-        for doc in single_cell_mutations(name, key):
+    for name, key in itertools.product(names, ("prod", "res")):
+        for doc in single_cell_mutations(name, key, rows):
             try:
                 mutated.append(load_algebra(doc))
             except AlgebraError:
                 pass  # the changed residuum derives no lattice order
+    return mutated
+
+
+def test_violations_of_mutated_tables_match_the_literal_loops():
+    mutated = mutated_algebras()
     assert len(mutated) == 380
     for alg in mutated:
         assert_reports_are_literal(alg)
         assert not validate_mtl(alg).ok
+
+
+def test_without_kernels_the_literal_loops_run_alone():
+    # as on a carrier over 256 elements, which bytes cannot index
+    big = types.SimpleNamespace(prod=(), res=(), leq=(), join=(), bottom=0, n=257)
+    assert DerivedTables(big).rows is None
+    for alg in [load_named("a3xb2"), *mutated_algebras()[::7]]:
+        alg.tables.rows = None
+        assert_reports_are_literal(alg)
+
+
+AXIOM_KERNELS = ("prod-associative", "adjunction")
+LAW_KERNELS = ("exchange", "residuum-monotonicity", "residuum-join-distribution")
+
+
+def literal_pairs(alg, found, laws):
+    """The (x, y) at which the literal z loop records a violation of one of the laws."""
+    return {(alg.index(x), alg.index(y)) for law in laws for x, y, _ in found.get(law, ())}
+
+
+def assert_kernels_are_literal(alg):
+    rows = alg.tables.rows
+    assert rows.axiom_failures() == literal_pairs(alg, literal_axioms(alg), AXIOM_KERNELS)
+    assert rows.law_failures() == literal_pairs(alg, literal_laws(alg), LAW_KERNELS)
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_kernels_fail_exactly_where_the_literal_z_loop_records(name):
+    alg = load_named(name)
+    assert_kernels_are_literal(alg)
+    assert not alg.tables.rows.axiom_failures() and not alg.tables.rows.law_failures()
+
+
+def test_kernels_of_mutated_tables_fail_exactly_where_the_literal_z_loop_records():
+    # and on rows of a 12-element product, whose order checks span two blocks of 8 elements
+    mutated = [*mutated_algebras(), *mutated_algebras(["a3xb2"], rows=(0, 5, 11))]
+    assert len(mutated) == 380 + 606
+    failed = set()
+    for alg in mutated:
+        assert_kernels_are_literal(alg)
+        failed |= {law for law, found in (*literal_axioms(alg).items(),
+                                          *literal_laws(alg).items()) if found}
+    assert failed >= {*AXIOM_KERNELS, *LAW_KERNELS}  # each kernel finds failures
 
 
 def test_an_algebra_is_validated_once(monkeypatch):

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from products import load_named, product_doc
+from reference import crisp_witness
 from softmtl import filters
 from softmtl.cli import main
-from softmtl.filters import (classify_filter, crisp_decomposition_check, elements,
+from softmtl.filters import (KINDS, classify_filter, crisp_decomposition_check, elements,
                              enumerate_filters, generated_filter, is_filter,
                              labels_of, mask_of)
 from softmtl.fixtures import load_fixture
@@ -150,7 +151,7 @@ def test_enumeration_is_cached_and_scans_no_subsets(monkeypatch):
     monkeypatch.setattr(filters, "_filter_by_closure", counted)
     found = enumerate_filters(alg)
     assert crisp_decomposition_check(alg) == []
-    assert 0 < len(closure_calls) <= alg.n  # one per idempotent, not one per subset
+    assert closure_calls == []  # every up-set of an idempotent is a filter, unscanned
     # callers get a copy: changing it does not change the cached enumeration
     original = list(found)
     found.clear()
@@ -195,3 +196,27 @@ def test_cached_classification_is_read_only(a1):
         cls.witnesses["boolean"] = ("a",)
     again = classify_filter(a1, mask)
     assert again is cls and again.boolean and dict(again.witnesses) == {}
+
+
+def assert_classification_is_literal(alg, mask):
+    cls = classify_filter(alg, mask)
+    for kind in KINDS:
+        key = "filter" if not cls.is_filter else kind
+        got = None if cls.has(kind) else (key, cls.witnesses[key])
+        assert got == crisp_witness(alg, set(elements(mask)), kind), (labels_of(alg, mask), kind)
+    failed = {kind for kind in KINDS if not cls.has(kind)}
+    assert set(cls.witnesses) == ({"filter"} if not cls.is_filter else failed)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2"])
+def test_every_subset_is_classified_with_the_literal_witnesses(name):
+    alg = load_named(name)
+    for mask in range(1, 1 << alg.n):
+        assert_classification_is_literal(alg, mask)
+
+
+@pytest.mark.parametrize("name", ["a3xb2", "a1xa1", "a3xa1"])
+def test_every_filter_is_classified_with_the_literal_witnesses(name):
+    alg = load_named(name)
+    for mask in enumerate_filters(alg):
+        assert_classification_is_literal(alg, mask)

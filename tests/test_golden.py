@@ -13,16 +13,19 @@ Regenerate (only when a report format changes on purpose) with
 """
 
 import contextlib
+import copy
 import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from products import product_doc
 from softmtl import soft
 from softmtl.cli import main
-from softmtl.fixtures import load_fixture
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.fuzzy import FuzzySet
 from softmtl.soft import FULL, LOWER, UPPER, ParameterInterval
 from softmtl.verifier import TheoremSpec, verify
@@ -48,10 +51,25 @@ CLI_RUNS = {
     "fuzzy-check-a2-thresholds-mv": ["fuzzy-check", "a2", "--mu", "0=0,a=1/4,b=3/4,1=1",
                                      "--family", "thresholds", "--interval", "1/3,2/3",
                                      "--kind", "mv", "--json"],
+    "check-algebra-non-mtl-a1": ["check-algebra", "non_mtl.json", "--json"],
+    "filters-a3xb2-classify": ["filters", "a3_b2.json", "--classify", "--json"],
 }
 
-# The runs that do not exit 0: a level or a variant fails.
-EXIT_CODES = {"soft-build-a1-in-boolean": 1, "fuzzy-check-a2-thresholds-mv": 1}
+
+def non_mtl_doc():
+    """a1 with a . b changed to 0: no longer an MTL-algebra."""
+    doc = copy.deepcopy(FIXTURE_DOCS["a1"])
+    doc["prod"][1][2] = "0"
+    return doc
+
+
+# The document files that runs name, written to a temporary directory for
+# the run; CI writes the same files under the same names.
+DOC_FILES = {"non_mtl.json": non_mtl_doc, "a3_b2.json": lambda: product_doc("a3", "b2")}
+
+# The runs that do not exit 0: a level, a variant or an axiom fails.
+EXIT_CODES = {"soft-build-a1-in-boolean": 1, "fuzzy-check-a2-thresholds-mv": 1,
+              "check-algebra-non-mtl-a1": 1}
 
 # (fixture, grid, spec, verify keyword arguments)
 FALSE_SPECS = (
@@ -73,8 +91,12 @@ FALSE_SPECS = (
 
 def render_cli(argv, code=0) -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(argv) == code, argv
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in DOC_FILES.keys() & set(argv):
+            Path(tmp, name).write_text(json.dumps(DOC_FILES[name]()))
+        argv = [str(Path(tmp, arg)) if arg in DOC_FILES else arg for arg in argv]
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == code, argv
     return buf.getvalue()
 
 
