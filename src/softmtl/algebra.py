@@ -9,19 +9,19 @@ bounds, found by looking that set up as a bitmask; the join is dual.
 Validation is exhaustive over all pairs/triples.  Carriers run from the
 2-element Boolean algebra to products of 24 to 36 elements, and a law
 over triples has up to n^3 = 46656 instances, too many for one Python
-step each.  So the laws over triples are decided by the byte-row
-kernels of :mod:`softmtl.kernels`: both sides of a law are compared at
-every triple in C, and a kernel returns the pairs (x, y) where the law
-fails at some z.  Only there does the literal z loop run, so a report
-holds the same violations, in the same order, as the plain triple loops.
+step each.  So the laws over triples are first decided by the byte-row
+kernels of :mod:`softmtl.kernels`, which compare both sides of a law at
+every triple in C and answer whether it fails anywhere.  Only when a
+kernel finds a failure do the literal triple loops run, over every
+triple, so a report holds the same violations, in the same order, as
+the plain loops; a failing table costs what the plain loops cost.
 
-:func:`validate_mtl` runs the literal loop over every triple as soon as
-a kernel finds a failure, since isotonicity has no kernel of its own:
-it follows from adjunction at every triple and the order checks of the
-load.  Let x <= y.  Then y . z <= y . z gives y <= z -> y . z by
-adjunction, so x <= z -> y . z by transitivity, and adjunction again
-gives x . z <= y . z.  A byte holds an index below 256, so a carrier
-over 256 elements has no kernels and runs the literal loops.
+Isotonicity has no kernel of its own: it follows from adjunction at
+every triple and the order checks of the load.  Let x <= y.  Then
+y . z <= y . z gives y <= z -> y . z by adjunction, so x <= z -> y . z
+by transitivity, and adjunction again gives x . z <= y . z.  A byte
+holds an index below 256, so a carrier over 256 elements skips the
+kernels and runs the literal loops.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .kernels import ByteRows
+from .kernels import AXIOM_KERNELS, LAW_KERNELS
 
 
 class AlgebraError(ValueError):
@@ -80,8 +80,7 @@ class DerivedTables:
 
     Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
     in lexicographic order of its variables, so the crisp and the fuzzy
-    scans over it report the same first violation.  ``rows`` holds the
-    byte rows the validation kernels read.  ``classifications``
+    scans over it report the same first violation.  ``classifications``
     is the memo of :func:`softmtl.filters.classify_filter` by mask.
     ``mtl_failure`` is the verdict of :func:`validate_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
@@ -98,22 +97,17 @@ class DerivedTables:
         self.filters = None
 
     @cached_property
-    def rows(self) -> ByteRows | None:
-        """The tables as byte rows, or None for a carrier over 256 elements."""
-        if len(self.elems) > 256:
-            return None
-        return ByteRows(self.prod, self.res, self.leq, self.join, self.ups)
-
-    @cached_property
     def neg(self) -> tuple[int, ...]:
         """x' = x -> bottom for every x."""
         return tuple(row[self.bottom] for row in self.res)
 
     @cached_property
     def ups(self) -> tuple[int, ...]:
-        """For every x, the bitmask of the elements above it, x included."""
-        # a row of leq as "0"s and "1"s, lowest element last, read in base 2
-        return tuple(int(bytes(row).translate(_DIGITS)[::-1], 2) for row in self.leq)
+        """For every x, the bitmask of the elements above it, x included.
+
+        :func:`load_algebra` sets it from the masks it checks the order with.
+        """
+        return _masks(self.leq)
 
     @cached_property
     def above(self) -> tuple[int, ...]:
@@ -191,6 +185,12 @@ class DerivedTables:
 _DIGITS = b"01" + bytes(254)
 
 
+def _masks(rows) -> tuple[int, ...]:
+    """Each row of booleans as the bitmask of its true positions."""
+    # a row as "0"s and "1"s, position 0 last, read in base 2
+    return tuple(int(bytes(row).translate(_DIGITS)[::-1], 2) for row in rows)
+
+
 @dataclass
 class AxiomReport:
     """Per-axiom verdicts; a violation is (axiom id, offending labels)."""
@@ -262,8 +262,7 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
     # Order from the residuum: x <= y iff x -> y = top.
     leq = [[res[x][y] == top for y in range(n)] for x in range(n)]
     # up[x] = {y : x <= y} and down[x] = {y : y <= x}, as bitmasks
-    up = [sum(1 << y for y in range(n) if row[y]) for row in leq]
-    down = [sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)]
+    up, down = _masks(leq), _masks(zip(*leq))
 
     for x in range(n):
         if not leq[x][x]:
@@ -286,7 +285,7 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
     # With the order antisymmetric and transitive, z is the meet of x and y
     # iff down[z] is the set of common lower bounds down[x] & down[y], and
     # dually for the join; distinct elements have distinct down-sets.
-    def _bounds(masks: list[int], kind: str) -> list[list[int]]:
+    def _bounds(masks: tuple[int, ...], kind: str) -> list[list[int]]:
         of = {m: z for z, m in enumerate(masks)}
         table = [[of.get(mx & my) for my in masks] for mx in masks]
         for x, row in enumerate(table):
@@ -306,7 +305,7 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
                 raise AlgebraError(f"supplied {key} table disagrees with derived order")
 
     freeze = lambda t: tuple(tuple(row) for row in t)
-    return FiniteMtlAlgebra(
+    alg = FiniteMtlAlgebra(
         labels=tuple(labels),
         prod=freeze(prod),
         res=freeze(res),
@@ -316,6 +315,8 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
         bottom=bottom,
         top=top,
     )
+    alg.tables.ups = up
+    return alg
 
 
 def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
@@ -329,9 +330,8 @@ def validate_mtl(alg: FiniteMtlAlgebra) -> AxiomReport:
     join = alg.join
     top = alg.top
     rep = AxiomReport()
-    rows = alg.tables.rows
     # no kernel failure: isotonicity holds too (see the module docstring)
-    triples = rows is None or bool(rows.axiom_failures())
+    triples = n > 256 or any(fails(alg) for fails in AXIOM_KERNELS.values())
 
     for x in range(n):
         px, lx = prod[x], leq[x]
@@ -393,9 +393,8 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
     leq, meet, join = alg.leq, alg.meet, alg.join
     bot, top = alg.bottom, alg.top
     neg = alg.tables.neg
-    rows = alg.tables.rows
-    # the (x, y) whose z loop runs: those where a kernel finds a failure
-    failures = None if rows is None else rows.law_failures()
+    # the z loops record nothing unless a kernel finds a failure
+    z_loops = n > 256 or any(fails(alg) for fails in LAW_KERNELS.values())
     rep = AxiomReport()
 
     for x in range(n):
@@ -418,7 +417,7 @@ def check_derived_laws(alg: FiniteMtlAlgebra) -> AxiomReport:
                 rep.record("double-residuation-lift", alg, x, y)
             if not leq[prod[x][y]][meet[x][y]]:
                 rep.record("prod-below-meet", alg, x, y)
-            if failures is not None and (x, y) not in failures:
+            if not z_loops:
                 continue
             rpxy, lrxy, jrxy, jy = res[prod[x][y]], leq[rxy], join[rxy], join[y]
             for z in range(n):

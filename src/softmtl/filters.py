@@ -9,17 +9,12 @@ by :func:`is_filter`; the soft layer applies its own "empty set counts
 as a filter of every kind" convention.
 
 In a finite MTL-algebra the filters are exactly the up-sets
-``up(m) = {y : m <= y}`` of the idempotents m (m . m = m).  So a carrier
-of n elements has at most n filters, and :func:`enumerate_filters` lists
-them without testing any subset (the proof is in its docstring).
-
-A filter's kinds are decided by bitmasks.  It is Boolean iff it holds
-the mask of every x v x'.  Each G or MV condition reads "v in F implies
-w in F" for pairs (v, w) fixed by the algebra, so it holds iff F holds
-the union of ``needs[v]`` over its elements v, where ``needs[v]`` is the
-mask of the w paired with v (``DerivedTables.g_needs`` and ``mv_needs``).
-The instances of a kind are scanned in lexicographic order only when the
-kind fails, to name the first one as its witness.
+``up(m) = {y : m <= y}`` of the idempotents m, so a carrier of n
+elements has at most n filters (proof in :func:`enumerate_filters`).
+A filter is Boolean iff it holds every x v x'.  G and MV read "v in F
+implies w in F" for pairs (v, w) of the algebra, so F is one iff it
+holds ``needs[v]``, the mask of the w of v, for every v in F.  A failed
+kind's pairs are scanned only to name its first witness.
 """
 
 from __future__ import annotations
@@ -108,7 +103,7 @@ def is_filter(alg: FiniteMtlAlgebra, mask: int) -> bool:
 
 
 def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
-    """Flag a subset as (Boolean/G/MV-)filter, with the first violation of each failed kind.
+    """Flag a subset as (Boolean/G/MV-)filter, with each failed kind's first witness.
 
     Each mask is classified once per algebra; later calls return the same
     frozen classification from the algebra's memo.
@@ -133,7 +128,6 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
         return FilterClassification(
             False, witnesses={"filter": (w[0], *(labels[e] for e in w[1:]))})
 
-    # each kind is decided by masks; its pairs are scanned only to name the first witness
     tables, g, mv, witnesses = alg.tables, 0, 0, {}
     g_needs, mv_needs = tables.g_needs, tables.mv_needs
     for v in elements(mask):

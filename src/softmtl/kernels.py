@@ -3,84 +3,86 @@
 A carrier of at most 256 elements indexes its elements with bytes, so a
 row of an operation table is a bytes object and, padded to 256 bytes, a
 translation table: ``row.translate(table)`` applies the table's
-operation to every entry of the row in one C call.  :class:`ByteRows`
-lays each side of a law out as one bytes object over every (x, y, z),
+operation to every entry of the row in one C call.  Each kernel lays
+both sides of a law out as one bytes object over every (x, y, z),
 joined from such rows, and compares the two sides in C.  An inequality
 a <= b is compared one block of 8 elements at a time: b becomes a
 one-hot byte, a the byte of the elements of the block that are not
 above it, and the two, read as integers, meet nowhere iff a <= b
-everywhere.  :mod:`softmtl.algebra` runs its literal z loops only at the
-pairs (x, y) a kernel returns.
+everywhere.  A kernel only answers whether its law fails somewhere;
+:mod:`softmtl.algebra` then runs its literal loops to name the
+violations.  The rows are built for each call and not kept.
 """
 
 from __future__ import annotations
 
 
-class ByteRows:
-    """The tables of one algebra as rows of bytes, and the kernels that read them.
+def _rows(table) -> tuple[list[bytes], list[bytes]]:
+    """The rows of a table as bytes, and each row padded to a translation table."""
+    rows = [bytes(row) for row in table]
+    pad = bytes(256 - len(rows))
+    return rows, [row + pad for row in rows]
 
-    ``res[x]`` is the row of x -> y over y and ``cols[y]`` the column of
-    x -> y over x; ``tres[x]`` is ``res[x]`` padded to a translation
-    table, so ``row.translate(tres[x])`` is x -> row[i] at every i.  So
-    too ``prod``, ``leq`` and ``join`` with their tables.  Each kernel
-    returns the pairs (x, y) where one of its laws fails at some z.
-    """
 
-    def __init__(self, prod, res, leq, join, ups):
-        self.n = n = len(prod)
-        pad = bytes(256 - n)
-        self.prod, self.res, self.leq, self.join, self.cols = (
-            [bytes(row) for row in table] for table in (prod, res, leq, join, zip(*res)))
-        self.tprod, self.tres, self.tleq, self.tjoin = (
-            [row + pad for row in rows] for rows in (self.prod, self.res, self.leq, self.join))
-        # Per block of 8 elements from p, two tables: v in the block to its one-hot
-        # byte, and a to the byte of the v in the block that are not above a.
-        self.planes = [(bytes(p) + b"\x01\x02\x04\x08\x10\x20\x40\x80" + bytes(248 - p),
-                        bytes(~up >> p & 255 for up in ups) + pad) for p in range(0, n, 8)]
+def _associativity_fails(alg) -> bool:
+    """(x . y) . z = x . (y . z)"""
+    prod, tprod = _rows(alg.prod)
+    flat = b"".join(prod)
+    return b"".join(map(prod.__getitem__, flat)) != b"".join(map(flat.translate, tprod))
 
-    def _differ(self, one: bytes, other: bytes) -> set[tuple[int, int]]:
-        """The (x, y) where two sides over (x, y, z) differ at some z."""
-        if one == other:
-            return set()
-        n = self.n
-        return {divmod(k, n) for k in range(n * n)
-                if one[k * n:k * n + n] != other[k * n:k * n + n]}
 
-    def _below(self, low: bytes, high: bytes) -> list[int]:
-        """The positions i where low[i] <= high[i] fails: in some block, the
-        one-hot byte of high[i] meets the byte of the elements not above low[i]."""
-        bad = 0
-        for onehot, not_above in self.planes:
-            bad |= (int.from_bytes(high.translate(onehot), "big")
-                    & int.from_bytes(low.translate(not_above), "big"))
-        return [i for i, b in enumerate(bad.to_bytes(len(high), "big")) if b] if bad else []
+def _adjunction_fails(alg) -> bool:
+    """x . y <= z iff x <= y -> z"""
+    leq, tleq = _rows(alg.leq)
+    return (b"".join(map(leq.__getitem__, b"".join(map(bytes, alg.prod))))
+            != b"".join(map(b"".join(map(bytes, alg.res)).translate, tleq)))
 
-    def axiom_failures(self) -> set[tuple[int, int]]:
-        """Where (x . y) . z = x . (y . z), or x . y <= z iff x <= y -> z, fails."""
-        prod, pflat = self.prod, b"".join(self.prod)
-        xy_z = b"".join(map(prod.__getitem__, pflat))  # (x . y) . z
-        x_yz = b"".join(map(pflat.translate, self.tprod))  # x . (y . z)
-        xy_le_z = b"".join(map(self.leq.__getitem__, pflat))  # x . y <= z
-        x_le_yz = b"".join(map(b"".join(self.res).translate, self.tleq))  # x <= y -> z
-        return self._differ(xy_z, x_yz) | self._differ(xy_le_z, x_le_yz)
 
-    def law_failures(self) -> set[tuple[int, int]]:
-        """Where exchange, residuum-monotonicity or residuum-join-distribution fails."""
-        n, res, tres, cols = self.n, self.res, self.tres, self.cols
-        rflat, cflat = b"".join(res), b"".join(cols)
-        each = [row for row in res for _ in res]  # res[x] at (x, y)
-        x_yz = b"".join(map(rflat.translate, tres))  # x -> (y -> z)
-        xy_z = b"".join(map(res.__getitem__, b"".join(self.prod)))  # x . y -> z
-        y_xz = b"".join(map(bytes.translate, each, tres * n))  # y -> (x -> z)
-        x_join = b"".join(map(b"".join(self.join).translate, tres))  # x -> (y v z)
-        join_x = b"".join(map(bytes.translate, each, map(self.tjoin.__getitem__, rflat)))
-        bad = self._differ(x_yz, xy_z) | self._differ(x_yz, y_xz) | self._differ(x_join, join_x)
-        # x -> y <= (z -> x) -> (z -> y), laid out over (x, z, y)
-        low = b"".join(row * n for row in res)
-        high = b"".join(map(bytes.translate, res * n, map(tres.__getitem__, cflat)))
-        bad.update((i // (n * n), i % n) for i in self._below(low, high))
-        # x -> y <= (y -> z) -> (x -> z), laid out over (y, z, x)
-        low = b"".join(col * n for col in cols)
-        high = b"".join(map(bytes.translate, cols * n, map(tres.__getitem__, rflat)))
-        bad.update((i % n, i // (n * n)) for i in self._below(low, high))
-        return bad
+def _exchange_fails(alg) -> bool:
+    """x -> (y -> z) = x . y -> z = y -> (x -> z)"""
+    res, tres = _rows(alg.res)
+    x_yz = b"".join(map(b"".join(res).translate, tres))
+    each = [row for row in res for _ in res]  # res[x] at (x, y)
+    return (x_yz != b"".join(map(res.__getitem__, b"".join(map(bytes, alg.prod))))
+            or x_yz != b"".join(map(bytes.translate, each, tres * len(res))))
+
+
+def _join_distribution_fails(alg) -> bool:
+    """x -> (y v z) = (x -> y) v (x -> z)"""
+    res, tres = _rows(alg.res)
+    join, tjoin = _rows(alg.join)
+    each = [row for row in res for _ in res]  # res[x] at (x, y)
+    return (b"".join(map(b"".join(join).translate, tres))
+            != b"".join(map(bytes.translate, each, map(tjoin.__getitem__, b"".join(res)))))
+
+
+def _monotonicity_fails(alg) -> bool:
+    """x -> y <= (z -> x) -> (z -> y) and x -> y <= (y -> z) -> (x -> z)"""
+    n = len(alg.res)
+    res, tres = _rows(alg.res)
+    cols = [bytes(col) for col in zip(*res)]  # cols[y][x] = x -> y
+    # Per block of 8 elements from p, two tables: v in the block to its one-hot
+    # byte, and a to the byte of the v in the block that are not above a.
+    pad = bytes(256 - n)
+    planes = [(bytes(p) + b"\x01\x02\x04\x08\x10\x20\x40\x80" + bytes(248 - p),
+               bytes(~up >> p & 255 for up in alg.tables.ups) + pad) for p in range(0, n, 8)]
+    return (_below(b"".join(row * n for row in res),  # x -> y, over (x, z, y)
+                   b"".join(map(bytes.translate, res * n, map(tres.__getitem__, b"".join(cols)))),
+                   planes)  # (z -> x) -> (z -> y)
+            or _below(b"".join(col * n for col in cols),  # x -> y, over (y, z, x)
+                      b"".join(map(bytes.translate, cols * n, map(tres.__getitem__, b"".join(res)))),
+                      planes))  # (y -> z) -> (x -> z)
+
+
+def _below(low: bytes, high: bytes, planes) -> bool:
+    """Whether low[i] <= high[i] fails at some i: in some block, the one-hot
+    byte of high[i] meets the byte of the elements not above low[i]."""
+    return any(int.from_bytes(high.translate(onehot), "big")
+               & int.from_bytes(low.translate(not_above), "big")
+               for onehot, not_above in planes)
+
+
+# the kernel of each law by the axiom id its violations are recorded under
+AXIOM_KERNELS = {"prod-associative": _associativity_fails, "adjunction": _adjunction_fails}
+LAW_KERNELS = {"exchange": _exchange_fails, "residuum-monotonicity": _monotonicity_fails,
+               "residuum-join-distribution": _join_distribution_fails}

@@ -11,6 +11,7 @@ from softmtl.algebra import (AlgebraError, DerivedTables, check_derived_laws, lo
                              require_mtl, validate_mtl)
 from softmtl.filters import classify_filter, crisp_decomposition_check, enumerate_filters
 from softmtl.fixtures import FIXTURE_DOCS, FIXTURE_NAMES, load_fixture
+from softmtl.kernels import AXIOM_KERNELS, LAW_KERNELS
 from softmtl.verifier import verify_all
 
 
@@ -219,38 +220,31 @@ def test_violations_of_mutated_tables_match_the_literal_loops():
         assert not validate_mtl(alg).ok
 
 
-def test_without_kernels_the_literal_loops_run_alone():
+def test_on_a_kernel_failure_the_literal_loops_run_alone(monkeypatch):
     # as on a carrier over 256 elements, which bytes cannot index
-    big = types.SimpleNamespace(prod=(), res=(), leq=(), join=(), bottom=0, n=257)
-    assert DerivedTables(big).rows is None
+    failing = {"failing": lambda alg: True}
+    monkeypatch.setattr(algebra, "AXIOM_KERNELS", failing)
+    monkeypatch.setattr(algebra, "LAW_KERNELS", failing)
     for alg in [load_named("a3xb2"), *mutated_algebras()[::7]]:
-        alg.tables.rows = None
         assert_reports_are_literal(alg)
 
 
-AXIOM_KERNELS = ("prod-associative", "adjunction")
-LAW_KERNELS = ("exchange", "residuum-monotonicity", "residuum-join-distribution")
-
-
-def literal_pairs(alg, found, laws):
-    """The (x, y) at which the literal z loop records a violation of one of the laws."""
-    return {(alg.index(x), alg.index(y)) for law in laws for x, y, _ in found.get(law, ())}
-
-
 def assert_kernels_are_literal(alg):
-    rows = alg.tables.rows
-    assert rows.axiom_failures() == literal_pairs(alg, literal_axioms(alg), AXIOM_KERNELS)
-    assert rows.law_failures() == literal_pairs(alg, literal_laws(alg), LAW_KERNELS)
+    """Each kernel fails iff the literal loops record a violation of its law."""
+    for kernels, literal in ((AXIOM_KERNELS, literal_axioms(alg)),
+                             (LAW_KERNELS, literal_laws(alg))):
+        for law, fails in kernels.items():
+            assert fails(alg) == bool(literal.get(law)), law
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
-def test_kernels_fail_exactly_where_the_literal_z_loop_records(name):
+def test_kernels_pass_the_valid_algebras(name):
     alg = load_named(name)
     assert_kernels_are_literal(alg)
-    assert not alg.tables.rows.axiom_failures() and not alg.tables.rows.law_failures()
+    assert not any(fails(alg) for fails in (*AXIOM_KERNELS.values(), *LAW_KERNELS.values()))
 
 
-def test_kernels_of_mutated_tables_fail_exactly_where_the_literal_z_loop_records():
+def test_kernels_of_mutated_tables_fail_iff_the_literal_loops_record():
     # and on rows of a 12-element product, whose order checks span two blocks of 8 elements
     mutated = [*mutated_algebras(), *mutated_algebras(["a3xb2"], rows=(0, 5, 11))]
     assert len(mutated) == 380 + 606
@@ -259,7 +253,21 @@ def test_kernels_of_mutated_tables_fail_exactly_where_the_literal_z_loop_records
         assert_kernels_are_literal(alg)
         failed |= {law for law, found in (*literal_axioms(alg).items(),
                                           *literal_laws(alg).items()) if found}
-    assert failed >= {*AXIOM_KERNELS, *LAW_KERNELS}  # each kernel finds failures
+    assert failed >= {*AXIOM_KERNELS, *LAW_KERNELS}  # each kernel fails somewhere
+
+
+def test_the_exchange_kernel_compares_both_sides():
+    # the left-zero monoid {e, a, b} acting on itself, as product and residuum:
+    # x -> (y -> z) = x . y -> z everywhere, but not y -> (x -> z) at (a, b)
+    table = ((0, 1, 2), (1, 1, 1), (2, 2, 2))
+    assert LAW_KERNELS["exchange"](types.SimpleNamespace(prod=table, res=table))
+
+
+def test_the_load_keeps_the_up_sets_it_checks_the_order_with():
+    for name in KERNEL_NAMES:
+        alg = load_named(name)
+        assert alg.tables.ups == DerivedTables(alg).ups == tuple(
+            sum(1 << y for y, le in enumerate(row) if le) for row in alg.leq)
 
 
 def test_an_algebra_is_validated_once(monkeypatch):
