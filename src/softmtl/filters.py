@@ -26,6 +26,7 @@ from types import MappingProxyType
 from .algebra import FiniteMtlAlgebra, require_mtl
 
 KINDS = ("filter", "boolean", "mv", "g")
+_EVERY = (1 << len(KINDS)) - 1  # the fails of a set that is no filter
 
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
@@ -51,24 +52,32 @@ def elements(mask: int):
 class FilterClassification:
     """Verdicts for one subset; shared by every caller, so read-only."""
 
-    is_filter: bool
-    boolean: bool = False
-    g: bool = False
-    mv: bool = False
+    # bit i set iff the subset is not a filter of kind KINDS[i]
+    fails: int
     # first (lexicographic) violating tuple per failed property
     witnesses: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    # bit i set iff the subset is not a filter of kind KINDS[i]
-    fails: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
-        object.__setattr__(self, "fails", sum(1 << i for i, kind in enumerate(KINDS)
-                                              if not self.has(kind)))
 
     def has(self, kind: str) -> bool:
-        if kind == "filter":
-            return self.is_filter
-        return getattr(self, kind)
+        return not self.fails >> KINDS.index(kind) & 1
+
+    @property
+    def is_filter(self) -> bool:
+        return not self.fails & 1
+
+    @property
+    def boolean(self) -> bool:
+        return not self.fails & 2
+
+    @property
+    def mv(self) -> bool:
+        return not self.fails & 4
+
+    @property
+    def g(self) -> bool:
+        return not self.fails & 8
 
 
 def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
@@ -119,32 +128,32 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
 
 def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     if not mask:
-        return FilterClassification(False)
+        return FilterClassification(_EVERY)
     labels = alg.labels
     # a mask from enumerate_filters is a filter
     known = alg.tables.filters
     w = None if known is not None and mask in known else _filter_by_closure(alg, mask)
     if w is not None:
-        return FilterClassification(
-            False, witnesses={"filter": (w[0], *(labels[e] for e in w[1:]))})
+        return FilterClassification(_EVERY, {"filter": (w[0], *(labels[e] for e in w[1:]))})
 
-    tables, g, mv, witnesses = alg.tables, 0, 0, {}
+    tables, g, mv, fails, witnesses = alg.tables, 0, 0, 0, {}
     g_needs, mv_needs = tables.g_needs, tables.mv_needs
     for v in elements(mask):
         g |= g_needs[v]
         mv |= mv_needs[v]
     if tables.complement_mask & ~mask:
+        fails |= 2
         witnesses["boolean"] = next((labels[x],) for x, joined in enumerate(tables.complement_joins)
                                     if not mask >> joined & 1)
     if g & ~mask:
+        fails |= 8
         witnesses["g"] = next((labels[x], labels[y]) for x, y, rxy, rxxy in tables.g_pairs
                               if mask >> rxxy & 1 and not mask >> rxy & 1)
     if mv & ~mask:
+        fails |= 4
         witnesses["mv"] = next((labels[x], labels[y]) for x, y, lhs, rxy in tables.mv_pairs
                                if mask >> rxy & 1 and not mask >> lhs & 1)
-    return FilterClassification(True, boolean="boolean" not in witnesses,
-                                g="g" not in witnesses, mv="mv" not in witnesses,
-                                witnesses=witnesses)
+    return FilterClassification(fails, witnesses)
 
 
 def enumerate_filters(alg: FiniteMtlAlgebra) -> list[int]:

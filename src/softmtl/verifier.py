@@ -21,8 +21,8 @@ D+1), and the pass splits the work by what it depends on.
   per algebra (:func:`softmtl.filters.classify_filter` keeps the memo),
   and only its failing kinds are read.
 - Per V: the span of each rank i, the cut indices (V[i-1], V[i]] it
-  covers, as a bitmask.  Nothing else of V is read.
-- Per (W, V): one product per rank and one lookup, below.
+  covers.  Nothing else of V is read.
+- Per (W, V): one table entry OR'd per rank, below.
 
 Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
 clamped numerators c = min(max(k, lo), hi) at positions of the algebra,
@@ -47,8 +47,8 @@ V[i] >= hi to hi, and keeps the ranks strictly between apart.  So the
 chain of up-sets of c is W's chain less each U_i whose ranks i - 1 and
 i are merged: U_i stays iff V[i] > lo and V[i-1] < hi, that is, iff its
 span (V[i-1], V[i]] meets the cut indices lo+1..hi.  That is the test
-the soft side makes of its levels, so both sides read the same packed
-bits (per map, below), and the chain of c is never built.
+the soft side makes of its levels, so both sides read the same
+positions (per map, below), and the chain of c is never built.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per U_i of its chain, one int: the failing crisp kinds of U_i in its
@@ -58,13 +58,12 @@ keeps one map {up-set: atom id}.  An up-set gets the id of its own atom
 every up-set whose atom is equal; every other set gets ``other``, the
 id of the least non-up-set's atom, computed once with the live scans
 (all non-up-sets have that atom, below).  W's profile is the tuple of
-the ids of its chain, and :meth:`_Pass.weak` builds all it hands to
-:meth:`_Pass.decide` from the profile alone, so two weak orders with
-the same profile and rank count are decided alike on every V, and
-keying by the profile is exact.  The key holds both halves of the atom:
-on an MTL-algebra the scan bits follow from the kinds, but that is what
-the theorems claim, so a key by kinds alone would assume what is
-checked.
+the ids of its chain, and :meth:`_Pass.decide` reads nothing else of
+W, so two weak orders with the same profile and rank count are decided
+alike on every V, and keying by the profile is exact.  The key holds
+both halves of the atom: on an MTL-algebra the scan bits follow from the
+kinds, but that is what the theorems claim, so a key by kinds alone
+would assume what is checked.
 
 :func:`_profiles` finds the distinct profiles of the chains carrier >
 U_1 > ... > U_r-1 > {} of every rank count r, level by level, from the
@@ -100,33 +99,40 @@ up-sets, the representative and the carrier.  The walk holds the
 up-sets, their ids and its states, and nothing that grows with the 2^n
 subsets.
 
-Per map.  Each bit of an atom owns a lane of D+1 bits, one per cut
-index: the kinds' lanes first, then the scans'.  :meth:`_Pass.weak`
-spreads each rank's atom to the lowest bit of each of its lanes, and the
-map's packed bits are the OR over the ranks of span times spread atom,
-so bit j of a lane is set iff the cut at index j has that atom bit.
-Every check has two sides, a premise and a conclusion, each a mask
-shifted into place once per plan that fails iff the packed bits meet it.
-A fuzzy check's conclusion is its levels in its kind's lane, and its
-premise is lo+1..hi in the lane of each bit of its fail mask.  A
-relation's premise is its levels in its left-hand kind's lane, and its
-conclusion its levels in its right-hand kinds' lanes, OR'd.  So S, the
-checks whose conclusion fails, and F, those whose premise fails, cost
-one AND per distinct mask, whose checks share its bits ("in" and "q"
-over (0, 1] read the same cuts, and a relation's sides are catalog
-checks' soft sides, but for an OR of two lanes).  F has one extra bit,
-counted as a biconditional and never in S: it is set when the
-formulations of a ``route="all"`` check disagree by its agree mask
-(:func:`softmtl.fuzzy.disagree`) on the scan bits read off its own
-range lo+1..hi of the lanes.  A map is a counterexample to some check
-only if (S & ~F) | (F & ~S & IFF) is non-zero, IFF marking the
-biconditionals.  The pass keeps that decision, with S and F, in its one
-memo, keyed by the packed bits.  Such maps are sorted lexicographically
+Per map.  Every check has two sides, a premise and a conclusion, and
+each fails iff some cut of the map fails it at one of its cut indices.
+Call (b, j) a position: bit b of the atom of the cut at index j.  A
+side's mask is a set of positions, and it fails iff the positions the
+map sets meet it.  A fuzzy check's conclusion holds its levels at its
+kind's bit, and its premise lo+1..hi at each bit of its fail mask.  A
+relation's premise holds its levels at its left-hand kind's bit, and its
+conclusion its levels at each right-hand kind's bit.  Lemma: meeting a
+mask distributes over OR, so S, the checks whose conclusion fails, is
+the OR over the positions the map sets of the checks whose conclusion
+holds that position, and so is F for the premises.  :func:`_pack` keeps
+one int per position, S | F << width.  Rank i sets the positions (b, j)
+of the bits b of its cut's atom and the j of its span (V[i-1], V[i]],
+so its share of a map's S | F << width depends only on (atom, span).
+Each run tabulates it once per atom id (:meth:`_Pass.table`), for every
+span (u, v] with 0 <= u <= v <= D, and a map's S | F << width is one
+table entry OR'd per rank.  :meth:`_Pass.sides` does that for all value
+tuples of a profile at once, one list per rank, reading each rank's
+table index off columns built once per rank count (:func:`_columns`).
+F has one extra bit, counted as a biconditional and never in S: it is
+set when the formulations of a ``route="all"`` check disagree by its
+agree mask (:func:`softmtl.fuzzy.disagree`) on the scan bits of its own
+range lo+1..hi.  Those bits are an OR too: each such check has a field
+above F in the same per-position ints, holding the bits of its fail mask
+at lo+1..hi, and ``disagree`` reads the field.  A plan without such
+checks never calls it.  A map is a counterexample to some check only if
+(S & ~F) | (F & ~S & IFF), that is (S ^ F) & (S | IFF), is non-zero,
+IFF marking the biconditionals.  Such maps are sorted lexicographically
 and recorded, so every report is the same as that of a pass that runs
 each check on each map it walks, in lexicographic order.  Recording
-reads each check's two sides off S and F and looks up only its witness:
-the first failing soft level by ascending t of the first failing
-witness kind, or one literal scan
+reads each check's two sides off S and F, reads a kind's failing cut
+indices as the OR of the spans of the ranks whose atom fails it, and
+looks up only its witness: the first failing soft level by ascending t
+of the first failing witness kind, or one literal scan
 (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
 ``route="all"`` check runs its literal formulations on every recorded
 map, so a map whose formulations disagree raises and names the
@@ -136,20 +142,22 @@ literal classification passes the kind its bits fail, raises
 RuntimeError; the latter also checks, on every recorded map, that one
 atom stands for all non-up-sets.
 
-Per grid.  Resolving the checks and shifting their masks into the lanes
-reads only the specs, the grid and the interval, never the algebra.  So
+Per grid.  Resolving the checks and marking their positions reads only
+the specs, the grid and the interval, never the algebra.  So
 :func:`_plan` builds them once per (specs, D, interval) into one
 immutable plan, of tuples, ints and strs: each check's thresholds,
-levels, fuzzy key, relation kinds, iff flag and theorem id, the packed
-masks of both sides and the ``route="all"`` spans, the bits of the
-biconditionals, and the D+1 grid values as a counterexample prints
-them.  It keeps the last 8 plans (``functools.lru_cache``), so repeated
-runs at one grid, on any algebra, share one; each plan holds no algebra
-and grows only with D, about 14 KB at D=24.  Each run makes its own
-reports, atom ids, profiles, decision memo and value spans.  The memo
-and the spans grow with the work, with the distinct packed values and
-with C(D+1, r) (885k packed values on a3 at D=24), so they stay on the
-run and go with it.
+levels, fuzzy key, relation kinds, iff flag and theorem id, the int of
+each position and the route fields, the bits of the biconditionals, and
+the D+1 grid values as a counterexample prints them.  It keeps the last
+8 plans (``functools.lru_cache``), so repeated runs at one grid, on any
+algebra, share one; each plan holds no algebra and grows only with D,
+about 22 KB for the catalog at D=24.  Each run makes its own reports,
+atom ids, profiles, tables, value tuples and columns.  A table holds
+(D+1)(D+2)/2 ints, about as many as the C(D+1, 2) value tuples of r = 2,
+so the tables hold atoms x (D+1)(D+2)/2 in all; on a fine grid that is
+far below the C(D+1, r) tuples of the largest r (a3 at D=24: 3 tables
+of 325 ints, about 41 KB, against 177100 tuples at r = 6).  All of it
+stays on the run and goes with it, and no memo grows with the maps.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
@@ -186,7 +194,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import combinations, count
+from itertools import accumulate, chain, combinations, count
+from operator import or_
 from typing import NamedTuple
 
 from . import filters
@@ -408,55 +417,55 @@ def _check(spec, den, interval) -> _Check:
 
 
 class _Plan(NamedTuple):
-    """The checks of a pass and their masks on the 1/den grid; nothing of the algebra.
+    """The checks of a pass and their verdict bits on the 1/den grid; nothing of the algebra.
 
-    Bit j of an atom owns the lane of cut indices j*lane + (0..den), and
-    every mask is shifted into its lanes here (module docstring, "Per map").
+    Each position (atom bit b, cut index j) has one int, ``positions[b][j]``:
+    S | F << width, the checks whose conclusion (S) or premise (F) mask
+    holds it, with the scan bits of each ``route="all"`` field above them
+    (module docstring, "Per map").
     """
 
     checks: tuple[_Check, ...]
     den: int
-    lane: int
-    # (mask, conclusion bits, premise bits): the checks whose side fails when the packed bits
-    # meet it; the conclusion is the soft side, or a relation's right-hand kinds' lanes OR'd
-    masks: tuple[tuple[int, int, int], ...]
-    routes: tuple[tuple[int, int, int], ...]  # (span, fail, agree) of each route="all" check
-    # an extra premise bit, above the checks' bits and counted as an iff check, flags
-    # formulations that disagree
-    disagree_bit: int
+    positions: tuple[tuple[int, ...], ...]
+    width: int                     # F's bits start here; its top bit flags disagreeing formulations
+    routes: tuple[tuple[int, int, int], ...]  # (shift, fail, agree) of each route="all" field
     iff: int                       # the bits of the biconditionals, with the disagree bit
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
 
 
-def _spread(atom: int, lane: int) -> int:
-    """The lowest bit of the lane of each bit of ``atom``."""
-    return sum(1 << j * lane for j in range(atom.bit_length()) if atom >> j & 1)
-
-
 def _pack(checks, den) -> _Plan:
-    """Shift each check's two sides into their lanes, grouping the checks by equal masks."""
-    lane = den + 1
-    masks, routes = {}, []
-    for b, check in enumerate(checks):
-        conclusion = 0
+    """Mark each check's two sides, and each route field, at the positions their masks hold."""
+    lane, width = den + 1, len(checks) + 1
+    rows = []  # atom bit -> its int at each cut index
+
+    def put(atom, cuts, bits):  # at each position (b, j), b a bit of ``atom``, j one of ``cuts``
+        rows.extend([0] * lane for _ in range(atom.bit_length() - len(rows)))
+        for b, row in enumerate(rows):
+            for j in range(lane):
+                if atom >> b & cuts >> j & 1:
+                    row[j] |= bits
+
+    routes, shift = [], 2 * width
+    for c, check in enumerate(checks):
         for kind in check.rhs or (check.kind,):
-            conclusion |= check.levels << KINDS.index(kind) * lane
+            put(1 << KINDS.index(kind), check.levels, 1 << c)
         if check.fuzzy is None:  # a relation's left-hand kind
-            premise = check.levels << KINDS.index(check.kind) * lane
-        else:  # the fuzzy side's scan lanes over the cut indices lo+1..hi
-            kind, lo, hi, route = check.fuzzy
-            fail, agree = scan_masks(kind, route)
-            span = (2 << hi) - (2 << lo)
-            premise = _spread(fail << len(KINDS), lane) * span
-            if route == "all":
-                routes.append((span, fail, agree))
-        masks.setdefault(conclusion, [0, 0])[0] |= 1 << b
-        masks.setdefault(premise, [0, 0])[1] |= 1 << b
-    disagree_bit = 1 << len(checks)
+            put(1 << KINDS.index(check.kind), check.levels, 1 << width + c)
+            continue
+        # the fuzzy side: the scan bits of its fail mask over the cut indices lo+1..hi
+        kind, lo, hi, route = check.fuzzy
+        fail, agree = scan_masks(kind, route)
+        span = (2 << hi) - (2 << lo)
+        put(fail << len(KINDS), span, 1 << width + c)
+        if route == "all":  # its field holds scan bit s at bit shift + s
+            for s in range(fail.bit_length()):
+                put((fail & 1 << s) << len(KINDS), span, 1 << shift + s)
+            routes.append((shift, fail, agree))
+            shift += fail.bit_length()
     return _Plan(
-        tuple(checks), den, lane,
-        tuple((mask, *sides) for mask, sides in masks.items()), tuple(routes), disagree_bit,
-        disagree_bit | sum(1 << b for b, check in enumerate(checks) if check.iff),
+        tuple(checks), den, tuple(map(tuple, rows)), width, tuple(routes),
+        1 << len(checks) | sum(1 << c for c, check in enumerate(checks) if check.iff),
         tuple(str(Fraction(k, den)) for k in range(lane)))
 
 
@@ -470,11 +479,28 @@ def _plan(specs: tuple[TheoremSpec, ...], den: int, interval) -> _Plan:
     return _pack([_check(spec, den, interval) for spec in specs], den)
 
 
-def _record(run, nums, bad: int, soft: int, fail: int) -> None:
-    """Append each check's counterexample on one map, read off the sides ``decide`` returned."""
+def _columns(vs, den):
+    """For each rank i, the table index of its span (V[i-1], V[i]] on every V of ``vs``.
+
+    V[-1] = 0.  A table lists the spans (u, v], 0 <= u <= v <= den, by u
+    and then v, so (u, v] is at ``start[u] + v`` (:meth:`_Pass.table`).
+    """
+    lane = den + 1
+    start = [u * lane - u * (u + 1) // 2 for u in range(lane)]
+    ranks = [(0,) * len(vs), *zip(*vs)]
+    return [[start[u] + v for u, v in zip(low, high)] for low, high in zip(ranks, ranks[1:])]
+
+
+def _record(run, nums, split, soft: int, fail: int) -> None:
+    """Append each check's counterexample on one map, read off the sides ``decide`` returned.
+
+    ``split`` is the map's profile and value tuple.
+    """
     alg, plan, reports = run.alg, run.plan, run.reports
     den, checks, printed = plan.den, plan.checks, plan.printed
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
+    profile, vals = split
+    ranks = list(zip((run.carrier, *profile), (0, *vals), vals))  # (atom id, span (u, v])
     for b, check in enumerate(checks):
         conclusion, premise = soft >> b & 1, fail >> b & 1
         witness = None  # None: the first failing soft level of a witness kind
@@ -493,8 +519,10 @@ def _record(run, nums, bad: int, soft: int, fail: int) -> None:
         else:
             continue
         if witness is None:
-            for kind in kinds:  # the first whose lane meets the levels
-                levels = bad >> KINDS.index(kind) * plan.lane & check.levels
+            for kind in kinds:  # the first that fails at one of the levels: its ranks' spans
+                k = KINDS.index(kind)
+                levels = check.levels & sum((2 << v) - (2 << u) for i, u, v in ranks
+                                            if run.atoms[i] >> k & 1)
                 if levels:
                     break
             # its first failing level by ascending t: the cut index of an
@@ -517,78 +545,84 @@ def _record(run, nums, bad: int, soft: int, fail: int) -> None:
 
 
 class _Pass:
-    """The state of one verification pass, and its decision on one map.
+    """The state of one verification pass, and its decision on the maps of one profile.
 
     A map is a weak order W of the carrier, as its chain of up-sets (see
     :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
     tuple V.  :meth:`atom_id` names each cut's atom, an int holding its
-    failing kinds and, above them, its scan bits.  :meth:`weak` spreads
-    the atoms of a profile over the lanes, :meth:`values` gives the span
-    of cut indices of each rank of V, and :meth:`decide` ORs their
-    products into the packed bits of the map.  Each side of every check
-    fails iff those bits meet its mask in the shared ``plan``, and
-    :meth:`verdicts` reads both sides of every check off them, once per
-    run for each packed value.  ``reports`` are this run's own, one per check.
+    failing kinds and, above them, its scan bits, and ``carrier`` is the id
+    of the rank-0 cut's.  :meth:`table` gives an atom's verdict bits over
+    every span of cut indices, and :meth:`sides` ORs one table entry per
+    rank into S | F << width of each map, from which :meth:`decide` keeps
+    the counterexamples (module docstring, "Per map").  ``reports`` are
+    this run's own, one per check.
     """
 
     def __init__(self, alg, plan: _Plan, reports: list[VerificationReport]):
         self.alg, self.plan, self.reports = alg, plan, reports
-        self.memo = {}     # packed bits -> decide's result
-        self.ids = {}      # atom -> its id
         self.atoms = []    # id -> atom: failing kinds | scan_fails of the indicator << len(KINDS)
+        self.tables = []   # id -> the atom's table, None when it sets no bit; built as needed
         # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
-        self.carrier = filters.classify_filter(alg, (1 << alg.n) - 1).fails
+        self.carrier = self._id(filters.classify_filter(alg, (1 << alg.n) - 1).fails)
+
+    def _id(self, atom):  # the first id of an equal atom, else a new one
+        if atom not in self.atoms:
+            self.atoms.append(atom)
+        return self.atoms.index(atom)
 
     def atom_id(self, cut):
         """The id of the cut's atom, all that :meth:`decide` reads of it; equal atoms share one."""
         alg = self.alg
         atom = filters.classify_filter(alg, cut).fails | scan_fails(alg, cut) << len(KINDS)
-        if atom not in self.ids:
-            self.ids[atom] = len(self.atoms)
-            self.atoms.append(atom)
-        return self.ids[atom]
+        return self._id(atom)
 
-    def weak(self, profile):
-        """The ranks whose cut has a non-empty atom, each with the atom spread over the lanes."""
-        atoms = (self.carrier, *[self.atoms[i] for i in profile])
-        lane = self.plan.lane
-        return [(i, _spread(atom, lane)) for i, atom in enumerate(atoms) if atom]
+    def table(self, atom):
+        """S | F << width, with the route fields, of a rank with ``atom`` over each span (u, v].
 
-    def values(self, vals):
-        """Each rank i's span: its cut indices (vals[i-1], vals[i]] as a bitmask, vals[-1] = 0."""
-        # the cut {x : k[x] >= j} of rank i is the same for every j in its span
-        return [(2 << v) - (2 << u) for u, v in zip((0, *vals), vals)]
+        The spans are listed by u and then v, 0 <= u <= v <= den; the empty
+        span (u, u] sets nothing.  None when the atom sets no bit anywhere.
+        """
+        col = [0] * (self.plan.den + 1)  # the bits at each cut index
+        for b, row in enumerate(self.plan.positions):
+            if atom >> b & 1:
+                col = list(map(or_, col, row))
+        if not any(col):
+            return None
+        return list(chain.from_iterable((0, *accumulate(col[u + 1:], or_))
+                                        for u in range(len(col))))
 
-    def decide(self, w, spans):
-        """(packed bits, S, F) of a counterexample map, else None."""
-        bad = 0
-        for i, lanes in w:
-            bad |= spans[i] * lanes
-        found = self.memo.get(bad, False)
-        if found is False:
-            soft, fail = self.verdicts(bad)
-            found = (bad, soft, fail) if (soft & ~fail) | (fail & ~soft & self.plan.iff) else None
-            self.memo[bad] = found
-        return found
+    def sides(self, profile, cols):
+        """S | F << width of the map of each value tuple: one table entry OR'd per rank.
 
-    def verdicts(self, bad: int) -> tuple[int, int]:
-        """S and F on the packed bits ``bad``: the bits of the checks whose conclusion fails,
-        and of those whose premise fails, with the disagree bit."""
-        plan = self.plan
-        held_soft = held_fail = 0  # the checks whose side holds: bad misses its mask
-        for mask, soft_bits, fail_bits in plan.masks:
-            if not bad & mask:  # most maps meet most masks, so OR the few they miss
-                held_soft |= soft_bits
-                held_fail |= fail_bits
-        every = plan.disagree_bit - 1
-        soft, fail = every & ~held_soft, every & ~held_fail
-        lane = plan.lane
-        lanes = bad >> len(KINDS) * lane  # the scan lanes
-        for span, fails, agree in plan.routes:  # read over the check's own cut indices
-            scans = sum(1 << s for s in range(fails.bit_length()) if lanes >> s * lane & span)
-            if disagree(scans, fails, agree):
-                fail |= plan.disagree_bit
-        return soft, fail
+        ``cols`` are the ranks' table indices (:func:`_columns`).  With the
+        plan's route fields, F's top bit flags the maps whose formulations
+        :func:`~softmtl.fuzzy.disagree`.
+        """
+        tables = self.tables
+        tables += map(self.table, self.atoms[len(tables):])  # the atoms named since the last call
+        bits = None
+        for i, col in zip((self.carrier, *profile), cols):
+            t = tables[i]
+            if t:
+                bits = [t[k] for k in col] if bits is None else \
+                    [s | t[k] for s, k in zip(bits, col)]
+        bits = bits or [0] * len(cols[0])
+        if routes := self.plan.routes:
+            bits = [s | any(disagree(s >> shift, fail, agree) for shift, fail, agree in routes)
+                    << 2 * self.plan.width - 1 for s in bits]
+        return bits
+
+    def decide(self, profile, vs, cols):
+        """(V, S, F) of each counterexample among the maps of the profile and value tuples ``vs``.
+
+        A map is one for some check iff (S & ~F) | (F & ~S & IFF), that is
+        (S ^ F) & (S | IFF), is non-zero.
+        """
+        width, iff = self.plan.width, self.plan.iff
+        every = (1 << width) - 1
+        return [(vals, s & every, s >> width & every)
+                for vals, s in zip(vs, self.sides(profile, cols))
+                if (s ^ s >> width) & (s | iff) & every]
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
@@ -607,24 +641,21 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
         orders = [weak_orders(n, r) for r in ranks]
     else:  # the constant maps, and a off U, b on U: the chains (U,)
         orders = [[()], [(up,) for up in sets]]
-    decide = run.decide
-    found = []  # (map, (packed bits, S, F) from decide) of each counterexample
+    found = []  # (map, (profile, values), S, F) of each counterexample
     levels = _profiles(alg, ids, other, len(orders))
     for r, (of_r, profiles) in enumerate(zip(orders, levels), 1):
-        vs = [(vals, run.values(vals)) for vals in combinations(range(den + 1), r)]
-        # each distinct profile -> (values, decision bits) of its counterexamples
-        decided = {}
-        for profile in profiles:
-            w = run.weak(profile)
-            decided[profile] = [(vals, bits) for vals, spans in vs
-                                if (bits := decide(w, spans)) is not None]
+        vs = list(combinations(range(den + 1), r))
+        cols = _columns(vs, den)
+        # each distinct profile -> (values, S, F) of its counterexamples
+        decided = {profile: run.decide(profile, vs, cols) for profile in profiles}
         if any(decided.values()):  # list the weak orders, only to name their maps
             for order in of_r:
-                for vals, bits in decided[tuple([ids.get(up, other) for up in order])]:
-                    found.append((grid_map(order, vals, n), bits))
+                profile = tuple([ids.get(up, other) for up in order])
+                for vals, soft, fail in decided[profile]:
+                    found.append((grid_map(order, vals, n), (profile, vals), soft, fail))
     found.sort()  # the lexicographic order of the maps
-    for nums, bits in found:
-        _record(run, nums, *bits)
+    for counterexample in found:
+        _record(run, *counterexample)
     return reports
 
 

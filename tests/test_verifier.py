@@ -440,8 +440,8 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
     alg, den = load_algebra(FIXTURE_DOCS["a3"]), 8
     calls = []
     decide = verifier._Pass.decide
-    monkeypatch.setattr(verifier._Pass, "decide",
-                        lambda self, w, v: calls.append(v) or decide(self, w, v))
+    monkeypatch.setattr(verifier._Pass, "decide", lambda self, profile, vs, cols: calls.extend(
+        (profile, vals) for vals in vs) or decide(self, profile, vs, cols))
     reports = verify_all(alg, den)
     assert all(rep.confirmed and rep.checked == (den + 1) ** alg.n for rep in reports)
     # the profiles of the weak orders with r ranks, from every map onto the ranks
@@ -453,7 +453,7 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
                     for ranks in itertools.product(range(r), repeat=alg.n)
                     if len(set(ranks)) == r}
         expected += len(profiles) * math.comb(den + 1, r)
-    assert len(calls) == expected == 6747
+    assert len(calls) == len(set(calls)) == expected == 6747
 
 
 
@@ -528,6 +528,11 @@ def test_the_room_between_up_sets_is_their_longest_chain_of_non_up_sets(name):
 def test_large_exhaustive_runs_confirm_the_catalog(name, den, maps):
     alg = load_named(name)
     assert maps == (den + 1) ** alg.n
+    # the two-valued maps first: a wrong refutation fails here in seconds, before the
+    # exhaustive run lists every weak order of the carrier to name its maps
+    reports = verify_all(alg, den, budget=10**6)
+    assert len(reports) == 31
+    assert all(rep.mode == "two-valued" and rep.confirmed for rep in reports)
     reports = verify_all(alg, den)
     assert len(reports) == 31
     assert all(rep.mode == "exhaustive" and rep.confirmed and rep.checked == maps
@@ -613,10 +618,10 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
     return soft, fail, rel
 
 
-@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a1xb2", "a3xb2"])
 def test_packed_soft_verdicts_are_the_per_check_rule(name):
-    # S and F, the conclusions and premises of every check, read off the same packed bits
-    alg = load_algebra(FIXTURE_DOCS[name])
+    # S and F, the conclusions and premises of every check, read off the verdict tables
+    alg = load_named(name)
     rng = random.Random(17)
     seen = set()  # (counterexample?, disagreement?) of the maps
     refuted = 0  # the bits of the relations that some map refutes
@@ -633,36 +638,65 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
             == {(0, den), (0, den // 2), (den // 2, den), (1, den - 1)}
         iff = 1 << len(checks) | sum(1 << b for b, check in enumerate(checks) if check.iff)
         relations = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is None)
-        run = verifier._Pass(alg, verifier._pack(checks, den), [])
+        plan = verifier._pack(checks, den)
+        every = (1 << plan.width) - 1
+        run = verifier._Pass(alg, plan, [])
         for up in up_sets(alg):
             run.atom_id(up)
         # each atom again with one scan bit flipped: scan bits that do not follow from the kinds
         run.atoms += [atom ^ 1 << len(KINDS) + rng.randrange(len(fuzzy._SCAN_KEYS))
                       for atom in run.atoms]
         decoded = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in run.atoms]
-        maps = [(carrier, tuple(rng.randrange(len(run.atoms)) for _ in range(r - 1)), vals)
-                for carrier in (run.carrier, rng.getrandbits(len(KINDS)))
-                for r in range(1, min(alg.n, den + 1) + 1) for _ in range(4)
-                for vals in itertools.combinations(range(den + 1), r)]
-        for carrier, profile, vals in maps:
+        # the run's carrier, and one failing random kinds and no scan, as a carrier does
+        carriers = (run.carrier, len(run.atoms))
+        run.atoms.append(rng.getrandbits(len(KINDS)))
+        maps = [(carrier, tuple(rng.randrange(len(decoded)) for _ in range(r - 1)), r)
+                for carrier in carriers
+                for r in range(1, min(alg.n, den + 1) + 1) for _ in range(4)]
+        for carrier, profile, r in maps:
             run.carrier = carrier
+            vs = list(itertools.combinations(range(den + 1), r))
+            cols = verifier._columns(vs, den)
+            decided = {vals: (s, f) for vals, s, f in run.decide(profile, vs, cols)}
             atoms = [decoded[i] for i in profile]
-            soft, fail, rel = _literal_verdicts(checks, den, carrier, atoms, vals)
-            bad = 0  # the lane of atom bit i holds the cut indices j whose cut has bit i
-            for j, (kinds, scans) in _cut_atoms(den, carrier, atoms, vals).items():
-                atom = kinds | scans << len(KINDS)
-                bad |= sum(1 << i * (den + 1) + j
-                           for i in range(atom.bit_length()) if atom >> i & 1)
-            assert run.verdicts(bad) == (soft, fail), (carrier, profile, vals)
-            decision = (soft & ~fail) | (fail & ~soft & iff)
-            # the one rule decides each relation as its literal rule does
-            assert decision & relations == rel, (carrier, profile, vals)
-            assert run.decide(run.weak(profile), run.values(vals)) == \
-                ((bad, soft, fail) if decision else None), (carrier, profile, vals)
-            seen.add((bool(decision), bool(fail >> len(checks))))
-            refuted |= rel
+            for vals, bits in zip(vs, run.sides(profile, cols), strict=True):
+                soft, fail, rel = _literal_verdicts(checks, den, run.atoms[carrier], atoms, vals)
+                assert (bits & every, bits >> plan.width & every) == (soft, fail), \
+                    (carrier, profile, vals)
+                decision = (soft & ~fail) | (fail & ~soft & iff)
+                # the one rule decides each relation as its literal rule does
+                assert decision & relations == rel, (carrier, profile, vals)
+                assert decided.pop(vals, None) == ((soft, fail) if decision else None), \
+                    (carrier, profile, vals)
+                seen.add((bool(decision), bool(fail >> len(checks))))
+                refuted |= rel
+            assert not decided
     assert seen == {(False, False), (True, False), (True, True)}
     assert refuted  # so the relation bits were asserted on refutations too
+
+
+@pytest.mark.parametrize("name", ["a2", "a3"])
+def test_a_forward_premise_failing_alone_decides_no_map(name):
+    # An MV- (a2) or G-filter (a3) that is not Boolean fails a forward relation's
+    # premise alone.  The catalog holds, so no profile has a map to record.
+    alg = load_named(name)
+    den = 4
+    plan = _plan(tuple(catalog()), den, None)
+    forward = sum(1 << b for b, check in enumerate(plan.checks) if not check.iff)
+    every = (1 << plan.width) - 1
+    run = verifier._Pass(alg, plan, [])
+    alone = 0  # the checks whose premise fails alone on some map
+    ranks = min(alg.n, den + 1)
+    for r, profiles in enumerate(verifier._profiles(alg, *_walk_ids(run, alg), ranks), 1):
+        vs = list(itertools.combinations(range(den + 1), r))
+        cols = verifier._columns(vs, den)
+        for profile in profiles:
+            assert run.decide(profile, vs, cols) == []
+            for bits in run.sides(profile, cols):
+                soft, fail = bits & every, bits >> plan.width & every
+                assert not soft & ~fail
+                alone |= fail & ~soft
+    assert alone and not alone & ~forward
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
