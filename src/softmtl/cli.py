@@ -1,10 +1,18 @@
 """Command-line front door.
 
-``main`` alone resolves the target algebra, fills in the default grid
-(4, or 2 for carriers of 6 or more elements) and prints.  Each command
-``cmd_x(args, alg)`` only computes its report and returns
-``(code, doc, lines)``: the exit code, the ``--json`` document and the
-text lines.
+``main`` alone parses ``argv`` (``sys.argv[1:]`` when None), resolves
+the target algebra, fills in the default grid (4, or 2 for carriers of 6
+or more elements) and prints.  When ``argv[0]`` names a command, that
+command's own parser reads the rest, one argparse pass rather than two;
+no arguments, ``-h``, an unknown command and any argument left over go
+through the top-level parser, so help, usage and error messages are as
+argparse prints them (:func:`_parse`).  Each command ``cmd_x(args, alg)``
+only computes its report and returns ``(code, doc, lines)``: the exit
+code, the ``--json`` document and the text lines, an iterable that
+:func:`_emit` reads only for text output (``verify-all`` formats its
+lines only then).  :func:`_json` writes the document, with the sorted,
+escaped key heads of each dict shape kept in a cache of at most 64
+(keys, indent) layouts.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
@@ -60,6 +68,21 @@ def _write(text):
         os.close(devnull)
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(keys, newline):
+    """The written shape of a dict with ``keys``: its values' indent, (key, head) pairs, its close.
+
+    The pairs follow the sorted keys, and each head is the text before
+    the value: ``{`` or ``,``, the indent and the escaped key.  sorted()
+    or the escape raises TypeError on a key that is not a str, and
+    lru_cache keeps no result of a call that raises.
+    """
+    inner = newline + "  "
+    heads = tuple((key, ("," if i else "{") + inner + _escape(key) + ": ")
+                  for i, key in enumerate(sorted(keys)))
+    return inner, heads, newline + "}"
+
+
 def _json(doc, newline="\n") -> str:
     """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, for JSON-native documents.
 
@@ -68,7 +91,8 @@ def _json(doc, newline="\n") -> str:
     with str keys, lists, tuples (as lists), str, int, bool and None;
     strings are escaped by the same C function.  Any other key or value
     raises TypeError.  A dict's str, int and bool values, most of a
-    report, are written in place rather than by a call each.
+    report, are written in place rather than by a call each, after the
+    heads that :func:`_layout` keeps for its keys.
     """
     kind = type(doc)
     if kind is str:
@@ -76,10 +100,9 @@ def _json(doc, newline="\n") -> str:
     if kind is dict:
         if not doc:
             return "{}"
-        inner = newline + "  "
+        inner, heads, close = _layout(tuple(doc), newline)
         items = []
-        # sorted() or the escape raises TypeError on a key that is not a str
-        for key in sorted(doc):
+        for key, head in heads:
             value = doc[key]
             kind = type(value)
             if kind is str:
@@ -90,8 +113,8 @@ def _json(doc, newline="\n") -> str:
                 text = "true" if value else "false"
             else:
                 text = _json(value, inner)
-            items.append(_escape(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+            items.append(head + text)
+        return "".join(items) + close
     if kind is list or kind is tuple:
         if not doc:
             return "[]"
@@ -223,13 +246,15 @@ def cmd_verify(args, alg):
 
 def cmd_verify_all(args, alg):
     reports = verifier.verify_all(alg, args.grid, budget=args.budget)
-    lines, bad = [], 0
-    for rep in reports:
-        status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"
-        bad += not rep.confirmed
-        lines.append(f"{rep.theorem:9s} {rep.mode:10s} {rep.checked:6d} checked  {status}")
-    lines.append(f"{len(reports)} theorems, {bad} with counterexamples")
-    return (0 if bad == 0 else 1), {"reports": [r.to_doc() for r in reports]}, lines
+    bad = sum(not rep.confirmed for rep in reports)
+
+    def lines():  # formatted only when printed as text
+        for rep in reports:
+            status = "confirmed" if rep.confirmed else f"FAILED ({len(rep.counterexamples)})"
+            yield f"{rep.theorem:9s} {rep.mode:10s} {rep.checked:6d} checked  {status}"
+        yield f"{len(reports)} theorems, {bad} with counterexamples"
+
+    return (0 if bad == 0 else 1), {"reports": [r.to_doc() for r in reports]}, lines()
 
 
 def cmd_witness(args, alg):
@@ -304,12 +329,34 @@ def build_parser():
     common(sp)
     sp.add_argument("theorem", help="T4.2.13 or T4.3.12")
     sp.set_defaults(fn=cmd_witness)
+    p.commands = sub.choices  # each command's own parser, for _parse
     return p
 
 
+def _parse(argv):
+    """``build_parser().parse_args(argv)``, with one parser pass where argv[0] names a command.
+
+    Then the command's own parser reads the rest, as the top-level one
+    would, and ``command`` is set as argparse sets it.  What it leaves
+    over goes back through the top-level parser, which then prints its own
+    usage and ``unrecognized arguments``.  No arguments, ``-h`` and an
+    unknown command go to the top-level parser.
+    """
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[1:])
+    if rest:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     finally:
         _write("")  # argparse prints --help itself, then exits
     try:

@@ -193,7 +193,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, count
 from operator import or_
 from typing import NamedTuple
@@ -262,7 +262,7 @@ def catalog() -> list[TheoremSpec]:
 
 
 def catalog_by_id() -> dict[str, TheoremSpec]:
-    return {s.id: s for s in catalog()}
+    return {s.id: s for s in _CATALOG}
 
 
 def default_thresholds(den: int) -> tuple[int, int]:
@@ -284,15 +284,8 @@ class VerificationReport:
         return not self.counterexamples
 
     def to_doc(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "algebra": self.algebra,
-            "den": self.den,
-            "checked": self.checked,
-            "mode": self.mode,
-            "confirmed": self.confirmed,
-            "counterexamples": self.counterexamples,
-        }
+        """Every field, and ``confirmed``."""
+        return {**vars(self), "confirmed": self.confirmed}
 
 
 def _check_grid(alg, den) -> None:
@@ -360,7 +353,13 @@ def _profiles(alg, ids: dict[int, int], other: int, ranks: int) -> list[list[tup
     each kept once, and every state kept completes: its run fits between
     its last up-set and the empty set (proof in the module docstring).
     """
-    room = cache(partial(_room, alg.tables.above))
+    rooms = {}
+
+    def room(part):  # _room, once per part in a run
+        if part not in rooms:
+            rooms[part] = _room(alg.tables.above, part)
+        return rooms[part]
+
     states = {((1 << alg.n) - 1, 0, ())}
     levels = [[()]]
     for _ in range(1, ranks):
@@ -394,7 +393,7 @@ class _Check(NamedTuple):
 def _check(spec, den, interval) -> _Check:
     """Resolve one theorem against the 1/den grid."""
     if interval is not None and spec.interval is not None:
-        generic = ", ".join(s.id for s in catalog() if s.interval is None)
+        generic = ", ".join(s.id for s in _CATALOG if s.interval is None)
         raise ValueError(f"{spec.id} is stated over {spec.interval}; "
                          f"only generic-interval theorems ({generic}) take an interval")
     if spec.soft_kind not in SOFT_KINDS:
@@ -470,13 +469,15 @@ def _pack(checks, den) -> _Plan:
 
 
 @lru_cache(maxsize=8)
-def _plan(specs: tuple[TheoremSpec, ...], den: int, interval) -> _Plan:
+def _plan(specs: tuple[TheoremSpec, ...] | None, den: int, interval) -> _Plan:
     """The plan of ``specs`` on the 1/den grid, ``interval`` overriding a generic one's.
 
     It depends only on its arguments, so it is built once and shared by
-    every run with them (module docstring, "Per grid").
+    every run with them (module docstring, "Per grid").  None stands for
+    the catalog, whose 31 specs would each be hashed on every lookup.
     """
-    return _pack([_check(spec, den, interval) for spec in specs], den)
+    return _pack([_check(spec, den, interval)
+                  for spec in (_CATALOG if specs is None else specs)], den)
 
 
 def _columns(vs, den):
@@ -626,9 +627,12 @@ class _Pass:
 
 
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
-    """Run the checks on the maps of ``walk``: the mode, sets and map count of :func:`_walk`."""
+    """Run the checks of ``specs`` (a tuple, or None for the catalog) on the maps of ``walk``.
+
+    ``walk`` is the mode, sets and map count of :func:`_walk`.
+    """
     mode, sets, checked = walk
-    plan = _plan(tuple(specs), den, interval)
+    plan = _plan(specs, den, interval)
     name = "/".join(alg.labels)
     reports = [VerificationReport(check.theorem, name, den, checked, mode)
                for check in plan.checks]
@@ -666,13 +670,13 @@ def verify(alg: FiniteMtlAlgebra, spec: TheoremSpec, den: int, budget: int | Non
     ``interval`` overrides the default (alpha, beta] of a generic-interval
     entry (``spec.interval is None``) and is rejected for any other.
     """
-    return _verify(alg, [spec], den, _walk(alg, den, budget), interval)[0]
+    return _verify(alg, (spec,), den, _walk(alg, den, budget), interval)[0]
 
 
 def verify_all(alg: FiniteMtlAlgebra, den: int,
                budget: int | None = None) -> list[VerificationReport]:
     """Check the whole catalog in one pass over the grid fuzzy sets."""
-    return _verify(alg, _CATALOG, den, _walk(alg, den, budget))
+    return _verify(alg, None, den, _walk(alg, den, budget))
 
 
 def find_strictness_witness(alg: FiniteMtlAlgebra, theorem_id: str, den: int,

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from products import product_doc
-from softmtl import fixtures, verifier
+from softmtl import cli, fixtures, verifier
 from softmtl.cli import _emit, _json, build_parser, main
 from softmtl.fixtures import FIXTURE_DOCS
 from test_golden import GOLDEN
@@ -255,6 +255,38 @@ def test_parser_is_reused_across_calls(capsys):
         assert code == 0 and "confirmed" in out
         code, out, _ = run(capsys, "witness", "b2", "T4.3.12")
         assert code == 0 and "no strictness witness" in out
+
+
+def _outcome(capsys, call):
+    """(what call() returns, or the code it exits with; stdout; stderr)."""
+    try:
+        result = call()
+    except SystemExit as exited:
+        result = exited.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["verify-all", "-h"], ["nope"], ["verify-all"],
+    ["verify-all", "a1", "--grid", "x"],
+    ["witness", "a3", "T4.3.12", "--budget", "10"],  # left over: the top-level message
+    ["verify-all", "a1", "--json", "extra"],
+    ["verify-all", "a1", "--grid", "2", "--json"], ["filters", "a3", "--classify"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    expected = _outcome(capsys, lambda: build_parser().parse_args(argv))
+    parsed = []
+    monkeypatch.setattr(cli, "_emit", lambda args, doc, lines: parsed.append(args))
+    got = _outcome(capsys, lambda: main(argv))
+    if isinstance(expected[0], argparse.Namespace):  # parsed: main runs it with that namespace
+        assert got == (0, "", "") and parsed == [expected[0]]
+    else:  # help or a usage error: the same exit code, stdout and stderr
+        assert got == expected and parsed == []
+    # the console script's main() reads sys.argv[1:] and takes the same path
+    monkeypatch.setattr(sys, "argv", ["softmtl", *argv])
+    first, parsed[:] = parsed[:], []
+    assert _outcome(capsys, main) == got and parsed == first
 
 
 @pytest.mark.parametrize("argv", [

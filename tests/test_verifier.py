@@ -257,7 +257,7 @@ def test_two_valued_runs_give_the_grids_verdicts(name):
         for den in (grid, grid + 4):
             walk = ("two-valued", sets, den + 1 + len(sets) * math.comb(den + 1, 2))
             full = verify(alg, spec, den, interval=kw.get("interval")).counterexamples
-            two = verifier._verify(alg, [spec], den, walk, kw.get("interval"))[0].counterexamples
+            two = verifier._verify(alg, (spec,), den, walk, kw.get("interval"))[0].counterexamples
             docs = {tuple(str(F(k, den)) for k in nums) for nums in two_valued_maps(alg, den)}
             on_maps = [ce for ce in full if tuple(ce["mu"][lab] for lab in alg.labels) in docs]
             assert bool(two) == bool(full), (spec.id, den)
