@@ -4,7 +4,7 @@ from .algebra import (AlgebraError, AxiomReport, FiniteMtlAlgebra,
                       check_derived_laws, load_algebra, require_mtl, validate_mtl)
 from .filters import (FilterClassification, classify_filter,
                       crisp_decomposition_check, enumerate_filters,
-                      generated_filter, is_filter, labels_of, mask_of)
+                      is_filter, labels_of, mask_of)
 from .fixtures import FIXTURE_NAMES, load_fixture, resolve_algebra
 from .fuzzy import FuzzySet
 from .soft import ParameterInterval, SoftSet, build_soft, classify_soft

@@ -180,29 +180,6 @@ def enumerate_filters(alg: FiniteMtlAlgebra) -> list[int]:
     return list(tables.filters)
 
 
-def generated_filter(alg: FiniteMtlAlgebra, mask: int) -> int:
-    """Least filter containing the set: close under product and upward.
-
-    Raises AlgebraError if the tables are not an MTL-algebra.
-    """
-    if mask == 0:
-        raise ValueError("cannot generate a filter from the empty set")
-    _check_mask(alg, mask)
-    require_mtl(alg)
-    cur = mask | 1 << alg.top
-    while True:
-        nxt = cur
-        for x in elements(cur):
-            for y in elements(cur):
-                nxt |= 1 << alg.prod[x][y]
-            for y in range(alg.n):
-                if alg.leq[x][y]:
-                    nxt |= 1 << y
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def crisp_decomposition_check(alg: FiniteMtlAlgebra) -> list[tuple[int, FilterClassification]]:
     """Counterexamples to Boolean <=> (G and MV) over all filters.
 

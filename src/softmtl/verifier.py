@@ -118,13 +118,7 @@ span (u, v] with 0 <= u <= v <= D, and a map's S | F << width is one
 table entry OR'd per rank.  :meth:`_Pass.sides` does that for all value
 tuples of a profile at once, one list per rank, reading each rank's
 table index off columns built once per rank count (:func:`_columns`).
-F has one extra bit, counted as a biconditional and never in S: it is
-set when the formulations of a ``route="all"`` check disagree by its
-agree mask (:func:`softmtl.fuzzy.disagree`) on the scan bits of its own
-range lo+1..hi.  Those bits are an OR too: each such check has a field
-above F in the same per-position ints, holding the bits of its fail mask
-at lo+1..hi, and ``disagree`` reads the field.  A plan without such
-checks never calls it.  A map is a counterexample to some check only if
+A map is a counterexample to some check only if
 (S & ~F) | (F & ~S & IFF), that is (S ^ F) & (S | IFF), is non-zero,
 IFF marking the biconditionals.  Such maps are sorted lexicographically
 and recorded, so every report is the same as that of a pass that runs
@@ -134,30 +128,47 @@ indices as the OR of the spans of the ranks whose atom fails it, and
 looks up only its witness: the first failing soft level by ascending t
 of the first failing witness kind, or one literal scan
 (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
-``route="all"`` check runs its literal formulations on every recorded
-map, so a map whose formulations disagree raises and names the
-lexicographically first such map the pass walks, with no second pass.
-A literal scan that contradicts the scan bits, or a witness level whose
-literal classification passes the kind its bits fail, raises
-RuntimeError; the latter also checks, on every recorded map, that one
-atom stands for all non-up-sets.
+``route="all"`` check also runs its literal formulations on every
+recorded map, a cross-check of the per-set decision below.  A literal
+scan that contradicts the scan bits, or a witness level whose literal
+classification passes the kind its bits fail, raises RuntimeError; the
+latter also checks, on every recorded map, that one atom stands for all
+non-up-sets.
+
+Route "all".  Its formulations are compared only where the conjunct
+passes (:func:`softmtl.fuzzy.disagree`), on the scan bits of lo+1..hi,
+an OR over the chain.  Lemma: they disagree on some map iff on the own
+bits of some set U, and the least such map is 0 off U, lo+1 on U, least
+over those U.  Proof: that map's one cut in range is U.  On a
+disagreeing map m the conjunct passes on every U_i in range, some
+formulation has its bit on none, and another on some U_j, which
+disagrees alone; m >= lo+1 on U_j, so m is at least U_j's map.  With
+sound scans no non-up-set disagrees (below), but a broken filter form
+can make them all disagree, sharing one atom: over all maps the least of
+theirs is that of {x}, x the last element but the top (a singleton is
+an up-set iff it holds the top); a two-valued run walks only the
+representative's.  :func:`_disagreement` tests each up-set and that one
+non-up-set once, before any profile is walked, and names the least (map,
+key), on which the literal scans raise AlgebraError (RuntimeError if
+they agree there).
 
 Per grid.  Resolving the checks and marking their positions reads only
 the specs, the grid and the interval, never the algebra.  So
 :func:`_plan` builds them once per (specs, D, interval) into one
 immutable plan, of tuples, ints and strs: each check's thresholds,
 levels, fuzzy key, relation kinds, iff flag and theorem id, the int of
-each position and the route fields, the bits of the biconditionals, and
-the D+1 grid values as a counterexample prints them.  It keeps the last
-8 plans (``functools.lru_cache``), so repeated runs at one grid, on any
-algebra, share one; each plan holds no algebra and grows only with D,
-about 22 KB for the catalog at D=24.  Each run makes its own reports,
-atom ids, profiles, tables, value tuples and columns.  A table holds
-(D+1)(D+2)/2 ints, about as many as the C(D+1, 2) value tuples of r = 2,
-so the tables hold atoms x (D+1)(D+2)/2 in all; on a fine grid that is
-far below the C(D+1, r) tuples of the largest r (a3 at D=24: 3 tables
-of 325 ints, about 41 KB, against 177100 tuples at r = 6).  All of it
-stays on the run and goes with it, and no memo grows with the maps.
+each position, the distinct ``route="all"`` keys, the bits of the
+biconditionals, and the D+1 grid values as a counterexample prints
+them.  It keeps the last 8 plans (``functools.lru_cache``), so repeated
+runs at one grid, on any algebra, share one; each plan holds no algebra
+and grows only with D, about 22 KB for the catalog at D=24.  Each run
+makes its own reports, atom ids, profiles, tables, value tuples and
+columns.  A table holds (D+1)(D+2)/2 ints, about as many as the C(D+1,
+2) value tuples of r = 2, so the tables hold atoms x (D+1)(D+2)/2 in
+all; on a fine grid that is far below the C(D+1, r) tuples of the
+largest r (a3 at D=24: 3 tables of 325 ints, about 41 KB, against 177100
+tuples at r = 6).  All of it stays on the run and goes with it, and no
+memo grows with the maps.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
@@ -170,13 +181,12 @@ only to name counterexamples.  The maps are grid maps, so their records
 are the grid's on them, and each check the grid refutes is refuted on
 one of them:
 
-- Per-U_i split.  S, F and each agree bit are ORs over a map's chain.
-  U_i counts where its span (V[i-1], V[i]] meets a mask's cut indices,
-  the levels or lo+1..hi, which (V[i-1], V[i]) fixes; U_0, the
-  carrier, fails no kind and no scan.  So the U_i that sets the failing
-  side of a counterexample, or an agree bit of a disagreement (U_i lacks
-  every bit the OR lacks), makes the grid map V[i-1] off U_i, V[i] on
-  U_i fail the same way.
+- Per-U_i split.  S, F and a ``route="all"`` check's scan bits are ORs
+  over a map's chain.  U_i counts where its span (V[i-1], V[i]] meets a
+  mask's cut indices, the levels or lo+1..hi, which (V[i-1], V[i])
+  fixes; U_0, the carrier, fails no kind and no scan.  So the U_i that
+  sets the failing side of a counterexample, or disagrees (Route "all"),
+  makes the grid map V[i-1] off U_i, V[i] on U_i do the same.
 - One atom for every non-up-set.  A set with x <= y, x in it and y not,
   is no filter, so it fails every kind.  On its indicator the unit check
   (1 not in it) or mp at (x, y) fails, as x -> y = 1, and so does the
@@ -201,12 +211,9 @@ from typing import NamedTuple
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, check_den, disagree, family_bounds, grid_map, resolve_route,
-                    scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
+from .fuzzy import (FuzzySet, check_den, disagree, family_bounds, grid_map, map_doc,
+                    resolve_route, scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
 from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
-
-RELATION_IDS = ("T4.2.13", "T4.3.12", "T4.3.13")
-
 
 @dataclass(frozen=True)
 class TheoremSpec:
@@ -420,22 +427,22 @@ class _Plan(NamedTuple):
 
     Each position (atom bit b, cut index j) has one int, ``positions[b][j]``:
     S | F << width, the checks whose conclusion (S) or premise (F) mask
-    holds it, with the scan bits of each ``route="all"`` field above them
-    (module docstring, "Per map").
+    holds it (module docstring, "Per map").  ``all_routes`` holds the
+    distinct fuzzy keys of the ``route="all"`` checks (:func:`_disagreement`).
     """
 
     checks: tuple[_Check, ...]
     den: int
     positions: tuple[tuple[int, ...], ...]
-    width: int                     # F's bits start here; its top bit flags disagreeing formulations
-    routes: tuple[tuple[int, int, int], ...]  # (shift, fail, agree) of each route="all" field
-    iff: int                       # the bits of the biconditionals, with the disagree bit
+    width: int                     # F's bits start here: one per check
+    all_routes: tuple[tuple, ...]
+    iff: int                       # the bits of the biconditionals
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
 
 
 def _pack(checks, den) -> _Plan:
-    """Mark each check's two sides, and each route field, at the positions their masks hold."""
-    lane, width = den + 1, len(checks) + 1
+    """Mark each check's two sides at the positions their masks hold."""
+    lane, width = den + 1, len(checks)
     rows = []  # atom bit -> its int at each cut index
 
     def put(atom, cuts, bits):  # at each position (b, j), b a bit of ``atom``, j one of ``cuts``
@@ -445,7 +452,6 @@ def _pack(checks, den) -> _Plan:
                 if atom >> b & cuts >> j & 1:
                     row[j] |= bits
 
-    routes, shift = [], 2 * width
     for c, check in enumerate(checks):
         for kind in check.rhs or (check.kind,):
             put(1 << KINDS.index(kind), check.levels, 1 << c)
@@ -454,17 +460,11 @@ def _pack(checks, den) -> _Plan:
             continue
         # the fuzzy side: the scan bits of its fail mask over the cut indices lo+1..hi
         kind, lo, hi, route = check.fuzzy
-        fail, agree = scan_masks(kind, route)
-        span = (2 << hi) - (2 << lo)
-        put(fail << len(KINDS), span, 1 << width + c)
-        if route == "all":  # its field holds scan bit s at bit shift + s
-            for s in range(fail.bit_length()):
-                put((fail & 1 << s) << len(KINDS), span, 1 << shift + s)
-            routes.append((shift, fail, agree))
-            shift += fail.bit_length()
+        put(scan_masks(kind, route)[0] << len(KINDS), (2 << hi) - (2 << lo), 1 << width + c)
     return _Plan(
-        tuple(checks), den, tuple(map(tuple, rows)), width, tuple(routes),
-        1 << len(checks) | sum(1 << c for c, check in enumerate(checks) if check.iff),
+        tuple(checks), den, tuple(map(tuple, rows)), width,
+        tuple({check.fuzzy for check in checks if check.fuzzy and check.fuzzy[3] == "all"}),
+        sum(1 << c for c, check in enumerate(checks) if check.iff),
         tuple(str(Fraction(k, den)) for k in range(lane)))
 
 
@@ -490,6 +490,18 @@ def _columns(vs, den):
     start = [u * lane - u * (u + 1) // 2 for u in range(lane)]
     ranks = [(0,) * len(vs), *zip(*vs)]
     return [[start[u] + v for u, v in zip(low, high)] for low, high in zip(ranks, ranks[1:])]
+
+
+def _disagreement(keys, ids, atoms, n):
+    """The least (map, key) on which the formulations of a ``route="all"`` key disagree, or None.
+
+    ``ids`` maps the up-sets, and one non-up-set for all, to their atoms'
+    indices in ``atoms``.  The map is 0 off U, lo+1 on U for a set U
+    whose own scan bits disagree (module docstring, "Route "all"").
+    """
+    return min([(grid_map((up,), (0, key[1] + 1), n), key) for key in keys
+                for up, i in ids.items()
+                if disagree(atoms[i] >> len(KINDS), *scan_masks(key[0], "all"))], default=None)
 
 
 def _record(run, nums, split, soft: int, fail: int) -> None:
@@ -540,9 +552,6 @@ def _record(run, nums, split, soft: int, fail: int) -> None:
             witness = (printed[cut_index(check.soft_kind, j, den)], key, cls.witnesses.get(key))
         reports[b].counterexamples.append(
             {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
-    if fail >> len(checks):
-        raise RuntimeError(f"the scan bits flag disagreeing formulations on {doc}, "
-                           f"and the literal scans agree")
 
 
 class _Pass:
@@ -578,7 +587,7 @@ class _Pass:
         return self._id(atom)
 
     def table(self, atom):
-        """S | F << width, with the route fields, of a rank with ``atom`` over each span (u, v].
+        """S | F << width of a rank with ``atom`` over each span (u, v].
 
         The spans are listed by u and then v, 0 <= u <= v <= den; the empty
         span (u, u] sets nothing.  None when the atom sets no bit anywhere.
@@ -595,9 +604,7 @@ class _Pass:
     def sides(self, profile, cols):
         """S | F << width of the map of each value tuple: one table entry OR'd per rank.
 
-        ``cols`` are the ranks' table indices (:func:`_columns`).  With the
-        plan's route fields, F's top bit flags the maps whose formulations
-        :func:`~softmtl.fuzzy.disagree`.
+        ``cols`` are the ranks' table indices (:func:`_columns`).
         """
         tables = self.tables
         tables += map(self.table, self.atoms[len(tables):])  # the atoms named since the last call
@@ -607,11 +614,7 @@ class _Pass:
             if t:
                 bits = [t[k] for k in col] if bits is None else \
                     [s | t[k] for s, k in zip(bits, col)]
-        bits = bits or [0] * len(cols[0])
-        if routes := self.plan.routes:
-            bits = [s | any(disagree(s >> shift, fail, agree) for shift, fail, agree in routes)
-                    << 2 * self.plan.width - 1 for s in bits]
-        return bits
+        return bits or [0] * len(cols[0])
 
     def decide(self, profile, vs, cols):
         """(V, S, F) of each counterexample among the maps of the profile and value tuples ``vs``.
@@ -621,7 +624,7 @@ class _Pass:
         """
         width, iff = self.plan.width, self.plan.iff
         every = (1 << width) - 1
-        return [(vals, s & every, s >> width & every)
+        return [(vals, s & every, s >> width)
                 for vals, s in zip(vs, self.sides(profile, cols))
                 if (s ^ s >> width) & (s | iff) & every]
 
@@ -643,8 +646,15 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     if mode == "exhaustive":  # every map: the chains of any non-empty proper subsets
         ranks = range(1, min(n, den + 1) + 1)
         orders = [weak_orders(n, r) for r in ranks]
+        # the lexicographically least non-up-set: {x}, x the last element but the top
+        rep = 1 << n - 1 - (alg.top == n - 1)
     else:  # the constant maps, and a off U, b on U: the chains (U,)
         orders = [[()], [(up,) for up in sets]]
+    if plan.all_routes and (least := _disagreement(plan.all_routes, ids | {rep: other},
+                                                   run.atoms, n)):
+        variant_witness(alg, den, *least)  # raises AlgebraError, naming the map
+        raise RuntimeError(f"the scan bits flag disagreeing formulations on "
+                           f"{map_doc(alg, den, least[0])}, and the literal scans agree")
     found = []  # (map, (profile, values), S, F) of each counterexample
     levels = _profiles(alg, ids, other, len(orders))
     for r, (of_r, profiles) in enumerate(zip(orders, levels), 1):

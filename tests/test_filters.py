@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 
 import pytest
@@ -9,8 +8,7 @@ from reference import crisp_witness
 from softmtl import filters
 from softmtl.cli import main
 from softmtl.filters import (KINDS, classify_filter, crisp_decomposition_check, elements,
-                             enumerate_filters, generated_filter, is_filter,
-                             labels_of, mask_of)
+                             enumerate_filters, is_filter, labels_of, mask_of)
 from softmtl.fixtures import load_fixture
 
 
@@ -106,31 +104,6 @@ def test_crisp_decomposition(name):
     assert crisp_decomposition_check(load_fixture(name)) == []
 
 
-def test_generated_filter_examples(a1, a3):
-    assert set(labels_of(a1, generated_filter(a1, mask_of(a1, ["b"])))) == {"a", "b", "1"}
-    assert set(labels_of(a1, generated_filter(a1, mask_of(a1, ["1"])))) == {"1"}
-    got = generated_filter(a3, mask_of(a3, ["c"]))
-    assert got & mask_of(a3, ["c", "a", "b", "1"]) == mask_of(a3, ["c", "a", "b", "1"])
-    assert is_filter(a3, got)
-
-
-@pytest.mark.parametrize("name", ["a1", "a2", "a3"])
-def test_generated_filter_is_a_closure_operator(name):
-    alg = load_fixture(name)
-    masks = list(range(1, 1 << alg.n))
-    for s in masks:
-        g = generated_filter(alg, s)
-        assert g & s == s                       # extensive
-        assert generated_filter(alg, g) == g    # idempotent
-        assert is_filter(alg, g)
-    for s, t in itertools.combinations(masks, 2):
-        if s & t == s:  # s subset of t
-            gs, gt = generated_filter(alg, s), generated_filter(alg, t)
-            assert gs & gt == gs                # monotone
-    for f in enumerate_filters(alg):
-        assert generated_filter(alg, f) == f    # filters are fixpoints
-
-
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2", "a3xb2"])
 def test_enumeration_matches_every_subset_scan(name):
     alg = load_named(name)
@@ -161,7 +134,7 @@ def test_enumeration_is_cached_and_scans_no_subsets(monkeypatch):
 
 @pytest.mark.parametrize("mask", [-1, -16, 1 << 4, 1 << 10 | 1])
 def test_mask_outside_carrier_rejected(a1, mask):
-    for call in (is_filter, classify_filter, generated_filter):
+    for call in (is_filter, classify_filter):
         with pytest.raises(ValueError, match="not a subset of the 4-element carrier"):
             call(a1, mask)
     assert mask not in a1.tables.classifications

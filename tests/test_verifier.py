@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -15,7 +16,7 @@ from softmtl import algebra, fixtures, fuzzy, verifier
 from softmtl.cli import main
 from products import load_named, single_cell_mutations
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
-from softmtl.filters import KINDS, classify_filter, enumerate_filters, generated_filter
+from softmtl.filters import KINDS, classify_filter, enumerate_filters
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 from softmtl.soft import FULL, LOWER, ParameterInterval, build_soft, classify_soft, cut_index
 from softmtl.fuzzy import FuzzySet, check_fuzzy_witness, grid_map, up_sets, weak_orders
@@ -220,7 +221,6 @@ def test_non_mtl_tables_rejected(name, monkeypatch):
                      lambda: find_strictness_witness(alg, "T4.2.13", 2),
                      lambda: enumerate_filters(alg),
                      lambda: classify_filter(alg, 1 << alg.top),
-                     lambda: generated_filter(alg, 1 << alg.top),
                      lambda: check_fuzzy_witness(mu, "plain", "filter")):
             with pytest.raises(AlgebraError, match="inconsistent"):
                 call()
@@ -427,13 +427,13 @@ def test_a_literal_scan_that_contradicts_the_bits_is_an_internal_error(monkeypat
 
 
 def test_a_disagree_bit_the_literal_scans_do_not_share_is_an_internal_error(monkeypatch):
-    # every map is flagged, and on the constant 0 map nothing else fails
+    # every set is flagged, so the least flagged map is 0 off {1} and 1/2 on it
     monkeypatch.setattr(verifier, "disagree", lambda bits, fail, agree: True)
     alg = load_algebra(FIXTURE_DOCS["a1"])
     spec = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
     with pytest.raises(RuntimeError, match="formulations on ") as raised:
         verify(alg, spec, 2)
-    assert str({"0": "0", "a": "0", "b": "0", "1": "0"}) in str(raised.value)
+    assert str({"0": "0", "a": "0", "b": "0", "1": "1/2"}) in str(raised.value)
 
 
 def test_the_pass_decides_once_per_profile(monkeypatch):
@@ -611,10 +611,7 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
         scans = 0
         for _, bits in atoms[low:high]:  # U_low+1, ..., U_high
             scans |= bits
-        fail_mask, agree = fuzzy.scan_masks(kind, route)
-        fail |= bool(scans & fail_mask) << b
-        if route == "all" and fuzzy.disagree(scans, fail_mask, agree):
-            fail |= 1 << len(checks)
+        fail |= bool(scans & fuzzy.scan_masks(kind, route)[0]) << b
     return soft, fail, rel
 
 
@@ -623,7 +620,7 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
     # S and F, the conclusions and premises of every check, read off the verdict tables
     alg = load_named(name)
     rng = random.Random(17)
-    seen = set()  # (counterexample?, disagreement?) of the maps
+    seen = set()  # counterexample? of the maps
     refuted = 0  # the bits of the relations that some map refutes
     for den in (4, 8):
         # the catalog, the false specs and route "all": every soft kind, interval and
@@ -636,7 +633,7 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
                    if check.fuzzy and check.fuzzy[0] in ("filter", "boolean")]
         assert {check.fuzzy[1:3] for check in checks if check.fuzzy and check.fuzzy[3] == "all"} \
             == {(0, den), (0, den // 2), (den // 2, den), (1, den - 1)}
-        iff = 1 << len(checks) | sum(1 << b for b, check in enumerate(checks) if check.iff)
+        iff = sum(1 << b for b, check in enumerate(checks) if check.iff)
         relations = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is None)
         plan = verifier._pack(checks, den)
         every = (1 << plan.width) - 1
@@ -661,17 +658,17 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
             atoms = [decoded[i] for i in profile]
             for vals, bits in zip(vs, run.sides(profile, cols), strict=True):
                 soft, fail, rel = _literal_verdicts(checks, den, run.atoms[carrier], atoms, vals)
-                assert (bits & every, bits >> plan.width & every) == (soft, fail), \
+                assert (bits & every, bits >> plan.width) == (soft, fail), \
                     (carrier, profile, vals)
                 decision = (soft & ~fail) | (fail & ~soft & iff)
                 # the one rule decides each relation as its literal rule does
                 assert decision & relations == rel, (carrier, profile, vals)
                 assert decided.pop(vals, None) == ((soft, fail) if decision else None), \
                     (carrier, profile, vals)
-                seen.add((bool(decision), bool(fail >> len(checks))))
+                seen.add(bool(decision))
                 refuted |= rel
             assert not decided
-    assert seen == {(False, False), (True, False), (True, True)}
+    assert seen == {False, True}
     assert refuted  # so the relation bits were asserted on refutations too
 
 
@@ -817,10 +814,10 @@ def test_specs_hash_by_id_and_plan_by_value(a1):
     assert verify(a1, t312, 4).to_doc() == expected
 
 
-def _disagreement(alg, den, nums):
-    """The message the plain Boolean ``route="all"`` check raises on the map, or None."""
+def _disagreement(alg, den, nums, kind="boolean"):
+    """The message the plain ``route="all"`` check of the kind raises on the map, or None."""
     try:
-        check_fuzzy_witness(FuzzySet(alg, den, nums), "plain", "boolean", "all")
+        check_fuzzy_witness(FuzzySet(alg, den, nums), "plain", kind, "all")
     except AlgebraError as single:
         return str(single)
     return None
@@ -879,3 +876,76 @@ def test_disagreeing_routes_are_named_where_the_soft_side_fails_too(monkeypatch)
     assert _disagreement(alg, 4, first) == str(raised.value)
     mu = FuzzySet(alg, 4, first)
     assert not classify_soft(build_soft(mu, FULL, "in"), "boolean")[0]
+
+
+def _fails_off_constants(alg, c):
+    return ("broken",) if len(set(c)) > 1 else None
+
+
+@pytest.mark.parametrize("broken", [_fails_off_constants, lambda alg, c: None],
+                         ids=["fails-non-constant", "passes-all"])
+@pytest.mark.parametrize("kind, route", [(kind, route) for kind, routes in
+                                         fuzzy.PLAIN_ROUTES.items() for route in routes])
+@pytest.mark.parametrize("name", ["a1", "a3"])
+def test_disagreeing_routes_name_the_first_map_whichever_form_breaks(monkeypatch, name,
+                                                                       kind, route, broken):
+    # a fresh algebra, one plain formulation broken: the run raises on the lexicographically
+    # first map on which the check alone raises, and confirms when there is none
+    alg = load_algebra(FIXTURE_DOCS[name])
+    monkeypatch.setitem(fuzzy._SCANS, (kind, route), broken)
+    maps = itertools.product(range(3), repeat=alg.n)
+    first = next(filter(None, (_disagreement(alg, 2, nums, kind) for nums in maps)), None)
+    spec = TheoremSpec("all-routes", "in", FULL, kind, "plain", route="all")
+    if first is None:
+        assert verify(alg, spec, 2).checked == 3 ** alg.n
+    else:
+        with pytest.raises(AlgebraError) as raised:
+            verify(alg, spec, 2)
+        assert str(raised.value) == first
+
+
+@pytest.mark.parametrize("name, den", [("a1", 4), ("a3", 2)])
+def test_formulations_disagree_on_some_map_iff_on_some_set(name, den):
+    # Scan bits flipped at random on a few up-sets, route "all" at the bounds of every family:
+    # some map disagrees iff some set's own bits do, and _disagreement names the least such
+    # (map, key).  By the literal rule, a map's bits are the OR of its cuts' at lo+1..hi, each
+    # set's own (flipped on an up-set), and the formulations disagree when their verdicts
+    # differ, a failing conjunct failing them all.
+    alg = load_named(name)
+    rng = random.Random(29)
+    ups = up_sets(alg)
+    sets = (*ups, next(mask for mask in itertools.count(1) if mask not in ups))
+    ids = {s: i for i, s in enumerate(sets)}
+    own = [fuzzy.scan_fails(alg, s) for s in range(1 << alg.n)]
+    maps = list(itertools.product(range(den + 1), repeat=alg.n))  # lexicographic
+    cuts = [[sum(1 << x for x, k in enumerate(nums) if k >= j) for j in range(den + 1)]
+            for nums in maps]
+    bounds = sorted({(0, den), (0, den // 2), (den // 2, den), default_thresholds(den)})
+    every = [(kind, lo, hi, "all") for lo, hi in bounds for kind in fuzzy.PLAIN_ROUTES]
+    conjunct = fuzzy._CONJUNCT_BIT
+
+    def verdicts(bits, kind):  # does each formulation fail?
+        gate = conjunct if fuzzy._conjoined(kind) else 0
+        return {bool(bits & (gate | 1 << fuzzy._SCAN_KEYS.index((kind, r))))
+                for r in fuzzy.PLAIN_ROUTES[kind]}
+
+    named = set()  # the bounds of the keys named
+    for _ in range(40):
+        bits = list(own)
+        for up in rng.sample(ups, rng.randrange(min(len(ups), 3) + 1)):
+            bits[up] ^= 1 << rng.randrange(len(fuzzy._SCAN_KEYS))
+        # some keys only: with lo = 0 the least map is never one of a greater lo
+        keys = rng.sample(every, rng.randrange(len(every)) + 1)
+        firsts = []  # (the first map that disagrees, key) of each key with one
+        for key in keys:
+            kind, lo, hi, _ = key
+            ored = (functools.reduce(operator.or_, [bits[cut] for cut in at[lo + 1:hi + 1]])
+                    for at in cuts)
+            first = next((nums for nums, b in zip(maps, ored) if len(verdicts(b, kind)) == 2), None)
+            if first is not None:
+                firsts.append((first, key))
+        expected = min(firsts, default=None)
+        atoms = [bits[s] << len(KINDS) | rng.getrandbits(len(KINDS)) for s in sets]
+        assert verifier._disagreement(keys, ids, atoms, alg.n) == expected
+        named.add(expected and expected[1][1:3])
+    assert None in named and any(bounds and bounds[0] for bounds in named)  # lo > 0 named
