@@ -9,10 +9,13 @@ through the top-level parser, so help, usage and error messages are as
 argparse prints them (:func:`_parse`).  Each command ``cmd_x(args, alg)``
 only computes its report and returns ``(code, doc, lines)``: the exit
 code, the ``--json`` document and the text lines, an iterable that
-:func:`_emit` reads only for text output (``verify-all`` formats its
-lines only then).  :func:`_json` writes the document, with the sorted,
-escaped key heads of each dict shape kept in a cache of at most 64
-(keys, indent) layouts.
+:func:`_emit` reads only for text output (``verify`` and ``verify-all``
+format their lines only then).  :func:`_json` writes the document, with
+the sorted, escaped key heads of each dict shape kept in a cache of at
+most 64 (keys, indent) layouts.  ``verify`` and ``verify-all`` put their
+``VerificationReport`` objects themselves in the document, and
+:func:`_report` writes each one from one template, as ``json.dumps``
+writes its ``to_doc()``; so text output builds no document at all.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
@@ -32,6 +35,7 @@ import traceback
 from fractions import Fraction
 
 from . import algebra, filters, fixtures, fuzzy, soft, verifier
+from .verifier import VerificationReport
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -83,20 +87,42 @@ def _layout(keys, newline):
     return inner, heads, newline + "}"
 
 
+def _report(rep, newline) -> str:
+    """What :func:`_json` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
+
+    The str fields are escaped and ``den`` and ``checked`` written by
+    ``int.__repr__``; both raise TypeError on a value that is not a str or
+    an int (the verifier never puts a bool there).  The counterexamples go
+    to :func:`_json`.
+    """
+    inner = newline + "  "
+    ces = rep.counterexamples
+    return (f'{{{inner}"algebra": {_escape(rep.algebra)}'
+            f',{inner}"checked": {int.__repr__(rep.checked)}'
+            f',{inner}"confirmed": {"true" if rep.confirmed else "false"}'
+            f',{inner}"counterexamples": {_json(ces, inner) if ces else "[]"}'
+            f',{inner}"den": {int.__repr__(rep.den)}'
+            f',{inner}"mode": {_escape(rep.mode)}'
+            f',{inner}"theorem": {_escape(rep.theorem)}{newline}}}')
+
+
 def _json(doc, newline="\n") -> str:
     """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, for JSON-native documents.
 
     With an indent, ``json.dumps`` runs CPython's pure-Python encoder, and
     for a small report that costs more than the run.  This writes dicts
     with str keys, lists, tuples (as lists), str, int, bool and None;
-    strings are escaped by the same C function.  Any other key or value
-    raises TypeError.  A dict's str, int and bool values, most of a
-    report, are written in place rather than by a call each, after the
+    strings are escaped by the same C function.  A ``VerificationReport``
+    is written by :func:`_report`, as its ``to_doc()`` would be.  Any
+    other key or value raises TypeError.  A dict's str, int and bool
+    values are written in place rather than by a call each, after the
     heads that :func:`_layout` keeps for its keys.
     """
     kind = type(doc)
     if kind is str:
         return _escape(doc)
+    if kind is VerificationReport:
+        return _report(doc, newline)
     if kind is dict:
         if not doc:
             return "{}"
@@ -130,11 +156,19 @@ def _json(doc, newline="\n") -> str:
     raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
+def _report_doc(obj):
+    """``json.dumps``' ``default``: a report as its ``to_doc()``; any other object raises."""
+    if type(obj) is not VerificationReport:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.to_doc()
+
+
 def _emit(args, doc, text_lines):
     """Print the report; ``--json`` prints ``json.dumps(doc, indent=2, sort_keys=True)``.
 
     :func:`_json` writes those bytes, and a document it cannot write goes
-    to ``json.dumps`` whole, so the output never depends on which wrote it.
+    to ``json.dumps`` whole, with each report as its ``to_doc()``, so the
+    output never depends on which wrote it.
     """
     if not args.json:
         text = "\n".join(text_lines)
@@ -142,7 +176,7 @@ def _emit(args, doc, text_lines):
         try:
             text = _json(doc)
         except TypeError:
-            text = json.dumps(doc, indent=2, sort_keys=True)
+            text = json.dumps(doc, indent=2, sort_keys=True, default=_report_doc)
     _write(text + "\n")
 
 
@@ -235,13 +269,15 @@ def cmd_verify(args, alg):
         raise ValueError(f"unknown theorem id {args.theorem!r}; known: {', '.join(specs)}")
     iv = soft.ParameterInterval.parse(args.interval) if args.interval else None
     rep = verifier.verify(alg, specs[args.theorem], den, budget=args.budget, interval=iv)
-    doc = rep.to_doc()
-    status = "confirmed" if rep.confirmed else f"{len(rep.counterexamples)} counterexample(s)"
-    lines = [f"{rep.theorem} on {rep.algebra} at D={den} ({rep.mode}, "
-             f"{rep.checked} fuzzy sets): {status}"]
-    for ce in rep.counterexamples[:5]:
-        lines.append(f"  {ce['direction']} fails for mu={ce['mu']} witness={ce['witness']}")
-    return (0 if rep.confirmed else 1), doc, lines
+
+    def lines():  # formatted only when printed as text
+        status = "confirmed" if rep.confirmed else f"{len(rep.counterexamples)} counterexample(s)"
+        yield (f"{rep.theorem} on {rep.algebra} at D={den} ({rep.mode}, "
+               f"{rep.checked} fuzzy sets): {status}")
+        for ce in rep.counterexamples[:5]:
+            yield f"  {ce['direction']} fails for mu={ce['mu']} witness={ce['witness']}"
+
+    return (0 if rep.confirmed else 1), rep, lines()
 
 
 def cmd_verify_all(args, alg):
@@ -254,7 +290,7 @@ def cmd_verify_all(args, alg):
             yield f"{rep.theorem:9s} {rep.mode:10s} {rep.checked:6d} checked  {status}"
         yield f"{len(reports)} theorems, {bad} with counterexamples"
 
-    return (0 if bad == 0 else 1), {"reports": [r.to_doc() for r in reports]}, lines()
+    return (0 if bad == 0 else 1), {"reports": reports}, lines()
 
 
 def cmd_witness(args, alg):

@@ -1,5 +1,7 @@
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from products import product_doc
 from softmtl import cli, fixtures, verifier
 from softmtl.cli import _emit, _json, build_parser, main
-from softmtl.fixtures import FIXTURE_DOCS
-from test_golden import GOLDEN
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
+from softmtl.verifier import VerificationReport, verify, verify_all
+from test_golden import CLI_RUNS, FALSE_SPECS, GOLDEN, golden_path, render_cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -429,13 +432,76 @@ def test_the_json_writer_prints_what_json_dumps_prints(doc):
     assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _report_of(counterexample):
+    return VerificationReport("T", "a1", 4, 1, counterexamples=[counterexample])
+
+
+def _as_docs(doc):
+    """``doc`` with each report in it replaced by its ``to_doc()``."""
+    if type(doc) is VerificationReport:
+        return doc.to_doc()
+    if isinstance(doc, dict):
+        return {key: _as_docs(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_docs(item) for item in doc]
+    return doc
+
+
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": [0.5]}, [{"b": {True: None}}],
-                                 ("x", {"y": [2, 1e300]}), {"z": type("Label", (str,), {})("s")}])
+                                 ("x", {"y": [2, 1e300]}), {"z": type("Label", (str,), {})("s")},
+                                 {"reports": [_report_of({"mu": {"0": 0.5}, "witness": []})]},
+                                 _report_of({"witness": [type("Label", (str,), {})("a")]})])
 def test_a_document_the_writer_cannot_print_goes_to_json_dumps(capsys, doc):
     with pytest.raises(TypeError):
         _json(doc)
     _emit(argparse.Namespace(json=True), doc, [])
-    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(_as_docs(doc), indent=2, sort_keys=True) + "\n"
+
+
+@functools.cache
+def _reports(source):
+    """The reports of a false spec, by its id, or of the catalog on a fixture at a grid."""
+    if source in ("a1-D4", "a3-D12"):
+        name, den = source.split("-D")
+        return verify_all(load_fixture(name), int(den), budget=1_000_000)
+    (name, den, spec, kw), = [entry for entry in FALSE_SPECS if entry[2].id == source]
+    return [verify(load_fixture(name), spec, den, **kw)]
+
+
+def _first_difference(text, expected):
+    """None, or the first line where two texts differ: pytest's own diff of long texts is slow."""
+    if text == expected:
+        return None
+    pairs = zip(text.splitlines(), expected.splitlines())
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b),
+                ("lengths", len(text), len(expected)))
+
+
+@pytest.mark.parametrize("source", [entry[2].id for entry in FALSE_SPECS] + ["a1-D4", "a3-D12"])
+def test_the_report_template_prints_what_json_dumps_prints_of_its_doc(source):
+    reports = _reports(source)
+    assert source != "a3-D12" or {rep.mode for rep in reports} == {"two-valued"}
+    for rep in reports:
+        for doc, plain in ((rep, rep.to_doc()), ({"reports": [rep]}, {"reports": [rep.to_doc()]})):
+            expected = json.dumps(plain, indent=2, sort_keys=True)
+            assert _first_difference(_json(doc), expected) is None
+
+
+def test_the_report_template_prints_every_field_and_confirmed():
+    for rep in _reports("a1-D4")[:1] + _reports("false-eiq-over-full"):
+        keys = list(json.loads(_json(rep)))
+        assert keys == sorted([f.name for f in dataclasses.fields(VerificationReport)]
+                              + ["confirmed"])
+
+
+@pytest.mark.parametrize("name", ["verify-all-a3-D2", "verify-all-a3-D2-text",
+                                  "verify-a3-T4.1.12-D4-interval"])
+def test_the_verify_commands_print_without_a_report_document(monkeypatch, name):
+    def refused(self):
+        raise AssertionError("a report was turned into a dict")
+
+    monkeypatch.setattr(VerificationReport, "to_doc", refused)
+    assert render_cli(CLI_RUNS[name]).encode() == golden_path(name).read_bytes()
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)

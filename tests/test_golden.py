@@ -43,6 +43,8 @@ CLI_RUNS = {
     "verify-all-a3-D12-two-valued": ["verify-all", "a3", "--grid", "12", "--budget", "1000000",
                                      "--json"],
     "verify-all-a3-D2-text": ["verify-all", "a3", "--grid", "2", "--budget", "1000000"],
+    "verify-a3-T4.1.12-D4-interval": ["verify", "a3", "T4.1.12", "--grid", "4", "--interval",
+                                      "1/4,3/4", "--budget", "1000000", "--json"],
     "filters-a3-classify": ["filters", "a3", "--classify", "--json"],
     "witness-a3-T4.3.12-D2": ["witness", "a3", "T4.3.12", "--grid", "2", "--json"],
     "soft-build-a1-in-boolean": ["soft-build", "a1", "--mu", "0=1/4,a=1/2,b=1/2,1=1",
