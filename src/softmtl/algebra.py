@@ -86,6 +86,15 @@ class DerivedTables:
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
     None until it runs.
+
+    What the verifier derives from the order alone is kept here too, so
+    every run on the algebra after the first reads it (see
+    :mod:`softmtl.verifier`, "Per algebra").  ``up_sets`` is the complete
+    list of :func:`softmtl.fuzzy.up_sets`: None until one listing
+    completes.  ``atoms`` maps each cut a run met, the carrier, the
+    up-sets and one other set, to its atom, an int.  ``profiles`` maps a
+    rank count r to the atom profiles of the chains of r ranks.  All of
+    them start empty, so loading an algebra builds nothing new.
     """
 
     def __init__(self, alg: FiniteMtlAlgebra):
@@ -95,6 +104,9 @@ class DerivedTables:
         self.classifications = {}
         self.mtl_failure = None
         self.filters = None
+        self.up_sets = None
+        self.atoms = {}
+        self.profiles = {}
 
     @cached_property
     def neg(self) -> tuple[int, ...]:

@@ -87,23 +87,34 @@ def _layout(keys, newline):
     return inner, heads, newline + "}"
 
 
+@functools.lru_cache(maxsize=64)
+def _report_parts(algebra, mode, newline):
+    """The fixed text of :func:`_report`'s template before ``checked``, ``den`` and ``theorem``.
+
+    All reports of a run share their algebra and mode, so each is escaped
+    once, not once per report.  The escape raises TypeError on a value
+    that is not a str, and lru_cache keeps no result of a call that raises.
+    """
+    inner = newline + "  "
+    return (f'{{{inner}"algebra": {_escape(algebra)},{inner}"checked": ',
+            f',{inner}"den": ', f',{inner}"mode": {_escape(mode)},{inner}"theorem": ')
+
+
 def _report(rep, newline) -> str:
     """What :func:`_json` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
 
-    The str fields are escaped and ``den`` and ``checked`` written by
-    ``int.__repr__``; both raise TypeError on a value that is not a str or
-    an int (the verifier never puts a bool there).  The counterexamples go
-    to :func:`_json`.
+    The str fields are escaped (:func:`_report_parts`) and ``den`` and
+    ``checked`` written by ``int.__repr__``; both raise TypeError on a
+    value that is not a str or an int (the verifier never puts a bool
+    there).  The counterexamples go to :func:`_json`.
     """
     inner = newline + "  "
+    head, mid, tail = _report_parts(rep.algebra, rep.mode, newline)
     ces = rep.counterexamples
-    return (f'{{{inner}"algebra": {_escape(rep.algebra)}'
-            f',{inner}"checked": {int.__repr__(rep.checked)}'
+    return (f'{head}{int.__repr__(rep.checked)}'
             f',{inner}"confirmed": {"true" if rep.confirmed else "false"}'
             f',{inner}"counterexamples": {_json(ces, inner) if ces else "[]"}'
-            f',{inner}"den": {int.__repr__(rep.den)}'
-            f',{inner}"mode": {_escape(rep.mode)}'
-            f',{inner}"theorem": {_escape(rep.theorem)}{newline}}}')
+            f'{mid}{int.__repr__(rep.den)}{tail}{_escape(rep.theorem)}{newline}}}')
 
 
 def _json(doc, newline="\n") -> str:

@@ -358,13 +358,20 @@ def up_sets(alg: FiniteMtlAlgebra, most: int | None = None) -> list[int] | None:
     bottom, below every element, would only make the carrier, so it never
     joins, and every set held but the empty one is non-empty and proper.
     With ``most`` given, a listing that holds more than ``most`` of them
-    before it is complete stops and returns None.
+    before it is complete stops and returns None.  A complete listing is
+    kept on the algebra (``alg.tables.up_sets``), and a later call lists
+    again only when the kept list holds more than ``most``, where it is
+    that listing that tells whether it stops.
     """
-    above = alg.tables.above
-    rest = [x for x in range(alg.n) if x != alg.bottom]
-    sets = [0]
-    for x in sorted(rest, key=lambda x: above[x].bit_count()):
-        if most is not None and len(sets) - 1 > most:
-            return None
-        sets += [s | 1 << x for s in sets if not above[x] & ~s]
-    return sorted(sets[1:])
+    tables = alg.tables
+    ups = tables.up_sets
+    if ups is None or most is not None and len(ups) > most:
+        above = tables.above
+        rest = [x for x in range(alg.n) if x != alg.bottom]
+        sets = [0]
+        for x in sorted(rest, key=lambda x: above[x].bit_count()):
+            if most is not None and len(sets) - 1 > most:
+                return None
+            sets += [s | 1 << x for s in sets if not above[x] & ~s]
+        ups = tables.up_sets = tuple(sorted(sets[1:]))
+    return list(ups)

@@ -52,18 +52,18 @@ positions (per map, below), and the chain of c is never built.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per U_i of its chain, one int: the failing crisp kinds of U_i in its
-low ``len(KINDS)`` bits and the scan bits of U_i above them.  A run
-keeps one map {up-set: atom id}.  An up-set gets the id of its own atom
-(:func:`softmtl.filters.classify_filter`, ``scan_fails``), shared with
-every up-set whose atom is equal; every other set gets ``other``, the
-id of the least non-up-set's atom, computed once with the live scans
-(all non-up-sets have that atom, below).  W's profile is the tuple of
-the ids of its chain, and :meth:`_Pass.decide` reads nothing else of
-W, so two weak orders with the same profile and rank count are decided
-alike on every V, and keying by the profile is exact.  The key holds
-both halves of the atom: on an MTL-algebra the scan bits follow from the
-kinds, but that is what the theorems claim, so a key by kinds alone
-would assume what is checked.
+low ``len(KINDS)`` bits and the scan bits of U_i above them.  The
+algebra keeps one map {cut: atom} (:func:`_atoms`).  An up-set has its
+own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``);
+every other set has ``other``, the atom of the least non-up-set,
+computed once with the live scans (all non-up-sets have that atom,
+below).  W's profile is the tuple of the atoms of its chain, and
+:meth:`_Pass.decide` reads nothing else of W, so two weak orders with
+the same profile and rank count are decided alike on every V, and
+keying by the profile is exact.  The key holds both halves of the atom:
+on an MTL-algebra the scan bits follow from the kinds, but that is what
+the theorems claim, so a key by kinds alone would assume what is
+checked.
 
 :func:`_profiles` finds the distinct profiles of the chains carrier >
 U_1 > ... > U_r-1 > {} of every rank count r, level by level, from the
@@ -87,17 +87,16 @@ chain depends only on those two.  A state is kept only if its run fits
 above the empty set, which bounds every gap below its up-set (P lies in
 A), so every state kept is some chain's, and the profiles of rank count r
 are those of the states after r - 1 steps.  m depends only on P, and
-each is computed once per run.  The pass decides each (profile, V) pair
+each is computed once per walk.  The pass decides each (profile, V) pair
 once and never lists the maps, whose count :func:`_walk` knows: every
 (W, V) is one grid map, so an exhaustive run checks all (D+1)^n of them.
 Only when some profile of a rank count has counterexamples does it walk
 that rank count's weak orders (:func:`softmtl.fuzzy.weak_orders`), to
 name their maps.  Profiles are few: a3 at D=8 has 4683 weak orders and
 65 profiles, and 6747 (profile, V) pairs stand for its 531441 maps.
-Nothing is kept on the algebra, and a confirmed run classifies only the
-up-sets, the representative and the carrier.  The walk holds the
-up-sets, their ids and its states, and nothing that grows with the 2^n
-subsets.
+A confirmed run classifies only the up-sets, the representative and the
+carrier.  The walk holds the up-sets, their atoms and its states, and
+nothing that grows with the 2^n subsets.
 
 Per map.  Every check has two sides, a premise and a conclusion, and
 each fails iff some cut of the map fails it at one of its cut indices.
@@ -113,9 +112,9 @@ holds that position, and so is F for the premises.  :func:`_pack` keeps
 one int per position, S | F << width.  Rank i sets the positions (b, j)
 of the bits b of its cut's atom and the j of its span (V[i-1], V[i]],
 so its share of a map's S | F << width depends only on (atom, span).
-Each run tabulates it once per atom id (:meth:`_Pass.table`), for every
-span (u, v] with 0 <= u <= v <= D, and a map's S | F << width is one
-table entry OR'd per rank.  :meth:`_Pass.sides` does that for all value
+The plan tabulates it once per atom (:func:`_table`), for every span
+(u, v] with 0 <= u <= v <= D, and a map's S | F << width is one table
+entry OR'd per rank.  :meth:`_Pass.sides` does that for all value
 tuples of a profile at once, one list per rank, reading each rank's
 table index off columns built once per rank count (:func:`_columns`).
 A map is a counterexample to some check only if
@@ -152,32 +151,49 @@ non-up-set once, before any profile is walked, and names the least (map,
 key), on which the literal scans raise AlgebraError (RuntimeError if
 they agree there).
 
-Per grid.  Resolving the checks and marking their positions reads only
+Per plan.  Resolving the checks and marking their positions reads only
 the specs, the grid and the interval, never the algebra.  So
-:func:`_plan` builds them once per (specs, D, interval) into one
-immutable plan, of tuples, ints and strs: each check's thresholds,
-levels, fuzzy key, relation kinds, iff flag and theorem id, the int of
-each position, the distinct ``route="all"`` keys, the bits of the
-biconditionals, and the D+1 grid values as a counterexample prints
-them.  It keeps the last 8 plans (``functools.lru_cache``), so repeated
-runs at one grid, on any algebra, share one; each plan holds no algebra
-and grows only with D, about 22 KB for the catalog at D=24.  Each run
-makes its own reports, atom ids, profiles, tables, value tuples and
-columns.  A table holds (D+1)(D+2)/2 ints, about as many as the C(D+1,
-2) value tuples of r = 2, so the tables hold atoms x (D+1)(D+2)/2 in
-all; on a fine grid that is far below the C(D+1, r) tuples of the
-largest r (a3 at D=24: 3 tables of 325 ints, about 41 KB, against 177100
-tuples at r = 6).  All of it stays on the run and goes with it, and no
-memo grows with the maps.
+:func:`_plan` builds them once per (specs, D, interval) into one plan,
+of tuples, ints and strs: each check's thresholds, levels, fuzzy key,
+relation kinds, iff flag and theorem id, the int of each position, the
+distinct ``route="all"`` keys, the bits of the biconditionals, and the
+D+1 grid values as a counterexample prints them.  An atom's table reads
+only the positions, so the plan also keeps {atom: table}, filled by the
+first run on any algebra that meets the atom.  A table holds
+(D+1)(D+2)/2 ints, about as many as the C(D+1, 2) value tuples of r =
+2, and an atom is an int below 2^(len(KINDS) + len(_SCAN_KEYS)), so a
+plan holds at most 2048 tables (a3 at D=24 meets 3, of 325 ints, about
+41 KB).  :func:`_plan` keeps the last 8 plans (``functools.lru_cache``),
+so repeated runs at one grid, on any algebra, share one, and the tables
+go with their plan.  A plan holds no algebra, and without its tables
+grows only with D, about 22 KB for the catalog at D=24.
+
+Per algebra.  The up-sets (:func:`softmtl.fuzzy.up_sets`), the atom of
+each cut a run meets (:func:`_atoms`: the carrier, the up-sets and the
+representative) and the profiles of each rank count walked depend only
+on the algebra, so ``alg.tables`` keeps them, next to the
+classifications (:class:`softmtl.algebra.DerivedTables`).  An atom is
+its own id, so a profile is the same in every run, and a plan's tables
+serve every algebra.  The profiles of r <= 2 are those of the two-valued
+maps too, so both modes share them.  A first run on an algebra does the
+work of a run without them, and every later run classifies, scans and
+walks nothing.  They hold at most len(up-sets) + 2 atoms and n levels of
+profiles, and go with the algebra.
+
+Per run.  Each run makes its own reports, value tuples and columns,
+decides each (profile, V) pair and records its counterexamples.  The
+C(D+1, r) value tuples of the largest r are its largest part on a fine
+grid (177100 at r = 6 for a3 at D=24).  All of it stays on the run and
+goes with it, and no memo grows with the maps.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
 U each non-empty proper up-set of the algebra's order
 (:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one, the
-representative.  It is the same loop, ids and walk with r <= 2: the
-profiles of r = 2 are the distinct ids of those sets (the carrier holds
-bottom < top, so some set is no up-set), and the chains (U,) are listed
-only to name counterexamples.  The maps are grid maps, so their records
+representative.  It is the same loop, atoms and profiles with r <= 2:
+the profiles of r = 2 are the distinct atoms of those sets (the carrier
+holds bottom < top, so some set is no up-set), and the chains (U,) are
+listed only to name counterexamples.  The maps are grid maps, so their records
 are the grid's on them, and each check the grid refutes is refuted on
 one of them:
 
@@ -351,11 +367,11 @@ def _room(above, part: int) -> int:
     return 0
 
 
-def _profiles(alg, ids: dict[int, int], other: int, ranks: int) -> list[list[tuple[int, ...]]]:
-    """For r = 1..ranks, the distinct atom-id profiles of the chains carrier > U_1 > ... > U_r-1.
+def _profiles(alg, atoms: dict[int, int], other: int, ranks: int) -> list[list[tuple[int, ...]]]:
+    """For r = 1..ranks, the distinct atom profiles of the chains carrier > U_1 > ... > U_r-1.
 
-    Every U_i is non-empty.  ``ids`` maps each non-empty proper up-set,
-    ascending, to its id, and ``other`` is the id of every other set.  A
+    Every U_i is non-empty.  ``atoms`` maps each non-empty proper up-set,
+    ascending, to its atom, and ``other`` is the atom of every other set.  A
     state is (last up-set, run of non-up-sets since it, profile so far),
     each kept once, and every state kept completes: its run fits between
     its last up-set and the empty set (proof in the module docstring).
@@ -374,11 +390,11 @@ def _profiles(alg, ids: dict[int, int], other: int, ranks: int) -> list[list[tup
         for last, run, profile in states:
             if run < room(last):  # one more non-up-set
                 grown.add((last, run + 1, (*profile, other)))
-            for up, i in ids.items():  # an up-set inside the last one, the run between them
+            for up, atom in atoms.items():  # an up-set inside the last one, the run between them
                 if up >= last:  # the up-sets ascend, and one inside the last is below it
                     break
                 if not up & ~last and (not run or run <= room(last ^ up)):
-                    grown.add((up, 0, (*profile, i)))
+                    grown.add((up, 0, (*profile, atom)))
         states = grown
         levels.append(list({profile for _, _, profile in states}))
     return levels
@@ -429,6 +445,8 @@ class _Plan(NamedTuple):
     S | F << width, the checks whose conclusion (S) or premise (F) mask
     holds it (module docstring, "Per map").  ``all_routes`` holds the
     distinct fuzzy keys of the ``route="all"`` checks (:func:`_disagreement`).
+    ``tables`` maps an atom to its verdict table (:func:`_table`), built on
+    first use by a run on any algebra; all else is immutable.
     """
 
     checks: tuple[_Check, ...]
@@ -438,6 +456,7 @@ class _Plan(NamedTuple):
     all_routes: tuple[tuple, ...]
     iff: int                       # the bits of the biconditionals
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
+    tables: dict[int, tuple[int, ...]]
 
 
 def _pack(checks, den) -> _Plan:
@@ -465,7 +484,7 @@ def _pack(checks, den) -> _Plan:
         tuple(checks), den, tuple(map(tuple, rows)), width,
         tuple({check.fuzzy for check in checks if check.fuzzy and check.fuzzy[3] == "all"}),
         sum(1 << c for c, check in enumerate(checks) if check.iff),
-        tuple(str(Fraction(k, den)) for k in range(lane)))
+        tuple(str(Fraction(k, den)) for k in range(lane)), {})
 
 
 @lru_cache(maxsize=8)
@@ -480,11 +499,26 @@ def _plan(specs: tuple[TheoremSpec, ...] | None, den: int, interval) -> _Plan:
                   for spec in (_CATALOG if specs is None else specs)], den)
 
 
+def _table(plan, atom) -> tuple[int, ...]:
+    """S | F << width of a rank with ``atom`` over each span (u, v], kept in ``plan.tables``.
+
+    The spans are listed by u and then v, 0 <= u <= v <= den; the empty
+    span (u, u] sets nothing.  Empty when the atom sets no bit anywhere.
+    """
+    col = [0] * (plan.den + 1)  # the bits at each cut index
+    for b, row in enumerate(plan.positions):
+        if atom >> b & 1:
+            col = list(map(or_, col, row))
+    table = plan.tables[atom] = tuple(chain.from_iterable(
+        (0, *accumulate(col[u + 1:], or_)) for u in range(len(col)))) if any(col) else ()
+    return table
+
+
 def _columns(vs, den):
     """For each rank i, the table index of its span (V[i-1], V[i]] on every V of ``vs``.
 
     V[-1] = 0.  A table lists the spans (u, v], 0 <= u <= v <= den, by u
-    and then v, so (u, v] is at ``start[u] + v`` (:meth:`_Pass.table`).
+    and then v, so (u, v] is at ``start[u] + v`` (:func:`_table`).
     """
     lane = den + 1
     start = [u * lane - u * (u + 1) // 2 for u in range(lane)]
@@ -492,16 +526,35 @@ def _columns(vs, den):
     return [[start[u] + v for u, v in zip(low, high)] for low, high in zip(ranks, ranks[1:])]
 
 
-def _disagreement(keys, ids, atoms, n):
+def _disagreement(keys, atoms, n):
     """The least (map, key) on which the formulations of a ``route="all"`` key disagree, or None.
 
-    ``ids`` maps the up-sets, and one non-up-set for all, to their atoms'
-    indices in ``atoms``.  The map is 0 off U, lo+1 on U for a set U
-    whose own scan bits disagree (module docstring, "Route "all"").
+    ``atoms`` maps the up-sets, and one non-up-set for all, to their
+    atoms.  The map is 0 off U, lo+1 on U for a set U whose own scan bits
+    disagree (module docstring, "Route "all"").
     """
     return min([(grid_map((up,), (0, key[1] + 1), n), key) for key in keys
-                for up, i in ids.items()
-                if disagree(atoms[i] >> len(KINDS), *scan_masks(key[0], "all"))], default=None)
+                for up, atom in atoms.items()
+                if disagree(atom >> len(KINDS), *scan_masks(key[0], "all"))], default=None)
+
+
+def _atoms(alg, sets) -> dict[int, int]:
+    """The algebra's memo {cut: atom}, holding the carrier's atom and that of each of ``sets``.
+
+    An atom holds the cut's failing kinds and, above them, its scan bits.
+    ``sets`` are :func:`_two_valued`'s, the same in every run on the
+    algebra, so only the first run classifies and scans them, the
+    representative last (module docstring, "Per algebra").
+    """
+    atoms = alg.tables.atoms
+    if sets[-1] not in atoms:
+        # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
+        full = (1 << alg.n) - 1
+        atoms[full] = filters.classify_filter(alg, full).fails
+        for cut in sets:
+            atoms[cut] = (filters.classify_filter(alg, cut).fails
+                          | scan_fails(alg, cut) << len(KINDS))
+    return atoms
 
 
 def _record(run, nums, split, soft: int, fail: int) -> None:
@@ -513,7 +566,7 @@ def _record(run, nums, split, soft: int, fail: int) -> None:
     den, checks, printed = plan.den, plan.checks, plan.printed
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
     profile, vals = split
-    ranks = list(zip((run.carrier, *profile), (0, *vals), vals))  # (atom id, span (u, v])
+    ranks = list(zip((run.carrier, *profile), (0, *vals), vals))  # (atom, span (u, v])
     for b, check in enumerate(checks):
         conclusion, premise = soft >> b & 1, fail >> b & 1
         witness = None  # None: the first failing soft level of a witness kind
@@ -534,8 +587,8 @@ def _record(run, nums, split, soft: int, fail: int) -> None:
         if witness is None:
             for kind in kinds:  # the first that fails at one of the levels: its ranks' spans
                 k = KINDS.index(kind)
-                levels = check.levels & sum((2 << v) - (2 << u) for i, u, v in ranks
-                                            if run.atoms[i] >> k & 1)
+                levels = check.levels & sum((2 << v) - (2 << u) for atom, u, v in ranks
+                                            if atom >> k & 1)
                 if levels:
                     break
             # its first failing level by ascending t: the cut index of an
@@ -554,63 +607,33 @@ def _record(run, nums, split, soft: int, fail: int) -> None:
             {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
 
 
-class _Pass:
-    """The state of one verification pass, and its decision on the maps of one profile.
+class _Pass(NamedTuple):
+    """One run's algebra, plan and own reports, and its decision on the maps of one profile.
 
-    A map is a weak order W of the carrier, as its chain of up-sets (see
-    :func:`softmtl.fuzzy.weak_orders`), with a strictly increasing value
-    tuple V.  :meth:`atom_id` names each cut's atom, an int holding its
-    failing kinds and, above them, its scan bits, and ``carrier`` is the id
-    of the rank-0 cut's.  :meth:`table` gives an atom's verdict bits over
-    every span of cut indices, and :meth:`sides` ORs one table entry per
-    rank into S | F << width of each map, from which :meth:`decide` keeps
-    the counterexamples (module docstring, "Per map").  ``reports`` are
-    this run's own, one per check.
+    ``reports`` has one report per check.  A map is a weak order W of the
+    carrier, as its chain of up-sets (see :func:`softmtl.fuzzy.weak_orders`),
+    with a strictly increasing value tuple V.  W's profile holds the atom
+    of each cut of its chain, and ``carrier`` is the rank-0 cut's.
+    :meth:`sides` ORs one entry of each rank's atom's table (:func:`_table`)
+    into S | F << width of each map, from which :meth:`decide` keeps the
+    counterexamples (module docstring, "Per map").
     """
 
-    def __init__(self, alg, plan: _Plan, reports: list[VerificationReport]):
-        self.alg, self.plan, self.reports = alg, plan, reports
-        self.atoms = []    # id -> atom: failing kinds | scan_fails of the indicator << len(KINDS)
-        self.tables = []   # id -> the atom's table, None when it sets no bit; built as needed
-        # the rank-0 cut, the whole carrier, is in every chain; no scan fails on its constant map
-        self.carrier = self._id(filters.classify_filter(alg, (1 << alg.n) - 1).fails)
-
-    def _id(self, atom):  # the first id of an equal atom, else a new one
-        if atom not in self.atoms:
-            self.atoms.append(atom)
-        return self.atoms.index(atom)
-
-    def atom_id(self, cut):
-        """The id of the cut's atom, all that :meth:`decide` reads of it; equal atoms share one."""
-        alg = self.alg
-        atom = filters.classify_filter(alg, cut).fails | scan_fails(alg, cut) << len(KINDS)
-        return self._id(atom)
-
-    def table(self, atom):
-        """S | F << width of a rank with ``atom`` over each span (u, v].
-
-        The spans are listed by u and then v, 0 <= u <= v <= den; the empty
-        span (u, u] sets nothing.  None when the atom sets no bit anywhere.
-        """
-        col = [0] * (self.plan.den + 1)  # the bits at each cut index
-        for b, row in enumerate(self.plan.positions):
-            if atom >> b & 1:
-                col = list(map(or_, col, row))
-        if not any(col):
-            return None
-        return list(chain.from_iterable((0, *accumulate(col[u + 1:], or_))
-                                        for u in range(len(col))))
+    alg: FiniteMtlAlgebra
+    plan: _Plan
+    reports: list[VerificationReport]
+    carrier: int
 
     def sides(self, profile, cols):
         """S | F << width of the map of each value tuple: one table entry OR'd per rank.
 
         ``cols`` are the ranks' table indices (:func:`_columns`).
         """
-        tables = self.tables
-        tables += map(self.table, self.atoms[len(tables):])  # the atoms named since the last call
-        bits = None
-        for i, col in zip((self.carrier, *profile), cols):
-            t = tables[i]
+        plan, bits = self.plan, None
+        for atom, col in zip((self.carrier, *profile), cols):
+            t = plan.tables.get(atom)
+            if t is None:
+                t = _table(plan, atom)
             if t:
                 bits = [t[k] for k in col] if bits is None else \
                     [s | t[k] for s, k in zip(bits, col)]
@@ -639,32 +662,35 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     name = "/".join(alg.labels)
     reports = [VerificationReport(check.theorem, name, den, checked, mode)
                for check in plan.checks]
-    run, n = _Pass(alg, plan, reports), alg.n
+    n, atoms = alg.n, _atoms(alg, sets)
+    run = _Pass(alg, plan, reports, atoms[(1 << n) - 1])
     *ups, rep = sets
-    ids = {up: run.atom_id(up) for up in ups}
-    other = run.atom_id(rep)
+    other = atoms[rep]
     if mode == "exhaustive":  # every map: the chains of any non-empty proper subsets
-        ranks = range(1, min(n, den + 1) + 1)
-        orders = [weak_orders(n, r) for r in ranks]
+        orders = [weak_orders(n, r) for r in range(1, min(n, den + 1) + 1)]
         # the lexicographically least non-up-set: {x}, x the last element but the top
         rep = 1 << n - 1 - (alg.top == n - 1)
     else:  # the constant maps, and a off U, b on U: the chains (U,)
         orders = [[()], [(up,) for up in sets]]
-    if plan.all_routes and (least := _disagreement(plan.all_routes, ids | {rep: other},
-                                                   run.atoms, n)):
+    if plan.all_routes and (least := _disagreement(
+            plan.all_routes, {up: atoms[up] for up in ups} | {rep: other}, n)):
         variant_witness(alg, den, *least)  # raises AlgebraError, naming the map
         raise RuntimeError(f"the scan bits flag disagreeing formulations on "
                            f"{map_doc(alg, den, least[0])}, and the literal scans agree")
+    profiles = alg.tables.profiles  # rank count -> its profiles; every count up to the most walked
+    if len(orders) not in profiles:
+        profiles.update(enumerate(_profiles(alg, {up: atoms[up] for up in ups}, other,
+                                            len(orders)), 1))
     found = []  # (map, (profile, values), S, F) of each counterexample
-    levels = _profiles(alg, ids, other, len(orders))
-    for r, (of_r, profiles) in enumerate(zip(orders, levels), 1):
+    for r, of_r in enumerate(orders, 1):
         vs = list(combinations(range(den + 1), r))
         cols = _columns(vs, den)
         # each distinct profile -> (values, S, F) of its counterexamples
-        decided = {profile: run.decide(profile, vs, cols) for profile in profiles}
+        decided = {profile: run.decide(profile, vs, cols) for profile in profiles[r]}
         if any(decided.values()):  # list the weak orders, only to name their maps
             for order in of_r:
-                profile = tuple([ids.get(up, other) for up in order])
+                # the carrier is in no order, and the representative's atom is other's
+                profile = tuple([atoms.get(up, other) for up in order])
                 for vals, soft, fail in decided[profile]:
                     found.append((grid_map(order, vals, n), (profile, vals), soft, fail))
     found.sort()  # the lexicographic order of the maps

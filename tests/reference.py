@@ -26,7 +26,7 @@ filter classifiers:
 The one exception is the subset walk at the end (:func:`_profiles` with
 :func:`_subset_ids` and :func:`_below`): the verifier's former source of
 exhaustive profiles, kept unchanged to check the walk over the up-sets
-that replaced it.  It reads the verifier's atom ids and up-set listing.
+that replaced it.  It reads the verifier's atoms and up-set listing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from softmtl.fuzzy import FuzzySet
-from softmtl.verifier import _two_valued
+from softmtl.verifier import _atoms, _two_valued
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -383,12 +383,16 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
              "counterexamples": found[spec.id]} for spec in specs]
 
 
-def _subset_ids(run, alg) -> list[int]:
-    """The atom id of every subset, by mask: an up-set's own, the representative's for the rest."""
-    *ups, other = _two_valued(alg)
-    ids = [run.atom_id(other)] * (1 << alg.n)
+def _subset_ids(alg) -> list[int]:
+    """The atom of every subset, by mask: an up-set's own, the representative's for the rest.
+
+    An atom is an int below 2^11, so it serves as its own id.
+    """
+    *ups, other = sets = _two_valued(alg)
+    atoms = _atoms(alg, sets)
+    ids = [atoms[other]] * (1 << alg.n)
     for up in ups:
-        ids[up] = run.atom_id(up)
+        ids[up] = atoms[up]
     return ids
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from softmtl import algebra, fixtures, fuzzy, verifier
 from softmtl.cli import main
-from products import load_named, single_cell_mutations
+from products import load_named, product_doc, single_cell_mutations
 from softmtl.algebra import AlgebraError, load_algebra, require_mtl, validate_mtl
 from softmtl.filters import KINDS, classify_filter, enumerate_filters
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
@@ -289,19 +289,18 @@ def test_fuzzy_scans_do_not_grow_with_the_grid(monkeypatch):
     monkeypatch.setattr(fuzzy, "_SCANS", {k: counted(k, f) for k, f in fuzzy._SCANS.items()})
     runs = []
     for den, budget in ((8, None), (16, None), (16, 1000)):
-        calls.clear()
+        start = len(calls)
         reports = verify_all(alg, den, budget=budget)
         assert reports[0].mode == ("two-valued" if budget else "exhaustive")
-        runs.append(list(calls))
-    for scans in runs:
-        # a run scans each up-set (given by its 0/1 indicator) at most once
-        # per scan, whatever the bounds, and 4 elements have 14 up-sets that
-        # are neither empty nor the whole carrier
-        assert 0 < len(scans) == len(set(scans))
-        indicators = {c for _, c in scans}
-        assert len(indicators) <= 14 and all(set(c) == {0, 1} for c in indicators)
-    # the up-sets met, and so the scans run, are the same on a finer grid
-    assert set(runs[0]) == set(runs[1])
+        runs.append(calls[start:])
+    # The algebra keeps each up-set's scan bits: over the three runs together,
+    # each up-set (given by its 0/1 indicator) is scanned at most once per
+    # scan, whatever the grid, the bounds and the mode, and 4 elements have
+    # 14 up-sets that are neither empty nor the whole carrier.
+    assert runs[0] and not runs[1] and not runs[2]
+    assert len(calls) == len(set(calls))
+    indicators = {c for _, c in calls}
+    assert len(indicators) <= 14 and all(set(c) == {0, 1} for c in indicators)
 
 
 def test_a_run_keeps_only_cut_classifications_on_the_algebra():
@@ -311,9 +310,9 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
         if isinstance(attr, functools.cached_property):
             getattr(alg.tables, name)  # the law tables, built once per algebra
     require_mtl(alg)
+    ups = up_sets(alg)  # kept on the algebra, as the law tables are
     before = dict(vars(alg.tables))
     sizes = {name: len(value) for name, value in before.items() if isinstance(value, dict)}
-    ups = up_sets(alg)
     budget = (len(ups) + 1) * math.comb(5, 2) + 5
     assert len(ups) + 1 == 293
     reports = verify_all(alg, 4, budget=budget)
@@ -323,10 +322,13 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
     grown = {name for name, size in sizes.items() if len(after[name]) != size}
-    # the memo of classify_filter, by cut: the up-sets, the representative and the carrier
-    assert grown == {"classifications"}
-    assert len(after["classifications"]) - sizes["classifications"] <= len(ups) + 2
-    assert all(0 < cut < 1 << alg.n for cut in after["classifications"])
+    # the memos of classify_filter and of the atoms, by cut: the up-sets, the
+    # representative and the carrier; and the profiles, by rank count
+    assert grown == {"classifications", "atoms", "profiles"}
+    for name in ("classifications", "atoms"):
+        assert len(after[name]) - sizes[name] <= len(ups) + 2
+        assert all(0 < cut < 1 << alg.n for cut in after[name])
+    assert len(after["profiles"]) <= alg.n
 
 
 def _atom(alg, up):
@@ -377,16 +379,14 @@ def test_a_kind_failure_planted_on_one_up_set_is_an_internal_error(monkeypatch, 
     alg, den = load_algebra(FIXTURE_DOCS["a3"]), 2
     fails = sum(1 << KINDS.index(k) for k in ("boolean", "mv"))
     up = min(u for u in up_sets(alg) if classify_filter(alg, u).fails == fails)
-    atom_id = verifier._Pass.atom_id
+    atoms_of = verifier._atoms
 
-    def planted(run, cut):
-        i = atom_id(run, cut)
-        if cut != up:
-            return i
-        run.atoms.append(run.atoms[i] | 1 << KINDS.index("g"))
-        return len(run.atoms) - 1
+    def planted(alg, sets):
+        atoms = atoms_of(alg, sets)
+        atoms[up] |= 1 << KINDS.index("g")
+        return atoms
 
-    monkeypatch.setattr(verifier._Pass, "atom_id", planted)
+    monkeypatch.setattr(verifier, "_atoms", planted)
     maps = (FuzzySet(alg, den, nums) for nums in itertools.product(range(den + 1), repeat=alg.n))
     first = next(mu for mu in maps
                  if up in {sum(1 << x for x, k in enumerate(mu.nums) if k >= j)
@@ -457,10 +457,11 @@ def test_the_pass_decides_once_per_profile(monkeypatch):
 
 
 
-def _walk_ids(run, alg):
-    """The run's id of each up-set, and of every other set, as ``_verify`` gives them."""
-    *ups, rep = verifier._two_valued(alg)
-    return {up: run.atom_id(up) for up in ups}, run.atom_id(rep)
+def _walk_atoms(alg):
+    """The atom of each up-set, and of every other set, as ``_verify`` gives them."""
+    *ups, rep = sets = verifier._two_valued(alg)
+    atoms = verifier._atoms(alg, sets)
+    return {up: atoms[up] for up in ups}, atoms[rep]
 
 
 @pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
@@ -468,8 +469,7 @@ def _walk_ids(run, alg):
 def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n  # every rank count, unless the carrier is large
-    run = verifier._Pass(alg, _plan((), 2, None), [])
-    levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
+    levels = verifier._profiles(alg, *_walk_atoms(alg), ranks)
     assert len(levels) == ranks
     atom = functools.cache(functools.partial(_atom, alg))
     for r, walked in enumerate(levels, 1):
@@ -478,8 +478,8 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
                          for i in range(1, r))
                    for rank in itertools.product(range(r), repeat=alg.n) if len(set(rank)) == r}
         assert len(set(walked)) == len(walked) == len(literal), r
-        assert {tuple((run.atoms[i] & (1 << len(KINDS)) - 1, run.atoms[i] >> len(KINDS))
-                      for i in profile) for profile in walked} == literal, r
+        assert {tuple((atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in profile)
+                for profile in walked} == literal, r
 
 
 @pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
@@ -487,9 +487,8 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
 def test_the_up_set_walk_finds_the_subset_walks_profiles(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n
-    run = verifier._Pass(alg, _plan((), 2, None), [])
-    levels = verifier._profiles(alg, *_walk_ids(run, alg), ranks)
-    subset_ids = reference._subset_ids(run, alg)  # the same run, so the same atom ids
+    levels = verifier._profiles(alg, *_walk_atoms(alg), ranks)
+    subset_ids = reference._subset_ids(alg)
     below = reference._below(subset_ids)
     assert len(levels) == ranks
     for r, walked in enumerate(levels, 1):
@@ -637,27 +636,28 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
         relations = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is None)
         plan = verifier._pack(checks, den)
         every = (1 << plan.width) - 1
-        run = verifier._Pass(alg, plan, [])
-        for up in up_sets(alg):
-            run.atom_id(up)
+        sets = verifier._two_valued(alg)
+        memo = verifier._atoms(alg, sets)
+        carrier = memo[(1 << alg.n) - 1]
+        # the carrier's atom and the distinct atoms of the up-sets
+        pool = list(dict.fromkeys([carrier, *(memo[up] for up in sets[:-1])]))
         # each atom again with one scan bit flipped: scan bits that do not follow from the kinds
-        run.atoms += [atom ^ 1 << len(KINDS) + rng.randrange(len(fuzzy._SCAN_KEYS))
-                      for atom in run.atoms]
-        decoded = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in run.atoms]
+        pool += [atom ^ 1 << len(KINDS) + rng.randrange(len(fuzzy._SCAN_KEYS)) for atom in pool]
+        decoded = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in pool]
         # the run's carrier, and one failing random kinds and no scan, as a carrier does
-        carriers = (run.carrier, len(run.atoms))
-        run.atoms.append(rng.getrandbits(len(KINDS)))
+        carriers = (carrier, rng.getrandbits(len(KINDS)))
         maps = [(carrier, tuple(rng.randrange(len(decoded)) for _ in range(r - 1)), r)
                 for carrier in carriers
                 for r in range(1, min(alg.n, den + 1) + 1) for _ in range(4)]
-        for carrier, profile, r in maps:
-            run.carrier = carrier
+        for carrier, picks, r in maps:
+            run = verifier._Pass(alg, plan, [], carrier)
+            profile = tuple(pool[i] for i in picks)
             vs = list(itertools.combinations(range(den + 1), r))
             cols = verifier._columns(vs, den)
             decided = {vals: (s, f) for vals, s, f in run.decide(profile, vs, cols)}
-            atoms = [decoded[i] for i in profile]
+            atoms = [decoded[i] for i in picks]
             for vals, bits in zip(vs, run.sides(profile, cols), strict=True):
-                soft, fail, rel = _literal_verdicts(checks, den, run.atoms[carrier], atoms, vals)
+                soft, fail, rel = _literal_verdicts(checks, den, carrier, atoms, vals)
                 assert (bits & every, bits >> plan.width) == (soft, fail), \
                     (carrier, profile, vals)
                 decision = (soft & ~fail) | (fail & ~soft & iff)
@@ -681,10 +681,11 @@ def test_a_forward_premise_failing_alone_decides_no_map(name):
     plan = _plan(tuple(catalog()), den, None)
     forward = sum(1 << b for b, check in enumerate(plan.checks) if not check.iff)
     every = (1 << plan.width) - 1
-    run = verifier._Pass(alg, plan, [])
+    ids, other = _walk_atoms(alg)
+    run = verifier._Pass(alg, plan, [], alg.tables.atoms[(1 << alg.n) - 1])
     alone = 0  # the checks whose premise fails alone on some map
     ranks = min(alg.n, den + 1)
-    for r, profiles in enumerate(verifier._profiles(alg, *_walk_ids(run, alg), ranks), 1):
+    for r, profiles in enumerate(verifier._profiles(alg, ids, other, ranks), 1):
         vs = list(itertools.combinations(range(den + 1), r))
         cols = verifier._columns(vs, den)
         for profile in profiles:
@@ -734,12 +735,16 @@ def test_false_specs_do_not_depend_on_the_memo(name, den, spec, kw):
     assert before == after == cold_catalog
 
 
-def test_a_plan_holds_only_immutable_values():
+def test_a_plan_holds_only_immutable_values(a1):
     # every shape of check: relations, intervals, route "all" and each family
     specs = (*catalog(), *(spec for _, _, spec, _ in FALSE_SPECS))
     plan = _plan(specs, 4, None)
     assert plan is _plan(specs, 4, None)  # one plan, shared by the runs
-    parts, seen = [plan], 0
+    verifier._verify(a1, specs, 4, verifier._walk(a1, 4, None))
+    # the plan's one memo, of the verdict table of each atom met: a tuple of ints
+    bound = 1 << len(KINDS) + len(fuzzy._SCAN_KEYS)
+    assert plan.tables and all(type(atom) is int and 0 <= atom < bound for atom in plan.tables)
+    parts, seen = [plan._replace(tables=tuple(plan.tables.values()))], 0
     while parts:
         part = parts.pop()
         seen += 1
@@ -759,6 +764,86 @@ def test_runs_share_the_plan_and_not_the_reports(a1):
     first[1].checked = 0
     assert [rep.to_doc() for rep in second] == expected
     assert [rep.to_doc() for rep in verify_all(a1, 4)] == expected
+
+
+ALL_ROUTES = TheoremSpec("all-routes", "in", FULL, "boolean", "plain", route="all")
+
+
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a3xa1"])
+def test_warm_runs_give_the_reports_of_cold_runs(monkeypatch, name):
+    doc = product_doc(*name.split("x")) if "x" in name else FIXTURE_DOCS[name]
+    ups = len(up_sets(load_algebra(doc)))
+
+    def two_valued(den):  # a budget of the two-valued maps; on b2 they are all the maps
+        return den + 1 + (ups + 1) * math.comb(den + 1, 2)
+
+    # the catalog at several grids in mixed order, a false spec and route "all"
+    _, grid, spec, kw = next((s for s in FALSE_SPECS if s[0] == name), FALSE_SPECS[0])
+    if name == "a3xa1":  # 24 elements: exhaustive at D = 2 only
+        runs = [(2, None), (4, two_valued(4)), (12, two_valued(12)), (2, None)]
+        kw, route_kw = {**kw, "budget": two_valued(grid)}, {"budget": two_valued(4)}
+    else:
+        runs = [(4, None), (12, two_valued(12)), (2, None), (8, None), (4, None)]
+        route_kw = {}
+    runs = [lambda alg, den=den, budget=budget: verify_all(alg, den, budget)
+            for den, budget in runs]
+    runs += [lambda alg: [verify(alg, spec, grid, **kw)],
+             lambda alg: [verify(alg, ALL_ROUTES, 4, **route_kw)]]
+
+    def docs(reports):
+        return [rep.to_doc() for rep in reports]
+
+    calls = []  # the per-algebra and per-plan work a warm run must not repeat
+
+    def counted(fn, f):
+        def wrapper(*args):
+            calls.append(fn)
+            return f(*args)
+        return wrapper
+
+    for fn in ("scan_fails", "_profiles", "_table"):
+        monkeypatch.setattr(verifier, fn, counted(fn, getattr(verifier, fn)))
+    alg = load_algebra(doc)
+    warm = [docs(run(alg)) for run in runs]  # each run after the others, on one algebra
+    verifier._plan.cache_clear()  # and with no plan kept
+    cold = [docs(run(load_algebra(doc))) for run in runs]
+    assert warm == cold
+    assert set(calls) == {"scan_fails", "_profiles", "_table"}
+    assert any(doc["counterexamples"] for reports in cold for doc in reports)
+    assert any(doc["mode"] == "two-valued" for reports in cold for doc in reports) == \
+        (alg.n > 2)  # b2's two-valued maps are all its maps
+    calls.clear()
+    for _ in range(2):
+        for run, expected in zip(runs, cold):
+            reports = run(alg)
+            assert docs(reports) == expected
+            for rep in reports:  # a caller's edits reach no later run
+                rep.counterexamples.append({"mu": "planted"})
+                rep.checked = 0
+    assert calls == []
+
+
+def test_the_memos_go_with_their_owners():
+    alg = load_algebra(FIXTURE_DOCS["a3"])
+    verify_all(alg, 8)
+    verify_all(alg, 12, budget=10**6)
+    tables = alg.tables
+    assert tables.up_sets and tables.atoms and tables.profiles
+    refs = weakref.ref(alg), weakref.ref(tables)
+    del alg, tables
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # an evicted plan's tables go with it: a new plan for its key starts with none
+    a1 = load_algebra(FIXTURE_DOCS["a1"])
+    plan = _plan(None, 6, None)
+    verify_all(a1, 6)
+    assert plan.tables
+    for den in range(8, 8 + 2 * _plan.cache_info().maxsize, 2):
+        _plan(None, den, None)
+    fresh = _plan(None, 6, None)
+    assert fresh is not plan and fresh.tables == {}
+    verify_all(a1, 6)
+    assert fresh.tables.keys() == plan.tables.keys()
 
 
 def test_the_plan_cache_keeps_nothing_of_the_algebra():
@@ -915,7 +1000,6 @@ def test_formulations_disagree_on_some_map_iff_on_some_set(name, den):
     rng = random.Random(29)
     ups = up_sets(alg)
     sets = (*ups, next(mask for mask in itertools.count(1) if mask not in ups))
-    ids = {s: i for i, s in enumerate(sets)}
     own = [fuzzy.scan_fails(alg, s) for s in range(1 << alg.n)]
     maps = list(itertools.product(range(den + 1), repeat=alg.n))  # lexicographic
     cuts = [[sum(1 << x for x, k in enumerate(nums) if k >= j) for j in range(den + 1)]
@@ -946,6 +1030,6 @@ def test_formulations_disagree_on_some_map_iff_on_some_set(name, den):
                 firsts.append((first, key))
         expected = min(firsts, default=None)
         atoms = [bits[s] << len(KINDS) | rng.getrandbits(len(KINDS)) for s in sets]
-        assert verifier._disagreement(keys, ids, atoms, alg.n) == expected
+        assert verifier._disagreement(keys, dict(zip(sets, atoms)), alg.n) == expected
         named.add(expected and expected[1][1:3])
     assert None in named and any(bounds and bounds[0] for bounds in named)  # lo > 0 named
