@@ -5,151 +5,89 @@ soft-side predicate (level cuts over an interval, classified per kind),
 or relates two soft-side predicates.  Verification is one pass over
 grid fuzzy sets on the algebra, each produced once as its integer
 numerators k in 0..D and checked against every requested theorem: all
-(D+1)^n of them within budget, else the two-valued maps (below).
+(D+1)^n of them within budget, else the two-valued maps (below).  Each
+lemma below is proved in ``docs/verifier.md``, under the same heading.
 
-A verdict depends only on how the values k[x] are ordered, not on the
-values themselves.  So a map is split into a weak order W of the
-carrier (a map onto the ranks 0..r-1, given as its chain of up-sets
-U_i = {x : W[x] >= i}, see :func:`softmtl.fuzzy.weak_orders`) and a
+A verdict depends only on how the values k[x] are ordered.  So a map is
+split into a weak order W of the carrier, given as its chain of cuts
+U_i = {x : W[x] >= i} (:func:`softmtl.fuzzy.weak_orders`), and a
 strictly increasing value tuple V from combinations(range(D+1), r):
 k[x] = V[W[x]].  Every grid map is exactly one such pair, r = 1..min(n,
-D+1), and the pass splits the work by what it depends on.
+D+1).  The cut at index j is U_i for every j in the span (V[i-1], V[i]]
+of rank i (V[-1] = 0; U_0 is the carrier), and empty above V[r-1].
 
-- Per W: the soft side.  The cut at index j is {x : k[x] >= j}; for
-  every j in (V[i-1], V[i]] (V[-1] = 0) it is U_i (U_0 is the whole
-  carrier), and above V[r-1] it is empty.  Each U_i is classified once
-  per algebra (:func:`softmtl.filters.classify_filter` keeps the memo),
-  and only its failing kinds are read.
-- Per V: the span of each rank i, the cut indices (V[i-1], V[i]] it
-  covers.  Nothing else of V is read.
-- Per (W, V): one table entry OR'd per rank, below.
-
-Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` compares the
-clamped numerators c = min(max(k, lo), hi) at positions of the algebra,
-and its witness names elements, not values.  Each fails exactly when
-some tuple it reads has c[p] < c[q] for every q in a set Q: Q = {b} for
-c[p] < c[b], Q = {x, y} for a common smaller side c[p] < c[x], c[y],
-and c[a] != c[b] is two such cases, c[a] < c[b] or c[b] < c[a].  Lemma:
-on a map whose weak order has the up-set chain (U_1, ..., U_m), such a
-scan fails iff it fails on the 0/1 indicator of some U_i.  Proof: c[p] <
-c[q] for all q in Q iff some U_i holds Q but not p (i = the least rank
-in Q; conversely rank q >= i > rank p), and on the indicator of U, iff
-U holds Q but not p.  A scan added later must keep that shape (one that
-fails on a constant map, or asks c[a] < c[b] < c[d], does not).
-
-So a run keeps :func:`softmtl.fuzzy.scan_fails` per up-set of the
-algebra's order, and one for all other sets (below), and a map's scan
-verdicts are the OR over its chain.  Each fuzzy check reads its verdict
-straight off those bits through two masks
-(:func:`softmtl.fuzzy.scan_masks`): it fails iff the bits meet its fail
-mask.  Clamping sends the ranks with V[i] <= lo to lo and those with
-V[i] >= hi to hi, and keeps the ranks strictly between apart.  So the
-chain of up-sets of c is W's chain less each U_i whose ranks i - 1 and
-i are merged: U_i stays iff V[i] > lo and V[i-1] < hi, that is, iff its
-span (V[i-1], V[i]] meets the cut indices lo+1..hi.  That is the test
-the soft side makes of its levels, so both sides read the same
-positions (per map, below), and the chain of c is never built.
+Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` fails exactly
+when some tuple it reads has c[p] < c[q] for every q in a set Q, c the
+numerators clamped to [lo, hi].  Lemma: such a scan fails on a map iff
+it fails on the 0/1 indicator of some U_i of its chain, and clamping
+keeps exactly the U_i whose span meets lo+1..hi.  So a map's scan bits
+are the OR of :func:`softmtl.fuzzy.scan_fails` over those cuts, the
+span test the soft side makes of its levels, and a fuzzy check fails
+iff they meet its fail mask (:func:`softmtl.fuzzy.scan_masks`).  A scan
+added later must keep that shape.
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
-per U_i of its chain, one int: the failing crisp kinds of U_i in its
-low ``len(KINDS)`` bits and the scan bits of U_i above them.  The
-algebra keeps one map {cut: atom} (:func:`_atoms`).  An up-set has its
-own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``);
-every other set has ``other``, the atom of the least non-up-set,
-computed once with the live scans (all non-up-sets have that atom,
-below).  W's profile is the tuple of the atoms of its chain, and
-:meth:`_Pass.decide` reads nothing else of W, so two weak orders with
-the same profile and rank count are decided alike on every V, and
-keying by the profile is exact.  The key holds both halves of the atom:
-on an MTL-algebra the scan bits follow from the kinds, but that is what
-the theorems claim, so a key by kinds alone would assume what is
-checked.
+per cut of its chain, one int: the cut's failing crisp kinds in its low
+``len(KINDS)`` bits and its scan bits above them.  An up-set has its
+own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``), and
+every other set that of the least non-up-set, the representative
+("Two-valued maps").  W's profile is the tuple of the atoms of its
+chain, and :func:`_decide` reads nothing else of W, so weak orders with
+the same profile and rank count are decided alike on every V.  The key
+holds both halves of the atom: on an MTL-algebra the scan bits follow
+from the kinds, but that is what the theorems claim.
+:func:`_profiles` finds the distinct profiles of each rank count level
+by level, from the up-sets alone, without listing the chains.  Lemma:
+between up-sets A > B, with P = A - B, the longest chain of non-up-sets
+(:func:`_room`) has |P| - 1 sets if P holds a pair x < y, and none if P
+is an antichain.  So a state is (last up-set, run of non-up-sets since
+it, profile so far), kept once, and kept only while its run fits.
+Profiles are few: a3 has 4683 weak orders and 65 profiles, so 65
+decisions stand for its 531441 maps at D=8, and for its 25^6 at D=24.
+The maps are never listed; :func:`_walk` knows their count.  Only when
+some profile of a rank count has counterexamples are its value tuples
+listed and that rank count's weak orders walked, to name their maps.  A
+confirmed run classifies only the up-sets, the representative and the
+carrier.
 
-:func:`_profiles` finds the distinct profiles of the chains carrier >
-U_1 > ... > U_r-1 > {} of every rank count r, level by level, from the
-up-sets alone and without listing the chains.  Such a chain is its
-up-sets carrier = A_0 > A_1 > ... > A_k, with a run of non-up-sets
-between each A_j and the next (after A_k, the empty set), so its profile
-is the ids of the A_j with the non-up-sets' id once for each set of each
-run.  Lemma: for up-sets A > B and P = A - B, the longest chain of
-non-up-sets strictly between B and A, m(A, B), has |P| - 1 sets if P
-holds a pair x < y, and none if P is an antichain.  Proof: B with T, a
-subset of P, added is an up-set iff T is an up-set of P (an element
-above one of T lies in the up-set A, so in B or in P).  If P holds x <
-y, drop y first and then the rest of P but x, one at a time: each set
-between holds x and not y, so none is an up-set, and no chain strictly
-between has more than |P| - 1 sets.  If P is an antichain, every T is an
-up-set of P.  Any part of a chain of non-up-sets is one, and the runs of
-different gaps are independent, so a chain with these up-sets and runs
-exists iff each run is at most the m of its gap.  A state is thus (last
-up-set, run since it, profile so far), kept once: what can follow a
-chain depends only on those two.  A state is kept only if its run fits
-above the empty set, which bounds every gap below its up-set (P lies in
-A), so every state kept is some chain's, and the profiles of rank count r
-are those of the states after r - 1 steps.  m depends only on P, and
-each is computed once per walk.  The pass decides each (profile, V) pair
-once and never lists the maps, whose count :func:`_walk` knows: every
-(W, V) is one grid map, so an exhaustive run checks all (D+1)^n of them.
-Only when some profile of a rank count has counterexamples does it walk
-that rank count's weak orders (:func:`softmtl.fuzzy.weak_orders`), to
-name their maps.  Profiles are few: a3 at D=8 has 4683 weak orders and
-65 profiles, and 6747 (profile, V) pairs stand for its 531441 maps.
-A confirmed run classifies only the up-sets, the representative and the
-carrier.  The walk holds the up-sets, their atoms and its states, and
-nothing that grows with the 2^n subsets.
-
-Per map.  Every check has two sides, a premise and a conclusion, and
-each fails iff some cut of the map fails it at one of its cut indices.
-Call (b, j) a position: bit b of the atom of the cut at index j.  A
-side's mask is a set of positions, and it fails iff the positions the
-map sets meet it.  A fuzzy check's conclusion holds its levels at its
-kind's bit, and its premise lo+1..hi at each bit of its fail mask.  A
-relation's premise holds its levels at its left-hand kind's bit, and its
-conclusion its levels at each right-hand kind's bit.  Lemma: meeting a
-mask distributes over OR, so S, the checks whose conclusion fails, is
-the OR over the positions the map sets of the checks whose conclusion
-holds that position, and so is F for the premises.  :func:`_pack` keeps
-one int per position, S | F << width.  Rank i sets the positions (b, j)
-of the bits b of its cut's atom and the j of its span (V[i-1], V[i]],
-so its share of a map's S | F << width depends only on (atom, span).
-The plan tabulates it once per atom (:func:`_table`), for every span
-(u, v] with 0 <= u <= v <= D, and a map's S | F << width is one table
-entry OR'd per rank.  :meth:`_Pass.sides` does that for all value
-tuples of a profile at once, one list per rank, reading each rank's
-table index off columns built once per rank count (:func:`_columns`).
-A map is a counterexample to some check only if
-(S & ~F) | (F & ~S & IFF), that is (S ^ F) & (S | IFF), is non-zero,
-IFF marking the biconditionals.  Such maps are sorted lexicographically
-and recorded, so every report is the same as that of a pass that runs
-each check on each map it walks, in lexicographic order.  Recording
-reads each check's two sides off S and F, reads a kind's failing cut
-indices as the OR of the spans of the ranks whose atom fails it, and
-looks up only its witness: the first failing soft level by ascending t
-of the first failing witness kind, or one literal scan
-(:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy record.  A
-``route="all"`` check also runs its literal formulations on every
-recorded map, a cross-check of the per-set decision below.  A literal
-scan that contradicts the scan bits, or a witness level whose literal
-classification passes the kind its bits fail, raises RuntimeError; the
-latter also checks, on every recorded map, that one atom stands for all
-non-up-sets.
+Per map.  A check's two sides, premise and conclusion, each fail iff
+the map sets one of their positions (b, j): bit b of the atom of the
+cut at index j.  :func:`_pack` keeps one int per position, the checks
+whose conclusion (S) or premise (F) holds it, as S | F << width, and
+:func:`_table` the OR of those ints over an atom's bits at each cut
+index.  Lemma: meeting a mask distributes over OR, so a map's
+S | F << width is the OR, over its ranks, of the entries of the rank's
+atom on its span.  A map refutes some check iff (S ^ F) & (S | IFF) is
+non-zero, IFF marking the biconditionals.  :func:`_decide` decides a
+profile of r ranks by a DP over the spans, rank by rank, and lists no
+value tuple: after rank i, each value v maps to the ORs of ranks 0..i
+over the prefixes V[0] < ... < V[i] = v, that is the union of the ORs
+at v - 1 of ranks i and i - 1, each OR'd with rank i's entry at v.
+That is r(D-r+2) steps, against the C(D+1, r) value tuples of a
+listing.  Only a flagged profile's value tuples are listed
+(:func:`_listed`), and one with none that fails raises RuntimeError.
+Counterexamples are sorted lexicographically and recorded, so every
+report is that of a pass that runs each check on each map it walks, in
+lexicographic order.  Recording reads each check's two sides off S and
+F, reads a kind's failing cut indices as the OR of the spans of the
+ranks whose atom fails it, and looks up only its witness: the first
+failing soft level by ascending t of the first failing witness kind, or
+one literal scan (:func:`softmtl.fuzzy.variant_witness`) for a
+soft=>fuzzy record.  A ``route="all"`` check also runs its literal
+formulations on every recorded map.  A literal scan that contradicts
+the scan bits, or a witness level whose literal classification passes
+the kind its bits fail, raises RuntimeError; the latter also checks, on
+every recorded map, that one atom stands for all non-up-sets.
 
 Route "all".  Its formulations are compared only where the conjunct
-passes (:func:`softmtl.fuzzy.disagree`), on the scan bits of lo+1..hi,
-an OR over the chain.  Lemma: they disagree on some map iff on the own
-bits of some set U, and the least such map is 0 off U, lo+1 on U, least
-over those U.  Proof: that map's one cut in range is U.  On a
-disagreeing map m the conjunct passes on every U_i in range, some
-formulation has its bit on none, and another on some U_j, which
-disagrees alone; m >= lo+1 on U_j, so m is at least U_j's map.  With
-sound scans no non-up-set disagrees (below), but a broken filter form
-can make them all disagree, sharing one atom: over all maps the least of
-theirs is that of {x}, x the last element but the top (a singleton is
-an up-set iff it holds the top); a two-valued run walks only the
-representative's.  :func:`_disagreement` tests each up-set and that one
-non-up-set once, before any profile is walked, and names the least (map,
-key), on which the literal scans raise AlgebraError (RuntimeError if
-they agree there).
+passes (:func:`softmtl.fuzzy.disagree`).  Lemma: they disagree on some
+map iff on the own scan bits of some set U, and the least such map is 0
+off U, lo+1 on U, least over those U.  A broken filter form can make
+all non-up-sets disagree, and the least map of theirs is that of {x}, x
+the last element but the top.  :func:`_disagreement` tests each up-set
+and that one non-up-set (the representative in a two-valued run) once,
+before any profile is walked, and names the least (map, key), on which
+the literal scans raise AlgebraError (RuntimeError if they agree there).
 
 Per plan.  Resolving the checks and marking their positions reads only
 the specs, the grid and the interval, never the algebra.  So
@@ -159,14 +97,17 @@ relation kinds, iff flag and theorem id, the int of each position, the
 distinct ``route="all"`` keys, the bits of the biconditionals, and the
 D+1 grid values as a counterexample prints them.  An atom's table reads
 only the positions, so the plan also keeps {atom: table}, filled by the
-first run on any algebra that meets the atom.  A table holds
-(D+1)(D+2)/2 ints, about as many as the C(D+1, 2) value tuples of r =
-2, and an atom is an int below 2^(len(KINDS) + len(_SCAN_KEYS)), so a
-plan holds at most 2048 tables (a3 at D=24 meets 3, of 325 ints, about
-41 KB).  :func:`_plan` keeps the last 8 plans (``functools.lru_cache``),
-so repeated runs at one grid, on any algebra, share one, and the tables
-go with their plan.  A plan holds no algebra, and without its tables
-grows only with D, about 22 KB for the catalog at D=24.
+first run on any algebra that meets the atom.  A table holds D+1 ints,
+and an atom is an int below 2^(len(KINDS) + len(_SCAN_KEYS)), so a plan
+holds at most 2048 tables (a3 meets 4 atoms, 3 of which set a bit).  A
+profile's verdict reads only the tables, so the plan keeps {(carrier's
+atom, *profile): flagged} as well, one bool per profile decided, never a
+map; an atom is its own id (below), so the key is exact across
+algebras.  :func:`_plan` keeps the last 8 plans
+(``functools.lru_cache``), so repeated runs at one grid, on any algebra,
+share one, and the tables and verdicts go with their plan.  A plan holds
+no algebra, and without its memos grows only with D, about 22 KB for the
+catalog at D=24.
 
 Per algebra.  The up-sets (:func:`softmtl.fuzzy.up_sets`), the atom of
 each cut a run meets (:func:`_atoms`: the carrier, the up-sets and the
@@ -176,38 +117,29 @@ classifications (:class:`softmtl.algebra.DerivedTables`).  An atom is
 its own id, so a profile is the same in every run, and a plan's tables
 serve every algebra.  The profiles of r <= 2 are those of the two-valued
 maps too, so both modes share them.  A first run on an algebra does the
-work of a run without them, and every later run classifies, scans and
-walks nothing.  They hold at most len(up-sets) + 2 atoms and n levels of
-profiles, and go with the algebra.
+work of a run without them, and every later run classifies and scans
+nothing, and walks only rank counts no run walked before.  They hold
+at most len(up-sets) + 2 atoms and n levels of profiles, and go with the
+algebra.
 
-Per run.  Each run makes its own reports, value tuples and columns,
-decides each (profile, V) pair and records its counterexamples.  The
-C(D+1, r) value tuples of the largest r are its largest part on a fine
-grid (177100 at r = 6 for a3 at D=24).  All of it stays on the run and
-goes with it, and no memo grows with the maps.
+Per run.  Each run makes its own reports, reads each profile's verdict
+off its plan, and for a flagged profile lists its value tuples and its
+rank count's weak orders and records its counterexamples.  All of it
+stays on the run and goes with it, and no memo grows with the maps.  A
+run that refutes nothing on a plan and algebra met before decides,
+lists and walks nothing.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
 U each non-empty proper up-set of the algebra's order
-(:func:`softmtl.fuzzy.up_sets`) and the least mask that is not one, the
-representative.  It is the same loop, atoms and profiles with r <= 2:
-the profiles of r = 2 are the distinct atoms of those sets (the carrier
-holds bottom < top, so some set is no up-set), and the chains (U,) are
-listed only to name counterexamples.  The maps are grid maps, so their records
-are the grid's on them, and each check the grid refutes is refuted on
-one of them:
-
-- Per-U_i split.  S, F and a ``route="all"`` check's scan bits are ORs
-  over a map's chain.  U_i counts where its span (V[i-1], V[i]] meets a
-  mask's cut indices, the levels or lo+1..hi, which (V[i-1], V[i])
-  fixes; U_0, the carrier, fails no kind and no scan.  So the U_i that
-  sets the failing side of a counterexample, or disagrees (Route "all"),
-  makes the grid map V[i-1] off U_i, V[i] on U_i do the same.
-- One atom for every non-up-set.  A set with x <= y, x in it and y not,
-  is no filter, so it fails every kind.  On its indicator the unit check
-  (1 not in it) or mp at (x, y) fails, as x -> y = 1, and so does the
-  product route's order check; the conjoined scans are skipped.  So all
-  non-up-sets share one atom, and one stands for all.
+(:func:`softmtl.fuzzy.up_sets`) and the representative, the least mask
+that is not one.  It is the same loop, atoms and profiles with r <= 2,
+and the chains (U,) are listed only to name counterexamples.  The maps
+are grid maps, so their records are the grid's on them, and each check
+the grid refutes is refuted on one of them, by two lemmas: the U_i that
+sets the failing side of a counterexample, or disagrees, makes the grid
+map V[i-1] off U_i, V[i] on U_i do the same; and every non-up-set fails
+every kind and the same scans, so all share one atom.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -220,7 +152,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, count
+from itertools import accumulate, combinations, count
 from operator import or_
 from typing import NamedTuple
 
@@ -356,7 +288,8 @@ def _room(above, part: int) -> int:
     """The longest chain of non-up-sets strictly between up-sets A > B, where part = A - B.
 
     ``above`` holds each element's strict up-set mask.  |part| - 1 if part
-    holds a pair x < y, else 0 (proof in the module docstring).
+    holds a pair x < y, else 0 (proof in ``docs/verifier.md``, "Per
+    profile").
     """
     rest = part
     while rest:
@@ -374,7 +307,8 @@ def _profiles(alg, atoms: dict[int, int], other: int, ranks: int) -> list[list[t
     ascending, to its atom, and ``other`` is the atom of every other set.  A
     state is (last up-set, run of non-up-sets since it, profile so far),
     each kept once, and every state kept completes: its run fits between
-    its last up-set and the empty set (proof in the module docstring).
+    its last up-set and the empty set (proof in ``docs/verifier.md``,
+    "Per profile").
     """
     rooms = {}
 
@@ -445,8 +379,10 @@ class _Plan(NamedTuple):
     S | F << width, the checks whose conclusion (S) or premise (F) mask
     holds it (module docstring, "Per map").  ``all_routes`` holds the
     distinct fuzzy keys of the ``route="all"`` checks (:func:`_disagreement`).
-    ``tables`` maps an atom to its verdict table (:func:`_table`), built on
-    first use by a run on any algebra; all else is immutable.
+    ``tables`` maps an atom to its verdict table (:func:`_table`), and
+    ``verdicts`` a profile to whether it has a counterexample
+    (:func:`_decide`); both are filled on first use by a run on any
+    algebra, and all else is immutable.
     """
 
     checks: tuple[_Check, ...]
@@ -457,6 +393,7 @@ class _Plan(NamedTuple):
     iff: int                       # the bits of the biconditionals
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
     tables: dict[int, tuple[int, ...]]
+    verdicts: dict[tuple[int, ...], bool]
 
 
 def _pack(checks, den) -> _Plan:
@@ -484,7 +421,7 @@ def _pack(checks, den) -> _Plan:
         tuple(checks), den, tuple(map(tuple, rows)), width,
         tuple({check.fuzzy for check in checks if check.fuzzy and check.fuzzy[3] == "all"}),
         sum(1 << c for c, check in enumerate(checks) if check.iff),
-        tuple(str(Fraction(k, den)) for k in range(lane)), {})
+        tuple(str(Fraction(k, den)) for k in range(lane)), {}, {})
 
 
 @lru_cache(maxsize=8)
@@ -492,7 +429,7 @@ def _plan(specs: tuple[TheoremSpec, ...] | None, den: int, interval) -> _Plan:
     """The plan of ``specs`` on the 1/den grid, ``interval`` overriding a generic one's.
 
     It depends only on its arguments, so it is built once and shared by
-    every run with them (module docstring, "Per grid").  None stands for
+    every run with them (module docstring, "Per plan").  None stands for
     the catalog, whose 31 specs would each be hashed on every lookup.
     """
     return _pack([_check(spec, den, interval)
@@ -500,30 +437,65 @@ def _plan(specs: tuple[TheoremSpec, ...] | None, den: int, interval) -> _Plan:
 
 
 def _table(plan, atom) -> tuple[int, ...]:
-    """S | F << width of a rank with ``atom`` over each span (u, v], kept in ``plan.tables``.
+    """S | F << width of a rank with ``atom`` at each cut index 0..den, kept in ``plan.tables``.
 
-    The spans are listed by u and then v, 0 <= u <= v <= den; the empty
-    span (u, u] sets nothing.  Empty when the atom sets no bit anywhere.
+    A rank over the span (u, v] adds the OR of the entries u+1..v.
     """
-    col = [0] * (plan.den + 1)  # the bits at each cut index
+    col = (0,) * (plan.den + 1)
     for b, row in enumerate(plan.positions):
         if atom >> b & 1:
-            col = list(map(or_, col, row))
-    table = plan.tables[atom] = tuple(chain.from_iterable(
-        (0, *accumulate(col[u + 1:], or_)) for u in range(len(col)))) if any(col) else ()
-    return table
+            col = tuple(map(or_, col, row))
+    plan.tables[atom] = col
+    return col
 
 
-def _columns(vs, den):
-    """For each rank i, the table index of its span (V[i-1], V[i]] on every V of ``vs``.
+def _fails(plan, bits) -> int:
+    """The checks refuted by a map with S | F << width ``bits``: (S ^ F) & (S | IFF)."""
+    return (bits ^ bits >> plan.width) & (bits | plan.iff) & ((1 << plan.width) - 1)
 
-    V[-1] = 0.  A table lists the spans (u, v], 0 <= u <= v <= den, by u
-    and then v, so (u, v] is at ``start[u] + v`` (:func:`_table`).
+
+def _decide(plan, atoms) -> bool:
+    """Whether some map of the profile is a counterexample, kept in ``plan.verdicts``.
+
+    ``atoms`` is the rank-0 cut's atom, then the profile.  A DP over the
+    ranks: after rank i, each value V[i] maps to the ORs S | F << width of
+    ranks 0..i over the prefixes V[0] < ... < V[i] that end there (module
+    docstring, "Per map").  No value tuple is listed.
     """
-    lane = den + 1
-    start = [u * lane - u * (u + 1) // 2 for u in range(lane)]
-    ranks = [(0,) * len(vs), *zip(*vs)]
-    return [[start[u] + v for u, v in zip(low, high)] for low, high in zip(ranks, ranks[1:])]
+    den, r = plan.den, len(atoms)
+    # V[-1] = -1, so rank 0's span (0, V[0]] may be empty; it also covers index 0, which is empty
+    states = {-1: {0}}
+    for i, atom in enumerate(atoms):
+        t = plan.tables.get(atom)
+        if t is None:
+            t = _table(plan, atom)
+        grown, ors = {}, set()
+        for v in range(i, den - r + i + 2):  # room below V[i] for the ranks under it, and above
+            # the prefixes with V[i] = v: those with V[i] = v - 1 or V[i-1] = v - 1, and index v
+            ors = ors | states[v - 1] if v - 1 in states else ors
+            if t[v]:
+                ors = {x | t[v] for x in ors}
+            grown[v] = ors
+        states = grown
+    found = plan.verdicts[atoms] = any(_fails(plan, x) for ors in states.values() for x in ors)
+    return found
+
+
+def _listed(plan, atoms) -> list[tuple[tuple[int, ...], int, int]]:
+    """(V, S, F) of each counterexample among the maps of a profile :func:`_decide` flagged."""
+    # each rank's OR of its table entries over the span (u, v], at [u][v]
+    spans = [[(0,) * u + tuple(accumulate(t[u + 1:], or_, initial=0)) for u in range(len(t))]
+             for t in map(plan.tables.__getitem__, atoms)]
+    found = []
+    for vals in combinations(range(plan.den + 1), len(atoms)):
+        bits = 0
+        for rows, u, v in zip(spans, (0, *vals), vals):
+            bits |= rows[u][v]
+        if _fails(plan, bits):
+            found.append((vals, bits & (1 << plan.width) - 1, bits >> plan.width))
+    if not found:
+        raise RuntimeError(f"the DP flags the profile {atoms}, and none of its maps fails")
+    return found
 
 
 def _disagreement(keys, atoms, n):
@@ -557,16 +529,16 @@ def _atoms(alg, sets) -> dict[int, int]:
     return atoms
 
 
-def _record(run, nums, split, soft: int, fail: int) -> None:
-    """Append each check's counterexample on one map, read off the sides ``decide`` returned.
+def _record(alg, plan, reports, carrier, nums, split, soft: int, fail: int) -> None:
+    """Append each check's counterexample on one map to its report, read off its sides S and F.
 
-    ``split`` is the map's profile and value tuple.
+    ``split`` is the map's profile and value tuple, and ``carrier`` the
+    rank-0 cut's atom.
     """
-    alg, plan, reports = run.alg, run.plan, run.reports
     den, checks, printed = plan.den, plan.checks, plan.printed
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
     profile, vals = split
-    ranks = list(zip((run.carrier, *profile), (0, *vals), vals))  # (atom, span (u, v])
+    ranks = list(zip((carrier, *profile), (0, *vals), vals))  # (atom, span (u, v])
     for b, check in enumerate(checks):
         conclusion, premise = soft >> b & 1, fail >> b & 1
         witness = None  # None: the first failing soft level of a witness kind
@@ -607,51 +579,6 @@ def _record(run, nums, split, soft: int, fail: int) -> None:
             {"mu": doc, "direction": direction, "witness": [str(part) for part in witness]})
 
 
-class _Pass(NamedTuple):
-    """One run's algebra, plan and own reports, and its decision on the maps of one profile.
-
-    ``reports`` has one report per check.  A map is a weak order W of the
-    carrier, as its chain of up-sets (see :func:`softmtl.fuzzy.weak_orders`),
-    with a strictly increasing value tuple V.  W's profile holds the atom
-    of each cut of its chain, and ``carrier`` is the rank-0 cut's.
-    :meth:`sides` ORs one entry of each rank's atom's table (:func:`_table`)
-    into S | F << width of each map, from which :meth:`decide` keeps the
-    counterexamples (module docstring, "Per map").
-    """
-
-    alg: FiniteMtlAlgebra
-    plan: _Plan
-    reports: list[VerificationReport]
-    carrier: int
-
-    def sides(self, profile, cols):
-        """S | F << width of the map of each value tuple: one table entry OR'd per rank.
-
-        ``cols`` are the ranks' table indices (:func:`_columns`).
-        """
-        plan, bits = self.plan, None
-        for atom, col in zip((self.carrier, *profile), cols):
-            t = plan.tables.get(atom)
-            if t is None:
-                t = _table(plan, atom)
-            if t:
-                bits = [t[k] for k in col] if bits is None else \
-                    [s | t[k] for s, k in zip(bits, col)]
-        return bits or [0] * len(cols[0])
-
-    def decide(self, profile, vs, cols):
-        """(V, S, F) of each counterexample among the maps of the profile and value tuples ``vs``.
-
-        A map is one for some check iff (S & ~F) | (F & ~S & IFF), that is
-        (S ^ F) & (S | IFF), is non-zero.
-        """
-        width, iff = self.plan.width, self.plan.iff
-        every = (1 << width) - 1
-        return [(vals, s & every, s >> width)
-                for vals, s in zip(vs, self.sides(profile, cols))
-                if (s ^ s >> width) & (s | iff) & every]
-
-
 def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     """Run the checks of ``specs`` (a tuple, or None for the catalog) on the maps of ``walk``.
 
@@ -663,7 +590,7 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     reports = [VerificationReport(check.theorem, name, den, checked, mode)
                for check in plan.checks]
     n, atoms = alg.n, _atoms(alg, sets)
-    run = _Pass(alg, plan, reports, atoms[(1 << n) - 1])
+    carrier = atoms[(1 << n) - 1]
     *ups, rep = sets
     other = atoms[rep]
     if mode == "exhaustive":  # every map: the chains of any non-empty proper subsets
@@ -683,19 +610,20 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
                                             len(orders)), 1))
     found = []  # (map, (profile, values), S, F) of each counterexample
     for r, of_r in enumerate(orders, 1):
-        vs = list(combinations(range(den + 1), r))
-        cols = _columns(vs, den)
-        # each distinct profile -> (values, S, F) of its counterexamples
-        decided = {profile: run.decide(profile, vs, cols) for profile in profiles[r]}
-        if any(decided.values()):  # list the weak orders, only to name their maps
+        named = {}  # each flagged profile -> (values, S, F) of its counterexamples
+        for profile in profiles[r]:
+            key = (carrier, *profile)
+            if plan.verdicts[key] if key in plan.verdicts else _decide(plan, key):
+                named[profile] = _listed(plan, key)
+        if named:  # list the weak orders, only to name their maps
             for order in of_r:
                 # the carrier is in no order, and the representative's atom is other's
                 profile = tuple([atoms.get(up, other) for up in order])
-                for vals, soft, fail in decided[profile]:
+                for vals, soft, fail in named.get(profile, ()):
                     found.append((grid_map(order, vals, n), (profile, vals), soft, fail))
     found.sort()  # the lexicographic order of the maps
     for counterexample in found:
-        _record(run, *counterexample)
+        _record(alg, plan, reports, carrier, *counterexample)
     return reports
 
 

@@ -410,6 +410,19 @@ def test_broken_pipe_keeps_exit_code(argv, expected):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("verify-all", "a1", "--grid", "3"), 2),  # bad input, not "counterexamples found"
+    (("verify-all", "a1", "--grid", "4"), 0),
+])
+def test_the_package_runs_as_the_command(argv, expected):
+    proc = _subprocess(["-m", "softmtl", *argv], stdout=subprocess.PIPE)
+    assert proc.returncode == expected, proc.stderr
+    if expected:
+        assert proc.stderr == b"error: grid denominator must be positive and even, got 3\n"
+    else:
+        assert proc.stdout.endswith(b"31 theorems, 0 with counterexamples\n")
+
+
 def test_budget_environment_variable_is_ignored():
     proc = _subprocess(["-c", "import softmtl.cli"], env={"SOFTMTL_BUDGET": "abc"},
                        stdout=subprocess.DEVNULL)

@@ -1,4 +1,5 @@
 import bisect
+import collections
 import dataclasses
 import functools
 import gc
@@ -359,7 +360,8 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
     recorded = []
     monkeypatch.setattr(verifier, "_record",
-                        lambda run, nums, bad, soft, fail: recorded.append(nums))
+                        lambda alg, plan, reports, carrier, nums, bad, soft, fail:
+                        recorded.append(nums))
     verify(alg, catalog_by_id()[spec_id], den)
     # The plain fuzzy side now fails on every map with U as a level cut, so the
     # maps on which it held, and so the soft side held, become counterexamples.
@@ -438,23 +440,27 @@ def test_a_disagree_bit_the_literal_scans_do_not_share_is_an_internal_error(monk
 
 def test_the_pass_decides_once_per_profile(monkeypatch):
     alg, den = load_algebra(FIXTURE_DOCS["a3"]), 8
+    verifier._plan.cache_clear()  # a new plan, with no verdicts of earlier runs
     calls = []
-    decide = verifier._Pass.decide
-    monkeypatch.setattr(verifier._Pass, "decide", lambda self, profile, vs, cols: calls.extend(
-        (profile, vals) for vals in vs) or decide(self, profile, vs, cols))
+    decide = verifier._decide
+    monkeypatch.setattr(verifier, "_decide",
+                        lambda plan, atoms: calls.append(atoms) or decide(plan, atoms))
     reports = verify_all(alg, den)
     assert all(rep.confirmed and rep.checked == (den + 1) ** alg.n for rep in reports)
-    # the profiles of the weak orders with r ranks, from every map onto the ranks
-    atom = functools.cache(functools.partial(_atom, alg))
-    expected = 0
-    for r in range(1, alg.n + 1):
-        profiles = {tuple(atom(sum(1 << x for x, k in enumerate(ranks) if k >= i))
-                          for i in range(1, r))
-                    for ranks in itertools.product(range(r), repeat=alg.n)
-                    if len(set(ranks)) == r}
-        expected += len(profiles) * math.comb(den + 1, r)
-    assert len(calls) == len(set(calls)) == expected == 6747
-
+    # the carrier's atom, then the profile of a weak order with r ranks, from every map onto
+    # the ranks
+    atom = functools.cache(lambda up: _atom(alg, up)[0] | _atom(alg, up)[1] << len(KINDS))
+    expected = {(atom((1 << alg.n) - 1), *(atom(sum(1 << x for x, k in enumerate(ranks) if k >= i))
+                                          for i in range(1, r)))
+                for r in range(1, alg.n + 1)
+                for ranks in itertools.product(range(r), repeat=alg.n) if len(set(ranks)) == r}
+    assert len(calls) == len(set(calls)) == len(expected) == 65
+    assert set(calls) == expected
+    # one DP per profile and plan: a warm run, and a run on a fresh load, decide none again
+    calls.clear()
+    assert [rep.to_doc() for rep in verify_all(alg, den)] == [rep.to_doc() for rep in reports]
+    verify_all(load_algebra(FIXTURE_DOCS["a3"]), den)
+    assert calls == []
 
 
 def _walk_atoms(alg):
@@ -580,6 +586,15 @@ def _cut_atoms(den, carrier, atoms, vals):
     return {j: cuts[bisect.bisect_left(vals, j)] for j in range(1, den + 1)}
 
 
+def _span_bits(plan, atoms, vals):
+    """S | F << width of the map whose ranks have ``atoms`` (the carrier's first) and take the
+    values ``vals``: the OR of the plan's int at every position each rank sets, its atom's bits
+    over its span (module docstring, "Per map")."""
+    return functools.reduce(operator.or_, [
+        row[j] for atom, u, v in zip(atoms, (0, *vals), vals)
+        for b, row in enumerate(plan.positions) if atom >> b & 1 for j in range(u + 1, v + 1)], 0)
+
+
 def _literal_verdicts(checks, den, carrier, atoms, vals):
     """S, F and R by the per-check rule, on the map of :func:`_cut_atoms`.
 
@@ -650,24 +665,28 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
                 for carrier in carriers
                 for r in range(1, min(alg.n, den + 1) + 1) for _ in range(4)]
         for carrier, picks, r in maps:
-            run = verifier._Pass(alg, plan, [], carrier)
-            profile = tuple(pool[i] for i in picks)
-            vs = list(itertools.combinations(range(den + 1), r))
-            cols = verifier._columns(vs, den)
-            decided = {vals: (s, f) for vals, s, f in run.decide(profile, vs, cols)}
+            key = (carrier, *(pool[i] for i in picks))
             atoms = [decoded[i] for i in picks]
-            for vals, bits in zip(vs, run.sides(profile, cols), strict=True):
+            listed = []  # (V, S, F) of each value tuple the literal rule refutes
+            for vals in itertools.combinations(range(den + 1), r):
                 soft, fail, rel = _literal_verdicts(checks, den, carrier, atoms, vals)
-                assert (bits & every, bits >> plan.width) == (soft, fail), \
-                    (carrier, profile, vals)
+                bits = _span_bits(plan, key, vals)
+                assert (bits & every, bits >> plan.width) == (soft, fail), (key, vals)
                 decision = (soft & ~fail) | (fail & ~soft & iff)
                 # the one rule decides each relation as its literal rule does
-                assert decision & relations == rel, (carrier, profile, vals)
-                assert decided.pop(vals, None) == ((soft, fail) if decision else None), \
-                    (carrier, profile, vals)
+                assert decision & relations == rel, (key, vals)
+                if decision:
+                    listed.append((vals, soft, fail))
                 seen.add(bool(decision))
                 refuted |= rel
-            assert not decided
+            # the DP flags the profile iff some value tuple is refuted, and the flagged
+            # profile's listing is exactly those value tuples
+            assert verifier._decide(plan, key) == bool(listed) == plan.verdicts[key], key
+            if listed:
+                assert verifier._listed(plan, key) == listed, key
+            else:
+                with pytest.raises(RuntimeError, match="none of its maps fails"):
+                    verifier._listed(plan, key)
     assert seen == {False, True}
     assert refuted  # so the relation bits were asserted on refutations too
 
@@ -682,19 +701,79 @@ def test_a_forward_premise_failing_alone_decides_no_map(name):
     forward = sum(1 << b for b, check in enumerate(plan.checks) if not check.iff)
     every = (1 << plan.width) - 1
     ids, other = _walk_atoms(alg)
-    run = verifier._Pass(alg, plan, [], alg.tables.atoms[(1 << alg.n) - 1])
+    carrier = alg.tables.atoms[(1 << alg.n) - 1]
     alone = 0  # the checks whose premise fails alone on some map
     ranks = min(alg.n, den + 1)
     for r, profiles in enumerate(verifier._profiles(alg, ids, other, ranks), 1):
-        vs = list(itertools.combinations(range(den + 1), r))
-        cols = verifier._columns(vs, den)
         for profile in profiles:
-            assert run.decide(profile, vs, cols) == []
-            for bits in run.sides(profile, cols):
+            key = (carrier, *profile)
+            assert not verifier._decide(plan, key)
+            atoms = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in profile]
+            for vals in itertools.combinations(range(den + 1), r):
+                bits = _span_bits(plan, key, vals)
                 soft, fail = bits & every, bits >> plan.width & every
+                assert (soft, fail) == _literal_verdicts(plan.checks, den, carrier, atoms,
+                                                         vals)[:2]
                 assert not soft & ~fail
                 alone |= fail & ~soft
     assert alone and not alone & ~forward
+
+
+def test_the_dp_decides_as_every_value_tuple_does_on_random_plans():
+    # random positions for 3 atom bits and 2 checks, some biconditional, on grids of 1 to 6
+    # steps, and random profiles of every rank count: far more shapes than the catalog's;
+    # as in every plan, cut index 0 (the carrier on every map) holds no position
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        den, width = rng.randint(1, 6), 2
+        plan = verifier._pack([], den)._replace(
+            positions=tuple((0, *(rng.choice([0, 0, rng.getrandbits(2 * width)])
+                                  for _ in range(den))) for _ in range(3)),
+            width=width, iff=rng.getrandbits(width))
+        every = (1 << width) - 1
+        for r in range(1, den + 2):
+            key = tuple(rng.getrandbits(3) for _ in range(r))
+            refuted = False
+            for vals in itertools.combinations(range(den + 1), r):
+                bits = _span_bits(plan, key, vals)
+                soft, fail = bits & every, bits >> width
+                refuted |= bool(soft & ~fail | fail & ~soft & plan.iff)
+            assert verifier._decide(plan, key) == refuted, (plan.positions, plan.iff, key)
+            seen.add(refuted)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+def test_false_specs_refute_every_map_the_literal_rule_does_at_twice_the_grid(name, den, spec,
+                                                                               kw):
+    # exhaustive at 2D; the count is by brute force over every weak order and value tuple,
+    # the atoms of every cut classified and scanned on their own, not by the verifier's memo
+    alg, den = load_algebra(FIXTURE_DOCS[name]), 2 * den
+    report = verify(alg, spec, den, interval=kw.get("interval"))
+    assert report.mode == "exhaustive" and report.checked == (den + 1) ** alg.n
+    check = _plan((spec,), den, kw.get("interval")).checks[0]
+    carrier = classify_filter(alg, (1 << alg.n) - 1).fails
+    atom = functools.cache(functools.partial(_atom, alg))
+    total = 0
+    for r in range(1, min(alg.n, den + 1) + 1):
+        profiles = collections.Counter(tuple(map(atom, order)) for order in weak_orders(alg.n, r))
+        for atoms, orders in profiles.items():
+            for vals in itertools.combinations(range(den + 1), r):
+                soft, fail, _ = _literal_verdicts((check,), den, carrier, list(atoms), vals)
+                total += orders * bool(soft & ~fail | fail & ~soft & check.iff)
+    assert total and len(report.counterexamples) == total
+
+
+@pytest.mark.parametrize("name", ["a3", "a2xb2"])
+def test_exhaustive_runs_on_a_fine_grid_confirm_the_catalog(name):
+    # a fresh algebra and plan: 25^6 and 25^8 maps, decided without listing a value tuple
+    alg, den = load_named(name) if "x" in name else load_algebra(FIXTURE_DOCS[name]), 24
+    verifier._plan.cache_clear()
+    reports = verify_all(alg, den)
+    assert len(reports) == 31
+    assert all(rep.mode == "exhaustive" and rep.confirmed and rep.checked == (den + 1) ** alg.n
+               for rep in reports)
 
 
 def test_verdicts_do_not_depend_on_earlier_runs(monkeypatch):
@@ -741,10 +820,16 @@ def test_a_plan_holds_only_immutable_values(a1):
     plan = _plan(specs, 4, None)
     assert plan is _plan(specs, 4, None)  # one plan, shared by the runs
     verifier._verify(a1, specs, 4, verifier._walk(a1, 4, None))
-    # the plan's one memo, of the verdict table of each atom met: a tuple of ints
+    # the plan's two memos: the verdict table of each atom met, a tuple of ints, and the
+    # verdict of each profile decided, keyed by its atoms, the carrier's first
     bound = 1 << len(KINDS) + len(fuzzy._SCAN_KEYS)
     assert plan.tables and all(type(atom) is int and 0 <= atom < bound for atom in plan.tables)
-    parts, seen = [plan._replace(tables=tuple(plan.tables.values()))], 0
+    assert not any(row[0] for row in plan.positions)  # no level or bound has cut index 0
+    assert plan.verdicts and True in plan.verdicts.values()  # the false specs flag some
+    assert all(type(key) is tuple and key and all(type(atom) is int and 0 <= atom < bound
+                                                  for atom in key)
+               and type(flagged) is bool for key, flagged in plan.verdicts.items())
+    parts, seen = [plan._replace(tables=tuple(plan.tables.values()), verdicts=())], 0
     while parts:
         part = parts.pop()
         seen += 1
@@ -801,14 +886,14 @@ def test_warm_runs_give_the_reports_of_cold_runs(monkeypatch, name):
             return f(*args)
         return wrapper
 
-    for fn in ("scan_fails", "_profiles", "_table"):
+    for fn in ("scan_fails", "_profiles", "_table", "_decide"):
         monkeypatch.setattr(verifier, fn, counted(fn, getattr(verifier, fn)))
     alg = load_algebra(doc)
     warm = [docs(run(alg)) for run in runs]  # each run after the others, on one algebra
     verifier._plan.cache_clear()  # and with no plan kept
     cold = [docs(run(load_algebra(doc))) for run in runs]
     assert warm == cold
-    assert set(calls) == {"scan_fails", "_profiles", "_table"}
+    assert set(calls) == {"scan_fails", "_profiles", "_table", "_decide"}
     assert any(doc["counterexamples"] for reports in cold for doc in reports)
     assert any(doc["mode"] == "two-valued" for reports in cold for doc in reports) == \
         (alg.n > 2)  # b2's two-valued maps are all its maps
@@ -833,15 +918,15 @@ def test_the_memos_go_with_their_owners():
     del alg, tables
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    # an evicted plan's tables go with it: a new plan for its key starts with none
+    # an evicted plan's tables and verdicts go with it: a new plan for its key starts with none
     a1 = load_algebra(FIXTURE_DOCS["a1"])
     plan = _plan(None, 6, None)
     verify_all(a1, 6)
-    assert plan.tables
+    assert plan.tables and plan.verdicts
     for den in range(8, 8 + 2 * _plan.cache_info().maxsize, 2):
         _plan(None, den, None)
     fresh = _plan(None, 6, None)
-    assert fresh is not plan and fresh.tables == {}
+    assert fresh is not plan and fresh.tables == fresh.verdicts == {}
     verify_all(a1, 6)
     assert fresh.tables.keys() == plan.tables.keys()
 
