@@ -9,13 +9,13 @@ through the top-level parser, so help, usage and error messages are as
 argparse prints them (:func:`_parse`).  Each command ``cmd_x(args, alg)``
 only computes its report and returns ``(code, doc, lines)``: the exit
 code, the ``--json`` document and the text lines, an iterable that
-:func:`_emit` reads only for text output (``verify`` and ``verify-all``
-format their lines only then).  :func:`_json` writes the document, with
-the sorted, escaped key heads of each dict shape kept in a cache of at
-most 64 (keys, indent) layouts.  ``verify`` and ``verify-all`` put their
+:func:`_emit` reads only for text output.  ``--json`` prints what
+``json.dumps(doc, indent=2, sort_keys=True)`` prints, from one of two
+writers (:func:`_json`): ``verify`` and ``verify-all`` put their
 ``VerificationReport`` objects themselves in the document, and
-:func:`_report` writes each one from one template, as ``json.dumps``
-writes its ``to_doc()``; so text output builds no document at all.
+:func:`_report` and :func:`_counterexamples` write each from templates, as
+``json.dumps`` writes its ``to_doc()``; every other document goes to
+``json.dumps``.  So text output builds no report document at all.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
@@ -73,21 +73,6 @@ def _write(text):
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(keys, newline):
-    """The written shape of a dict with ``keys``: its values' indent, (key, head) pairs, its close.
-
-    The pairs follow the sorted keys, and each head is the text before
-    the value: ``{`` or ``,``, the indent and the escaped key.  sorted()
-    or the escape raises TypeError on a key that is not a str, and
-    lru_cache keeps no result of a call that raises.
-    """
-    inner = newline + "  "
-    heads = tuple((key, ("," if i else "{") + inner + _escape(key) + ": ")
-                  for i, key in enumerate(sorted(keys)))
-    return inner, heads, newline + "}"
-
-
-@functools.lru_cache(maxsize=64)
 def _report_parts(algebra, mode, newline):
     """The fixed text of :func:`_report`'s template before ``checked``, ``den`` and ``theorem``.
 
@@ -101,94 +86,74 @@ def _report_parts(algebra, mode, newline):
 
 
 def _report(rep, newline) -> str:
-    """What :func:`_json` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
+    """What ``json.dumps`` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
 
     The str fields are escaped (:func:`_report_parts`) and ``den`` and
     ``checked`` written by ``int.__repr__``; both raise TypeError on a
     value that is not a str or an int (the verifier never puts a bool
-    there).  The counterexamples go to :func:`_json`.
+    there).  The counterexamples go to :func:`_counterexamples`.
     """
     inner = newline + "  "
     head, mid, tail = _report_parts(rep.algebra, rep.mode, newline)
-    ces = rep.counterexamples
     return (f'{head}{int.__repr__(rep.checked)}'
             f',{inner}"confirmed": {"true" if rep.confirmed else "false"}'
-            f',{inner}"counterexamples": {_json(ces, inner) if ces else "[]"}'
+            f',{inner}"counterexamples": {_counterexamples(rep.counterexamples, inner)}'
             f'{mid}{int.__repr__(rep.den)}{tail}{_escape(rep.theorem)}{newline}}}')
 
 
-def _json(doc, newline="\n") -> str:
-    """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, for JSON-native documents.
+def _counterexamples(ces, newline) -> str:
+    """What ``json.dumps`` writes for a report's counterexamples, one template each.
 
-    With an indent, ``json.dumps`` runs CPython's pure-Python encoder, and
-    for a small report that costs more than the run.  This writes dicts
-    with str keys, lists, tuples (as lists), str, int, bool and None;
-    strings are escaped by the same C function.  A ``VerificationReport``
-    is written by :func:`_report`, as its ``to_doc()`` would be.  Any
-    other key or value raises TypeError.  A dict's str, int and bool
-    values are written in place rather than by a call each, after the
-    heads that :func:`_layout` keeps for its keys.
+    Each is a dict of ``direction`` (a str), ``mu`` (label -> str) and
+    ``witness`` (a list of str).  The sorted labels of a ``mu`` and the
+    escaped text before each of its values are worked out once per label
+    tuple, as all of a report's counterexamples share it.
     """
-    kind = type(doc)
-    if kind is str:
-        return _escape(doc)
-    if kind is VerificationReport:
-        return _report(doc, newline)
-    if kind is dict:
-        if not doc:
-            return "{}"
-        inner, heads, close = _layout(tuple(doc), newline)
-        items = []
-        for key, head in heads:
-            value = doc[key]
-            kind = type(value)
-            if kind is str:
-                text = _escape(value)
-            elif kind is int:
-                text = int.__repr__(value)
-            elif kind is bool:
-                text = "true" if value else "false"
-            else:
-                text = _json(value, inner)
-            items.append(head + text)
-        return "".join(items) + close
-    if kind is list or kind is tuple:
-        if not doc:
-            return "[]"
-        inner = newline + "  "
-        items = [_json(item, inner) for item in doc]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is int:
-        return int.__repr__(doc)
-    if kind is bool:
-        return "true" if doc else "false"
-    if doc is None:
-        return "null"
-    raise TypeError(f"{kind.__name__} is left to json.dumps")
+    if not ces:
+        return "[]"
+    at_ce, at_key, at_item = newline + "  ", newline + "    ", newline + "      "
+    heads = {}  # the labels of a mu -> (label, the text before its value), sorted by label
+    texts = []
+    for ce in ces:
+        mu, witness = ce["mu"], ce["witness"]
+        labels = tuple(mu)
+        pairs = heads.get(labels)
+        if pairs is None:
+            pairs = heads[labels] = [(label, ("," if i else "{") + at_item + _escape(label) + ": ")
+                                     for i, label in enumerate(sorted(labels))]
+        mu_text = "".join([head + _escape(mu[label]) for label, head in pairs]) + at_key + "}"
+        witness_text = ("[" + at_item + ("," + at_item).join(map(_escape, witness)) + at_key + "]"
+                        if witness else "[]")
+        texts.append(f'{{{at_key}"direction": {_escape(ce["direction"])},{at_key}"mu": '
+                     f'{mu_text if mu else "{}"},{at_key}"witness": {witness_text}{at_ce}}}')
+    return "[" + at_ce + ("," + at_ce).join(texts) + newline + "]"
 
 
-def _report_doc(obj):
-    """``json.dumps``' ``default``: a report as its ``to_doc()``; any other object raises."""
-    if type(obj) is not VerificationReport:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.to_doc()
+def _json(doc) -> str:
+    """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with a report as its ``to_doc()``.
+
+    A report, alone (``verify``) or as ``{"reports": [...]}``
+    (``verify-all``), is written by :func:`_report`; ``json.dumps`` writes
+    every other document.
+    """
+    if type(doc) is VerificationReport:
+        return _report(doc, "\n")
+    if type(doc) is dict and list(doc) == ["reports"] and doc["reports"]:
+        inner = "\n    "
+        return ('{\n  "reports": [' + inner
+                + ("," + inner).join([_report(rep, inner) for rep in doc["reports"]])
+                + "\n  ]\n}")
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _emit(args, doc, text_lines):
-    """Print the report; ``--json`` prints ``json.dumps(doc, indent=2, sort_keys=True)``.
+    """Print the text lines, or with ``--json`` the document as :func:`_json` writes it.
 
-    :func:`_json` writes those bytes, and a document it cannot write goes
-    to ``json.dumps`` whole, with each report as its ``to_doc()``, so the
-    output never depends on which wrote it.
+    The text lines are read only here, so ``verify`` and ``verify-all``
+    format theirs only for text output, and their reports are written from
+    templates rather than turned into documents first.
     """
-    if not args.json:
-        text = "\n".join(text_lines)
-    else:
-        try:
-            text = _json(doc)
-        except TypeError:
-            text = json.dumps(doc, indent=2, sort_keys=True, default=_report_doc)
-    _write(text + "\n")
+    _write(("\n".join(text_lines) if not args.json else _json(doc)) + "\n")
 
 
 def cmd_check_algebra(args, alg):
@@ -321,7 +286,9 @@ def build_parser():
                                 description="MTL-algebra finite-model verification workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=True, budget=False):
+    def command(name, fn, summary, grid=True, budget=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument("target", help="fixture name (a1, a2, a3, b2) or JSON file path")
         sp.add_argument("--json", action="store_true", help="structured output")
         if grid:
@@ -330,52 +297,37 @@ def build_parser():
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="max grid maps; over it, the two-valued ones (same verdicts)")
+        return sp
 
-    sp = sub.add_parser("check-algebra", help="validate axioms and derived laws")
-    common(sp, grid=False)
-    sp.set_defaults(fn=cmd_check_algebra)
+    command("check-algebra", cmd_check_algebra, "validate axioms and derived laws", grid=False)
 
-    sp = sub.add_parser("filters", help="enumerate all filters")
-    common(sp, grid=False)
+    sp = command("filters", cmd_filters, "enumerate all filters", grid=False)
     sp.add_argument("--classify", action="store_true")
-    sp.set_defaults(fn=cmd_filters)
 
-    sp = sub.add_parser("classify", help="classify one subset")
-    common(sp, grid=False)
+    sp = command("classify", cmd_classify, "classify one subset", grid=False)
     sp.add_argument("elements", nargs="+", metavar="LABEL")
-    sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("fuzzy-check", help="check a fuzzy-filter variant")
-    common(sp)
+    sp = command("fuzzy-check", cmd_fuzzy_check, "check a fuzzy-filter variant")
     sp.add_argument("--mu", required=True, help="e.g. '0=0,a=1/2,b=3/4,1=1'")
     sp.add_argument("--family", choices=fuzzy.FAMILIES, default="plain")
     sp.add_argument("--kind", choices=fuzzy.KINDS, default="filter")
     sp.add_argument("--route", default="default")
     sp.add_argument("--interval", help="alpha,beta for the thresholds family")
-    sp.set_defaults(fn=cmd_fuzzy_check)
 
-    sp = sub.add_parser("soft-build", help="build and classify a level-cut soft set")
-    common(sp)
+    sp = command("soft-build", cmd_soft_build, "build and classify a level-cut soft set")
     sp.add_argument("--mu", required=True)
     sp.add_argument("--soft", choices=soft.SOFT_KINDS, default="in")
     sp.add_argument("--interval", help="lo,hi (default 0,1)")
     sp.add_argument("--kind", choices=fuzzy.KINDS, default="filter")
-    sp.set_defaults(fn=cmd_soft_build)
 
-    sp = sub.add_parser("verify", help="verify one catalog theorem")
-    common(sp, budget=True)
+    sp = command("verify", cmd_verify, "verify one catalog theorem", budget=True)
     sp.add_argument("theorem")
     sp.add_argument("--interval", help="override (alpha,beta] for generic-interval theorems")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("verify-all", help="verify the whole catalog")
-    common(sp, budget=True)
-    sp.set_defaults(fn=cmd_verify_all)
+    command("verify-all", cmd_verify_all, "verify the whole catalog", budget=True)
 
-    sp = sub.add_parser("witness", help="find a converse-failure witness")
-    common(sp)
+    sp = command("witness", cmd_witness, "find a converse-failure witness")
     sp.add_argument("theorem", help="T4.2.13 or T4.3.12")
-    sp.set_defaults(fn=cmd_witness)
     p.commands = sub.choices  # each command's own parser, for _parse
     return p
 

@@ -15,7 +15,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import FiniteMtlAlgebra, load_algebra
+from .algebra import AlgebraError, FiniteMtlAlgebra, load_algebra
 
 FIXTURE_DOCS: dict[str, dict] = {
     "a1": {
@@ -117,4 +117,8 @@ def resolve_algebra(target: str) -> FiniteMtlAlgebra:
     path = Path(target)
     if not path.is_file():
         raise FileNotFoundError(f"{target!r} is neither a fixture name nor a readable file")
-    return load_algebra(json.loads(path.read_bytes()))
+    try:
+        doc = json.loads(path.read_bytes())
+    except RecursionError:
+        raise AlgebraError(f"{target!r} nests too deeply to read as JSON") from None
+    return load_algebra(doc)

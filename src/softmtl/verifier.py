@@ -619,8 +619,11 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
             for order in of_r:
                 # the carrier is in no order, and the representative's atom is other's
                 profile = tuple([atoms.get(up, other) for up in order])
-                for vals, soft, fail in named.get(profile, ()):
-                    found.append((grid_map(order, vals, n), (profile, vals), soft, fail))
+                if profile in named:
+                    ranks = grid_map(order, range(r), n)  # each element's rank
+                    for vals, soft, fail in named[profile]:
+                        found.append((tuple([vals[i] for i in ranks]), (profile, vals),
+                                      soft, fail))
     found.sort()  # the lexicographic order of the maps
     for counterexample in found:
         _record(alg, plan, reports, carrier, *counterexample)
