@@ -225,7 +225,7 @@ def cmd_fuzzy_check(args, alg):
 def cmd_soft_build(args, alg):
     den = args.grid
     mu = _parse_mu(alg, den, args.mu)
-    iv = soft.ParameterInterval.parse(args.interval) if args.interval else soft.FULL
+    iv = soft.FULL if args.interval is None else soft.ParameterInterval.parse(args.interval)
     st = soft.build_soft(mu, iv, args.soft)
     ok, witness = soft.classify_soft(st, args.kind)
     doc = st.to_doc()
@@ -243,7 +243,7 @@ def cmd_verify(args, alg):
     specs = verifier.catalog_by_id()
     if args.theorem not in specs:
         raise ValueError(f"unknown theorem id {args.theorem!r}; known: {', '.join(specs)}")
-    iv = soft.ParameterInterval.parse(args.interval) if args.interval else None
+    iv = None if args.interval is None else soft.ParameterInterval.parse(args.interval)
     rep = verifier.verify(alg, specs[args.theorem], den, budget=args.budget, interval=iv)
 
     def lines():  # formatted only when printed as text

@@ -50,25 +50,28 @@ listed and that rank count's weak orders walked, to name their maps.  A
 confirmed run classifies only the up-sets, the representative and the
 carrier.
 
-Per map.  A check's two sides, premise and conclusion, each fail iff
-the map sets one of their positions (b, j): bit b of the atom of the
-cut at index j.  :func:`_pack` keeps one int per position, the checks
-whose conclusion (S) or premise (F) holds it, as S | F << width, and
-:func:`_table` the OR of those ints over an atom's bits at each cut
-index.  Lemma: meeting a mask distributes over OR, so a map's
-S | F << width is the OR, over its ranks, of the entries of the rank's
-atom on its span.  A map refutes some check iff (S ^ F) & (S | IFF) is
-non-zero, IFF marking the biconditionals.  :func:`_decide` decides a
-profile of r ranks by a DP over the spans, rank by rank, and lists no
-value tuple: after rank i, each value v maps to the ORs of ranks 0..i
-over the prefixes V[0] < ... < V[i] = v, that is the union of the ORs
-at v - 1 of ranks i and i - 1, each OR'd with rank i's entry at v.
-That is r(D-r+2) steps, against the C(D+1, r) value tuples of a
-listing.  Only a flagged profile's value tuples are listed
-(:func:`_listed`), and one with none that fails raises RuntimeError.
-Counterexamples are sorted lexicographically and recorded, so every
-report is that of a pass that runs each check on each map it walks, in
-lexicographic order.  Recording reads each check's two sides off S and
+Per map.  A check has two sides, premise and conclusion, and each
+reads a mask of atom bits at a set of cut indices: the conclusion is
+the soft side's kind, or a relation's right-hand kinds, at the check's
+levels; the premise is a relation's left-hand kind at the levels, or
+the fuzzy side's fail mask at the cut indices lo+1..hi.  A side fails
+iff the atom of the cut at one of its indices meets its mask.
+:func:`_table` reads an atom's entry at each cut index straight off the
+checks' sides: S | F << width, S the checks whose conclusion the atom
+fails there, F those whose premise.  Lemma: meeting a mask distributes
+over OR, so a map's S | F << width is the OR, over its ranks, of the
+entries of the rank's atom on its span.  A map refutes some check iff
+(S ^ F) & (S | IFF) is non-zero, IFF marking the biconditionals.
+:func:`_decide` decides a profile of r ranks by a DP over the spans,
+rank by rank, and lists no value tuple: after rank i, each value v maps
+to the ORs of ranks 0..i over the prefixes V[0] < ... < V[i] = v, that
+is the union of the ORs at v - 1 of ranks i and i - 1, each OR'd with
+rank i's entry at v.  That is r(D-r+2) steps, against the C(D+1, r)
+value tuples of a listing.  Only a flagged profile's value tuples are
+listed (:func:`_listed`), and one with none that fails raises
+RuntimeError.  Counterexamples are sorted lexicographically and
+recorded, so every report is that of a pass that runs each check on
+each map it walks, in lexicographic order.  Recording reads each check's two sides off S and
 F, reads a kind's failing cut indices as the OR of the spans of the
 ranks whose atom fails it, and looks up only its witness: the first
 failing soft level by ascending t of the first failing witness kind, or
@@ -89,25 +92,25 @@ and that one non-up-set (the representative in a two-valued run) once,
 before any profile is walked, and names the least (map, key), on which
 the literal scans raise AlgebraError (RuntimeError if they agree there).
 
-Per plan.  Resolving the checks and marking their positions reads only
-the specs, the grid and the interval, never the algebra.  So
-:func:`_plan` builds them once per (specs, D, interval) into one plan,
-of tuples, ints and strs: each check's thresholds, levels, fuzzy key,
-relation kinds, iff flag and theorem id, the int of each position, the
-distinct ``route="all"`` keys, the bits of the biconditionals, and the
-D+1 grid values as a counterexample prints them.  An atom's table reads
-only the positions, so the plan also keeps {atom: table}, filled by the
-first run on any algebra that meets the atom.  A table holds D+1 ints,
-and an atom is an int below 2^(len(KINDS) + len(_SCAN_KEYS)), so a plan
-holds at most 2048 tables (a3 meets 4 atoms, 3 of which set a bit).  A
-profile's verdict reads only the tables, so the plan keeps {(carrier's
-atom, *profile): flagged} as well, one bool per profile decided, never a
-map; an atom is its own id (below), so the key is exact across
-algebras.  :func:`_plan` keeps the last 8 plans
-(``functools.lru_cache``), so repeated runs at one grid, on any algebra,
-share one, and the tables and verdicts go with their plan.  A plan holds
-no algebra, and without its memos grows only with D, about 22 KB for the
-catalog at D=24.
+Per plan.  Resolving the checks reads only the specs, the grid and the
+interval, never the algebra.  So :func:`_plan` builds them once per
+(specs, D, interval) into one plan, of tuples, ints and strs: each
+check's thresholds, levels, fuzzy key, relation kinds, iff flag and
+theorem id, the distinct ``route="all"`` keys, the bits of the
+biconditionals, and the D+1 grid values as a counterexample prints
+them.  An atom's table reads only the checks, so the plan also keeps
+{atom: table}, filled by the first run on any algebra that meets the
+atom.  A table holds D+1 ints, and an atom is an int below
+2^(len(KINDS) + len(_SCAN_KEYS)), so a plan holds at most 2048 tables
+(a3 meets 4 atoms, 3 of which set a bit).  A profile's verdict reads
+only the tables, so the plan keeps {(carrier's atom, *profile):
+flagged} as well, one bool per profile decided, never a map; an atom is
+its own id (below), so the key is exact across algebras.
+:func:`_plan` keeps the last 8 plans (``functools.lru_cache``), so
+repeated runs at one grid, on any algebra, share one, and the tables
+and verdicts go with their plan.  A plan holds no algebra, and without
+its memos grows only with its checks and D, about 13 KB for the catalog
+at D=24.
 
 Per algebra.  The up-sets (:func:`softmtl.fuzzy.up_sets`), the atom of
 each cut a run meets (:func:`_atoms`: the carrier, the up-sets and the
@@ -375,19 +378,17 @@ def _check(spec, den, interval) -> _Check:
 class _Plan(NamedTuple):
     """The checks of a pass and their verdict bits on the 1/den grid; nothing of the algebra.
 
-    Each position (atom bit b, cut index j) has one int, ``positions[b][j]``:
-    S | F << width, the checks whose conclusion (S) or premise (F) mask
-    holds it (module docstring, "Per map").  ``all_routes`` holds the
+    Check c's conclusion is bit c and its premise bit width + c of
+    S | F << width (module docstring, "Per map").  ``all_routes`` holds the
     distinct fuzzy keys of the ``route="all"`` checks (:func:`_disagreement`).
-    ``tables`` maps an atom to its verdict table (:func:`_table`), and
-    ``verdicts`` a profile to whether it has a counterexample
-    (:func:`_decide`); both are filled on first use by a run on any
-    algebra, and all else is immutable.
+    ``tables`` maps an atom to its verdict table, read off the checks'
+    sides (:func:`_table`), and ``verdicts`` a profile to whether it has a
+    counterexample (:func:`_decide`); both are filled on first use by a run
+    on any algebra, and all else is immutable.
     """
 
     checks: tuple[_Check, ...]
     den: int
-    positions: tuple[tuple[int, ...], ...]
     width: int                     # F's bits start here: one per check
     all_routes: tuple[tuple, ...]
     iff: int                       # the bits of the biconditionals
@@ -397,31 +398,12 @@ class _Plan(NamedTuple):
 
 
 def _pack(checks, den) -> _Plan:
-    """Mark each check's two sides at the positions their masks hold."""
-    lane, width = den + 1, len(checks)
-    rows = []  # atom bit -> its int at each cut index
-
-    def put(atom, cuts, bits):  # at each position (b, j), b a bit of ``atom``, j one of ``cuts``
-        rows.extend([0] * lane for _ in range(atom.bit_length() - len(rows)))
-        for b, row in enumerate(rows):
-            for j in range(lane):
-                if atom >> b & cuts >> j & 1:
-                    row[j] |= bits
-
-    for c, check in enumerate(checks):
-        for kind in check.rhs or (check.kind,):
-            put(1 << KINDS.index(kind), check.levels, 1 << c)
-        if check.fuzzy is None:  # a relation's left-hand kind
-            put(1 << KINDS.index(check.kind), check.levels, 1 << width + c)
-            continue
-        # the fuzzy side: the scan bits of its fail mask over the cut indices lo+1..hi
-        kind, lo, hi, route = check.fuzzy
-        put(scan_masks(kind, route)[0] << len(KINDS), (2 << hi) - (2 << lo), 1 << width + c)
+    """The plan of ``checks`` on the 1/den grid, its memos empty."""
     return _Plan(
-        tuple(checks), den, tuple(map(tuple, rows)), width,
+        tuple(checks), den, len(checks),
         tuple({check.fuzzy for check in checks if check.fuzzy and check.fuzzy[3] == "all"}),
         sum(1 << c for c, check in enumerate(checks) if check.iff),
-        tuple(str(Fraction(k, den)) for k in range(lane)), {}, {})
+        tuple(str(Fraction(k, den)) for k in range(den + 1)), {}, {})
 
 
 @lru_cache(maxsize=8)
@@ -439,13 +421,26 @@ def _plan(specs: tuple[TheoremSpec, ...] | None, den: int, interval) -> _Plan:
 def _table(plan, atom) -> tuple[int, ...]:
     """S | F << width of a rank with ``atom`` at each cut index 0..den, kept in ``plan.tables``.
 
-    A rank over the span (u, v] adds the OR of the entries u+1..v.
+    A rank over the span (u, v] adds the OR of the entries u+1..v.  Each
+    side of check c whose mask the atom meets sets its bit, c for the
+    conclusion and width + c for the premise, at every cut index it reads
+    (module docstring, "Per map").
     """
-    col = (0,) * (plan.den + 1)
-    for b, row in enumerate(plan.positions):
-        if atom >> b & 1:
-            col = tuple(map(or_, col, row))
-    plan.tables[atom] = col
+    col = [0] * (plan.den + 1)
+    for c, check in enumerate(plan.checks):
+        conclusion = sum(1 << KINDS.index(kind) for kind in check.rhs or (check.kind,))
+        if check.fuzzy is None:  # a relation's premise: its left-hand kind at the levels
+            premise, cuts = 1 << KINDS.index(check.kind), check.levels
+        else:  # the fuzzy side: the scan bits of its fail mask over the cut indices lo+1..hi
+            kind, lo, hi, route = check.fuzzy
+            premise, cuts = scan_masks(kind, route)[0] << len(KINDS), (2 << hi) - (2 << lo)
+        for mask, at, bit in ((conclusion, check.levels, 1 << c),
+                              (premise, cuts, 1 << plan.width + c)):
+            if atom & mask:
+                for j in range(plan.den + 1):
+                    if at >> j & 1:
+                        col[j] |= bit
+    col = plan.tables[atom] = tuple(col)
     return col
 
 

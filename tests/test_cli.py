@@ -349,6 +349,54 @@ def test_bad_generic_interval_is_usage_error(capsys, interval):
     assert err.count("\n") == 1
 
 
+_NO_INTERVAL = "error: cannot parse interval ''; expected e.g. '0,1' or '1/4,3/4'"
+
+
+@pytest.mark.parametrize("argv, doc, line", [
+    (("classify", "a1", "zz"), None, "error: unknown element label 'zz'"),
+    (("fuzzy-check", "a1", "--mu", "a"), None,
+     "error: bad membership entry 'a'; expected label=value"),
+    (("fuzzy-check", "a1", "--mu", "0=x,a=0,b=0,1=1"), None, "error: bad membership value 'x'"),
+    (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0"), None,
+     "error: no membership value for element '1'"),
+    (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1", "--family", "thresholds"), None,
+     _NO_INTERVAL),
+    # an empty --interval is given, and as bad as any other unparsable one
+    (("verify", "a1", "T3.3", "--interval", ""), None, _NO_INTERVAL),
+    (("soft-build", "a1", "--mu", "0=0,a=1/2,b=1,1=1", "--interval", ""), None, _NO_INTERVAL),
+    (("check-algebra",), {"labels": ["0"], "prod": [["0"]], "res": [["0"]]},
+     "error: carrier must contain at least bottom and top"),
+    (("check-algebra",), {**FIXTURE_DOCS["b2"], "bottom": "1"},
+     "error: bottom and top must differ"),
+], ids=["unknown-label", "mu-no-equals", "mu-bad-value", "mu-missing-element",
+        "thresholds-no-interval", "verify-empty-interval", "soft-build-empty-interval",
+        "one-label", "bottom-is-top"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, doc, line):
+    if doc is not None:  # the target is an algebra file
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        argv = (argv[0], str(path), *argv[1:])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_a_refuted_verify_prints_its_first_five_counterexamples(capsys, monkeypatch):
+    # no catalog theorem is refuted, so a false spec joins the catalog
+    name, den, spec, _ = FALSE_SPECS[0]
+    assert (name, den, spec.id) == ("a1", 4, "false-eiq-over-full")
+    catalog = verifier.catalog_by_id()
+    monkeypatch.setattr(verifier, "catalog_by_id", lambda: {**catalog, spec.id: spec})
+    code, out, err = run(capsys, "verify", "a1", spec.id, "--grid", "4")
+    first, *rest = out.splitlines()
+    assert code == 1 and err == ""
+    assert first == ("false-eiq-over-full on 0/a/b/1 at D=4 (exhaustive, 625 fuzzy sets): "
+                     "113 counterexample(s)")
+    ces = verify(load_fixture("a1"), spec, 4).counterexamples[:5]
+    assert len(rest) == 5 and all(" fails for mu=" in line for line in rest)
+    assert rest == [f"  {ce['direction']} fails for mu={ce['mu']} witness={ce['witness']}"
+                    for ce in ces]
+
+
 @pytest.mark.parametrize("content, argv, fragment", [
     (b"[1,2]", ("check-algebra",), "object"),
     (_mutated("b2", lambda d: d.update(labels=5)), ("check-algebra",), "labels"),

@@ -588,11 +588,12 @@ def _cut_atoms(den, carrier, atoms, vals):
 
 def _span_bits(plan, atoms, vals):
     """S | F << width of the map whose ranks have ``atoms`` (the carrier's first) and take the
-    values ``vals``: the OR of the plan's int at every position each rank sets, its atom's bits
-    over its span (module docstring, "Per map")."""
+    values ``vals``: the OR of each rank's verdict-table entries over its span (module
+    docstring, "Per map")."""
+    tables = [plan.tables[atom] if atom in plan.tables else verifier._table(plan, atom)
+              for atom in atoms]
     return functools.reduce(operator.or_, [
-        row[j] for atom, u, v in zip(atoms, (0, *vals), vals)
-        for b, row in enumerate(plan.positions) if atom >> b & 1 for j in range(u + 1, v + 1)], 0)
+        table[j] for table, u, v in zip(tables, (0, *vals), vals) for j in range(u + 1, v + 1)], 0)
 
 
 def _literal_verdicts(checks, den, carrier, atoms, vals):
@@ -720,16 +721,16 @@ def test_a_forward_premise_failing_alone_decides_no_map(name):
 
 
 def test_the_dp_decides_as_every_value_tuple_does_on_random_plans():
-    # random positions for 3 atom bits and 2 checks, some biconditional, on grids of 1 to 6
+    # random verdict tables for 8 atoms and 2 checks, some biconditional, on grids of 1 to 6
     # steps, and random profiles of every rank count: far more shapes than the catalog's;
-    # as in every plan, cut index 0 (the carrier on every map) holds no position
+    # as in every plan, cut index 0 (the carrier on every map) sets no bit
     rng = random.Random(31)
     seen = set()
     for _ in range(300):
         den, width = rng.randint(1, 6), 2
         plan = verifier._pack([], den)._replace(
-            positions=tuple((0, *(rng.choice([0, 0, rng.getrandbits(2 * width)])
-                                  for _ in range(den))) for _ in range(3)),
+            tables={atom: (0, *(rng.choice([0, 0, rng.getrandbits(2 * width)])
+                                for _ in range(den))) for atom in range(8)},
             width=width, iff=rng.getrandbits(width))
         every = (1 << width) - 1
         for r in range(1, den + 2):
@@ -739,7 +740,7 @@ def test_the_dp_decides_as_every_value_tuple_does_on_random_plans():
                 bits = _span_bits(plan, key, vals)
                 soft, fail = bits & every, bits >> width
                 refuted |= bool(soft & ~fail | fail & ~soft & plan.iff)
-            assert verifier._decide(plan, key) == refuted, (plan.positions, plan.iff, key)
+            assert verifier._decide(plan, key) == refuted, (plan.tables, plan.iff, key)
             seen.add(refuted)
     assert seen == {False, True}
 
@@ -824,7 +825,8 @@ def test_a_plan_holds_only_immutable_values(a1):
     # verdict of each profile decided, keyed by its atoms, the carrier's first
     bound = 1 << len(KINDS) + len(fuzzy._SCAN_KEYS)
     assert plan.tables and all(type(atom) is int and 0 <= atom < bound for atom in plan.tables)
-    assert not any(row[0] for row in plan.positions)  # no level or bound has cut index 0
+    # no level or bound has cut index 0: not even the atom with every bit set meets a side there
+    assert verifier._table(plan, bound - 1)[0] == 0
     assert plan.verdicts and True in plan.verdicts.values()  # the false specs flag some
     assert all(type(key) is tuple and key and all(type(atom) is int and 0 <= atom < bound
                                                   for atom in key)
