@@ -206,7 +206,9 @@ def cmd_fuzzy_check(args, alg):
     mu = _parse_mu(alg, args.grid, args.mu)
     alpha = beta = None
     if args.family == "thresholds":
-        iv = soft.ParameterInterval.parse(args.interval or "")
+        if args.interval is None:
+            raise ValueError("--family thresholds needs --interval, e.g. '1/4,3/4'")
+        iv = soft.ParameterInterval.parse(args.interval)
         alpha, beta = iv.lo, iv.hi
     elif args.interval is not None:
         raise ValueError(f"--interval is only meaningful for --family thresholds, "

@@ -71,12 +71,13 @@ value tuples of a listing.  Only a flagged profile's value tuples are
 listed (:func:`_listed`), and one with none that fails raises
 RuntimeError.  Counterexamples are sorted lexicographically and
 recorded, so every report is that of a pass that runs each check on
-each map it walks, in lexicographic order.  Recording reads each check's two sides off S and
-F, reads a kind's failing cut indices as the OR of the spans of the
-ranks whose atom fails it, and looks up only its witness: the first
-failing soft level by ascending t of the first failing witness kind, or
-one literal scan (:func:`softmtl.fuzzy.variant_witness`) for a
-soft=>fuzzy record.  A ``route="all"`` check also runs its literal
+each map it walks, in lexicographic order.  Recording reads each
+check's two sides off S and F and looks up only its witness: one
+literal scan (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy
+record, else a soft level read off the map's own level cuts
+(:func:`softmtl.soft.level_cuts`), the first by ascending t whose cut
+is not empty and has an atom failing the first witness kind that fails
+at some level.  A ``route="all"`` check also runs its literal
 formulations on every recorded map.  A literal scan that contradicts
 the scan bits, or a witness level whose literal classification passes
 the kind its bits fail, raises RuntimeError; the latter also checks, on
@@ -95,7 +96,7 @@ the literal scans raise AlgebraError (RuntimeError if they agree there).
 Per plan.  Resolving the checks reads only the specs, the grid and the
 interval, never the algebra.  So :func:`_plan` builds them once per
 (specs, D, interval) into one plan, of tuples, ints and strs: each
-check's thresholds, levels, fuzzy key, relation kinds, iff flag and
+check's levels (cut indices), fuzzy key, relation kinds, iff flag and
 theorem id, the distinct ``route="all"`` keys, the bits of the
 biconditionals, and the D+1 grid values as a counterexample prints
 them.  An atom's table reads only the checks, so the plan also keeps
@@ -109,7 +110,7 @@ its own id (below), so the key is exact across algebras.
 :func:`_plan` keeps the last 8 plans (``functools.lru_cache``), so
 repeated runs at one grid, on any algebra, share one, and the tables
 and verdicts go with their plan.  A plan holds no algebra, and without
-its memos grows only with its checks and D, about 13 KB for the catalog
+its memos grows only with its checks and D, about 16 KB for the catalog
 at D=24.
 
 Per algebra.  The up-sets (:func:`softmtl.fuzzy.up_sets`), the atom of
@@ -164,7 +165,7 @@ from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
 from .fuzzy import (FuzzySet, check_den, disagree, family_bounds, grid_map, map_doc,
                     resolve_route, scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
-from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
+from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index, level_cuts
 
 @dataclass(frozen=True)
 class TheoremSpec:
@@ -338,12 +339,16 @@ def _profiles(alg, atoms: dict[int, int], other: int, ranks: int) -> list[list[t
 
 
 class _Check(NamedTuple):
-    """One theorem resolved against the grid before the pass starts."""
+    """One theorem resolved against the grid before the pass starts.
+
+    ``levels`` lists the cut index of each soft level j/den, j = lo+1..hi,
+    in that order: it rises with t for "in" and falls for "q".  Both
+    :func:`_table` and :func:`_record` read it.
+    """
 
     theorem: str                  # the spec's id, which its report names
     soft_kind: str
-    thresholds: tuple[int, int]   # numerators of the soft interval (alpha, beta]
-    levels: int                   # bitmask of the cut indices of the soft levels
+    levels: tuple[int, ...]       # the cut index of each soft level, by ascending t
     kind: str                     # the soft side's kind: the conclusion, or a relation's premise
     fuzzy: tuple | None           # variant_witness key of the premise; None for a relation
     rhs: tuple[str, ...] = ()     # right-hand kinds of a relation, its conclusion
@@ -360,18 +365,16 @@ def _check(spec, den, interval) -> _Check:
         raise ValueError(f"unknown soft-set kind {spec.soft_kind!r}")
     iv = interval or spec.interval
     lo, hi = default_thresholds(den) if iv is None else iv.numerators(den)
-    # the levels j = lo+1..hi have consecutive cut indices, ascending for "in", descending for "q"
-    first, last = sorted(cut_index(spec.soft_kind, j, den) for j in (lo + 1, hi))
-    levels = (2 << last) - (1 << first)
+    levels = tuple(cut_index(spec.soft_kind, j, den) for j in range(lo + 1, hi + 1))
     if spec.relation:
         lhs, rhs = spec.relation
-        return _Check(spec.id, spec.soft_kind, (lo, hi), levels, lhs, None, tuple(rhs),
+        return _Check(spec.id, spec.soft_kind, levels, lhs, None, tuple(rhs),
                       spec.direction == "iff")
     if spec.filter_kind not in KINDS:
         raise ValueError(f"unknown filter kind {spec.filter_kind!r}")
     flo, fhi = family_bounds(spec.family, den, Fraction(lo, den), Fraction(hi, den))
     key = (spec.filter_kind, flo, fhi, resolve_route(spec.family, spec.filter_kind, spec.route))
-    return _Check(spec.id, spec.soft_kind, (lo, hi), levels, spec.filter_kind, key,
+    return _Check(spec.id, spec.soft_kind, levels, spec.filter_kind, key,
                   iff=spec.direction == "iff")
 
 
@@ -423,8 +426,9 @@ def _table(plan, atom) -> tuple[int, ...]:
 
     A rank over the span (u, v] adds the OR of the entries u+1..v.  Each
     side of check c whose mask the atom meets sets its bit, c for the
-    conclusion and width + c for the premise, at every cut index it reads
-    (module docstring, "Per map").
+    conclusion and width + c for the premise, at every cut index it reads:
+    the check's levels, or lo+1..hi for a fuzzy premise (module docstring,
+    "Per map").
     """
     col = [0] * (plan.den + 1)
     for c, check in enumerate(plan.checks):
@@ -433,13 +437,12 @@ def _table(plan, atom) -> tuple[int, ...]:
             premise, cuts = 1 << KINDS.index(check.kind), check.levels
         else:  # the fuzzy side: the scan bits of its fail mask over the cut indices lo+1..hi
             kind, lo, hi, route = check.fuzzy
-            premise, cuts = scan_masks(kind, route)[0] << len(KINDS), (2 << hi) - (2 << lo)
+            premise, cuts = scan_masks(kind, route)[0] << len(KINDS), range(lo + 1, hi + 1)
         for mask, at, bit in ((conclusion, check.levels, 1 << c),
                               (premise, cuts, 1 << plan.width + c)):
             if atom & mask:
-                for j in range(plan.den + 1):
-                    if at >> j & 1:
-                        col[j] |= bit
+                for j in at:
+                    col[j] |= bit
     col = plan.tables[atom] = tuple(col)
     return col
 
@@ -524,16 +527,18 @@ def _atoms(alg, sets) -> dict[int, int]:
     return atoms
 
 
-def _record(alg, plan, reports, carrier, nums, split, soft: int, fail: int) -> None:
+def _record(alg, plan, reports, atoms, other, nums, soft: int, fail: int) -> None:
     """Append each check's counterexample on one map to its report, read off its sides S and F.
 
-    ``split`` is the map's profile and value tuple, and ``carrier`` the
-    rank-0 cut's atom.
+    A soft-side witness is read off the map's level cuts, each cut's atom
+    being ``atoms.get(cut, other)`` (:func:`_atoms`): the first level in
+    ``check.levels`` whose cut is not empty and fails the first witness
+    kind that fails at some level.  That cut is classified literally, and
+    a classification that passes the kind raises RuntimeError.
     """
     den, checks, printed = plan.den, plan.checks, plan.printed
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
-    profile, vals = split
-    ranks = list(zip((carrier, *profile), (0, *vals), vals))  # (atom, span (u, v])
+    cuts = None  # the map's level cuts, once a soft-side witness needs them
     for b, check in enumerate(checks):
         conclusion, premise = soft >> b & 1, fail >> b & 1
         witness = None  # None: the first failing soft level of a witness kind
@@ -552,19 +557,11 @@ def _record(alg, plan, reports, carrier, nums, split, soft: int, fail: int) -> N
         else:
             continue
         if witness is None:
-            for kind in kinds:  # the first that fails at one of the levels: its ranks' spans
-                k = KINDS.index(kind)
-                levels = check.levels & sum((2 << v) - (2 << u) for atom, u, v in ranks
-                                            if atom >> k & 1)
-                if levels:
-                    break
-            # its first failing level by ascending t: the cut index of an
-            # in-level rises with t, that of a q-level falls
-            if check.soft_kind == "q":
-                j = levels.bit_length() - 1
-            else:
-                j = (levels & -levels).bit_length() - 1
-            cls = filters.classify_filter(alg, sum(1 << x for x, k in enumerate(nums) if k >= j))
+            cuts = cuts or level_cuts(nums, den)
+            # an empty cut passes every kind, though other, its atom, fails them all
+            kind, j = next((kind, j) for kind in kinds for j in check.levels
+                           if cuts[j] and atoms.get(cuts[j], other) >> KINDS.index(kind) & 1)
+            cls = filters.classify_filter(alg, cuts[j])
             if cls.has(kind):
                 raise RuntimeError(f"{check.theorem}: the literal classification contradicts "
                                    f"the kind bits on {doc}")
@@ -603,7 +600,7 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
     if len(orders) not in profiles:
         profiles.update(enumerate(_profiles(alg, {up: atoms[up] for up in ups}, other,
                                             len(orders)), 1))
-    found = []  # (map, (profile, values), S, F) of each counterexample
+    found = []  # (map, S, F) of each counterexample
     for r, of_r in enumerate(orders, 1):
         named = {}  # each flagged profile -> (values, S, F) of its counterexamples
         for profile in profiles[r]:
@@ -617,11 +614,10 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
                 if profile in named:
                     ranks = grid_map(order, range(r), n)  # each element's rank
                     for vals, soft, fail in named[profile]:
-                        found.append((tuple([vals[i] for i in ranks]), (profile, vals),
-                                      soft, fail))
+                        found.append((tuple([vals[i] for i in ranks]), soft, fail))
     found.sort()  # the lexicographic order of the maps
     for counterexample in found:
-        _record(alg, plan, reports, carrier, *counterexample)
+        _record(alg, plan, reports, atoms, other, *counterexample)
     return reports
 
 

@@ -360,7 +360,7 @@ _NO_INTERVAL = "error: cannot parse interval ''; expected e.g. '0,1' or '1/4,3/4
     (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0"), None,
      "error: no membership value for element '1'"),
     (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1", "--family", "thresholds"), None,
-     _NO_INTERVAL),
+     "error: --family thresholds needs --interval, e.g. '1/4,3/4'"),
     # an empty --interval is given, and as bad as any other unparsable one
     (("verify", "a1", "T3.3", "--interval", ""), None, _NO_INTERVAL),
     (("soft-build", "a1", "--mu", "0=0,a=1/2,b=1,1=1", "--interval", ""), None, _NO_INTERVAL),

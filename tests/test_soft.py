@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from softmtl.filters import labels_of
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import FuzzySet
-from softmtl.soft import FULL, ParameterInterval, build_soft, classify_soft
+from softmtl.soft import FULL, ParameterInterval, build_soft, classify_soft, level_cuts
 
 F = Fraction
 
@@ -23,6 +24,18 @@ def test_interval_validation():
         ParameterInterval(F(-1, 4), F(1, 2))
     iv = ParameterInterval.parse("1/4,3/4")
     assert F(1, 2) in iv and F(1, 4) not in iv and F(3, 4) in iv
+
+
+def test_level_cuts_are_the_sets_at_or_above_each_numerator(a3):
+    # every map of 3 elements at D=4, and seeded random maps on a3 at D=12
+    rng = random.Random(5)
+    maps = [(nums, 4) for nums in itertools.product(range(5), repeat=3)]
+    maps += [(tuple(rng.randint(0, 12) for _ in range(a3.n)), 12) for _ in range(200)]
+    for nums, den in maps:
+        cuts = level_cuts(nums, den)
+        assert len(cuts) == den + 1
+        for j in range(den + 1):
+            assert cuts[j] == sum(1 << x for x, k in enumerate(nums) if k >= j), (nums, j)
 
 
 def test_epsilon_soft_example(a1):

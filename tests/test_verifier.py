@@ -75,10 +75,11 @@ def test_default_thresholds_are_grid_aligned(a1):
     assert default_thresholds(2) == (1, 2)
     assert default_thresholds(4) == (1, 3)
     assert default_thresholds(10) == (1, 9)
-    # a generic-interval check reports the default thresholds as (alpha, beta]
+    # a generic-interval check reads its levels over the default thresholds (alpha, beta]:
+    # the in-cuts at j = alpha+1..beta, whose cut index is j
     t312 = catalog_by_id()["T3.12"]
-    assert _plan((t312,), 2, None).checks[0].thresholds == (1, 2)
-    assert _plan((t312,), 10, None).checks[0].thresholds == (1, 9)
+    assert _plan((t312,), 2, None).checks[0].levels == (2,)
+    assert _plan((t312,), 10, None).checks[0].levels == tuple(range(2, 10))
 
 
 def test_verify_t33_exhaustive(a1):
@@ -188,9 +189,11 @@ def test_levels_mask_holds_the_cut_index_of_each_level(a1, den):
               for kind in ("in", "q")]
     for spec, interval in specs:
         check, = _plan((spec,), den, interval).checks
-        lo, hi = check.thresholds
-        assert check.levels == sum(1 << cut_index(spec.soft_kind, j, den)
-                                   for j in range(lo + 1, hi + 1)), (spec.id, den)
+        iv = interval or spec.interval
+        lo, hi = default_thresholds(den) if iv is None else iv.numerators(den)
+        # by ascending t: the cut index of an in-level rises with t, that of a q-level falls
+        assert check.levels == tuple(cut_index(spec.soft_kind, j, den)
+                                     for j in range(lo + 1, hi + 1)), (spec.id, den)
 
 
 @pytest.mark.parametrize("den", [3, 0, -2])
@@ -360,7 +363,7 @@ def test_a_scan_failure_planted_on_one_up_set_flips_exactly_its_maps(monkeypatch
                         lambda alg, u: scan_fails(alg, u) | (bit if u == up else 0))
     recorded = []
     monkeypatch.setattr(verifier, "_record",
-                        lambda alg, plan, reports, carrier, nums, bad, soft, fail:
+                        lambda alg, plan, reports, atoms, other, nums, soft, fail:
                         recorded.append(nums))
     verify(alg, catalog_by_id()[spec_id], den)
     # The plain fuzzy side now fails on every map with U as a level cut, so the
@@ -611,9 +614,10 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
              for i, kind in enumerate(KINDS)}
     soft = fail = rel = 0
     for b, check in enumerate(checks):
-        soft_fail = fails[check.kind] & check.levels
+        levels = sum(1 << j for j in check.levels)
+        soft_fail = fails[check.kind] & levels
         if check.fuzzy is None:
-            rhs_fail = any(fails[kind] & check.levels for kind in check.rhs)
+            rhs_fail = any(fails[kind] & levels for kind in check.rhs)
             if (rhs_fail and not soft_fail) or (soft_fail and not rhs_fail and check.iff):
                 rel |= 1 << b
             soft |= rhs_fail << b
@@ -972,8 +976,8 @@ def test_specs_hash_by_id_and_plan_by_value(a1):
     own = dataclasses.replace(t312, interval=interval)
     refuted = dataclasses.replace(own, soft_kind="q")
     assert hash(own) == hash(refuted) == hash(t312) and len({own, refuted, t312}) == 3
-    assert _plan((t312,), 4, None).checks[0].thresholds == (1, 3)
-    assert _plan((own,), 4, None).checks[0].thresholds == (1, 2)
+    assert _plan((t312,), 4, None).checks[0].levels == (2, 3)
+    assert _plan((own,), 4, None).checks[0].levels == (2,)
     # interleaved, each gets its own verdicts
     expected = verify(a1, t312, 4).to_doc()
     assert expected["confirmed"]
