@@ -78,10 +78,18 @@ class FiniteMtlAlgebra:
 class DerivedTables:
     """Tables derived from one algebra's operations, each built on first use.
 
-    Each ``*_pairs`` or ``*_triples`` table lists the instances of one law
-    in lexicographic order of its variables, so the crisp and the fuzzy
-    scans over it report the same first violation.  ``classifications``
-    is the memo of :func:`softmtl.filters.classify_filter` by mask.
+    Each fuzzy-filter law has one table, named as its scan's route (``mp``,
+    ``product``, ``complement``, ``chain``, ``contraction``) or kind
+    (``mv``, ``g``).  An instance (p, q, r, tag, x, y, z) is the inequality
+    mu(p) >= min(mu(q), mu(r)), with r = q where the law makes one
+    comparison, and its tag and variables (None where unused) name it.
+    On values c it is violated iff c[p] < c[q] and c[p] < c[r].  A table
+    lists its instances in lexicographic order of their variables, mp's
+    unit instances first and each pair's order instance after its product
+    instance, so the fuzzy scans (:data:`softmtl.fuzzy._SCANS`) and the
+    crisp witnesses read the same first violation off it.
+    ``classifications`` is the memo of
+    :func:`softmtl.filters.classify_filter` by mask.
     ``mtl_failure`` is the verdict of :func:`validate_mtl`: None until it
     runs, then "" for an MTL-algebra or the reason the tables are not one.
     ``filters`` is the tuple of :func:`softmtl.filters.enumerate_filters`:
@@ -100,7 +108,7 @@ class DerivedTables:
     def __init__(self, alg: FiniteMtlAlgebra):
         # the operation tables, not the algebra: no reference cycle
         self.prod, self.res, self.leq, self.join = alg.prod, alg.res, alg.leq, alg.join
-        self.bottom, self.elems = alg.bottom, range(alg.n)
+        self.bottom, self.top, self.elems = alg.bottom, alg.top, range(alg.n)
         self.classifications = {}
         self.mtl_failure = None
         self.filters = None
@@ -127,14 +135,9 @@ class DerivedTables:
         return tuple(up ^ 1 << x for x, up in enumerate(self.ups))
 
     @cached_property
-    def complement_joins(self) -> tuple[int, ...]:
-        """x v x' for every x."""
-        return tuple(self.join[x][nx] for x, nx in enumerate(self.neg))
-
-    @cached_property
     def complement_mask(self) -> int:
         """The mask of every x v x': a Boolean filter holds all of it."""
-        return sum(1 << j for j in set(self.complement_joins))
+        return sum(1 << j for j in {ins[0] for ins in self.complement})
 
     @cached_property
     def g_needs(self) -> tuple[int, ...]:
@@ -148,7 +151,7 @@ class DerivedTables:
     def mv_needs(self) -> tuple[int, ...]:
         """For every v, the mask of the ((y -> x) -> x) -> y with x -> y = v:
         an MV-filter holding v holds all of them."""
-        return self._needs((rxy, lhs) for _, _, lhs, rxy in self.mv_pairs)
+        return self._needs((ins[1], ins[0]) for ins in self.mv)
 
     def _needs(self, implications) -> tuple[int, ...]:
         """For every v, the mask of the w of the implications (v, w)."""
@@ -158,40 +161,58 @@ class DerivedTables:
         return tuple(needs)
 
     @cached_property
-    def mp_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """(x, y, x -> y)."""
-        return tuple((x, y, rxy) for x, row in enumerate(self.res) for y, rxy in enumerate(row))
+    def mp(self) -> tuple[tuple, ...]:
+        """mu(1) >= mu(x), then mu(y) >= min(mu(x -> y), mu(x))."""
+        top = self.top
+        return (*((top, x, x, "unit", x, None, None) for x in self.elems),
+                *((y, rxy, x, "mp", x, y, None)
+                  for x, row in enumerate(self.res) for y, rxy in enumerate(row)))
 
     @cached_property
-    def product_pairs(self) -> tuple[tuple[int, int, int, bool], ...]:
-        """(x, y, x . y, x <= y)."""
-        e, prod, leq = self.elems, self.prod, self.leq
-        return tuple((x, y, prod[x][y], leq[x][y]) for x in e for y in e)
+    def product(self) -> tuple[tuple, ...]:
+        """mu(x . y) >= min(mu(x), mu(y)), then mu(y) >= mu(x) if x <= y, pair by pair."""
+        instances = []
+        for x, (row, below) in enumerate(zip(self.prod, self.leq)):
+            for y, pxy in enumerate(row):
+                instances.append((pxy, x, y, "product", x, y, None))
+                if below[y]:
+                    instances.append((y, x, x, "order", x, y, None))
+        return tuple(instances)
 
     @cached_property
-    def contraction_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """(x, y, (x -> y) -> x)."""
-        e, res = self.elems, self.res
-        return tuple((x, y, res[res[x][y]][x]) for x in e for y in e)
+    def complement(self) -> tuple[tuple, ...]:
+        """mu(x v x') >= mu(1)."""
+        join, top = self.join, self.top
+        return tuple((join[x][nx], top, top, "complement", x, None, None)
+                     for x, nx in enumerate(self.neg))
 
     @cached_property
-    def mv_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(x, y, ((y -> x) -> x) -> y, x -> y)."""
-        e, res = self.elems, self.res
-        return tuple((x, y, res[res[res[y][x]][x]][y], res[x][y]) for x in e for y in e)
+    def chain(self) -> tuple[tuple, ...]:
+        """mu(x -> z) >= min(mu(x -> (z' -> y)), mu(y -> z))."""
+        res = self.res
+        return tuple((rx[z], rx[res[nz][y]], ry[z], "chain", x, y, z) for x, rx in enumerate(res)
+                     for y, ry in enumerate(res) for z, nz in enumerate(self.neg))
 
     @cached_property
-    def g_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(x, y, x -> y, x . x -> y)."""
-        e, res, prod = self.elems, self.res, self.prod
-        return tuple((x, y, res[x][y], res[prod[x][x]][y]) for x in e for y in e)
+    def contraction(self) -> tuple[tuple, ...]:
+        """mu(x) >= mu((x -> y) -> x)."""
+        res = self.res
+        return tuple((x, r, r, "contraction", x, y, None) for x, row in enumerate(res)
+                     for y, r in enumerate(res[rxy][x] for rxy in row))
 
     @cached_property
-    def chain_triples(self) -> tuple[tuple[int, ...], ...]:
-        """(x, y, z, x -> z, x -> (z' -> y), y -> z)."""
-        e, res, neg = self.elems, self.res, self.neg
-        return tuple((x, y, z, res[x][z], res[x][res[neg[z]][y]], res[y][z])
-                     for x in e for y in e for z in e)
+    def mv(self) -> tuple[tuple, ...]:
+        """mu(((y -> x) -> x) -> y) >= mu(x -> y)."""
+        res = self.res
+        return tuple((res[res[res[y][x]][x]][y], rxy, rxy, "mv", x, y, None)
+                     for x, row in enumerate(res) for y, rxy in enumerate(row))
+
+    @cached_property
+    def g(self) -> tuple[tuple, ...]:
+        """mu(x -> y) >= mu(x . x -> y)."""
+        res, prod = self.res, self.prod
+        return tuple((rxy, rxxy, rxxy, "g", x, y, None) for x, row in enumerate(res)
+                     for y, rxy, rxxy in zip(self.elems, row, res[prod[x][x]]))
 
 
 _DIGITS = b"01" + bytes(254)

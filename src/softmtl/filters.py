@@ -14,7 +14,8 @@ elements has at most n filters (proof in :func:`enumerate_filters`).
 A filter is Boolean iff it holds every x v x'.  G and MV read "v in F
 implies w in F" for pairs (v, w) of the algebra, so F is one iff it
 holds ``needs[v]``, the mask of the w of v, for every v in F.  A failed
-kind's pairs are scanned only to name its first witness.
+kind's law table (:class:`softmtl.algebra.DerivedTables`) is scanned
+only to name its first witness.
 """
 
 from __future__ import annotations
@@ -141,18 +142,20 @@ def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     for v in elements(mask):
         g |= g_needs[v]
         mv |= mv_needs[v]
+    # a failed kind's witness: the first instance of its law with q in the set and p not
+    # (q is the top in a complement instance, and a filter holds it)
     if tables.complement_mask & ~mask:
         fails |= 2
-        witnesses["boolean"] = next((labels[x],) for x, joined in enumerate(tables.complement_joins)
-                                    if not mask >> joined & 1)
+        witnesses["boolean"] = next((labels[x],) for p, _, _, _, x, _, _ in tables.complement
+                                    if not mask >> p & 1)
     if g & ~mask:
         fails |= 8
-        witnesses["g"] = next((labels[x], labels[y]) for x, y, rxy, rxxy in tables.g_pairs
-                              if mask >> rxxy & 1 and not mask >> rxy & 1)
+        witnesses["g"] = next((labels[x], labels[y]) for p, q, _, _, x, y, _ in tables.g
+                              if mask >> q & 1 and not mask >> p & 1)
     if mv & ~mask:
         fails |= 4
-        witnesses["mv"] = next((labels[x], labels[y]) for x, y, lhs, rxy in tables.mv_pairs
-                               if mask >> rxy & 1 and not mask >> lhs & 1)
+        witnesses["mv"] = next((labels[x], labels[y]) for p, q, _, _, x, y, _ in tables.mv
+                               if mask >> q & 1 and not mask >> p & 1)
     return FilterClassification(fails, witnesses)
 
 

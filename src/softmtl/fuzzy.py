@@ -85,89 +85,47 @@ class FuzzySet:
         return cls(alg, den, tuple([den if mask >> i & 1 else 0 for i in range(alg.n)]))
 
 
-# --- inequality scans on numerators; each returns the first violating tuple or None ---
+# --- inequality scans on numerators; each names the first violated instance, or None ---
 #
+# Each scan reads one law's table of :class:`softmtl.algebra.DerivedTables`,
+# whose instances (p, q, r, tag, x, y, z) read mu(p) >= min(mu(q), mu(r)).
 # With numerator bounds lo < hi, max(a, lo) < min(b, hi) holds exactly when
-# c[a] < c[b] for the clamped numerators c = min(max(k, lo), hi), so every
-# scan takes c.  The product, complement and contraction forms exist only
-# for the plain family, whose bounds (0, D) leave c = k.  Every violation
-# is a conjunction of comparisons c[p] < c[q] with one smaller side p
-# (!= counts as two of them); :func:`scan_fails` relies on that shape.
+# c[a] < c[b] for the clamped numerators c = min(max(k, lo), hi), so an
+# instance is violated iff c[p] < c[q] and c[p] < c[r].  The product,
+# complement and contraction laws exist only for the plain family, whose
+# bounds (0, D) leave c = k.  :func:`scan_fails` relies on that shape,
+# which the tables make the only one a scan can have.
 
 def _clamp(k, lo, hi):
     return tuple([lo if v < lo else hi if v > hi else v for v in k])
 
 
-def _w_filter(alg, c):
-    labels = alg.labels
-    ctop = c[alg.top]
-    for x, cx in enumerate(c):
-        if ctop < cx:
-            return ("unit", labels[x])
-    for x, y, rxy in alg.tables.mp_pairs:
-        cy = c[y]
-        if cy < c[rxy] and cy < c[x]:
-            return ("mp", labels[x], labels[y])
-    return None
-
-
-def _w_filter_product(alg, c):
-    labels = alg.labels
-    for x, y, pxy, x_le_y in alg.tables.product_pairs:
-        cx, cy, cp = c[x], c[y], c[pxy]
-        if cp < cx and cp < cy:
-            return ("product", labels[x], labels[y])
-        if x_le_y and cx > cy:
-            return ("order", labels[x], labels[y])
-    return None
-
-
-def _w_boolean_complement(alg, c):
-    ctop = c[alg.top]
-    for x, joined in enumerate(alg.tables.complement_joins):
-        if c[joined] != ctop:
-            return ("complement", alg.labels[x])
-    return None
-
-
-def _w_boolean_chain(alg, c):
-    labels = alg.labels
-    for x, y, z, rxz, lhs, ryz in alg.tables.chain_triples:
-        cl = c[rxz]
-        if cl < c[lhs] and cl < c[ryz]:
-            return ("chain", labels[x], labels[y], labels[z])
-    return None
-
-
-def _w_boolean_contraction(alg, c):
-    for x, y, r in alg.tables.contraction_pairs:
-        if c[x] < c[r]:
-            return ("contraction", alg.labels[x], alg.labels[y])
-    return None
-
-
-def _w_mv(alg, c):
-    for x, y, lhs, rxy in alg.tables.mv_pairs:
-        if c[lhs] < c[rxy]:
-            return ("mv", alg.labels[x], alg.labels[y])
-    return None
-
-
-def _w_g(alg, c):
-    for x, y, rxy, rxxy in alg.tables.g_pairs:
-        if c[rxy] < c[rxxy]:
-            return ("g", alg.labels[x], alg.labels[y])
-    return None
+def _scan(law: str):
+    """The scan of one law: (alg, c) -> the witness of the first instance of
+    ``alg.tables.<law>`` that c violates, (tag, *labels of its variables), or None."""
+    def scan(alg, c):
+        for p, q, r, tag, x, y, z in getattr(alg.tables, law):
+            if c[p] < c[q] and c[p] < c[r]:
+                # field by field, not by a list comprehension: scan_fails meets a
+                # failure on most up-sets, and the lists slowed cold runs by 1-2 %
+                labels = alg.labels
+                if y is None:
+                    return tag, labels[x]
+                if z is None:
+                    return tag, labels[x], labels[y]
+                return tag, labels[x], labels[y], labels[z]
+        return None
+    return scan
 
 
 _SCANS = {
-    ("filter", "mp"): _w_filter,
-    ("filter", "product"): _w_filter_product,
-    ("boolean", "complement"): _w_boolean_complement,
-    ("boolean", "chain"): _w_boolean_chain,
-    ("boolean", "contraction"): _w_boolean_contraction,
-    ("mv", "default"): _w_mv,
-    ("g", "default"): _w_g,
+    ("filter", "mp"): _scan("mp"),
+    ("filter", "product"): _scan("product"),
+    ("boolean", "complement"): _scan("complement"),
+    ("boolean", "chain"): _scan("chain"),
+    ("boolean", "contraction"): _scan("contraction"),
+    ("mv", "default"): _scan("mv"),
+    ("g", "default"): _scan("g"),
 }
 
 # bit i of a mask from :func:`scan_fails` stands for the scan _SCAN_KEYS[i]
@@ -256,7 +214,9 @@ def scan_fails(alg: FiniteMtlAlgebra, up: int) -> int:
     A weak order's verdicts are the OR of these bits over its chain of
     up-sets (see :func:`weak_orders`; proof in :mod:`softmtl.verifier`).
     When the :data:`_CONJUNCT` scan fails, no conjoined variant reads its
-    own scan, so those scans are not run and their bits stay 0.
+    own scan, so those scans are not run and their bits stay 0.  That is
+    also why the complement scan may make one comparison (proof in
+    ``docs/verifier.md``, "Fuzzy side").
     """
     indicator = tuple([up >> x & 1 for x in range(alg.n)])
     bits = 0

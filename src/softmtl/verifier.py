@@ -16,15 +16,16 @@ k[x] = V[W[x]].  Every grid map is exactly one such pair, r = 1..min(n,
 D+1).  The cut at index j is U_i for every j in the span (V[i-1], V[i]]
 of rank i (V[-1] = 0; U_0 is the carrier), and empty above V[r-1].
 
-Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` fails exactly
-when some tuple it reads has c[p] < c[q] for every q in a set Q, c the
-numerators clamped to [lo, hi].  Lemma: such a scan fails on a map iff
-it fails on the 0/1 indicator of some U_i of its chain, and clamping
-keeps exactly the U_i whose span meets lo+1..hi.  So a map's scan bits
-are the OR of :func:`softmtl.fuzzy.scan_fails` over those cuts, the
-span test the soft side makes of its levels, and a fuzzy check fails
-iff they meet its fail mask (:func:`softmtl.fuzzy.scan_masks`).  A scan
-added later must keep that shape.
+Fuzzy side.  Every scan in :data:`softmtl.fuzzy._SCANS` reads one
+law's table of instances (:class:`softmtl.algebra.DerivedTables`) and
+fails exactly when some instance has c[p] < c[q] and c[p] < c[r], c the
+numerators clamped to [lo, hi]: the tables hold no other shape.  Lemma:
+such a scan fails on a map iff it fails on the 0/1 indicator of some
+U_i of its chain, and clamping keeps exactly the U_i whose span meets
+lo+1..hi.  So a map's scan bits are the OR of
+:func:`softmtl.fuzzy.scan_fails` over those cuts, the span test the
+soft side makes of its levels, and a fuzzy check fails iff they meet
+its fail mask (:func:`softmtl.fuzzy.scan_masks`).
 
 Per profile.  The decision on (W, V) thus reads W only through one atom
 per cut of its chain, one int: the cut's failing crisp kinds in its low

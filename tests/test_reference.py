@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference import BOUNDS, MembershipQuery, evaluate, forms_of, fuzzy_witness, literal_reports
+from products import load_named
+from reference import (BOUNDS, MembershipQuery, conditions, evaluate, forms_of, fuzzy_witness,
+                       literal_reports)
 from softmtl import fuzzy
 from softmtl.algebra import load_algebra
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
@@ -66,11 +68,21 @@ def test_reversed_g_pairs_change_verify_witnesses_but_not_the_reference():
     for name, den, spec, _ in G_SPECS:
         want += literal_reports(load_algebra(FIXTURE_DOCS[name]), [spec], den)
         alg = load_algebra(FIXTURE_DOCS[name])  # fresh: the memos must not reach other tests
-        alg.tables.g_pairs = alg.tables.g_pairs[::-1]
+        alg.tables.g = alg.tables.g[::-1]
         broken.append(verify(alg, spec, den).to_doc())
         assert literal_reports(alg, [spec], den) == want[-1:]
     assert [_verdicts(rep) for rep in broken] == [_verdicts(rep) for rep in want]
     assert broken != want  # the G instances are now scanned from the last
+
+
+@pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a3xb2", "a1xa1"])
+def test_each_scan_table_lists_the_reference_instances_in_order(name):
+    # a scan reports its table's first violated instance, so the order is part of the witness
+    alg = load_named(name)
+    for form in ("mp", "product", "complement", "chain", "contraction", "mv", "g"):
+        table = [(tag, tuple(v for v in xyz if v is not None), p, {q, r})
+                 for p, q, r, tag, *xyz in getattr(alg.tables, form)]
+        assert table == [(tag, xs, p, set(qs)) for tag, xs, p, qs in conditions(alg, form)], form
 
 
 def _points_hold(mu, family):
