@@ -100,9 +100,11 @@ class DerivedTables:
     :mod:`softmtl.verifier`, "Per algebra").  ``up_sets`` is the complete
     list of :func:`softmtl.fuzzy.up_sets`: None until one listing
     completes.  ``atoms`` maps each cut a run met, the carrier, the
-    up-sets and one other set, to its atom, an int.  ``profiles`` maps a
-    rank count r to the atom profiles of the chains of r ranks.  All of
-    them start empty, so loading an algebra builds nothing new.
+    up-sets and one other set, to its atom, an int.  ``automaton`` maps a
+    rank count r to the rows of the chain automaton that a DP over r ranks
+    walks (:func:`softmtl.fuzzy.chain_automaton`): tuples of ints, the
+    nodes it expanded.  All of them start empty, so loading an algebra
+    builds nothing new.
     """
 
     def __init__(self, alg: FiniteMtlAlgebra):
@@ -114,7 +116,7 @@ class DerivedTables:
         self.filters = None
         self.up_sets = None
         self.atoms = {}
-        self.profiles = {}
+        self.automaton = {}
 
     @cached_property
     def neg(self) -> tuple[int, ...]:

@@ -11,11 +11,17 @@ All four families share one inequality engine: the plain family is the
 threshold pair (0, 1), the (min .., 1/2)-capped family is (0, 1/2), the
 (max .., 1/2)-lifted family is (1/2, 1), and the thresholds family is a
 caller-chosen (alpha, beta).
+
+A grid map's cuts form a chain of sets, and the chains are listed here
+too: :func:`weak_orders` lists them, :func:`up_sets` the up-sets in them,
+and :func:`chain_automaton` reads them as the words of an automaton over
+(last up-set, run of non-up-sets since it).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,8 +289,9 @@ def weak_orders(n: int, r: int):
     of its values and v their sorted distinct values.
 
     The verifier lists weak orders only to name counterexample maps: it
-    finds and decides their distinct profiles without them, and walks the
-    weak orders of a rank count only when some profile has counterexamples.
+    decides every rank count at once over the words of the chain
+    automaton (:func:`chain_automaton`), and walks the weak orders of a
+    rank count only when its DP flags it.
     """
     def extend(chain, top, left):
         if not left:
@@ -335,3 +342,79 @@ def up_sets(alg: FiniteMtlAlgebra, most: int | None = None) -> list[int] | None:
             sets += [s | 1 << x for s in sets if not above[x] & ~s]
         ups = tables.up_sets = tuple(sorted(sets[1:]))
     return list(ups)
+
+
+def chain_automaton(alg: FiniteMtlAlgebra, ups: list[int], atoms: dict[int, int], other: int,
+                    ranks: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of the chain automaton that a DP over ``ranks`` ranks walks, kept by rank count.
+
+    A chain carrier > U_1 > ... > U_r-1 of non-empty sets is a word of the
+    automaton, each U_i read as its atom: ``atoms`` maps each of ``ups``,
+    the non-empty proper up-sets ascending, to its atom, and ``other`` is
+    the atom of every other set.  A state is (L, k), L the last up-set and
+    k the run of non-up-sets since it, and a node is a set of states, one
+    mask of set ids L per run k (:func:`_chain_masks`), packed into one
+    int: (L, k) at k * m + L, m the number of ids.  Each node met at most
+    ``ranks`` - 2 letters from the start is expanded, level by level, and
+    numbered as met, the start 0.  Row j lists node j's (letter, node
+    number) pairs by ascending letter, so the rows hold nothing of the
+    algebra, and ``alg.tables.automaton`` keeps them by rank count (proof
+    in ``docs/verifier.md``, "The chain automaton").
+    """
+    sets, letters = [0, *ups, (1 << alg.n) - 1], {}
+    for i, up in enumerate(ups, 1):  # each atom -> the ids of the up-sets that have it
+        letters[atoms[up]] = letters.get(atoms[up], 0) | 1 << i
+    start = len(sets) - 1  # the carrier's id, and the state (carrier, 0)
+    # two ranks expand only the start: below the carrier lies every up-set, and its room is n - 1
+    below, free, room, atmost = (_chain_masks(alg, sets) if ranks > 2 else
+                                 ({start: (1 << start) - 1}, (), {start: alg.n - 1}, ()))
+    nodes, rows = {1 << start: 0}, []  # each node met -> its number, so in the order met
+    for _ in range(ranks - 1):
+        for node in list(nodes)[len(rows):]:  # those met on the last level
+            targets = run = 0
+            for state in _members(node):
+                # (L, k) reads atom(U) to (U, 0), and other to (L, k + 1) while the run fits
+                k, at = divmod(state, len(sets))
+                targets |= free[at] & atmost[room[at] - k] if k else below[at]
+                run |= (k < room[at]) << state + len(sets)
+            row = {atom: targets & ids for atom, ids in letters.items() if targets & ids}
+            if run := row.pop(other, 0) | run:  # an up-set's atom may be other's
+                row[other] = run
+            rows.append(tuple((atom, nodes.setdefault(row[atom], len(nodes)))
+                              for atom in sorted(row)))
+    rows = alg.tables.automaton[ranks] = tuple(rows)
+    return rows
+
+
+def _chain_masks(alg: FiniteMtlAlgebra, sets: list[int]) -> tuple[list[int], ...]:
+    """below, free and room of each set id L, and atmost of each size s.
+
+    A set's id is its position in ``sets``: the empty set, the non-empty
+    proper up-sets, ascending, and the carrier.  below[L] holds the ids of
+    the up-sets strictly inside L, free[L] those of the U with L - U no
+    antichain, room[L] is the longest run of non-up-sets below L, and
+    atmost[s] holds the sets of at most s elements.  Each mask is built
+    from those of smaller up-sets, and no two up-sets are compared.
+    """
+    ids, tables = {s: i for i, s in enumerate(sets)}, alg.tables
+    downs = [sum(1 << x for x in tables.elems if tables.ups[x] >> y & 1) for y in tables.elems]
+    below, free, room, sizes = [], [], [], [0] * (alg.n + 1)
+
+    def inside(t):  # the up-set t, met already, and the up-sets inside it
+        return 1 << ids[t] | below[ids[t]]
+
+    for i, s in enumerate(sets):  # ascending: every up-set inside s comes first
+        core = functools.reduce(int.__or__, [tables.above[x] for x in _members(s)], 0)
+        # inside s: its lower covers s - x, x minimal; missing y in the core: s - downs[y]
+        below.append(functools.reduce(int.__or__, [inside(s ^ 1 << x) for x in _members(s)
+                                                   if s ^ 1 << x in ids], 0))
+        free.append(functools.reduce(int.__or__, [inside(s & ~downs[y]) for y in _members(core)],
+                                     0))
+        room.append(s.bit_count() - 1 if core else 0)
+        sizes[s.bit_count()] |= 1 << i
+    return below, free, room, list(itertools.accumulate(sizes, int.__or__))
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the bits set in ``mask``, ascending."""
+    return [x for x, bit in enumerate(reversed(bin(mask))) if bit == "1"]

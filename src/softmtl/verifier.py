@@ -27,27 +27,33 @@ lo+1..hi.  So a map's scan bits are the OR of
 soft side makes of its levels, and a fuzzy check fails iff they meet
 its fail mask (:func:`softmtl.fuzzy.scan_masks`).
 
-Per profile.  The decision on (W, V) thus reads W only through one atom
-per cut of its chain, one int: the cut's failing crisp kinds in its low
-``len(KINDS)`` bits and its scan bits above them.  An up-set has its
-own atom (:func:`softmtl.filters.classify_filter`, ``scan_fails``), and
-every other set that of the least non-up-set, the representative
-("Two-valued maps").  W's profile is the tuple of the atoms of its
-chain, and :func:`_decide` reads nothing else of W, so weak orders with
-the same profile and rank count are decided alike on every V.  The key
-holds both halves of the atom: on an MTL-algebra the scan bits follow
-from the kinds, but that is what the theorems claim.
-:func:`_profiles` finds the distinct profiles of each rank count level
-by level, from the up-sets alone, without listing the chains.  Lemma:
-between up-sets A > B, with P = A - B, the longest chain of non-up-sets
-(:func:`_room`) has |P| - 1 sets if P holds a pair x < y, and none if P
-is an antichain.  So a state is (last up-set, run of non-up-sets since
-it, profile so far), kept once, and kept only while its run fits.
-Profiles are few: a3 has 4683 weak orders and 65 profiles, so 65
-decisions stand for its 531441 maps at D=8, and for its 25^6 at D=24.
-The maps are never listed; :func:`_walk` knows their count.  Only when
-some profile of a rank count has counterexamples are its value tuples
-listed and that rank count's weak orders walked, to name their maps.  A
+The chain automaton.  The decision on (W, V) thus reads W only through
+one atom per cut of its chain, one int: the cut's failing crisp kinds
+in its low ``len(KINDS)`` bits and its scan bits above them.  An up-set
+has its own atom (:func:`softmtl.filters.classify_filter`,
+``scan_fails``), and every other set that of the least non-up-set, the
+representative ("Two-valued maps").  W's profile is the tuple of the
+atoms of its chain, and the decision reads nothing else of W.  The atom
+holds both halves: on an MTL-algebra the scan bits follow from the
+kinds, but that is what the theorems claim.  Lemma: the chains are the
+paths of an automaton over states (L, k), L the last up-set and k the
+run of non-up-sets since it.  It starts at (carrier, 0); other leads
+from (L, k) to (L, k + 1) while k < room(L), and atom(U) to (U, 0) for
+each non-empty up-set U inside L with k = 0, or with L - U no antichain
+and |U| <= |L| - k - 1; every state completes.  L - U is an antichain
+iff U holds core(L), L less its minimal elements, an up-set, and
+room(L) is |L| - 1 if core(L) is not empty, else 0.  So the profiles of
+r ranks are its words of length r - 1, and the masks of each state's
+targets are built through covers (:func:`softmtl.fuzzy.chain_automaton`),
+never by comparing two up-sets.  A node of the determinized automaton
+is a set of states, one int, and the words that reach it are followed
+by the same letters, so the DP (below) runs over the nodes, not the
+words.  The automaton is small: a3 has 4683 weak orders, 65 profiles and
+15 nodes, a3 x a1 34,731 profiles at D=24 and 150 nodes.  The nodes are
+expanded only as the DP reaches them, so a two-valued run expands only
+the start.  The maps are never listed; :func:`_walk` knows their count.
+Only a rank count that the DP flags has its weak orders walked, grouped
+by profile, and each profile's value tuples listed, to name its maps.  A
 confirmed run classifies only the up-sets, the representative and the
 carrier.
 
@@ -63,14 +69,17 @@ fails there, F those whose premise.  Lemma: meeting a mask distributes
 over OR, so a map's S | F << width is the OR, over its ranks, of the
 entries of the rank's atom on its span.  A map refutes some check iff
 (S ^ F) & (S | IFF) is non-zero, IFF marking the biconditionals.
-:func:`_decide` decides a profile of r ranks by a DP over the spans,
-rank by rank, and lists no value tuple: after rank i, each value v maps
-to the ORs of ranks 0..i over the prefixes V[0] < ... < V[i] = v, that
-is the union of the ORs at v - 1 of ranks i and i - 1, each OR'd with
-rank i's entry at v.  That is r(D-r+2) steps, against the C(D+1, r)
-value tuples of a listing.  Only a flagged profile's value tuples are
-listed (:func:`_listed`), and one with none that fails raises
-RuntimeError.  Counterexamples are sorted lexicographically and
+:func:`_flags` decides every rank count at once by a DP over the ranks
+and the automaton's nodes, and lists no value tuple: after rank i, each
+node i letters from the start maps each value v to the ORs of ranks
+0..i over its words and the prefixes V[0] < ... < V[i] = v, that is the
+union of the ORs at v - 1 of rank i and of rank i - 1 at every node that
+leads to it, each OR'd with rank i's entry at v.  Rank count r is
+flagged iff some OR after rank r - 1 refutes a check.  That is D + 1
+steps per node and rank, against the C(D+1, r) value tuples of a
+listing, for every profile of r ranks.  A
+flagged rank count's profiles are listed (:func:`_listed`), and one
+with no map that fails raises RuntimeError.  Counterexamples are sorted lexicographically and
 recorded, so every report is that of a pass that runs each check on
 each map it walks, in lexicographic order.  Recording reads each
 check's two sides off S and F and looks up only its witness: one
@@ -91,7 +100,7 @@ off U, lo+1 on U, least over those U.  A broken filter form can make
 all non-up-sets disagree, and the least map of theirs is that of {x}, x
 the last element but the top.  :func:`_disagreement` tests each up-set
 and that one non-up-set (the representative in a two-valued run) once,
-before any profile is walked, and names the least (map, key), on which
+before the DP runs, and names the least (map, key), on which
 the literal scans raise AlgebraError (RuntimeError if they agree there).
 
 Per plan.  Resolving the checks reads only the specs, the grid and the
@@ -104,10 +113,13 @@ them.  An atom's table reads only the checks, so the plan also keeps
 {atom: table}, filled by the first run on any algebra that meets the
 atom.  A table holds D+1 ints, and an atom is an int below
 2^(len(KINDS) + len(_SCAN_KEYS)), so a plan holds at most 2048 tables
-(a3 meets 4 atoms, 3 of which set a bit).  A profile's verdict reads
-only the tables, so the plan keeps {(carrier's atom, *profile):
-flagged} as well, one bool per profile decided, never a map; an atom is
-its own id (below), so the key is exact across algebras.
+(a3 meets 4 atoms, 3 of which set a bit).  The DP reads only the tables
+and the automaton's rows, in which the nodes are numbered as the walk
+meets them and the letters are atoms, so the plan keeps {(carrier's
+atom, rank count, rows): flags} as well, one bool per rank count, never
+a map.  An atom is its own id (below), so the key is exact across
+algebras, and an algebra whose automaton has the same rows reads the
+flags of another.
 :func:`_plan` keeps the last 8 plans (``functools.lru_cache``), so
 repeated runs at one grid, on any algebra, share one, and the tables
 and verdicts go with their plan.  A plan holds no algebra, and without
@@ -116,30 +128,29 @@ at D=24.
 
 Per algebra.  The up-sets (:func:`softmtl.fuzzy.up_sets`), the atom of
 each cut a run meets (:func:`_atoms`: the carrier, the up-sets and the
-representative) and the profiles of each rank count walked depend only
-on the algebra, so ``alg.tables`` keeps them, next to the
-classifications (:class:`softmtl.algebra.DerivedTables`).  An atom is
-its own id, so a profile is the same in every run, and a plan's tables
-serve every algebra.  The profiles of r <= 2 are those of the two-valued
-maps too, so both modes share them.  A first run on an algebra does the
-work of a run without them, and every later run classifies and scans
-nothing, and walks only rank counts no run walked before.  They hold
-at most len(up-sets) + 2 atoms and n levels of profiles, and go with the
-algebra.
+representative) and the automaton's rows walked for each rank count
+depend only on the algebra, so ``alg.tables`` keeps them, next to the
+classifications (:class:`softmtl.algebra.DerivedTables`).  A first run
+on an algebra does the work of a run without them, and every later run
+classifies, scans and expands nothing, except the nodes of a rank count
+no run walked before.  They hold at most len(up-sets) + 2 atoms and one
+tuple of rows per rank count walked, and go with the algebra.
 
-Per run.  Each run makes its own reports, reads each profile's verdict
-off its plan, and for a flagged profile lists its value tuples and its
-rank count's weak orders and records its counterexamples.  All of it
-stays on the run and goes with it, and no memo grows with the maps.  A
-run that refutes nothing on a plan and algebra met before decides,
-lists and walks nothing.
+Per run.  Each run makes its own reports, reads its flags off its plan
+with one lookup, and for a flagged rank count walks its weak orders,
+lists the value tuples of their profiles and records its
+counterexamples.  All of it stays on the run and goes with it, and no
+memo grows with the maps.  A run that refutes nothing on a plan and
+algebra met before decides, expands, lists and walks nothing.
 
 Two-valued maps.  Over budget the pass walks only the constant maps
 (r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
 U each non-empty proper up-set of the algebra's order
 (:func:`softmtl.fuzzy.up_sets`) and the representative, the least mask
-that is not one.  It is the same loop, atoms and profiles with r <= 2,
-and the chains (U,) are listed only to name counterexamples.  The maps
+that is not one.  It is the same loop, atoms and DP with r <= 2, which
+expands only the automaton's start, whose letters are the atoms of
+those sets, and the chains (U,) are listed only to name
+counterexamples.  The maps
 are grid maps, so their records are the grid's on them, and each check
 the grid refutes is refuted on one of them, by two lemmas: the U_i that
 sets the failing side of a counterexample, or disagrees, makes the grid
@@ -157,15 +168,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, count
+from itertools import accumulate, combinations, compress, count
 from operator import or_
 from typing import NamedTuple
 
 from . import filters
 from .algebra import FiniteMtlAlgebra, require_mtl
 from .filters import KINDS
-from .fuzzy import (FuzzySet, check_den, disagree, family_bounds, grid_map, map_doc,
-                    resolve_route, scan_fails, scan_masks, up_sets, variant_witness, weak_orders)
+from .fuzzy import (FuzzySet, chain_automaton, check_den, disagree, family_bounds, grid_map,
+                    map_doc, resolve_route, scan_fails, scan_masks, up_sets, variant_witness,
+                    weak_orders)
 from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index, level_cuts
 
 @dataclass(frozen=True)
@@ -289,56 +301,6 @@ def _two_valued(alg, most=None) -> list[int] | None:
     return [*ups, next(mask for mask in count(1) if mask not in known)]
 
 
-def _room(above, part: int) -> int:
-    """The longest chain of non-up-sets strictly between up-sets A > B, where part = A - B.
-
-    ``above`` holds each element's strict up-set mask.  |part| - 1 if part
-    holds a pair x < y, else 0 (proof in ``docs/verifier.md``, "Per
-    profile").
-    """
-    rest = part
-    while rest:
-        x = rest & -rest
-        if above[x.bit_length() - 1] & part:  # x < y for some y in part
-            return part.bit_count() - 1
-        rest ^= x
-    return 0
-
-
-def _profiles(alg, atoms: dict[int, int], other: int, ranks: int) -> list[list[tuple[int, ...]]]:
-    """For r = 1..ranks, the distinct atom profiles of the chains carrier > U_1 > ... > U_r-1.
-
-    Every U_i is non-empty.  ``atoms`` maps each non-empty proper up-set,
-    ascending, to its atom, and ``other`` is the atom of every other set.  A
-    state is (last up-set, run of non-up-sets since it, profile so far),
-    each kept once, and every state kept completes: its run fits between
-    its last up-set and the empty set (proof in ``docs/verifier.md``,
-    "Per profile").
-    """
-    rooms = {}
-
-    def room(part):  # _room, once per part in a run
-        if part not in rooms:
-            rooms[part] = _room(alg.tables.above, part)
-        return rooms[part]
-
-    states = {((1 << alg.n) - 1, 0, ())}
-    levels = [[()]]
-    for _ in range(1, ranks):
-        grown = set()
-        for last, run, profile in states:
-            if run < room(last):  # one more non-up-set
-                grown.add((last, run + 1, (*profile, other)))
-            for up, atom in atoms.items():  # an up-set inside the last one, the run between them
-                if up >= last:  # the up-sets ascend, and one inside the last is below it
-                    break
-                if not up & ~last and (not run or run <= room(last ^ up)):
-                    grown.add((up, 0, (*profile, atom)))
-        states = grown
-        levels.append(list({profile for _, _, profile in states}))
-    return levels
-
-
 class _Check(NamedTuple):
     """One theorem resolved against the grid before the pass starts.
 
@@ -386,9 +348,9 @@ class _Plan(NamedTuple):
     S | F << width (module docstring, "Per map").  ``all_routes`` holds the
     distinct fuzzy keys of the ``route="all"`` checks (:func:`_disagreement`).
     ``tables`` maps an atom to its verdict table, read off the checks'
-    sides (:func:`_table`), and ``verdicts`` a profile to whether it has a
-    counterexample (:func:`_decide`); both are filled on first use by a run
-    on any algebra, and all else is immutable.
+    sides (:func:`_table`), and ``verdicts`` a DP's key to whether each
+    rank count has a counterexample (:func:`_flags`); both are filled on
+    first use by a run on any algebra, and all else is immutable.
     """
 
     checks: tuple[_Check, ...]
@@ -398,7 +360,7 @@ class _Plan(NamedTuple):
     iff: int                       # the bits of the biconditionals
     printed: tuple[str, ...]       # each grid value k/den as a counterexample prints it
     tables: dict[int, tuple[int, ...]]
-    verdicts: dict[tuple[int, ...], bool]
+    verdicts: dict[tuple, tuple[bool, ...]]
 
 
 def _pack(checks, den) -> _Plan:
@@ -453,35 +415,38 @@ def _fails(plan, bits) -> int:
     return (bits ^ bits >> plan.width) & (bits | plan.iff) & ((1 << plan.width) - 1)
 
 
-def _decide(plan, atoms) -> bool:
-    """Whether some map of the profile is a counterexample, kept in ``plan.verdicts``.
+def _flags(plan, key) -> tuple[bool, ...]:
+    """Whether some map of r ranks is a counterexample, for r = 1..ranks, kept in ``plan.verdicts``.
 
-    ``atoms`` is the rank-0 cut's atom, then the profile.  A DP over the
-    ranks: after rank i, each value V[i] maps to the ORs S | F << width of
-    ranks 0..i over the prefixes V[0] < ... < V[i] that end there (module
-    docstring, "Per map").  No value tuple is listed.
+    ``key`` is the rank-0 cut's atom, the rank count and the rows of the
+    chain automaton that it walks (:func:`softmtl.fuzzy.chain_automaton`).
+    A DP over the ranks: after rank i, each node i letters from the start
+    maps each value v to the ORs S | F << width of ranks 0..i over the
+    words that reach the node and the prefixes V[0] < ... < V[i] = v
+    (module docstring, "Per map"), held at index v + 1.  Rank count r is
+    read after rank r - 1.  No value tuple is listed.
     """
-    den, r = plan.den, len(atoms)
-    # V[-1] = -1, so rank 0's span (0, V[0]] may be empty; it also covers index 0, which is empty
-    states = {-1: {0}}
-    for i, atom in enumerate(atoms):
-        t = plan.tables.get(atom)
-        if t is None:
-            t = _table(plan, atom)
-        grown, ors = {}, set()
-        for v in range(i, den - r + i + 2):  # room below V[i] for the ranks under it, and above
+    carrier, ranks, rows = key
+    flags, starts = [], {0: (carrier, [{0}] + [set()] * (plan.den + 1))}  # V[-1] = -1
+    for i in range(ranks):
+        ends = {}  # each node -> the ORs ending at each value, as starts holds them
+        for node, (atom, start) in starts.items():
+            t = plan.tables.get(atom) or _table(plan, atom)
             # the prefixes with V[i] = v: those with V[i] = v - 1 or V[i-1] = v - 1, and index v
-            ors = ors | states[v - 1] if v - 1 in states else ors
-            if t[v]:
-                ors = {x | t[v] for x in ors}
-            grown[v] = ors
-        states = grown
-    found = plan.verdicts[atoms] = any(_fails(plan, x) for ors in states.values() for x in ors)
-    return found
+            ends[node] = list(accumulate(range(plan.den + 1), lambda ors, v: {
+                x | t[v] for x in ors | start[v]}, initial=set()))
+        flags.append(any(_fails(plan, x) for end in ends.values() for ors in end for x in ors))
+        starts = {}
+        for node, end in ends.items() if i + 1 < ranks else ():
+            for atom, to in rows[node]:  # the words reaching a node merge: what follows is its own
+                starts[to] = (atom, [a | b for a, b in zip(starts[to][1], end)]
+                              if to in starts else end)
+    flags = plan.verdicts[key] = tuple(flags)
+    return flags
 
 
 def _listed(plan, atoms) -> list[tuple[tuple[int, ...], int, int]]:
-    """(V, S, F) of each counterexample among the maps of a profile :func:`_decide` flagged."""
+    """(V, S, F) of each counterexample among the maps of ``atoms``, the carrier's atom first."""
     # each rank's OR of its table entries over the span (u, v], at [u][v]
     spans = [[(0,) * u + tuple(accumulate(t[u + 1:], or_, initial=0)) for u in range(len(t))]
              for t in map(plan.tables.__getitem__, atoms)]
@@ -492,8 +457,6 @@ def _listed(plan, atoms) -> list[tuple[tuple[int, ...], int, int]]:
             bits |= rows[u][v]
         if _fails(plan, bits):
             found.append((vals, bits & (1 << plan.width) - 1, bits >> plan.width))
-    if not found:
-        raise RuntimeError(f"the DP flags the profile {atoms}, and none of its maps fails")
     return found
 
 
@@ -597,25 +560,25 @@ def _verify(alg, specs, den, walk, interval=None) -> list[VerificationReport]:
         variant_witness(alg, den, *least)  # raises AlgebraError, naming the map
         raise RuntimeError(f"the scan bits flag disagreeing formulations on "
                            f"{map_doc(alg, den, least[0])}, and the literal scans agree")
-    profiles = alg.tables.profiles  # rank count -> its profiles; every count up to the most walked
-    if len(orders) not in profiles:
-        profiles.update(enumerate(_profiles(alg, {up: atoms[up] for up in ups}, other,
-                                            len(orders)), 1))
+    ranks = len(orders)  # neither the rows nor the flags are empty: ranks >= 2
+    key = (carrier, ranks, alg.tables.automaton.get(ranks)
+           or chain_automaton(alg, ups, atoms, other, ranks))
+    flags = plan.verdicts.get(key) or _flags(plan, key)
     found = []  # (map, S, F) of each counterexample
-    for r, of_r in enumerate(orders, 1):
-        named = {}  # each flagged profile -> (values, S, F) of its counterexamples
-        for profile in profiles[r]:
-            key = (carrier, *profile)
-            if plan.verdicts[key] if key in plan.verdicts else _decide(plan, key):
-                named[profile] = _listed(plan, key)
-        if named:  # list the weak orders, only to name their maps
-            for order in of_r:
-                # the carrier is in no order, and the representative's atom is other's
-                profile = tuple([atoms.get(up, other) for up in order])
-                if profile in named:
-                    ranks = grid_map(order, range(r), n)  # each element's rank
-                    for vals, soft, fail in named[profile]:
-                        found.append((tuple([vals[i] for i in ranks]), soft, fail))
+    # each flagged rank count's weak orders, walked only to name their maps
+    for r, of_r in compress(enumerate(orders, 1), flags):
+        named = {}  # each profile met -> (values, S, F) of its counterexamples
+        for order in of_r:
+            # the carrier is in no order, and the representative's atom is other's
+            profile = tuple([atoms.get(up, other) for up in order])
+            if profile not in named:
+                named[profile] = _listed(plan, (carrier, *profile))
+            if named[profile]:
+                rank = grid_map(order, range(r), n)  # each element's rank
+                for vals, soft, fail in named[profile]:
+                    found.append((tuple([vals[i] for i in rank]), soft, fail))
+        if not any(named.values()):
+            raise RuntimeError(f"the DP flags rank count {r}, and none of its maps fails")
     found.sort()  # the lexicographic order of the maps
     for counterexample in found:
         _record(alg, plan, reports, atoms, other, *counterexample)

@@ -25,8 +25,10 @@ filter classifiers:
 
 The one exception is the subset walk at the end (:func:`_profiles` with
 :func:`_subset_ids` and :func:`_below`): the verifier's former source of
-exhaustive profiles, kept unchanged to check the walk over the up-sets
-that replaced it.  It reads the verifier's atoms and up-set listing.
+exhaustive profiles, kept unchanged to check the words of the chain
+automaton (:func:`softmtl.fuzzy.chain_automaton`), which replaced it
+after a walk over the up-sets did.  It reads the verifier's atoms and
+up-set listing.
 """
 
 from __future__ import annotations

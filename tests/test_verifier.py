@@ -327,12 +327,13 @@ def test_a_run_keeps_only_cut_classifications_on_the_algebra():
     assert all(after[name] is value for name, value in before.items())
     grown = {name for name, size in sizes.items() if len(after[name]) != size}
     # the memos of classify_filter and of the atoms, by cut: the up-sets, the
-    # representative and the carrier; and the profiles, by rank count
-    assert grown == {"classifications", "atoms", "profiles"}
+    # representative and the carrier; and the automaton's rows, by rank count
+    assert grown == {"classifications", "atoms", "automaton"}
     for name in ("classifications", "atoms"):
         assert len(after[name]) - sizes[name] <= len(ups) + 2
         assert all(0 < cut < 1 << alg.n for cut in after[name])
-    assert len(after["profiles"]) <= alg.n
+    # two ranks, whose walk expands only the start node
+    assert list(after["automaton"]) == [2] and len(after["automaton"][2]) == 1
 
 
 def _atom(alg, up):
@@ -441,29 +442,46 @@ def test_a_disagree_bit_the_literal_scans_do_not_share_is_an_internal_error(monk
     assert str({"0": "0", "a": "0", "b": "0", "1": "1/2"}) in str(raised.value)
 
 
-def test_the_pass_decides_once_per_profile(monkeypatch):
+def test_the_pass_builds_the_automaton_once_and_runs_the_dp_once(monkeypatch):
     alg, den = load_algebra(FIXTURE_DOCS["a3"]), 8
     verifier._plan.cache_clear()  # a new plan, with no verdicts of earlier runs
     calls = []
-    decide = verifier._decide
-    monkeypatch.setattr(verifier, "_decide",
-                        lambda plan, atoms: calls.append(atoms) or decide(plan, atoms))
+
+    def counted(fn, f):
+        def wrapper(*args):
+            calls.append(fn)
+            return f(*args)
+        return wrapper
+
+    for fn in ("chain_automaton", "_flags"):
+        monkeypatch.setattr(verifier, fn, counted(fn, getattr(verifier, fn)))
+    masks = []
+    chain_masks = fuzzy._chain_masks
+    monkeypatch.setattr(fuzzy, "_chain_masks", lambda alg, sets: masks.append(alg)
+                        or chain_masks(alg, sets))
     reports = verify_all(alg, den)
     assert all(rep.confirmed and rep.checked == (den + 1) ** alg.n for rep in reports)
-    # the carrier's atom, then the profile of a weak order with r ranks, from every map onto
-    # the ranks
-    atom = functools.cache(lambda up: _atom(alg, up)[0] | _atom(alg, up)[1] << len(KINDS))
-    expected = {(atom((1 << alg.n) - 1), *(atom(sum(1 << x for x, k in enumerate(ranks) if k >= i))
-                                          for i in range(1, r)))
-                for r in range(1, alg.n + 1)
-                for ranks in itertools.product(range(r), repeat=alg.n) if len(set(ranks)) == r}
-    assert len(calls) == len(set(calls)) == len(expected) == 65
-    assert set(calls) == expected
-    # one DP per profile and plan: a warm run, and a run on a fresh load, decide none again
+    assert calls == ["chain_automaton", "_flags"] and masks == [alg]
+    # one verdict per rank count, kept under the carrier's atom, the rank count and the
+    # automaton's rows: ints, nothing of the algebra
+    (key, flags), = _plan(None, den, None).verdicts.items()
+    assert key == (alg.tables.atoms[(1 << alg.n) - 1], alg.n, alg.tables.automaton[alg.n])
+    assert flags == (False,) * alg.n
+    # a warm run, and a run on a fresh load, run no DP; the fresh load builds its own automaton
     calls.clear()
     assert [rep.to_doc() for rep in verify_all(alg, den)] == [rep.to_doc() for rep in reports]
-    verify_all(load_algebra(FIXTURE_DOCS["a3"]), den)
     assert calls == []
+    verify_all(load_algebra(FIXTURE_DOCS["a3"]), den)
+    assert calls == ["chain_automaton"]
+    # a two-valued run on a product expands only the start node, whose letters are the atoms of
+    # every up-set and other's, and builds no masks
+    alg, masks[:] = load_named("a3xa1"), []
+    reports = verify_all(alg, 12, budget=10**6)
+    assert all(rep.mode == "two-valued" and rep.confirmed for rep in reports)
+    (ranks, rows), = alg.tables.automaton.items()
+    ids, other = _walk_atoms(alg)
+    assert ranks == 2 and masks == [] and len(rows) == 1
+    assert [atom for atom, _ in rows[0]] == sorted({*ids.values(), other})
 
 
 def _walk_atoms(alg):
@@ -473,12 +491,31 @@ def _walk_atoms(alg):
     return {up: atoms[up] for up in ups}, atoms[rep]
 
 
+def _automaton(alg, ranks):
+    """The chain automaton's rows for ``ranks`` ranks, on the atoms ``_verify`` gives."""
+    ids, other = _walk_atoms(alg)
+    return fuzzy.chain_automaton(alg, list(ids), ids, other, ranks)
+
+
+def _words(rows, ranks):
+    """The words of the automaton ``rows`` of each length 0..ranks - 1, each level sorted."""
+    levels, paths = [], {(0, ())}  # (node, word) of each word of the length
+    for r in range(ranks):
+        levels.append(sorted({word for _, word in paths}))
+        if r + 1 < ranks:
+            paths = {(to, (*word, atom)) for node, word in paths for atom, to in rows[node]}
+    return levels
+
+
 @pytest.mark.parametrize("name, ranks", [("b2", None), ("a1", None), ("a2", None), ("a3", None),
                                          ("a1xb2", 3)])
 def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n  # every rank count, unless the carrier is large
-    levels = verifier._profiles(alg, *_walk_atoms(alg), ranks)
+    rows = _automaton(alg, ranks)
+    # deterministic: no letter leads from a node twice
+    assert all([atom for atom, _ in row] == sorted({atom for atom, _ in row}) for row in rows)
+    levels = _words(rows, ranks)
     assert len(levels) == ranks
     atom = functools.cache(functools.partial(_atom, alg))
     for r, walked in enumerate(levels, 1):
@@ -486,7 +523,7 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
         literal = {tuple(atom(sum(1 << x for x, k in enumerate(rank) if k >= i))
                          for i in range(1, r))
                    for rank in itertools.product(range(r), repeat=alg.n) if len(set(rank)) == r}
-        assert len(set(walked)) == len(walked) == len(literal), r
+        assert len(walked) == len(literal), r
         assert {tuple((atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in profile)
                 for profile in walked} == literal, r
 
@@ -496,14 +533,12 @@ def test_the_walk_finds_the_profiles_of_every_map_onto_the_ranks(name, ranks):
 def test_the_up_set_walk_finds_the_subset_walks_profiles(name, ranks):
     alg = load_named(name)
     ranks = ranks or alg.n
-    levels = verifier._profiles(alg, *_walk_atoms(alg), ranks)
+    levels = _words(_automaton(alg, ranks), ranks)
     subset_ids = reference._subset_ids(alg)
     below = reference._below(subset_ids)
     assert len(levels) == ranks
     for r, walked in enumerate(levels, 1):
-        subsets = reference._profiles(subset_ids, below, len(below) - 1, r)
-        assert sorted(walked) == sorted(subsets), r
-        assert len(set(walked)) == len(walked), r
+        assert walked == sorted(reference._profiles(subset_ids, below, len(below) - 1, r)), r
 
 
 def _longest_non_up_chain(alg, a, b):
@@ -523,12 +558,22 @@ def _longest_non_up_chain(alg, a, b):
 @pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a1xb2"])
 def test_the_room_between_up_sets_is_their_longest_chain_of_non_up_sets(name):
     alg = load_named(name)
-    ups = [m for m in range(1 << alg.n) if _is_up_set(alg, m)]  # the empty set and the carrier too
-    pairs = [(a, b) for a in ups for b in ups if b != a and not b & ~a]
-    for a, b in pairs:
-        assert verifier._room(alg.tables.above, a & ~b) == _longest_non_up_chain(alg, a, b), (a, b)
-    # parts with room and parts without are both met
-    assert {verifier._room(alg.tables.above, a & ~b) > 0 for a, b in pairs} == {True, False}
+    sets = [0, *up_sets(alg), (1 << alg.n) - 1]  # the set ids: the empty set and the carrier too
+    assert sets == [m for m in range(1 << alg.n) if _is_up_set(alg, m)]
+    below, free, room, atmost = fuzzy._chain_masks(alg, sets)
+    runs = set()  # whether some run fits between the pairs
+    for a, big in enumerate(sets):
+        # below: the up-sets strictly inside, found by comparing them
+        assert below[a] == sum(1 << b for b, small in enumerate(sets) if small != big
+                               and not small & ~big), big
+        if big:  # the longest run below it, to the empty set
+            assert room[a] == _longest_non_up_chain(alg, big, 0), big
+        for b in (b for b in range(len(sets)) if below[a] >> b & 1):
+            # (L, k) steps to U for k = 0 and for each k >= 1 up to their longest run
+            steps = [k for k in range(1, room[a] + 1) if (free[a] & atmost[room[a] - k]) >> b & 1]
+            assert steps == list(range(1, _longest_non_up_chain(alg, big, sets[b]) + 1)), (big, b)
+            runs.add(bool(steps))
+    assert runs == {True, False}
 
 
 @pytest.mark.parametrize("name, den, maps", [("a3xa1", 2, 282429536481),
@@ -634,6 +679,33 @@ def _literal_verdicts(checks, den, carrier, atoms, vals):
     return soft, fail, rel
 
 
+def _decide(plan, atoms):
+    """Whether some map of the profile ``atoms``, the carrier's atom first, is a counterexample.
+
+    The per-profile DP the verifier ran before the chain automaton, kept as the oracle of
+    :func:`verifier._flags`: after rank i, each value V[i] maps to the ORs S | F << width of
+    ranks 0..i over the prefixes V[0] < ... < V[i] that end there, V[i] bounded by the ranks
+    above it.
+    """
+    den, r = plan.den, len(atoms)
+    states = {-1: {0}}  # V[-1] = -1, so rank 0's span (0, V[0]] may be empty
+    for i, atom in enumerate(atoms):
+        t = plan.tables[atom] if atom in plan.tables else verifier._table(plan, atom)
+        grown, ors = {}, set()
+        for v in range(i, den - r + i + 2):
+            ors = ors | states[v - 1] if v - 1 in states else ors
+            if t[v]:
+                ors = {x | t[v] for x in ors}
+            grown[v] = ors
+        states = grown
+    return any(verifier._fails(plan, x) for ors in states.values() for x in ors)
+
+
+def _one_word(word):
+    """The rows of the automaton whose only word is ``word``."""
+    return tuple(((atom, i + 1),) for i, atom in enumerate(word))
+
+
 @pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3", "a1xb2", "a3xb2"])
 def test_packed_soft_verdicts_are_the_per_check_rule(name):
     # S and F, the conclusions and premises of every check, read off the verdict tables
@@ -684,16 +756,28 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
                     listed.append((vals, soft, fail))
                 seen.add(bool(decision))
                 refuted |= rel
-            # the DP flags the profile iff some value tuple is refuted, and the flagged
-            # profile's listing is exactly those value tuples
-            assert verifier._decide(plan, key) == bool(listed) == plan.verdicts[key], key
-            if listed:
-                assert verifier._listed(plan, key) == listed, key
-            else:
-                with pytest.raises(RuntimeError, match="none of its maps fails"):
-                    verifier._listed(plan, key)
+            # the oracle, and the DP on the profile's one-word automaton, flag the profile iff
+            # some value tuple is refuted, and the listing is exactly those value tuples
+            flags = verifier._flags(plan, (carrier, r, _one_word(key[1:])))
+            assert _decide(plan, key) == bool(listed) == flags[-1], key
+            assert verifier._listed(plan, key) == listed, key
     assert seen == {False, True}
     assert refuted  # so the relation bits were asserted on refutations too
+
+
+def test_a_flagged_rank_count_whose_maps_all_pass_is_an_internal_error(monkeypatch, capsys):
+    # the DP, run for its tables, flags every rank count; the catalog holds on a3 at D = 2
+    alg, flags = load_algebra(FIXTURE_DOCS["a3"]), verifier._flags
+    monkeypatch.setattr(verifier, "_flags", lambda plan, key: tuple(
+        flag or True for flag in flags(plan, key)))
+    with pytest.raises(RuntimeError) as raised:
+        verify_all(alg, 2)
+    assert str(raised.value) == "the DP flags rank count 1, and none of its maps fails"
+    # the CLI reports an internal error; the real verdicts, kept on the plan, go with it
+    verifier._plan.cache_clear()
+    monkeypatch.setattr(fixtures, "resolve_algebra", lambda target: alg)
+    assert main(["verify-all", "a3", "--grid", "2"]) == 3
+    assert "RuntimeError: the DP flags rank count 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["a2", "a3"])
@@ -705,14 +789,15 @@ def test_a_forward_premise_failing_alone_decides_no_map(name):
     plan = _plan(tuple(catalog()), den, None)
     forward = sum(1 << b for b, check in enumerate(plan.checks) if not check.iff)
     every = (1 << plan.width) - 1
-    ids, other = _walk_atoms(alg)
     carrier = alg.tables.atoms[(1 << alg.n) - 1]
     alone = 0  # the checks whose premise fails alone on some map
     ranks = min(alg.n, den + 1)
-    for r, profiles in enumerate(verifier._profiles(alg, ids, other, ranks), 1):
+    rows = _automaton(alg, ranks)
+    assert verifier._flags(plan, (carrier, ranks, rows)) == (False,) * ranks
+    for r, profiles in enumerate(_words(rows, ranks), 1):
         for profile in profiles:
             key = (carrier, *profile)
-            assert not verifier._decide(plan, key)
+            assert not _decide(plan, key)
             atoms = [(atom & (1 << len(KINDS)) - 1, atom >> len(KINDS)) for atom in profile]
             for vals in itertools.combinations(range(den + 1), r):
                 bits = _span_bits(plan, key, vals)
@@ -724,29 +809,98 @@ def test_a_forward_premise_failing_alone_decides_no_map(name):
     assert alone and not alone & ~forward
 
 
+def _random_plan(rng):
+    """A plan with random verdict tables for 8 atoms and 2 checks, some biconditional, on a grid
+    of 1 to 6 steps; as in every plan, cut index 0 (the carrier on every map) sets no bit."""
+    den, width = rng.randint(1, 6), 2
+    return verifier._pack([], den)._replace(
+        tables={atom: (0, *(rng.choice([0, 0, rng.getrandbits(2 * width)]) for _ in range(den)))
+                for atom in range(8)},
+        width=width, iff=rng.getrandbits(width))
+
+
 def test_the_dp_decides_as_every_value_tuple_does_on_random_plans():
-    # random verdict tables for 8 atoms and 2 checks, some biconditional, on grids of 1 to 6
-    # steps, and random profiles of every rank count: far more shapes than the catalog's;
-    # as in every plan, cut index 0 (the carrier on every map) sets no bit
+    # random plans, and random profiles of every rank count: far more shapes than the
+    # catalog's; the DP runs on each profile's one-word automaton and flags each prefix
     rng = random.Random(31)
     seen = set()
     for _ in range(300):
-        den, width = rng.randint(1, 6), 2
-        plan = verifier._pack([], den)._replace(
-            tables={atom: (0, *(rng.choice([0, 0, rng.getrandbits(2 * width)])
-                                for _ in range(den))) for atom in range(8)},
-            width=width, iff=rng.getrandbits(width))
-        every = (1 << width) - 1
-        for r in range(1, den + 2):
+        plan = _random_plan(rng)
+        every = (1 << plan.width) - 1
+        for r in range(1, plan.den + 2):
             key = tuple(rng.getrandbits(3) for _ in range(r))
-            refuted = False
-            for vals in itertools.combinations(range(den + 1), r):
-                bits = _span_bits(plan, key, vals)
-                soft, fail = bits & every, bits >> width
-                refuted |= bool(soft & ~fail | fail & ~soft & plan.iff)
-            assert verifier._decide(plan, key) == refuted, (plan.tables, plan.iff, key)
-            seen.add(refuted)
+            refuted = []  # of each prefix of the profile
+            for length in range(1, r + 1):
+                found = False
+                for vals in itertools.combinations(range(plan.den + 1), length):
+                    bits = _span_bits(plan, key[:length], vals)
+                    soft, fail = bits & every, bits >> plan.width
+                    found |= bool(soft & ~fail | fail & ~soft & plan.iff)
+                refuted.append(found)
+                assert _decide(plan, key[:length]) == found, (plan.tables, plan.iff, key)
+            flags = verifier._flags(plan, (key[0], r, _one_word(key[1:])))
+            assert flags == tuple(refuted), (plan.tables, plan.iff, key)
+            seen.update(refuted)
     assert seen == {False, True}
+
+
+def test_the_dp_decides_as_the_oracle_does_on_random_automata():
+    # random automata of up to 8 nodes, each node read as one letter, some reached by several
+    # words of one length and some at several lengths: the DP merges the words that reach a
+    # node, and flags a rank count iff the oracle flags one of its words
+    rng = random.Random(37)
+    seen, merged = set(), 0
+    for _ in range(300):
+        plan, size = _random_plan(rng), rng.randint(1, 8)
+        letters = [rng.getrandbits(3) for _ in range(size)]
+        rows = tuple(tuple((letters[to], to) for to in sorted(
+            rng.sample(range(j + 1, size), rng.randint(0, size - j - 1)))) for j in range(size))
+        ranks, paths = rng.randint(1, plan.den + 1), {(0, ())}
+        for _ in range(ranks - 1):  # some node reached by two words of one length
+            paths = {(to, (*word, atom)) for node, word in paths for atom, to in rows[node]}
+            merged += len(paths) > len({node for node, _ in paths})
+        levels = _words(rows, ranks)
+        flags = verifier._flags(plan, (letters[0], ranks, rows))
+        assert flags == tuple(any(_decide(plan, (letters[0], *word)) for word in level)
+                              for level in levels), (plan.tables, plan.iff, letters, rows)
+        seen.update(flags)
+    assert seen == {False, True} and merged
+
+
+DP_RUNS = [(name, den) for name in ("b2", "a1", "a2", "a3", "a3xb2", "a1xa1", "a2xb2")
+           for den in (2, 4, 8, 16)]
+
+
+def _profile_flags(alg, plan, ranks):
+    """The DP's flag of each rank count, and whether the oracle flags some profile of it."""
+    rows = _automaton(alg, ranks)
+    carrier = alg.tables.atoms[(1 << alg.n) - 1]
+    return (verifier._flags(plan, (carrier, ranks, rows)),
+            tuple(any(_decide(plan, (carrier, *word)) for word in level)
+                  for level in _words(rows, ranks)))
+
+
+@pytest.mark.parametrize("name, den", DP_RUNS)
+def test_the_dp_flags_a_rank_count_iff_the_oracle_flags_one_of_its_profiles(name, den):
+    # the catalog in one plan, and each false spec in its own, each plan fresh
+    alg = load_named(name)
+    ranks = min(alg.n, den + 1)
+    plans = [verifier._pack(_plan(None, den, None).checks, den)]
+    # a false spec's interval, (1/4, 1/2], needs quarters; on halves it takes the default one
+    plans += [verifier._pack(_plan((spec,), den, kw.get("interval") if den % 4 == 0 else None)
+                             .checks, den) for _, _, spec, kw in FALSE_SPECS]
+    results = [_profile_flags(alg, plan, ranks) for plan in plans]
+    assert all(flags == oracle for flags, oracle in results)
+    assert results[0][0] == (False,) * ranks  # the catalog holds
+
+
+@pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
+def test_the_dp_flags_the_false_specs_rank_counts_as_the_oracle_does(name, den, spec, kw):
+    alg = load_named(name)
+    for den in (den, 2 * den):
+        plan = verifier._pack(_plan((spec,), den, kw.get("interval")).checks, den)
+        flags, oracle = _profile_flags(alg, plan, min(alg.n, den + 1))
+        assert flags == oracle and any(flags), den
 
 
 @pytest.mark.parametrize("name, den, spec, kw", FALSE_SPECS, ids=[s[2].id for s in FALSE_SPECS])
@@ -826,15 +980,19 @@ def test_a_plan_holds_only_immutable_values(a1):
     assert plan is _plan(specs, 4, None)  # one plan, shared by the runs
     verifier._verify(a1, specs, 4, verifier._walk(a1, 4, None))
     # the plan's two memos: the verdict table of each atom met, a tuple of ints, and the
-    # verdict of each profile decided, keyed by its atoms, the carrier's first
+    # verdict of each rank count, keyed by the carrier's atom, the rank count and the rows of
+    # the chain automaton the DP walked: (letter, node number) pairs, letters being atoms
     bound = 1 << len(KINDS) + len(fuzzy._SCAN_KEYS)
     assert plan.tables and all(type(atom) is int and 0 <= atom < bound for atom in plan.tables)
     # no level or bound has cut index 0: not even the atom with every bit set meets a side there
     assert verifier._table(plan, bound - 1)[0] == 0
-    assert plan.verdicts and True in plan.verdicts.values()  # the false specs flag some
-    assert all(type(key) is tuple and key and all(type(atom) is int and 0 <= atom < bound
-                                                  for atom in key)
-               and type(flagged) is bool for key, flagged in plan.verdicts.items())
+    (carrier, ranks, rows), flags = next(iter(plan.verdicts.items()))
+    assert len(plan.verdicts) == 1 and True in flags  # the false specs flag some
+    assert type(carrier) is int and 0 <= carrier < bound and type(ranks) is int
+    assert type(flags) is tuple and len(flags) == ranks and all(type(f) is bool for f in flags)
+    assert type(rows) is tuple and all(
+        type(row) is tuple and all(type(atom) is int and 0 <= atom < bound and type(to) is int
+                                   for atom, to in row) for row in rows)
     parts, seen = [plan._replace(tables=tuple(plan.tables.values()), verdicts=())], 0
     while parts:
         part = parts.pop()
@@ -892,14 +1050,14 @@ def test_warm_runs_give_the_reports_of_cold_runs(monkeypatch, name):
             return f(*args)
         return wrapper
 
-    for fn in ("scan_fails", "_profiles", "_table", "_decide"):
+    for fn in ("scan_fails", "chain_automaton", "_table", "_flags"):
         monkeypatch.setattr(verifier, fn, counted(fn, getattr(verifier, fn)))
     alg = load_algebra(doc)
     warm = [docs(run(alg)) for run in runs]  # each run after the others, on one algebra
     verifier._plan.cache_clear()  # and with no plan kept
     cold = [docs(run(load_algebra(doc))) for run in runs]
     assert warm == cold
-    assert set(calls) == {"scan_fails", "_profiles", "_table", "_decide"}
+    assert set(calls) == {"scan_fails", "chain_automaton", "_table", "_flags"}
     assert any(doc["counterexamples"] for reports in cold for doc in reports)
     assert any(doc["mode"] == "two-valued" for reports in cold for doc in reports) == \
         (alg.n > 2)  # b2's two-valued maps are all its maps
@@ -919,7 +1077,7 @@ def test_the_memos_go_with_their_owners():
     verify_all(alg, 8)
     verify_all(alg, 12, budget=10**6)
     tables = alg.tables
-    assert tables.up_sets and tables.atoms and tables.profiles
+    assert tables.up_sets and tables.atoms and tables.automaton
     refs = weakref.ref(alg), weakref.ref(tables)
     del alg, tables
     gc.collect()
