@@ -99,12 +99,13 @@ class DerivedTables:
     every run on the algebra after the first reads it (see
     :mod:`softmtl.verifier`, "Per algebra").  ``up_sets`` is the complete
     list of :func:`softmtl.fuzzy.up_sets`: None until one listing
-    completes.  ``atoms`` maps each cut a run met, the carrier, the
-    up-sets and one other set, to its atom, an int.  ``automaton`` maps a
-    rank count r to the rows of the chain automaton that a DP over r ranks
-    walks (:func:`softmtl.fuzzy.chain_automaton`): tuples of ints, the
-    nodes it expanded.  All of them start empty, so loading an algebra
-    builds nothing new.
+    completes, and then every call answers from it.  ``atoms`` maps each
+    cut a run met, the carrier, the up-sets and one other set, to its
+    atom, an int.  ``automaton`` maps a rank count r to the rows of the
+    chain automaton that a DP over r ranks walks
+    (:func:`softmtl.fuzzy.chain_automaton`): tuples of ints, the nodes it
+    expanded.  All of them start empty, so loading an algebra builds
+    nothing new.
     """
 
     def __init__(self, alg: FiniteMtlAlgebra):

@@ -41,12 +41,9 @@ def labels_of(alg: FiniteMtlAlgebra, mask: int) -> list[str]:
     return [alg.labels[i] for i in range(alg.n) if mask >> i & 1]
 
 
-def elements(mask: int):
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            yield i
-        i += 1
+def elements(mask: int) -> list[int]:
+    """The positions of the bits set in ``mask``, ascending."""
+    return [x for x, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class FilterClassification:
 
 def _filter_by_closure(alg: FiniteMtlAlgebra, mask: int):
     """The first violation of product closure or upward closure, or None."""
-    members, prod, leq, carrier = list(elements(mask)), alg.prod, alg.leq, range(alg.n)
+    members, prod, leq, carrier = elements(mask), alg.prod, alg.leq, range(alg.n)
     for x in members:
         px, lx = prod[x], leq[x]
         for y in members:

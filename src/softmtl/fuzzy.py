@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, FiniteMtlAlgebra, require_mtl
-from .filters import KINDS
+from .filters import KINDS, elements
 
 FAMILIES = ("plain", "eiq", "bar", "thresholds")
 
@@ -317,31 +317,28 @@ def grid_map(order: tuple[int, ...], values, n: int) -> tuple[int, ...]:
     return tuple([values[r] for r in rank])
 
 
-def up_sets(alg: FiniteMtlAlgebra, most: int | None = None) -> list[int] | None:
-    """Every non-empty proper up-set of the algebra's order, as a bitmask, ascending.
+def up_sets(alg: FiniteMtlAlgebra, most: float = math.inf) -> list[int] | None:
+    """Every non-empty proper up-set of the algebra's order, as a bitmask, ascending, or None
+    when the order has more than ``most`` of them.
 
     Sets grow from the top down: an element joins a set that holds all
     above it, so every set held is an up-set of the whole order.  The
     bottom, below every element, would only make the carrier, so it never
     joins, and every set held but the empty one is non-empty and proper.
-    With ``most`` given, a listing that holds more than ``most`` of them
-    before it is complete stops and returns None.  A complete listing is
-    kept on the algebra (``alg.tables.up_sets``), and a later call lists
-    again only when the kept list holds more than ``most``, where it is
-    that listing that tells whether it stops.
+    No set held goes, so a listing stops once it holds more than ``most``.
+    A complete listing is kept on the algebra (``alg.tables.up_sets``),
+    and every later call answers from it.
     """
     tables = alg.tables
-    ups = tables.up_sets
-    if ups is None or most is not None and len(ups) > most:
-        above = tables.above
+    if tables.up_sets is None:
+        above, sets = tables.above, [0]
         rest = [x for x in range(alg.n) if x != alg.bottom]
-        sets = [0]
         for x in sorted(rest, key=lambda x: above[x].bit_count()):
-            if most is not None and len(sets) - 1 > most:
-                return None
             sets += [s | 1 << x for s in sets if not above[x] & ~s]
-        ups = tables.up_sets = tuple(sorted(sets[1:]))
-    return list(ups)
+            if len(sets) - 1 > most:
+                return None
+        tables.up_sets = tuple(sorted(sets[1:]))
+    return None if len(tables.up_sets) > most else list(tables.up_sets)
 
 
 def chain_automaton(alg: FiniteMtlAlgebra, ups: list[int], atoms: dict[int, int], other: int,
@@ -372,7 +369,7 @@ def chain_automaton(alg: FiniteMtlAlgebra, ups: list[int], atoms: dict[int, int]
     for _ in range(ranks - 1):
         for node in list(nodes)[len(rows):]:  # those met on the last level
             targets = run = 0
-            for state in _members(node):
+            for state in elements(node):
                 # (L, k) reads atom(U) to (U, 0), and other to (L, k + 1) while the run fits
                 k, at = divmod(state, len(sets))
                 targets |= free[at] & atmost[room[at] - k] if k else below[at]
@@ -404,17 +401,13 @@ def _chain_masks(alg: FiniteMtlAlgebra, sets: list[int]) -> tuple[list[int], ...
         return 1 << ids[t] | below[ids[t]]
 
     for i, s in enumerate(sets):  # ascending: every up-set inside s comes first
-        core = functools.reduce(int.__or__, [tables.above[x] for x in _members(s)], 0)
+        core = functools.reduce(int.__or__, [tables.above[x] for x in elements(s)], 0)
         # inside s: its lower covers s - x, x minimal; missing y in the core: s - downs[y]
-        below.append(functools.reduce(int.__or__, [inside(s ^ 1 << x) for x in _members(s)
+        below.append(functools.reduce(int.__or__, [inside(s ^ 1 << x) for x in elements(s)
                                                    if s ^ 1 << x in ids], 0))
-        free.append(functools.reduce(int.__or__, [inside(s & ~downs[y]) for y in _members(core)],
+        free.append(functools.reduce(int.__or__, [inside(s & ~downs[y]) for y in elements(core)],
                                      0))
         room.append(s.bit_count() - 1 if core else 0)
         sizes[s.bit_count()] |= 1 << i
     return below, free, room, list(itertools.accumulate(sizes, int.__or__))
 
-
-def _members(mask: int) -> list[int]:
-    """The positions of the bits set in ``mask``, ascending."""
-    return [x for x, bit in enumerate(reversed(bin(mask))) if bit == "1"]

@@ -143,19 +143,22 @@ counterexamples.  All of it stays on the run and goes with it, and no
 memo grows with the maps.  A run that refutes nothing on a plan and
 algebra met before decides, expands, lists and walks nothing.
 
-Two-valued maps.  Over budget the pass walks only the constant maps
-(r = 1) and the maps a off U, b on U with a < b (r = 2, chain (U,)), for
-U each non-empty proper up-set of the algebra's order
-(:func:`softmtl.fuzzy.up_sets`) and the representative, the least mask
-that is not one.  It is the same loop, atoms and DP with r <= 2, which
-expands only the automaton's start, whose letters are the atoms of
-those sets, and the chains (U,) are listed only to name
-counterexamples.  The maps
-are grid maps, so their records are the grid's on them, and each check
-the grid refutes is refuted on one of them, by two lemmas: the U_i that
-sets the failing side of a counterexample, or disagrees, makes the grid
-map V[i-1] off U_i, V[i] on U_i do the same; and every non-up-set fails
-every kind and the same scans, so all share one atom.
+Two-valued maps.  Over the budget N, (D+1)^n > N, the pass walks only
+the constant maps (r = 1) and the maps a off U, b on U with a < b
+(r = 2, chain (U,)), for U each non-empty proper up-set of the
+algebra's order (:func:`softmtl.fuzzy.up_sets`) and the representative,
+the least mask that is not one: {0}, or {1} when 0 is the top.  With u
+up-sets that is D+1 + (u + 1) C(D+1, 2) maps, so a run is refused,
+before any map is walked, iff u > (N - D - 1) // C(D+1, 2) - 1, where
+the listing stops.  It is the same loop, atoms and DP with r <= 2,
+which expands only the automaton's start, whose letters are the atoms
+of those sets, and the chains (U,) are listed only to name
+counterexamples.  The maps are grid maps, so their records are the
+grid's on them, and each check the grid refutes is refuted on one of
+them, by two lemmas: the U_i that sets the failing side of a
+counterexample, or disagrees, makes the grid map V[i-1] off U_i, V[i] on
+U_i do the same; and every non-up-set fails every kind and the same
+scans, so all share one atom.
 
 ``Fraction`` appears only when a counterexample is formatted.  Every
 input for which the claimed biconditional or implication fails is
@@ -168,7 +171,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, count
+from itertools import accumulate, combinations, compress
 from operator import or_
 from typing import NamedTuple
 
@@ -266,39 +269,27 @@ def _check_grid(alg, den) -> None:
 
 
 def _walk(alg, den, budget) -> tuple[str, list[int], int]:
-    """Check a run's inputs; its mode, the up-sets and representative of :func:`_two_valued`,
-    and the number of maps it checks."""
+    """Check a run's inputs; its mode, its sets and the number of maps it checks.
+
+    The sets are the non-empty proper up-sets, ascending, then the
+    representative (module docstring, "Two-valued maps").
+    """
     _check_grid(alg, den)
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     n = alg.n
     maps = (den + 1) ** n
     if budget is None or maps <= budget:
-        return "exhaustive", _two_valued(alg), maps
-    pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
-    most = max((budget - den - 1) // pairs - 1, 0)  # the most up-sets the budget has maps for
-    sets = _two_valued(alg, most)
-    if sets is None:  # the listing stopped
-        raise ValueError(f"budget {budget} is below the two-valued maps of the 1/{den} grid "
-                         f"on {n} elements, whose order has more than {most} up-sets")
-    maps = den + 1 + len(sets) * pairs
-    if maps > budget:  # before any map is walked
-        raise ValueError(f"budget {budget} is below the {maps} two-valued maps "
-                         f"of the 1/{den} grid on {n} elements")
-    return "two-valued", sets, maps
-
-
-def _two_valued(alg, most=None) -> list[int] | None:
-    """Each non-empty proper up-set of the algebra's order, ascending, then the least non-up-set.
-
-    None when the order has more than ``most`` of those up-sets
-    (:func:`softmtl.fuzzy.up_sets` stops listing them).
-    """
-    ups = up_sets(alg, most)
-    if ups is None:
-        return None
-    known = set(ups)
-    return [*ups, next(mask for mask in count(1) if mask not in known)]
+        mode, ups = "exhaustive", up_sets(alg)
+    else:
+        pairs = (den + 1) * den // 2  # the maps a off U, b on U of one U
+        most = (budget - den - 1) // pairs - 1  # the most up-sets the budget has maps for
+        ups = up_sets(alg, most)
+        if ups is None:
+            raise ValueError(f"budget {budget} is below the two-valued maps of the 1/{den} grid "
+                             f"on {n} elements, whose order has more than {max(most, 0)} up-sets")
+        mode, maps = "two-valued", den + 1 + (len(ups) + 1) * pairs
+    return mode, [*ups, 1 << (alg.top == 0)], maps  # the least non-up-set: {0}, or {1}
 
 
 class _Check(NamedTuple):
@@ -476,9 +467,9 @@ def _atoms(alg, sets) -> dict[int, int]:
     """The algebra's memo {cut: atom}, holding the carrier's atom and that of each of ``sets``.
 
     An atom holds the cut's failing kinds and, above them, its scan bits.
-    ``sets`` are :func:`_two_valued`'s, the same in every run on the
-    algebra, so only the first run classifies and scans them, the
-    representative last (module docstring, "Per algebra").
+    ``sets`` are :func:`_walk`'s, the same in every run on the algebra,
+    so only the first run classifies and scans them, the representative
+    last (module docstring, "Per algebra").
     """
     atoms = alg.tables.atoms
     if sets[-1] not in atoms:

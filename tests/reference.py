@@ -25,10 +25,11 @@ filter classifiers:
 
 The one exception is the subset walk at the end (:func:`_profiles` with
 :func:`_subset_ids` and :func:`_below`): the verifier's former source of
-exhaustive profiles, kept unchanged to check the words of the chain
-automaton (:func:`softmtl.fuzzy.chain_automaton`), which replaced it
-after a walk over the up-sets did.  It reads the verifier's atoms and
-up-set listing.
+exhaustive profiles, kept to check the words of the chain automaton
+(:func:`softmtl.fuzzy.chain_automaton`), which replaced it after a walk
+over the up-sets did.  It lists the up-sets and the representative by
+its own brute force (:func:`two_valued_sets`), and reads the verifier's
+atoms of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from softmtl.fuzzy import FuzzySet
-from softmtl.verifier import _atoms, _two_valued
+from softmtl.verifier import _atoms
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -296,15 +297,21 @@ def thresholds(den):
     return (HALF, ONE) if den == 2 else (Fraction(1, den), Fraction(den - 1, den))
 
 
-def two_valued_maps(alg, den):
-    """The maps of the two-valued pass, in lexicographic order: the constant maps, and for
-    a < b the map a off U, b on U, U each non-empty proper up-set and the least other subset."""
+def two_valued_sets(alg):
+    """Each non-empty proper up-set of the order, ascending, then the least other subset,
+    by a brute force over every subset."""
     n, leq = alg.n, alg.leq
     subsets = range(1, (1 << n) - 1)
     upward = [all(m >> y & 1 for x in range(n) if m >> x & 1 for y in range(n) if leq[x][y])
               for m in subsets]
     sets = [m for m, up in zip(subsets, upward) if up]
-    sets.append(next(m for m, up in zip(subsets, upward) if not up))
+    return [*sets, next(m for m, up in zip(subsets, upward) if not up)]
+
+
+def two_valued_maps(alg, den):
+    """The maps of the two-valued pass, in lexicographic order: the constant maps, and for
+    a < b the map a off U, b on U, U each of :func:`two_valued_sets`."""
+    n, sets = alg.n, two_valued_sets(alg)
     pairs = itertools.combinations(range(den + 1), 2)
     maps = [(k,) * n for k in range(den + 1)]
     maps += [tuple(b if m >> x & 1 else a for x in range(n)) for a, b in pairs for m in sets]
@@ -390,7 +397,7 @@ def _subset_ids(alg) -> list[int]:
 
     An atom is an int below 2^11, so it serves as its own id.
     """
-    *ups, other = sets = _two_valued(alg)
+    *ups, other = sets = two_valued_sets(alg)
     atoms = _atoms(alg, sets)
     ids = [atoms[other]] * (1 << alg.n)
     for up in ups:

@@ -316,6 +316,14 @@ def test_an_over_budget_run_stops_listing_up_sets(tmp_path, capsys):
                    "elements, whose order has more than 331 up-sets\n")
 
 
+def test_a_budget_below_the_constant_maps_names_no_negative_count(capsys):
+    # the 1000001 constant maps alone are over 10, so (10 - 1000001) // C(1000001, 2) - 1 < 0
+    code, out, err = run(capsys, "verify-all", "a1", "--grid", "1000000", "--budget", "10")
+    assert code == 2 and out == ""
+    assert err == ("error: budget 10 is below the two-valued maps of the 1/1000000 grid on 4 "
+                   "elements, whose order has more than 0 up-sets\n")
+
+
 @pytest.mark.parametrize("option", ["--budget", "--seed"])
 def test_witness_takes_no_sampling_options(capsys, option):
     with pytest.raises(SystemExit) as exited:

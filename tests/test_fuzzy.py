@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from products import load_named
 from reference import MembershipQuery, evaluate, forms_of, fuzzy_witness
-from softmtl import fuzzy
+from softmtl import algebra, fuzzy
 from softmtl.filters import KINDS, classify_filter, is_filter
 from softmtl.fixtures import load_fixture
 from softmtl.fuzzy import (FuzzySet, check_fuzzy_witness, disagree, grid_map, scan_fails,
@@ -259,6 +259,22 @@ def test_the_up_set_listing_stops_once_it_holds_more_than_most():
                                          "grid on 24 elements, whose order has more than 198 "
                                          "up-sets$"):
         verify_all(alg, 4, budget=2000)
+
+
+def test_a_kept_listing_answers_every_most_without_listing_again(monkeypatch):
+    alg = load_named("a3xa1")
+    ups = up_sets(alg)
+
+    def unread(tables):
+        raise AssertionError("the up-sets were listed again")
+
+    # every listing reads the elements above each one; the kept list answers alone
+    monkeypatch.setattr(algebra.DerivedTables, "above", property(unread))
+    for most in (-2, 0, 1, 100, 291):
+        assert up_sets(alg, most) is None, most
+    for most in (292, 293, 10**6):
+        assert up_sets(alg, most) == ups, most
+    assert up_sets(alg) == ups
 
 
 # what the verifier reads of a set that is not an up-set: it fails every kind,

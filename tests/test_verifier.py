@@ -123,8 +123,50 @@ def test_sampling_fallback(a3):
     assert rep.mode == "two-valued"
     assert rep.checked == 3 + 3 * (len(up_sets(a3)) + 1) == 24
     assert rep.confirmed
-    with pytest.raises(ValueError, match="budget 23 is below the 24 two-valued maps"):
+    with pytest.raises(ValueError, match="^budget 23 is below the two-valued maps of the 1/2 "
+                                         "grid on 6 elements, whose order has more than 5 "
+                                         "up-sets$"):
         verify(a3, catalog_by_id()["T3.3"], 2, budget=23)
+
+
+@pytest.mark.parametrize("name, den, maps, most", [("a3", 2, 24, 5), ("a3xa1", 4, 2935, 291)])
+def test_a_two_valued_run_fits_a_budget_of_exactly_its_maps(name, den, maps, most):
+    # D+1 constant maps and C(D+1, 2) for each up-set and the representative:
+    # 3 + 7 * 3 on a3 (6 up-sets), 5 + 293 * 10 on a3 x a1 (292 up-sets)
+    alg, spec = load_named(name), catalog_by_id()["T3.3"]
+    refused = (f"^budget {maps - 1} is below the two-valued maps of the 1/{den} grid on "
+               f"{alg.n} elements, whose order has more than {most} up-sets$")
+    with pytest.raises(ValueError, match=refused):  # the listing stops
+        verify(alg, spec, den, budget=maps - 1)
+    rep = verify(alg, spec, den, budget=maps)
+    assert (rep.mode, rep.checked, rep.confirmed) == ("two-valued", maps, True)
+    with pytest.raises(ValueError, match=refused):  # the kept listing is too long
+        verify(alg, spec, den, budget=maps - 1)
+
+
+def _relabelled(doc, order):
+    """``doc``, which lists its bottom first and its top last, with its elements listed in
+    ``order`` (a permutation of their indices) and its bottom and top named."""
+    labels = doc["labels"]
+    return {"labels": [labels[i] for i in order], "bottom": labels[0], "top": labels[-1],
+            **{key: [[doc[key][i][j] for j in order] for i in order]
+               for key in doc if key != "labels"}}
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_DOCS, "a1xb2", "a2xb2", "a3xb2", "a1xa1", "a3xa1"])
+def test_the_representative_is_the_least_non_up_set(name):
+    # {0}, or {1} when 0 is the top: as listed, the fixtures and their products have it last,
+    # so only the orders that list the top first have it at 0
+    doc = product_doc(*name.split("x")) if "x" in name else FIXTURE_DOCS[name]
+    n, reps = len(doc["labels"]), set()
+    for order in (range(n), range(n)[::-1], [n - 1, *range(n - 1)]):
+        alg = load_algebra(_relabelled(doc, order))
+        sets = verifier._walk(alg, 2, None)[1]
+        assert sets[-1] == next(mask for mask in itertools.count(1) if not _is_up_set(alg, mask))
+        if n <= 16:  # the brute force walks every subset
+            assert sets == reference.two_valued_sets(alg), order
+        reps.add(sets[-1])
+    assert reps == {1, 2}
 
 
 def test_restriction_coherence(a1):
@@ -253,9 +295,9 @@ def test_false_specs_match_the_reference_loop(name, den, spec, kw):
 @pytest.mark.parametrize("name", ["b2", "a1", "a2", "a3"])
 def test_two_valued_runs_give_the_grids_verdicts(name):
     # On b2 the two-valued maps are all the maps, so no budget selects them:
-    # the pass gets them straight from the verifier's two-valued source.
+    # the pass gets their sets straight from the walk, the same at every grid.
     alg = load_algebra(FIXTURE_DOCS[name])
-    sets = verifier._two_valued(alg)
+    sets = verifier._walk(alg, 2, None)[1]
     refuted = 0
     for _, grid, spec, kw in FALSE_SPECS:
         for den in (grid, grid + 4):
@@ -486,7 +528,7 @@ def test_the_pass_builds_the_automaton_once_and_runs_the_dp_once(monkeypatch):
 
 def _walk_atoms(alg):
     """The atom of each up-set, and of every other set, as ``_verify`` gives them."""
-    *ups, rep = sets = verifier._two_valued(alg)
+    *ups, rep = sets = verifier._walk(alg, 2, None)[1]
     atoms = verifier._atoms(alg, sets)
     return {up: atoms[up] for up in ups}, atoms[rep]
 
@@ -728,7 +770,7 @@ def test_packed_soft_verdicts_are_the_per_check_rule(name):
         relations = sum(1 << b for b, check in enumerate(checks) if check.fuzzy is None)
         plan = verifier._pack(checks, den)
         every = (1 << plan.width) - 1
-        sets = verifier._two_valued(alg)
+        sets = verifier._walk(alg, 2, None)[1]
         memo = verifier._atoms(alg, sets)
         carrier = memo[(1 << alg.n) - 1]
         # the carrier's atom and the distinct atoms of the up-sets
