@@ -13,9 +13,10 @@ code, the ``--json`` document and the text lines, an iterable that
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, from one of two
 writers (:func:`_json`): ``verify`` and ``verify-all`` put their
 ``VerificationReport`` objects themselves in the document, and
-:func:`_report` and :func:`_counterexamples` write each from templates, as
-``json.dumps`` writes its ``to_doc()``; every other document goes to
-``json.dumps``.  So text output builds no report document at all.
+:func:`_report` writes each as ``json.dumps`` writes its ``to_doc()``:
+its seven fields from one template, its counterexamples by ``json.dumps``;
+every other document goes to ``json.dumps``.  So text output builds no
+report document at all.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
@@ -72,61 +73,25 @@ def _write(text):
         os.close(devnull)
 
 
-@functools.lru_cache(maxsize=64)
-def _report_parts(algebra, mode, newline):
-    """The fixed text of :func:`_report`'s template before ``checked``, ``den`` and ``theorem``.
-
-    All reports of a run share their algebra and mode, so each is escaped
-    once, not once per report.  The escape raises TypeError on a value
-    that is not a str, and lru_cache keeps no result of a call that raises.
-    """
-    inner = newline + "  "
-    return (f'{{{inner}"algebra": {_escape(algebra)},{inner}"checked": ',
-            f',{inner}"den": ', f',{inner}"mode": {_escape(mode)},{inner}"theorem": ')
-
-
 def _report(rep, newline) -> str:
     """What ``json.dumps`` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
 
-    The str fields are escaped (:func:`_report_parts`) and ``den`` and
-    ``checked`` written by ``int.__repr__``; both raise TypeError on a
-    value that is not a str or an int (the verifier never puts a bool
-    there).  The counterexamples go to :func:`_counterexamples`.
+    The str fields are escaped and ``den`` and ``checked`` written by
+    ``int.__repr__``; both raise TypeError on a value that is not a str or
+    an int (the verifier never puts a bool there).  The counterexamples are
+    ``json.dumps``' own, the report's indentation added after each newline
+    (a JSON string holds no raw newline); an empty list is "[]" without a
+    call, as ``json.dumps`` with an indent runs the pure-Python encoder.
     """
     inner = newline + "  "
-    head, mid, tail = _report_parts(rep.algebra, rep.mode, newline)
-    return (f'{head}{int.__repr__(rep.checked)}'
+    ces = rep.counterexamples
+    ces = json.dumps(ces, indent=2, sort_keys=True).replace("\n", inner) if ces else "[]"
+    return (f'{{{inner}"algebra": {_escape(rep.algebra)}'
+            f',{inner}"checked": {int.__repr__(rep.checked)}'
             f',{inner}"confirmed": {"true" if rep.confirmed else "false"}'
-            f',{inner}"counterexamples": {_counterexamples(rep.counterexamples, inner)}'
-            f'{mid}{int.__repr__(rep.den)}{tail}{_escape(rep.theorem)}{newline}}}')
-
-
-def _counterexamples(ces, newline) -> str:
-    """What ``json.dumps`` writes for a report's counterexamples, one template each.
-
-    Each is a dict of ``direction`` (a str), ``mu`` (label -> str) and
-    ``witness`` (a list of str).  The sorted labels of a ``mu`` and the
-    escaped text before each of its values are worked out once per label
-    tuple, as all of a report's counterexamples share it.
-    """
-    if not ces:
-        return "[]"
-    at_ce, at_key, at_item = newline + "  ", newline + "    ", newline + "      "
-    heads = {}  # the labels of a mu -> (label, the text before its value), sorted by label
-    texts = []
-    for ce in ces:
-        mu, witness = ce["mu"], ce["witness"]
-        labels = tuple(mu)
-        pairs = heads.get(labels)
-        if pairs is None:
-            pairs = heads[labels] = [(label, ("," if i else "{") + at_item + _escape(label) + ": ")
-                                     for i, label in enumerate(sorted(labels))]
-        mu_text = "".join([head + _escape(mu[label]) for label, head in pairs]) + at_key + "}"
-        witness_text = ("[" + at_item + ("," + at_item).join(map(_escape, witness)) + at_key + "]"
-                        if witness else "[]")
-        texts.append(f'{{{at_key}"direction": {_escape(ce["direction"])},{at_key}"mu": '
-                     f'{mu_text if mu else "{}"},{at_key}"witness": {witness_text}{at_ce}}}')
-    return "[" + at_ce + ("," + at_ce).join(texts) + newline + "]"
+            f',{inner}"counterexamples": {ces},{inner}"den": {int.__repr__(rep.den)}'
+            f',{inner}"mode": {_escape(rep.mode)},{inner}"theorem": {_escape(rep.theorem)}'
+            f'{newline}}}')
 
 
 def _json(doc) -> str:

@@ -184,7 +184,8 @@ def resolve_route(family: str, kind: str, route: str = "default") -> str:
             return route
         raise ValueError(f"unknown plain {kind} route {route!r}")
     if route not in ("default", "all"):
-        raise ValueError(f"route {route!r} is only meaningful for the plain family")
+        raise ValueError(f"{family} {kind} has no route {route!r}; "
+                         f"only plain filter and plain boolean have routes")
     return {"filter": "mp", "boolean": "chain"}.get(kind, "default")
 
 

@@ -194,11 +194,6 @@ class TheoremSpec:
     direction: str = "iff"               # "iff" or "forward"
     relation: tuple[str, tuple[str, ...]] | None = None
 
-    def __hash__(self):
-        # Equal specs have equal ids.  The generated hash reads the Fraction
-        # fields, and a run hashes its specs to find its plan.
-        return hash(self.id)
-
 
 # (soft kind, interval, fuzzy family) pattern shared by all four filter kinds
 _PATTERN = (

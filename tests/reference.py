@@ -1,6 +1,7 @@
 """A literal reference checker for the theorem catalog, in Fractions.
 
-It shares no decision code with ``softmtl``.  Of an algebra it reads only
+It shares no decision code with ``softmtl``, and reads a map as the plain
+tuple of its Fraction values, in element order.  Of an algebra it reads only
 the operation tables ``prod``, ``res``, ``leq`` and ``join`` (and ``meet``
 for the derived laws) and the elements ``top`` and ``bottom`` (``labels``
 only to name elements), and none of its derived tables, fuzzy scans or
@@ -39,7 +40,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from softmtl.fuzzy import FuzzySet
 from softmtl.verifier import _atoms
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
@@ -68,9 +68,9 @@ class MembershipQuery:
             raise ValueError("membership level must lie in (0, 1]")
 
 
-def evaluate(mu: FuzzySet, query: MembershipQuery) -> bool:
-    """Exact fuzzy-point membership: x_t in mu, x_t q mu, and negations."""
-    return MODES[query.mode](Fraction(mu.nums[query.x], mu.den), query.level)
+def evaluate(values: tuple[Fraction, ...], query: MembershipQuery) -> bool:
+    """Exact fuzzy-point membership in the map of values: x_t in mu, x_t q mu, and negations."""
+    return MODES[query.mode](values[query.x], query.level)
 
 
 # --- algebra side ---------------------------------------------------------------
@@ -263,9 +263,10 @@ def crisp_witness(alg, s, kind):
     return None
 
 
-def level(mu, soft_kind, t):
-    """The level at t of a soft set of mu: {x : x_t in mu} or {x : x_t q mu}."""
-    return frozenset(x for x in range(mu.alg.n) if evaluate(mu, MembershipQuery(x, t, soft_kind)))
+def level(values, soft_kind, t):
+    """The level at t of a soft set of the map of ``values``: {x : x_t in mu} or {x : x_t q mu}."""
+    return frozenset(x for x in range(len(values))
+                     if evaluate(values, MembershipQuery(x, t, soft_kind)))
 
 
 @functools.lru_cache(maxsize=1024)  # the levels recur from map to map
@@ -274,21 +275,22 @@ def crisp_verdicts(alg, cut, kind):
     return crisp_witness(alg, cut, kind) is None, crisp_witness(alg, cut, "boolean") is None
 
 
-def is_strictness_witness(mu, kind):
-    """True when the in-levels of mu over (0, 1] show that a filter of the kind need not be
-    Boolean: every non-empty level is a filter of the kind, and some one is not Boolean."""
-    cuts = {level(mu, "in", Fraction(j, mu.den)) for j in range(1, mu.den + 1)} - {frozenset()}
-    verdicts = [crisp_verdicts(mu.alg, cut, kind) for cut in cuts]
+def is_strictness_witness(alg, values, den, kind):
+    """True when the in-levels over (0, 1] on the 1/den grid of the map of ``values`` show
+    that a filter of the kind need not be Boolean: every non-empty level is a filter of the
+    kind, and some one is not Boolean."""
+    cuts = {level(values, "in", Fraction(j, den)) for j in range(1, den + 1)} - {frozenset()}
+    verdicts = [crisp_verdicts(alg, cut, kind) for cut in cuts]
     return all(ok for ok, _ in verdicts) and not all(boolean for _, boolean in verdicts)
 
 
 def literal_strictness_witness(alg, kind, den):
-    """The first map of the 1/den grid, lexicographically, that is a strictness witness
-    for the kind ("mv" for T4.2.13, "g" for T4.3.12), or None."""
+    """The values of the first map of the 1/den grid, lexicographically, that is a
+    strictness witness for the kind ("mv" for T4.2.13, "g" for T4.3.12), or None."""
     for nums in itertools.product(range(den + 1), repeat=alg.n):
-        mu = FuzzySet(alg, den, nums)
-        if is_strictness_witness(mu, kind):
-            return mu
+        values = tuple(Fraction(k, den) for k in nums)
+        if is_strictness_witness(alg, values, den, kind):
+            return values
     return None
 
 
@@ -348,14 +350,14 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
     checked = 0
     for nums in maps:
         checked += 1
-        mu = FuzzySet(alg, den, nums)
+        values = tuple(Fraction(k, den) for k in nums)
         at = {}  # (soft kind, index of t) -> the level there
         failing = []  # per soft set: each kind it fails -> the soft witness
         for soft_kind, within in softs:
             first = {}
             for i in within:
                 if (soft_kind, i) not in at:
-                    at[soft_kind, i] = level(mu, soft_kind, ts[i])
+                    at[soft_kind, i] = level(values, soft_kind, ts[i])
                 cut = at[soft_kind, i]
                 if cut:
                     if cut not in whys:
@@ -364,7 +366,6 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
                         if why is not None:
                             first.setdefault(kind, (ts[i], *why))
             failing.append(first)
-        values = tuple(Fraction(k, den) for k in nums)
         fuzzy = [fuzzy_witness(alg, values, *variant) for variant in variants]
         for spec, soft, variant in plans:
             fails, iff = failing[soft], spec.direction == "iff"
@@ -385,7 +386,8 @@ def literal_reports(alg, specs, den, budget=None, interval=None):
                     direction, witness = "soft=>fuzzy", fw
                 else:
                     continue
-            found[spec.id].append({"mu": mu.to_doc(), "direction": direction,
+            mu = {label: str(value) for label, value in zip(alg.labels, values)}
+            found[spec.id].append({"mu": mu, "direction": direction,
                                    "witness": [str(part) for part in witness]})
     return [{"theorem": spec.id, "algebra": "/".join(alg.labels), "den": den,
              "checked": checked, "mode": mode, "confirmed": not found[spec.id],

@@ -376,9 +376,13 @@ _NO_INTERVAL = "error: cannot parse interval ''; expected e.g. '0,1' or '1/4,3/4
      "error: carrier must contain at least bottom and top"),
     (("check-algebra",), {**FIXTURE_DOCS["b2"], "bottom": "1"},
      "error: bottom and top must differ"),
+    # the family is plain, but the kind has no routes
+    (("fuzzy-check", "a1", "--mu", "0=0,a=0,b=0,1=1", "--family", "plain", "--kind", "mv",
+      "--route", "product"), None,
+     "error: plain mv has no route 'product'; only plain filter and plain boolean have routes"),
 ], ids=["unknown-label", "mu-no-equals", "mu-bad-value", "mu-missing-element",
         "thresholds-no-interval", "verify-empty-interval", "soft-build-empty-interval",
-        "one-label", "bottom-is-top"])
+        "one-label", "bottom-is-top", "route-on-a-kind-without-routes"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, doc, line):
     if doc is not None:  # the target is an algebra file
         path = tmp_path / "algebra.json"
@@ -399,10 +403,14 @@ def test_a_refuted_verify_prints_its_first_five_counterexamples(capsys, monkeypa
     assert code == 1 and err == ""
     assert first == ("false-eiq-over-full on 0/a/b/1 at D=4 (exhaustive, 625 fuzzy sets): "
                      "113 counterexample(s)")
-    ces = verify(load_fixture("a1"), spec, 4).counterexamples[:5]
+    rep = verify(load_fixture("a1"), spec, 4)
     assert len(rest) == 5 and all(" fails for mu=" in line for line in rest)
     assert rest == [f"  {ce['direction']} fails for mu={ce['mu']} witness={ce['witness']}"
-                    for ce in ces]
+                    for ce in rep.counterexamples[:5]]
+    # with --json, every counterexample, as json.dumps prints the report's document
+    code, out, err = run(capsys, "verify", "a1", spec.id, "--grid", "4", "--json")
+    assert (code, err) == (1, "")
+    assert out == json.dumps(rep.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("content, argv, fragment", [

@@ -22,6 +22,11 @@ def mk(alg, den, **vals):
     return FuzzySet.from_mapping(alg, den, {k.strip("_"): v for k, v in vals.items()})
 
 
+def values(mu):
+    """The map of mu as the reference reads it: its Fraction values, in element order."""
+    return tuple(F(k, mu.den) for k in mu.nums)
+
+
 def check_fuzzy(mu, family, kind, route="default", alpha=None, beta=None):
     return check_fuzzy_witness(mu, family, kind, route, alpha, beta) is None
 
@@ -34,24 +39,24 @@ def every_set(alg, den):
 # ---- fuzzy-point membership -------------------------------------------------
 
 def test_belongs_is_non_strict(a1):
-    mu = mk(a1, 10, _0=0, a=0, b=0, _1=F(6, 10))
+    mu = values(mk(a1, 10, _0=0, a=0, b=0, _1=F(6, 10)))
     assert evaluate(mu, MembershipQuery(a1.index("1"), F(6, 10), "in"))
 
 
 def test_quasi_coincidence_is_strict(a1):
-    mu = mk(a1, 4, _0=0, a=0, b=0, _1=F(1, 2))
+    mu = values(mk(a1, 4, _0=0, a=0, b=0, _1=F(1, 2)))
     q = MembershipQuery(a1.index("1"), F(1, 2), "q")
     assert not evaluate(mu, q)  # 1/2 + 1/2 = 1, not > 1
     assert evaluate(mu, MembershipQuery(a1.index("1"), F(1, 2), "in"))
 
 
 def test_quasi_coincidence_above_one(a1):
-    mu = mk(a1, 10, _0=F(3, 10), a=0, b=0, _1=1)
+    mu = values(mk(a1, 10, _0=F(3, 10), a=0, b=0, _1=1))
     assert evaluate(mu, MembershipQuery(a1.index("0"), F(8, 10), "q"))
 
 
 def test_barred_modes_are_negations(a1):
-    mu = mk(a1, 4, _0=F(1, 4), a=F(1, 2), b=F(3, 4), _1=1)
+    mu = values(mk(a1, 4, _0=F(1, 4), a=F(1, 2), b=F(3, 4), _1=1))
     for x in range(a1.n):
         for k in range(1, 5):
             t = F(k, 4)

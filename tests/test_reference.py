@@ -12,7 +12,6 @@ from reference import (BOUNDS, MembershipQuery, conditions, evaluate, forms_of, 
 from softmtl import fuzzy
 from softmtl.algebra import load_algebra
 from softmtl.fixtures import FIXTURE_DOCS, load_fixture
-from softmtl.fuzzy import FuzzySet
 from softmtl.soft import FULL, UPPER
 from softmtl.verifier import TheoremSpec, catalog, catalog_by_id, verify, verify_all
 from test_golden import FALSE_SPECS
@@ -85,10 +84,11 @@ def test_each_scan_table_lists_the_reference_instances_in_order(name):
         assert table == [(tag, xs, p, set(qs)) for tag, xs, p, qs in conditions(alg, form)], form
 
 
-def _points_hold(mu, family):
+def _points_hold(alg, mu, den, family):
     """The filter conditions of the (in, in-or-q) or the (not-in, not-in-or-not-q)
-    family, stated with fuzzy points x_t for t, r on the grid."""
-    alg, ts = mu.alg, [F(j, mu.den) for j in range(1, mu.den + 1)]
+    family, stated with fuzzy points x_t for t, r on the 1/den grid; mu is the map's
+    tuple of values."""
+    ts = [F(j, den) for j in range(1, den + 1)]
     top, res, elems, js = alg.top, alg.res, range(alg.n), range(len(ts))
     pairs = list(itertools.product(elems, elems))
 
@@ -115,9 +115,9 @@ def _points_hold(mu, family):
 def test_max_min_conditions_are_the_fuzzy_point_definitions(a1, family):
     held = 0
     for nums in itertools.product(range(5), repeat=a1.n):
-        mu = FuzzySet(a1, 4, nums)
-        holds = fuzzy_witness(a1, tuple(F(k, 4) for k in nums), "filter", *BOUNDS[family],
-                              forms_of(family, "filter")) is None
-        assert _points_hold(mu, family) == holds, nums
+        mu = tuple(F(k, 4) for k in nums)
+        witness = fuzzy_witness(a1, mu, "filter", *BOUNDS[family], forms_of(family, "filter"))
+        holds = witness is None
+        assert _points_hold(a1, mu, 4, family) == holds, nums
         held += holds
     assert 0 < held < 625
