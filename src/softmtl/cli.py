@@ -13,10 +13,12 @@ code, the ``--json`` document and the text lines, an iterable that
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints, from one of two
 writers (:func:`_json`): ``verify`` and ``verify-all`` put their
 ``VerificationReport`` objects themselves in the document, and
-:func:`_report` writes each as ``json.dumps`` writes its ``to_doc()``:
-its seven fields from one template, its counterexamples by ``json.dumps``;
-every other document goes to ``json.dumps``.  So text output builds no
-report document at all.
+:func:`_reports` writes them as ``json.dumps`` writes their ``to_doc()``:
+each report's seven fields from one template, the four a run's reports
+share (``algebra``, ``checked``, ``den``, ``mode``) formatted once per
+run of consecutive reports that share them, the counterexamples by
+``json.dumps``; every other document goes to ``json.dumps``.  So text
+output builds no report document at all.
 
 Exit codes: 0 = success / confirmed, 1 = counterexamples or failed
 axioms, 2 = bad input, 3 = internal error.  Input is checked where it is
@@ -73,41 +75,50 @@ def _write(text):
         os.close(devnull)
 
 
-def _report(rep, newline) -> str:
-    """What ``json.dumps`` writes for ``rep.to_doc()``: its seven keys, sorted, in one template.
+def _reports(reports, newline) -> str:
+    """What ``json.dumps`` writes for each report's ``to_doc()``, joined by "," and ``newline``.
 
-    The str fields are escaped and ``den`` and ``checked`` written by
-    ``int.__repr__``; both raise TypeError on a value that is not a str or
-    an int (the verifier never puts a bool there).  The counterexamples are
-    ``json.dumps``' own, the report's indentation added after each newline
-    (a JSON string holds no raw newline); an empty list is "[]" without a
-    call, as ``json.dumps`` with an indent runs the pure-Python encoder.
+    A report's seven keys, sorted, come from one template.  Its four
+    run-wide fields (``algebra``, ``checked``, ``den``, ``mode``) are
+    formatted once for each run of consecutive reports that share them: the
+    str fields escaped and the ints written by ``int.__repr__``, both of
+    which raise TypeError on a value that is not a str or an int (the
+    verifier never puts a bool there).  A confirmed report is then that
+    run's prefix and its escaped ``theorem``.  A refuted one's
+    counterexamples are ``json.dumps``' own, the report's indentation added
+    after each newline (a JSON string holds no raw newline).
     """
-    inner = newline + "  "
-    ces = rep.counterexamples
-    ces = json.dumps(ces, indent=2, sort_keys=True).replace("\n", inner) if ces else "[]"
-    return (f'{{{inner}"algebra": {_escape(rep.algebra)}'
-            f',{inner}"checked": {int.__repr__(rep.checked)}'
-            f',{inner}"confirmed": {"true" if rep.confirmed else "false"}'
-            f',{inner}"counterexamples": {ces},{inner}"den": {int.__repr__(rep.den)}'
-            f',{inner}"mode": {_escape(rep.mode)},{inner}"theorem": {_escape(rep.theorem)}'
-            f'{newline}}}')
+    inner, end, run, out = newline + "  ", newline + "}", None, []
+    for rep in reports:
+        key = (rep.algebra, rep.checked, rep.den, rep.mode)
+        if key != run:  # a new run: its prefix, and the confirmed report's
+            run = key
+            head = (f'{{{inner}"algebra": {_escape(rep.algebra)}'
+                    f',{inner}"checked": {int.__repr__(rep.checked)},{inner}"confirmed": ')
+            tail = (f',{inner}"den": {int.__repr__(rep.den)}'
+                    f',{inner}"mode": {_escape(rep.mode)},{inner}"theorem": ')
+            confirmed = f'{head}true,{inner}"counterexamples": []{tail}'
+        if rep.counterexamples:
+            ces = json.dumps(rep.counterexamples, indent=2, sort_keys=True).replace("\n", inner)
+            out.append(f'{head}false,{inner}"counterexamples": {ces}{tail}'
+                       f'{_escape(rep.theorem)}{end}')
+        else:
+            out.append(confirmed + _escape(rep.theorem) + end)
+    return ("," + newline).join(out)
 
 
 def _json(doc) -> str:
     """What ``json.dumps(doc, indent=2, sort_keys=True)`` prints, with a report as its ``to_doc()``.
 
     A report, alone (``verify``) or as ``{"reports": [...]}``
-    (``verify-all``), is written by :func:`_report`; ``json.dumps`` writes
+    (``verify-all``), is written by :func:`_reports`; ``json.dumps`` writes
     every other document.
     """
     if type(doc) is VerificationReport:
-        return _report(doc, "\n")
+        return _reports([doc], "\n")
     if type(doc) is dict and list(doc) == ["reports"] and doc["reports"]:
         inner = "\n    "
-        return ('{\n  "reports": [' + inner
-                + ("," + inner).join([_report(rep, inner) for rep in doc["reports"]])
-                + "\n  ]\n}")
+        return '{\n  "reports": [' + inner + _reports(doc["reports"], inner) + "\n  ]\n}"
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -225,7 +236,7 @@ def cmd_verify(args, alg):
 
 def cmd_verify_all(args, alg):
     reports = verifier.verify_all(alg, args.grid, budget=args.budget)
-    bad = sum(not rep.confirmed for rep in reports)
+    bad = len([rep for rep in reports if rep.counterexamples])  # the refuted reports
 
     def lines():  # formatted only when printed as text
         for rep in reports:

@@ -84,8 +84,8 @@ recorded, so every report is that of a pass that runs each check on
 each map it walks, in lexicographic order.  Recording reads each
 check's two sides off S and F and looks up only its witness: one
 literal scan (:func:`softmtl.fuzzy.variant_witness`) for a soft=>fuzzy
-record, else a soft level read off the map's own level cuts
-(:func:`softmtl.soft.level_cuts`), the first by ascending t whose cut
+record, else a soft level read off the map's own level cuts, each cut
+built only when the search reaches it, the first by ascending t whose cut
 is not empty and has an atom failing the first witness kind that fails
 at some level.  A ``route="all"`` check also runs its literal
 formulations on every recorded map.  A literal scan that contradicts
@@ -181,7 +181,7 @@ from .filters import KINDS
 from .fuzzy import (FuzzySet, chain_automaton, check_den, disagree, family_bounds, grid_map,
                     map_doc, resolve_route, scan_fails, scan_masks, up_sets, variant_witness,
                     weak_orders)
-from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index, level_cuts
+from .soft import FULL, LOWER, SOFT_KINDS, UPPER, ParameterInterval, cut_index
 
 @dataclass(frozen=True)
 class TheoremSpec:
@@ -488,7 +488,6 @@ def _record(alg, plan, reports, atoms, other, nums, soft: int, fail: int) -> Non
     """
     den, checks, printed = plan.den, plan.checks, plan.printed
     doc = dict(zip(alg.labels, [printed[k] for k in nums]))  # as map_doc prints it
-    cuts = None  # the map's level cuts, once a soft-side witness needs them
     for b, check in enumerate(checks):
         conclusion, premise = soft >> b & 1, fail >> b & 1
         witness = None  # None: the first failing soft level of a witness kind
@@ -507,11 +506,12 @@ def _record(alg, plan, reports, atoms, other, nums, soft: int, fail: int) -> Non
         else:
             continue
         if witness is None:
-            cuts = cuts or level_cuts(nums, den)
-            # an empty cut passes every kind, though other, its atom, fails them all
-            kind, j = next((kind, j) for kind in kinds for j in check.levels
-                           if cuts[j] and atoms.get(cuts[j], other) >> KINDS.index(kind) & 1)
-            cls = filters.classify_filter(alg, cuts[j])
+            # each cut read as it is visited; an empty cut passes every kind, though other,
+            # its atom, fails them all
+            kind, j, cut = next((kind, j, cut) for kind in kinds for j in check.levels
+                                if (cut := sum([1 << x for x, k in enumerate(nums) if k >= j]))
+                                and atoms.get(cut, other) >> KINDS.index(kind) & 1)
+            cls = filters.classify_filter(alg, cut)
             if cls.has(kind):
                 raise RuntimeError(f"{check.theorem}: the literal classification contradicts "
                                    f"the kind bits on {doc}")

@@ -506,20 +506,60 @@ LABELS = st.lists(TEXT, max_size=4, unique=True).map(lambda labels: sorted(label
 
 
 @st.composite
-def _any_report(draw):
+def _counterexamples(draw):
     shared = draw(LABELS)  # as in a run, where every map is over one algebra's labels
-    ces = [{"direction": draw(TEXT), "mu": {label: draw(TEXT) for label in labels},
-            "witness": draw(st.lists(TEXT, max_size=3))}
-           for labels in draw(st.lists(st.just(shared) | LABELS, max_size=4))]
+    return [{"direction": draw(TEXT), "mu": {label: draw(TEXT) for label in labels},
+             "witness": draw(st.lists(TEXT, max_size=3))}
+            for labels in draw(st.lists(st.just(shared) | LABELS, max_size=4))]
+
+
+@st.composite
+def _any_report(draw):
     return VerificationReport(draw(TEXT), draw(TEXT), draw(st.integers()), draw(st.integers()),
-                              draw(TEXT), ces)
+                              draw(TEXT), draw(_counterexamples()))
 
 
-@settings(max_examples=100)
-@given(st.lists(_any_report(), min_size=1, max_size=3))
+# reports in runs, as verify-all writes them: each report's run fields (algebra,
+# checked, den, mode) are the last report's, differ from them in exactly one
+# field, or go back to an earlier report's (A-B-A), and confirmed and refuted
+# reports mix within a run
+RUN_FIELDS = (TEXT, st.integers(), st.integers(), TEXT)
+
+
+@st.composite
+def _reports_in_runs(draw):
+    fields, seen, reports = [draw(field) for field in RUN_FIELDS], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(st.sampled_from(["same", "one", "back"]))
+        if step == "one":
+            i = draw(st.integers(0, 3))
+            fields[i] = draw(RUN_FIELDS[i].filter(lambda value, old=fields[i]: value != old))
+        elif step == "back":
+            fields = list(draw(st.sampled_from(seen or [fields])))
+        seen.append(tuple(fields))
+        algebra, checked, den, mode = fields
+        reports.append(VerificationReport(draw(TEXT), algebra, den, checked, mode,
+                                          draw(_counterexamples())))
+    return reports
+
+
+CE = {"direction": "forward", "mu": {"1": "1", "0": "1/2"}, "witness": ["1/2", "boolean"]}
+
+
+@settings(max_examples=200)
+@given(st.lists(_any_report(), min_size=1, max_size=3) | _reports_in_runs())
 @example([VerificationReport("\u2028", "b/\u00e9", 4, 0, "\\\"", [
     {"direction": "x", "mu": {"b": "1", "\x00": "", "a": "\u2028"}, "witness": []},
     {"direction": "", "mu": {"b": "0", "\x00": "1/2", "a": "1"}, "witness": ["\ud83d", "\n"]}])])
+@example([VerificationReport("T1", "a/b", 4, 25, "exhaustive"),        # run A
+          VerificationReport("T2", "a/b", 4, 25, "exhaustive", [CE]),  # refuted in run A
+          VerificationReport("T3", "a/b", 4, 25, "exhaustive"),
+          VerificationReport("T4", "a/c", 4, 25, "exhaustive"),        # algebra differs
+          VerificationReport("T5", "a/b", 4, 25, "exhaustive"),        # back to run A
+          VerificationReport("T6", "a/b", 4, 26, "exhaustive", [CE]),  # checked differs
+          VerificationReport("T7", "a/b", 2, 26, "exhaustive"),        # den differs
+          VerificationReport("T8", "a/b", 2, 26, "two-valued"),        # mode differs
+          VerificationReport("T9", "a/b", 2, 26, "two-valued", [CE])])
 def test_the_report_template_prints_any_report_as_json_dumps_prints_its_doc(reports):
     for rep in reports:
         assert _json(rep) == json.dumps(rep.to_doc(), indent=2, sort_keys=True)
@@ -535,10 +575,10 @@ def test_the_report_template_prints_any_report_as_json_dumps_prints_its_doc(repo
                                  ("x", {"y": [2, 1e300]}), {"z": type("Label", (str,), {})("s")},
                                  {"reports": []}, {"reports": [{"theorem": "T"}], "den": 4}])
 def test_a_document_the_writer_cannot_print_goes_to_json_dumps(monkeypatch, capsys, doc):
-    def refused(rep, newline):
+    def refused(reports, newline):
         raise AssertionError("a document that is not a report went to the report template")
 
-    monkeypatch.setattr(cli, "_report", refused)
+    monkeypatch.setattr(cli, "_reports", refused)
     _emit(argparse.Namespace(json=True), doc, [])
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
