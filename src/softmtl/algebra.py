@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 from .kernels import AXIOM_KERNELS, LAW_KERNELS
 
@@ -138,30 +137,18 @@ class DerivedTables:
         return tuple(up ^ 1 << x for x, up in enumerate(self.ups))
 
     @cached_property
-    def complement_mask(self) -> int:
-        """The mask of every x v x': a Boolean filter holds all of it."""
-        return sum(1 << j for j in {ins[0] for ins in self.complement})
+    def downs(self) -> tuple[int, ...]:
+        """For every x, the bitmask of the elements below it, x included; set by the load."""
+        return _masks(zip(*self.leq))
 
     @cached_property
-    def g_needs(self) -> tuple[int, ...]:
-        """For every v, the mask of the x -> y with x . x -> y = v: a G-filter
-        holding v holds all of them."""
+    def requires(self) -> dict[str, int]:
+        """Per crisp kind, the mask a filter holds all of iff it is of the kind: each x v x',
+        x -> x . x, or q -> p of an mv instance (p, q) (``docs/verifier.md``, "Crisp kinds")."""
         res, prod = self.res, self.prod
-        return self._needs(zip(chain.from_iterable(res[prod[x][x]] for x in self.elems),
-                               chain.from_iterable(res)))
-
-    @cached_property
-    def mv_needs(self) -> tuple[int, ...]:
-        """For every v, the mask of the ((y -> x) -> x) -> y with x -> y = v:
-        an MV-filter holding v holds all of them."""
-        return self._needs((ins[1], ins[0]) for ins in self.mv)
-
-    def _needs(self, implications) -> tuple[int, ...]:
-        """For every v, the mask of the w of the implications (v, w)."""
-        needs = [0] * len(self.elems)
-        for v, w in set(implications):
-            needs[v] |= 1 << w
-        return tuple(needs)
+        return {"boolean": sum(1 << j for j in {ins[0] for ins in self.complement}),
+                "g": sum(1 << j for j in {row[prod[x][x]] for x, row in enumerate(res)}),
+                "mv": sum(1 << j for j in {res[ins[1]][ins[0]] for ins in self.mv})}
 
     @cached_property
     def mp(self) -> tuple[tuple, ...]:
@@ -351,7 +338,7 @@ def load_algebra(doc: dict) -> FiniteMtlAlgebra:
         bottom=bottom,
         top=top,
     )
-    alg.tables.ups = up
+    alg.tables.ups, alg.tables.downs = up, down
     return alg
 
 

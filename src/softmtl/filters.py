@@ -11,9 +11,9 @@ as a filter of every kind" convention.
 In a finite MTL-algebra the filters are exactly the up-sets
 ``up(m) = {y : m <= y}`` of the idempotents m, so a carrier of n
 elements has at most n filters (proof in :func:`enumerate_filters`).
-A filter is Boolean iff it holds every x v x'.  G and MV read "v in F
-implies w in F" for pairs (v, w) of the algebra, so F is one iff it
-holds ``needs[v]``, the mask of the w of v, for every v in F.  A failed
+A filter is of a kind iff it holds the kind's mask ``requires[kind]``:
+every x v x' (Boolean), x -> x . x (G) or (x -> y) -> (((y -> x) -> x)
+-> y) (MV); proof in ``docs/verifier.md``, "Crisp kinds".  A failed
 kind's law table (:class:`softmtl.algebra.DerivedTables`) is scanned
 only to name its first witness.
 """
@@ -28,6 +28,7 @@ from .algebra import FiniteMtlAlgebra, require_mtl
 
 KINDS = ("filter", "boolean", "mv", "g")
 _EVERY = (1 << len(KINDS)) - 1  # the fails of a set that is no filter
+_LAWS = {"boolean": "complement", "g": "g", "mv": "mv"}  # each kind's law table
 
 
 def mask_of(alg: FiniteMtlAlgebra, labels) -> int:
@@ -127,32 +128,23 @@ def classify_filter(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
 def _classify(alg: FiniteMtlAlgebra, mask: int) -> FilterClassification:
     if not mask:
         return FilterClassification(_EVERY)
-    labels = alg.labels
+    labels, tables = alg.labels, alg.tables
     # a mask from enumerate_filters is a filter
-    known = alg.tables.filters
+    known = tables.filters
     w = None if known is not None and mask in known else _filter_by_closure(alg, mask)
     if w is not None:
         return FilterClassification(_EVERY, {"filter": (w[0], *(labels[e] for e in w[1:]))})
 
-    tables, g, mv, fails, witnesses = alg.tables, 0, 0, 0, {}
-    g_needs, mv_needs = tables.g_needs, tables.mv_needs
-    for v in elements(mask):
-        g |= g_needs[v]
-        mv |= mv_needs[v]
-    # a failed kind's witness: the first instance of its law with q in the set and p not
-    # (q is the top in a complement instance, and a filter holds it)
-    if tables.complement_mask & ~mask:
-        fails |= 2
-        witnesses["boolean"] = next((labels[x],) for p, _, _, _, x, _, _ in tables.complement
-                                    if not mask >> p & 1)
-    if g & ~mask:
-        fails |= 8
-        witnesses["g"] = next((labels[x], labels[y]) for p, q, _, _, x, y, _ in tables.g
-                              if mask >> q & 1 and not mask >> p & 1)
-    if mv & ~mask:
-        fails |= 4
-        witnesses["mv"] = next((labels[x], labels[y]) for p, q, _, _, x, y, _ in tables.mv
-                               if mask >> q & 1 and not mask >> p & 1)
+    fails, witnesses = 0, {}
+    for kind, need in tables.requires.items():
+        if need & ~mask:
+            fails |= 1 << KINDS.index(kind)
+            # witness: its law's first instance with q in the set and p not (a complement q is 1)
+            ins = next((ins for ins in getattr(tables, _LAWS[kind])
+                        if mask >> ins[1] & 1 and not mask >> ins[0] & 1), None)
+            if ins is None:
+                raise RuntimeError(f"{kind} mask missed by {labels_of(alg, mask)}, whose law holds")
+            witnesses[kind] = tuple(labels[v] for v in ins[4:] if v is not None)
     return FilterClassification(fails, witnesses)
 
 

@@ -394,15 +394,14 @@ def _chain_masks(alg: FiniteMtlAlgebra, sets: list[int]) -> tuple[list[int], ...
     atmost[s] holds the sets of at most s elements.  Each mask is built
     from those of smaller up-sets, and no two up-sets are compared.
     """
-    ids, tables = {s: i for i, s in enumerate(sets)}, alg.tables
-    downs = [sum(1 << x for x in tables.elems if tables.ups[x] >> y & 1) for y in tables.elems]
+    ids, above, downs = {s: i for i, s in enumerate(sets)}, alg.tables.above, alg.tables.downs
     below, free, room, sizes = [], [], [], [0] * (alg.n + 1)
 
     def inside(t):  # the up-set t, met already, and the up-sets inside it
         return 1 << ids[t] | below[ids[t]]
 
     for i, s in enumerate(sets):  # ascending: every up-set inside s comes first
-        core = functools.reduce(int.__or__, [tables.above[x] for x in elements(s)], 0)
+        core = functools.reduce(int.__or__, [above[x] for x in elements(s)], 0)
         # inside s: its lower covers s - x, x minimal; missing y in the core: s - downs[y]
         below.append(functools.reduce(int.__or__, [inside(s ^ 1 << x) for x in elements(s)
                                                    if s ^ 1 << x in ids], 0))

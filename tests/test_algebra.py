@@ -270,6 +270,13 @@ def test_the_load_keeps_the_up_sets_it_checks_the_order_with():
             sum(1 << y for y, le in enumerate(row) if le) for row in alg.leq)
 
 
+def test_the_load_keeps_the_down_sets_it_builds_the_meet_with():
+    for name in KERNEL_NAMES:
+        alg = load_named(name)
+        assert alg.tables.downs == DerivedTables(alg).downs == tuple(
+            sum(1 << x for x in range(alg.n) if alg.leq[x][y]) for y in range(alg.n))
+
+
 def test_an_algebra_is_validated_once(monkeypatch):
     validated = []
 

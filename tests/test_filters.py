@@ -3,13 +3,14 @@ import json
 
 import pytest
 
-from products import load_named, product_doc
+from products import CHAINS, load_named, product_doc
 from reference import crisp_witness
 from softmtl import filters
+from softmtl.algebra import load_algebra
 from softmtl.cli import main
 from softmtl.filters import (KINDS, classify_filter, crisp_decomposition_check, elements,
                              enumerate_filters, is_filter, labels_of, mask_of)
-from softmtl.fixtures import load_fixture
+from softmtl.fixtures import FIXTURE_DOCS, load_fixture
 
 
 def test_singleton_top_is_filter(a1):
@@ -181,15 +182,25 @@ def assert_classification_is_literal(alg, mask):
     assert set(cls.witnesses) == ({"filter"} if not cls.is_filter else failed)
 
 
-@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2"])
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "a1xb2", *CHAINS,
+                                  "L3xG3", "G3xNM3", "NM3xL3"])
 def test_every_subset_is_classified_with_the_literal_witnesses(name):
     alg = load_named(name)
     for mask in range(1, 1 << alg.n):
         assert_classification_is_literal(alg, mask)
 
 
-@pytest.mark.parametrize("name", ["a3xb2", "a1xa1", "a3xa1"])
+@pytest.mark.parametrize("name", ["a3xb2", "a1xa1", "a3xa1", "NM4xL3", "G4xNM4", "L4xG3xNM3"])
 def test_every_filter_is_classified_with_the_literal_witnesses(name):
     alg = load_named(name)
     for mask in enumerate_filters(alg):
         assert_classification_is_literal(alg, mask)
+
+
+def test_a_mask_without_a_failed_law_instance_raises(monkeypatch):
+    # a1's filter {a, b, 1} is an MV-filter; a planted MV mask of the whole carrier
+    # says it is not, and no instance of the MV law can name why
+    alg = load_algebra(FIXTURE_DOCS["a1"])  # a fresh algebra: its memo is empty
+    monkeypatch.setattr(alg.tables, "requires", {**alg.tables.requires, "mv": (1 << alg.n) - 1})
+    with pytest.raises(RuntimeError, match=r"mv mask missed by \['a', 'b', '1'\]"):
+        classify_filter(alg, mask_of(alg, ["a", "b", "1"]))
